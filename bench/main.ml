@@ -399,11 +399,11 @@ let bench_kload () =
       ]
   in
   (* The persisted run: default population, full mixed storm. *)
-  let t0 = Sys.time () in
+  let t0 = Unix.gettimeofday () in
   let { Kload.Harness.report; _ } =
     Kload.Harness.run ~storm:Kload.Harness.Mixed ~seed:42 ()
   in
-  let wall = Sys.time () -. t0 in
+  let wall = Unix.gettimeofday () -. t0 in
   let shed_rate =
     if report.Kload.Report.planned = 0 then 0.
     else float_of_int report.Kload.Report.shed /. float_of_int report.Kload.Report.planned
@@ -454,9 +454,9 @@ let bench_lint () =
   (* The persisted TCB snapshot: one wall-clocked whole-tree ktcb pass
      plus the metric object itself, the per-PR trajectory the ratchet
      walks downward. *)
-  let t0 = Sys.time () in
+  let t0 = Unix.gettimeofday () in
   let tcb = Klint.Ktcb.analyze_tree ~root in
-  let wall = Sys.time () -. t0 in
+  let wall = Unix.gettimeofday () -. t0 in
   Fmt.pr "@.ktcb (persisted): %d/%d unsafe lines (%.1f%%), frame %d files/%d lines@."
     tcb.Klint.Ktcb.unsafe_loc tcb.Klint.Ktcb.total_loc (Klint.Ktcb.ratio tcb)
     tcb.Klint.Ktcb.frame_files tcb.Klint.Ktcb.frame_loc;
@@ -474,9 +474,9 @@ let bench_lint () =
   (* And the durability snapshot (issue 10): one wall-clocked whole-tree
      kdur pass plus the contract/finding counts — the trajectory the dur
      ratchet walks downward as barrier paths get fixed. *)
-  let t0 = Sys.time () in
+  let t0 = Unix.gettimeofday () in
   let kdur = Klint.Kdur.analyze_tree ~root in
-  let kdur_wall = Sys.time () -. t0 in
+  let kdur_wall = Unix.gettimeofday () -. t0 in
   Fmt.pr
     "kdur (persisted): %d functions, %d durable / %d ordering contracts, %d findings@."
     kdur.Klint.Kdur.funcs kdur.Klint.Kdur.durable_funcs kdur.Klint.Kdur.ordering_funcs
@@ -550,9 +550,9 @@ let refine_snapshot () =
   let config =
     { Kspec.Krefine.default_config with Kspec.Krefine.images_per_op = 4; crash_every = 4 }
   in
-  let t0 = Sys.time () in
+  let t0 = Unix.gettimeofday () in
   let covs = List.map (fun e -> (e, Kharness.run ~config e long)) (Kharness.all ()) in
-  let wall = Sys.time () -. t0 in
+  let wall = Unix.gettimeofday () -. t0 in
   let sum f = List.fold_left (fun a (_, c) -> a + f c) 0 covs in
   let states = sum (fun c -> c.Kspec.Krefine.states_explored) in
   let images = sum (fun c -> c.Kspec.Krefine.crash_images) in
@@ -608,9 +608,9 @@ let wcache_snapshot () =
   let config =
     { Kspec.Krefine.default_config with Kspec.Krefine.images_per_op = 8; crash_every = 1 }
   in
-  let t0 = Sys.time () in
+  let t0 = Unix.gettimeofday () in
   let covs = List.map (fun e -> (e, Kharness.run ~config e trace)) (Kharness.all ()) in
-  let wall = Sys.time () -. t0 in
+  let wall = Unix.gettimeofday () -. t0 in
   let sum f = List.fold_left (fun a (_, c) -> a + f c) 0 covs in
   let states = sum (fun c -> c.Kspec.Krefine.states_explored) in
   let images = sum (fun c -> c.Kspec.Krefine.crash_images) in
@@ -625,10 +625,7 @@ let wcache_snapshot () =
   let fs = Kfs.Journalfs.mkfs_on ~geometry:g ~io:(Kblock.Wcache.io wc) Kfs.Journalfs.Journaled dev in
   (match Kblock.Wcache.flush wc with Ok () -> () | Error _ -> assert false);
   ignore (Kblock.Wcache.take_durable wc);
-  let media0 = Kblock.Blockdev.snapshot_media dev in
-  let apply_entry media (e : Kblock.Wcache.entry) =
-    media.(e.blkno) <- Bytes.of_string e.data
-  in
+  let media0 = ref (Kblock.Blockdev.image dev) in
   let hist = Ksim.Hist.create () in
   let p = Kspec.Fs_spec.path_of_string in
   let rng = Ksim.Rng.of_int 1009 in
@@ -648,15 +645,16 @@ let wcache_snapshot () =
     if i mod 10 = 0 then begin
       List.iter
         (fun residue ->
-          let media = Array.map Bytes.copy media0 in
-          List.iter (apply_entry media) residue;
-          let dev' = Kblock.Blockdev.of_media ~block_size:g.Kfs.Journalfs.block_size media in
+          let dev' =
+            Kblock.Blockdev.of_image ~block_size:g.Kfs.Journalfs.block_size
+              (Kblock.Wcache.patch !media0 residue)
+          in
           let m0 = Unix.gettimeofday () in
           ignore (Kfs.Journalfs.mount ~geometry:g Kfs.Journalfs.Journaled dev');
           Ksim.Hist.record hist
             (int_of_float ((Unix.gettimeofday () -. m0) *. 1e9)))
         (Kblock.Wcache.crash_residues wc ~limit:8);
-      List.iter (apply_entry media0) (Kblock.Wcache.take_durable wc)
+      media0 := Kblock.Wcache.patch !media0 (Kblock.Wcache.take_durable wc)
     end
   done;
   let s = Ksim.Hist.summarize hist in

@@ -4,7 +4,13 @@
    loses an arbitrary subset of the cached writes (disks reorder), which
    is exactly the failure model journaling must defend against.
    [crash_media_states] enumerates the distinct post-crash media images so
-   crash-safety checking can be exhaustive rather than sampled. *)
+   crash-safety checking can be exhaustive rather than sampled.
+
+   The media is a table of immutable blocks: [flush] swaps a block's
+   pointer instead of blitting into it, so a crash image shares every
+   block it did not change.  The table itself is copy-on-write: [image]
+   and [of_image] share it, and a device copies it (one pointer per
+   block) only when it next lands writes while an image may hold it. *)
 
 type pending = {
   seq : int;
@@ -12,10 +18,13 @@ type pending = {
   data : string;
 }
 
+type image = string array
+
 type t = {
   nblocks : int;
   block_size : int;
-  media : bytes array;
+  mutable media : image;
+  mutable shared : bool; (* an image may hold [media]: copy before landing writes *)
   mutable cache : pending list; (* newest first *)
   mutable next_seq : int;
   mutable reads : int;
@@ -23,17 +32,21 @@ type t = {
   mutable flushes : int;
 }
 
-let create ~nblocks ~block_size =
+let of_image ~block_size img =
   {
-    nblocks;
+    nblocks = Array.length img;
     block_size;
-    media = Array.init nblocks (fun _ -> Bytes.make block_size '\000');
+    media = img;
+    shared = true;
     cache = [];
     next_seq = 0;
     reads = 0;
     writes = 0;
     flushes = 0;
   }
+
+let create ~nblocks ~block_size =
+  of_image ~block_size (Array.make nblocks (String.make block_size '\000'))
 
 let nblocks dev = dev.nblocks
 let block_size dev = dev.block_size
@@ -51,7 +64,7 @@ let read dev blkno =
     (* The device serves reads from its cache: latest write wins. *)
     match List.find_opt (fun p -> p.blkno = blkno) dev.cache with
     | Some p -> Ok (Bytes.of_string p.data)
-    | None -> Ok (Bytes.copy dev.media.(blkno))
+    | None -> Ok (Bytes.of_string dev.media.(blkno))
   end
 
 let write dev blkno data =
@@ -64,51 +77,62 @@ let write dev blkno data =
     Ok ()
   end
 
+(* [write] only caches whole blocks, so landing one is a pointer swap. *)
 let apply_to media pendings =
   (* Oldest first so that last-write-wins per block. *)
-  List.iter (fun p -> Bytes.blit_string p.data 0 media.(p.blkno) 0 (String.length p.data))
+  List.iter (fun p -> media.(p.blkno) <- p.data)
     (List.sort (fun a b -> compare a.seq b.seq) pendings)
 
 let flush dev =
   dev.flushes <- dev.flushes + 1;
-  apply_to dev.media dev.cache;
-  dev.cache <- []
+  if dev.cache <> [] then begin
+    if dev.shared then begin
+      dev.media <- Array.copy dev.media;
+      dev.shared <- false
+    end;
+    apply_to dev.media dev.cache;
+    dev.cache <- []
+  end
 
-let snapshot_media dev = Array.map Bytes.copy dev.media
+let image dev =
+  dev.shared <- true;
+  dev.media
 
-let of_media ~block_size media =
-  {
-    nblocks = Array.length media;
-    block_size;
-    media = Array.map Bytes.copy media;
-    cache = [];
-    next_seq = 0;
-    reads = 0;
-    writes = 0;
-    flushes = 0;
-  }
+let patch img writes =
+  if writes = [] then img
+  else begin
+    let img = Array.copy img in
+    List.iter (fun (blkno, data) -> img.(blkno) <- data) writes;
+    img
+  end
 
-(* Enumerate distinct post-crash media images: any subset of the cached
-   writes may have reached the media.  With [n] pending writes there are up
-   to [2^n] images; we enumerate them in a fixed order and stop at
-   [limit].  The no-surviving-writes image (bare media) always comes
-   first, the all-survived image is always included when within limit. *)
-let crash_media_states dev ~limit =
+let snapshot_media dev = Array.map Bytes.of_string dev.media
+
+let of_media ~block_size media = of_image ~block_size (Array.map Bytes.to_string media)
+
+(* Enumerate distinct post-crash images: any subset of the cached writes
+   may have reached the media.  With [n] pending writes there are up to
+   [2^n] images; we enumerate them in a fixed order and stop at [limit].
+   The no-surviving-writes image (bare media) always comes first, the
+   all-survived image is always included when within limit.  Every
+   candidate shares the bare media outside the blocks the cache touches,
+   so only those blocks are digested for dedup. *)
+let crash_images dev ~limit =
   let pendings = Array.of_list (List.rev dev.cache) (* oldest first *) in
   let n = Array.length pendings in
+  let touched = List.sort_uniq compare (List.map (fun p -> p.blkno) dev.cache) in
   let total = if n >= 20 then max_int else 1 lsl n in
   let count = min limit total in
   let images = ref [] in
   let seen = Hashtbl.create 16 in
   let emit mask =
-    let media = Array.map Bytes.copy dev.media in
+    let media = Array.copy dev.media in
     let subset = ref [] in
     for i = 0 to n - 1 do
       if mask land (1 lsl i) <> 0 then subset := pendings.(i) :: !subset
     done;
     apply_to media !subset;
-    let fingerprint = String.concat "" (Array.to_list (Array.map Bytes.to_string media)) in
-    let digest = Digest.string fingerprint in
+    let digest = String.concat "" (List.map (fun b -> Digest.string media.(b)) touched) in
     if not (Hashtbl.mem seen digest) then begin
       Hashtbl.replace seen digest ();
       images := media :: !images
@@ -136,8 +160,11 @@ let crash_media_states dev ~limit =
   let images = List.rev !images in
   List.filteri (fun i _ -> i < count) images
 
+let crash_media_states dev ~limit =
+  List.map (Array.map Bytes.of_string) (crash_images dev ~limit)
+
 let crash_states dev ~limit =
-  List.map (of_media ~block_size:dev.block_size) (crash_media_states dev ~limit)
+  List.map (of_image ~block_size:dev.block_size) (crash_images dev ~limit)
 
 (* Lose all cached writes: the canonical single crash. *)
 let crash dev = dev.cache <- []

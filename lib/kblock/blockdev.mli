@@ -4,17 +4,27 @@
     loses an arbitrary subset of cached writes (disks reorder).  This is
     the failure model journaling defends against, and
     {!crash_media_states} makes it enumerable for exhaustive
-    crash-safety checking. *)
+    crash-safety checking.
+
+    The media is a table of immutable blocks, so a media {!image} is a
+    value: an image built from another by {!patch} shares every block it
+    did not replace, and taking or mounting one copies nothing — a device
+    copies its block table (one pointer per block, never block data) only
+    when it next lands writes while an image may hold that table.  A
+    crash image is therefore an immutable block table plus the residue
+    of writes that landed. *)
 
 type t
 
 val create : nblocks:int -> block_size:int -> t
+(** A zeroed device; every block starts out as one shared zero block. *)
+
 val nblocks : t -> int
 val block_size : t -> int
 
 val read : t -> int -> bytes Ksim.Errno.r
-(** Serve from the cache (latest write wins) or the media.  [EIO] out of
-    range. *)
+(** Serve from the cache (latest write wins) or the media, as a fresh
+    [bytes].  [EIO] out of range. *)
 
 val write : t -> int -> bytes -> unit Ksim.Errno.r
 (** Buffer a whole-block write.  [EINVAL] on wrong size, [EIO] out of
@@ -26,6 +36,28 @@ val flush : t -> unit
 val crash : t -> unit
 (** Drop every cached write (the canonical single crash). *)
 
+(** {1 Media images} *)
+
+type image
+(** The media at one instant: an immutable table of [nblocks] blocks.
+    Cached (unflushed) writes are not part of it. *)
+
+val image : t -> image
+(** The device's media now, in O(1).  Later writes and flushes on the
+    device do not change it. *)
+
+val of_image : block_size:int -> image -> t
+(** A fresh device (empty cache, zero counters) whose media is the image,
+    in O(1).  Writes and flushes on it leave the image unchanged. *)
+
+val patch : image -> (int * string) list -> image
+(** [patch img writes] is [img] with each [(blkno, data)] landed in list
+    order (last write wins), at the cost of one block-table copy.  [img]
+    itself is unchanged; the result shares every untouched block with it.
+    [data] must be a whole block. *)
+
+(** {1 Crash enumeration} *)
+
 val crash_media_states : t -> limit:int -> bytes array list
 (** Distinct media images reachable by crashing now: any subset of cached
     writes may have survived.  Exhaustive when [2^pending <= limit];
@@ -33,10 +65,13 @@ val crash_media_states : t -> limit:int -> bytes array list
     subsets, deduplicated, up to [limit]. *)
 
 val crash_states : t -> limit:int -> t list
-(** {!crash_media_states} wrapped into fresh devices with empty caches. *)
+(** {!crash_media_states} as fresh devices with empty caches. *)
 
 val snapshot_media : t -> bytes array
+(** The media as a deep copy, one fresh [bytes] per block. *)
+
 val of_media : block_size:int -> bytes array -> t
+(** A fresh device over a deep copy of [media]. *)
 
 val reads : t -> int
 val writes : t -> int

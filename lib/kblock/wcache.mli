@@ -73,8 +73,8 @@ val crash : t -> unit
     The cache logs every write since the last completed flush (the open
     {e barrier epoch}) plus the closed epochs since {!take_durable} was
     last called.  A consumer materializes post-crash images by replaying
-    a residue over its snapshot of the media as of the last
-    {!take_durable}. *)
+    a residue ({!patch}) over its {!Blockdev.image} of the media as of
+    the last {!take_durable}. *)
 
 val crash_frames : t -> frame list
 (** One frame per barrier interval in the retained window: the epochs
@@ -95,6 +95,11 @@ val take_durable : t -> entry list
     residues are applied over.  Call after each {!crash_residues} sweep
     to keep enumeration linear in trace length. *)
 
+val patch : Blockdev.image -> entry list -> Blockdev.image
+(** {!Blockdev.patch} with the entries' writes in list order: a residue
+    over the media snapshot is a crash image, and {!take_durable}'s
+    epochs over it are the next snapshot. *)
+
 (** {1 Barrier-discipline audit} *)
 
 val audit : t -> violation list
@@ -112,9 +117,13 @@ val append_violations_to_file : t -> path:string -> unit
 
 val export_env : string
 (** ["KSIM_WCACHE_EXPORT"].  When set to a file path, every process
-    appends each cache's audit violations there at exit; scripts/ci.sh
-    sets it across [dune runtest] so kdur's static R16 findings are
-    checked against every violation the suite actually provoked. *)
+    appends the audit violations its caches recorded there at exit, in
+    the {!append_violations_to_file} format; scripts/ci.sh sets it across
+    [dune runtest] so kdur's static R16 findings are checked against every
+    violation the suite actually provoked.  The export keeps a
+    [(cache name, violation)] record per {!audit} entry, taken when the
+    violation is recorded — never the cache itself, so a dropped cache
+    and its base device stay collectable. *)
 
 (** {1 Counters} *)
 

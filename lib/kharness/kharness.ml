@@ -41,22 +41,27 @@ let wcache_capacity = 16
 (* Every disk-backed harness runs its FS over a [Kblock.Wcache] on the raw
    device: acked writes are volatile until the FS flushes, and crash
    images are wcache residues — subsets *and reorderings* of the writes
-   since the last completed barrier, materialized over a snapshot of the
-   media as of the last settled epoch.
+   since the last completed barrier, patched over an immutable image of
+   the media as of the last settled epoch.  An image shares every block
+   its residue did not write, so materializing one copies block pointers,
+   never block data.
 
    Settling discipline: [crash_devs] folds the closed (durable) epochs
-   into [media0] after each enumeration, keeping the retained window —
-   and so enumeration cost — proportional to the crash cadence.  [settle]
-   must also run *before* an [Fsync] is applied: the checker's
+   out of the cache's window after each enumeration, keeping the retained
+   window — and so enumeration cost — proportional to the crash cadence.
+   [settle] must also run *before* an [Fsync] is applied: the checker's
    allowed-recovery frontier resets at [Fsync], so crash instants from
    before the fsync stop being representable at later crash points; the
    fsync's own barrier epochs stay in the window and are exactly the
-   images that convict a missing-barrier journal. *)
+   images that convict a missing-barrier journal.  Folded entries land
+   on [media0] only when the next crash images are built, so an fsync
+   never copies the block table. *)
 module Wdisk = struct
   type t = {
     dev : Kblock.Blockdev.t;
     wc : Kblock.Wcache.t;
-    media0 : bytes array; (* media as of the last settled epoch *)
+    mutable media0 : Kblock.Blockdev.image; (* media as of the last landing *)
+    settled : (int, string) Hashtbl.t; (* blkno -> newest durable write since then *)
   }
 
   let fresh_dev () =
@@ -67,25 +72,36 @@ module Wdisk = struct
     Kblock.Wcache.create ~name:"wcache" ~capacity:wcache_capacity ~seed:1
       (Kblock.Blockdev.io dev)
 
-  let apply_entry media (e : Kblock.Wcache.entry) =
-    Bytes.blit_string e.data 0 media.(e.blkno) 0 (String.length e.data)
+  let make dev wc =
+    { dev; wc; media0 = Kblock.Blockdev.image dev; settled = Hashtbl.create 64 }
 
-  let settle d = List.iter (apply_entry d.media0) (Kblock.Wcache.take_durable d.wc)
+  let settle d =
+    List.iter
+      (fun (e : Kblock.Wcache.entry) -> Hashtbl.replace d.settled e.blkno e.data)
+      (Kblock.Wcache.take_durable d.wc)
+
+  (* The media as of the last settle. *)
+  let media d =
+    if Hashtbl.length d.settled > 0 then begin
+      let writes = Hashtbl.fold (fun b data acc -> (b, data) :: acc) d.settled [] in
+      d.media0 <- Kblock.Blockdev.patch d.media0 writes;
+      Hashtbl.reset d.settled
+    end;
+    d.media0
 
   (* Wrap an existing device (a crash image) behind a fresh cold cache. *)
-  let of_dev dev =
-    { dev; wc = wcache_over dev; media0 = Kblock.Blockdev.snapshot_media dev }
+  let of_dev dev = make dev (wcache_over dev)
 
   (* Materialize post-crash devices: one per sampled residue, each a
-     fresh device whose media is [media0] plus the residue's writes in
+     fresh device over [media0] patched with the residue's writes in
      residue order.  Folds the durable epochs afterwards. *)
   let crash_devs d ~limit =
+    let media0 = media d in
     let devs =
       Kblock.Wcache.crash_residues d.wc ~limit
       |> List.map (fun residue ->
-             let media = Array.map Bytes.copy d.media0 in
-             List.iter (apply_entry media) residue;
-             Kblock.Blockdev.of_media ~block_size:geometry.Kfs.Journalfs.block_size media)
+             Kblock.Blockdev.of_image ~block_size:geometry.Kfs.Journalfs.block_size
+               (Kblock.Wcache.patch media0 residue))
     in
     settle d;
     devs
@@ -112,7 +128,7 @@ struct
     in
     (* mkfs ends with a flush: fold its epochs away and snapshot. *)
     let (_ : Kblock.Wcache.entry list) = Kblock.Wcache.take_durable wc in
-    (fs, { Wdisk.dev; wc; media0 = Kblock.Blockdev.snapshot_media dev })
+    (fs, Wdisk.make dev wc)
 
   let step fs (d : disk) op =
     (match op with Fs.Fsync -> Wdisk.settle d | _ -> ());
@@ -208,7 +224,7 @@ module Microreboot_base = struct
     let io = Kblock.Wcache.io wc in
     let fs0 = Kfs.Journalfs.mkfs_on ~geometry ~io Kfs.Journalfs.Journaled dev in
     let (_ : Kblock.Wcache.entry list) = Kblock.Wcache.take_durable wc in
-    let wdisk = { Wdisk.dev; wc; media0 = Kblock.Blockdev.snapshot_media dev } in
+    let wdisk = Wdisk.make dev wc in
     let fp = Ksim.Failpoint.create ~trace:(Ksim.Ktrace.create ()) ~seed:1 () in
     let vfs = Kvfs.Vfs.create () in
     let wrap fs =

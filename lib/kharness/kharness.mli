@@ -10,7 +10,11 @@
     {!Kblock.Wcache} volatile write-back cache on the raw block device,
     so crash images are cache-loss residues (subsets {e and reorderings}
     of the unflushed writes, seeded sampling under the image limit) and
-    recovery is a journal-replay mount over a cold cache; cowfs over its
+    recovery is a journal-replay mount over a cold cache.  The disk is a
+    value: each crash image is the immutable {!Kblock.Blockdev.image} of
+    the media as of the last settled barrier epoch, patched with one
+    residue ({!Kblock.Wcache.patch}), so it shares every block the residue
+    did not write and costs block pointers, not a device copy; cowfs over its
     persistent tree; and the supervised-microreboot path — a journalfs
     mount under {!Kvfs.Vfs} supervision with module panics injected on a
     fixed cadence, remount-with-replay as the restart function, and
@@ -45,8 +49,8 @@ val run :
 val journalfs : entry
 (** The journaled block FS as an IOSystem: program = mounted FS, disk =
     {!Kblock.Blockdev} behind a {!Kblock.Wcache}, crash = cache-loss
-    residues (unflushed-subset states, reorderings included) + replay
-    mount over a cold cache. *)
+    residues (unflushed-subset states, reorderings included) patched over
+    the settled media image + replay mount over a cold cache. *)
 
 val cowfs : entry
 (** The copy-on-write FS (no crash semantics: the tree is persistent). *)

@@ -94,14 +94,22 @@ echo "== ci: torture extra seeds (supervision escalation gate) =="
 # into an unexpected Failed escalation instead of a clean microreboot.
 KSIM_TORTURE_SEEDS="101,202,303" dune exec test/test_torture.exe
 
-echo "== ci: wcache cache-loss torture (volatile disk contract) =="
+# The memory gate: every stage that builds crash images runs under a
+# virtual-memory cap (ulimit -v, in KiB).  A crash image shares the
+# media blocks it did not change and nothing may keep one alive after
+# its check, so the full sweep needs tens of MB; a leak that pins crash
+# devices fails its stage instead of swapping the host.
+MEM_CAP_KB=1048576
+
+echo "== ci: wcache cache-loss torture (volatile disk contract, memory cap) =="
 # Seeded cache-loss torture: journalfs over the volatile write-back
 # cache with writeback reordering forced on, every crash residue
 # materialized and journal-replay remounted, acked versions gated
 # against the barrier floor — plus the registered harnesses re-verified
 # over the same hostile disk.  KSIM_WCACHE_SEEDS widens the seed set
 # (same hook style as KSIM_TORTURE_SEEDS).
-KSIM_WCACHE_SEEDS="${KSIM_WCACHE_SEEDS:-5,17}" dune exec test/test_wcache.exe -- test torture
+( ulimit -v "$MEM_CAP_KB"
+  KSIM_WCACHE_SEEDS="${KSIM_WCACHE_SEEDS:-5,17}" dune exec test/test_wcache.exe -- test torture )
 
 echo "== ci: kload smoke (multi-tenant storm, recovery-SLO gate) =="
 # ~500 tenants of mixed traffic with a mid-run panic storm.  The SLO
@@ -115,24 +123,28 @@ echo "== ci: kload extra seeds =="
 # alcotest kload suite runs (same hook style as KSIM_TORTURE_SEEDS).
 KSIM_KLOAD_SEEDS="${KSIM_KLOAD_SEEDS:-7,101}" dune exec test/test_kload.exe -- test harness 3
 
-echo "== ci: refine smoke (krefine harnesses vs Fs_spec, coverage ratchet) =="
+echo "== ci: refine sweep (krefine harnesses vs Fs_spec, coverage ratchet, memory cap) =="
 # Every registered kharness machine (journalfs, cowfs, the supervised
 # microreboot path) replays a kload-recorded trace in lockstep with
-# Fs_spec, enumerating crash images as it goes.  Any divergence fails
-# the run; the coverage the pass produced is then ratcheted against
-# refine.baseline inside klint (R15 keeps "Verified" registry claims
-# honest even when this stage is skipped).  KSIM_REFINE_SEEDS widens the
-# seed set, same hook style as KSIM_TORTURE_SEEDS; a deliberate coverage
-# reduction must be acknowledged with ALLOW_REFINE_REGRESS=1 (and then
+# Fs_spec at the `safeos refine` defaults — a >=10k-op trace with 4
+# crash images at every op.  Any divergence, or running out of the
+# memory cap, fails the run; the coverage the pass produced is then
+# ratcheted against refine.baseline inside klint (R15 keeps "Verified"
+# registry claims honest even when this stage is skipped).
+# KSIM_REFINE_SEEDS widens the seed set, same hook style as
+# KSIM_TORTURE_SEEDS; a deliberate coverage reduction must be
+# acknowledged with ALLOW_REFINE_REGRESS=1 (and then
 # --update-refine-baseline).
 REFINE_COVERAGE="$(pwd)/_build/refine-coverage.txt"
 rm -f "$REFINE_COVERAGE"
 refine_seed="${KSIM_REFINE_SEEDS:-11}"
 refine_seed="${refine_seed%%,*}"
-dune exec bin/safeos.exe -- refine --all --seed "$refine_seed" --ops 2000 \
-  --crash-every 4 --images 4 --coverage-out "$REFINE_COVERAGE" > /dev/null \
-  || { echo "ci: FAIL — a krefine harness diverged from Fs_spec" >&2; exit 1; }
-KSIM_REFINE_SEEDS="${KSIM_REFINE_SEEDS:-11}" dune exec test/test_krefine.exe -- test harnesses
+( ulimit -v "$MEM_CAP_KB"
+  dune exec bin/safeos.exe -- refine --all --seed "$refine_seed" \
+    --coverage-out "$REFINE_COVERAGE" > /dev/null ) \
+  || { echo "ci: FAIL — a krefine harness diverged from Fs_spec or ran out of memory" >&2; exit 1; }
+( ulimit -v "$MEM_CAP_KB"
+  KSIM_REFINE_SEEDS="${KSIM_REFINE_SEEDS:-11}" dune exec test/test_krefine.exe -- test harnesses )
 if [ "${ALLOW_REFINE_REGRESS:-0}" = "1" ]; then
   dune exec bin/klint/main.exe -- --root . --refine-coverage "$REFINE_COVERAGE" \
     --refine-baseline refine.baseline --allow-refine-regress

@@ -118,7 +118,31 @@ let test_dev_snapshot_of_media () =
   (* Deep copy: mutating the clone does not touch the original. *)
   write_ok dev2 0 (Bytes.of_string "WXYZ");
   Kblock.Blockdev.flush dev2;
-  check Alcotest.string "original intact" "abcd" (Bytes.to_string (read_ok dev 0))
+  check Alcotest.string "original intact" "abcd" (Bytes.to_string (read_ok dev 0));
+  (* Images are values: writes and flushes after [image] on the source
+     device, or on a device built from it, change neither the image nor
+     the other device, and [patch] returns a new image. *)
+  let img = Kblock.Blockdev.image dev in
+  let dev3 = Kblock.Blockdev.of_image ~block_size:4 img in
+  write_ok dev 0 (Bytes.of_string "srcw");
+  Kblock.Blockdev.flush dev;
+  write_ok dev3 1 (Bytes.of_string "cpyw");
+  Kblock.Blockdev.flush dev3;
+  let patched = Kblock.Blockdev.patch img [ (1, "pat1"); (1, "pat2") ] in
+  let contents img =
+    let d = Kblock.Blockdev.of_image ~block_size:4 img in
+    List.map (fun b -> Bytes.to_string (read_ok d b)) [ 0; 1 ]
+  in
+  let strings = Alcotest.(list string) in
+  check strings "image unchanged" [ "abcd"; "\000\000\000\000" ] (contents img);
+  check strings "patch lands in order" [ "abcd"; "pat2" ] (contents patched);
+  check strings "source sees only its own write" [ "srcw"; "\000\000\000\000" ]
+    (List.map (fun b -> Bytes.to_string (read_ok dev b)) [ 0; 1 ]);
+  check strings "of_image device sees only its own write" [ "abcd"; "cpyw" ]
+    (List.map (fun b -> Bytes.to_string (read_ok dev3 b)) [ 0; 1 ]);
+  (* A read hands out a fresh buffer: scribbling on it is not a write. *)
+  Bytes.fill (read_ok dev3 1) 0 4 '!';
+  check Alcotest.string "read is a copy" "cpyw" (Bytes.to_string (read_ok dev3 1))
 
 let prop_flush_then_crash_preserves_all =
   QCheck2.Test.make ~name:"flush makes all writes durable" ~count:100

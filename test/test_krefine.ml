@@ -89,12 +89,33 @@ let test_verdict_deterministic () =
   let fp3 = Krefine.coverage_fingerprint (Kharness.run ~config:other Kharness.journalfs t) in
   check Alcotest.bool "different config, different fingerprint" true (fp1 <> fp3)
 
+(* Coverage is a pure function of machine, trace and config, so these
+   fingerprints pin what the registered harnesses check on one small
+   sweep: a change to how crash images are built must leave every one
+   byte-identical. *)
+let test_pinned_fingerprints () =
+  let t = trace ~target_ops:150 ~seed:11 in
+  let config =
+    { Krefine.default_config with Krefine.seed = 11; images_per_op = 4; crash_every = 3 }
+  in
+  List.iter
+    (fun (name, expected) ->
+      match Kharness.find name with
+      | None -> Alcotest.failf "%s is not registered" name
+      | Some e ->
+          check Alcotest.string (name ^ " fingerprint") expected
+            (Krefine.coverage_fingerprint (Kharness.run ~config e t)))
+    [
+      ("journalfs", "6fb6fbf21cbb6a797e980e046b95a6f1");
+      ("cowfs", "069a0a278daa0719c5dc6ade589d0330");
+      ("journalfs.microreboot", "a7d964ba8360cfdffe5ea0c4257cf5f3");
+    ]
+
 let test_at_scale () =
   (* The acceptance-scale sweep: every registered harness over a >=10k-op
-     recorded trace with crash-point enumeration at every op.  Several
-     minutes of wall clock, so it only runs when asked for —
-     KSIM_REFINE_FULL=1 (the `safeos refine` defaults run the same
-     configuration from the CLI). *)
+     recorded trace with crash-point enumeration at every op.  It only
+     runs when asked for — KSIM_REFINE_FULL=1 — because CI already runs
+     the same configuration through the `safeos refine` defaults. *)
   if Sys.getenv_opt "KSIM_REFINE_FULL" <> Some "1" then ()
   else begin
     let t = trace ~target_ops:10_000 ~seed:11 in
@@ -247,6 +268,7 @@ let () =
           Alcotest.test_case "cowfs refines Fs_spec" `Quick test_cowfs_refines;
           Alcotest.test_case "microreboot refines Fs_spec" `Quick test_microreboot_refines;
           Alcotest.test_case "verdict deterministic" `Quick test_verdict_deterministic;
+          Alcotest.test_case "pinned fingerprints" `Quick test_pinned_fingerprints;
           Alcotest.test_case "registry" `Quick test_registry;
           Alcotest.test_case "at scale (KSIM_REFINE_FULL=1)" `Slow test_at_scale;
         ] );

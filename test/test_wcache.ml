@@ -192,6 +192,32 @@ let test_rawlog_reconciliation_fixture () =
   | Error msg -> Alcotest.fail msg);
   Sys.remove path
 
+(* The export keeps violation records, never caches: a cache pins its
+   base device, and a crash sweep builds a cache per image.  Every cache
+   here records a violation, yet once dropped, every device must be
+   collectable. *)
+let test_export_pins_nothing () =
+  let n = 100 in
+  let devs = Weak.create n in
+  let provoke i =
+    let dev = mk_dev () in
+    let wc = Kblock.Wcache.create (Kblock.Blockdev.io dev) in
+    ok "w0" (Kblock.Wcache.write wc 0 (blk 'a'));
+    ignore (Kblock.Wcache.read wc 0);
+    ok "w1" (Kblock.Wcache.write wc 1 (blk 'b'));
+    check int "violation recorded" 1 (Kblock.Wcache.ordering_violations wc);
+    Weak.set devs i (Some dev)
+  in
+  for i = 0 to n - 1 do
+    provoke i
+  done;
+  Gc.full_major ();
+  let live = ref 0 in
+  for i = 0 to n - 1 do
+    if Weak.check devs i then incr live
+  done;
+  check int "no dropped device stays reachable" 0 !live
+
 (* -- failpoints --------------------------------------------------------- *)
 
 let test_flush_dropped_failpoint () =
@@ -376,10 +402,7 @@ let cache_loss_torture seed =
   let fs = Kfs.Journalfs.mkfs_on ~geometry:g ~io:(Kblock.Wcache.io wc) Kfs.Journalfs.Journaled dev in
   ok "post-mkfs barrier" (Kblock.Wcache.flush wc);
   ignore (Kblock.Wcache.take_durable wc);
-  let media0 = Kblock.Blockdev.snapshot_media dev in
-  let apply_entry media (e : Kblock.Wcache.entry) =
-    media.(e.blkno) <- Bytes.of_string e.data
-  in
+  let media0 = ref (Kblock.Blockdev.image dev) in
   let p = Kspec.Fs_spec.path_of_string in
   let key = "/k" in
   let version = ref 0 and acked = ref 0 and acked_floor = ref 0 in
@@ -393,9 +416,9 @@ let cache_loss_torture seed =
     List.iter
       (fun residue ->
         incr images;
-        let media = Array.map Bytes.copy media0 in
-        List.iter (apply_entry media) residue;
-        let dev' = Kblock.Blockdev.of_media ~block_size:g.block_size media in
+        let dev' =
+          Kblock.Blockdev.of_image ~block_size:g.block_size (Kblock.Wcache.patch !media0 residue)
+        in
         let fs' = Kfs.Journalfs.mount ~geometry:g Kfs.Journalfs.Journaled dev' in
         check bool "residue mounts clean" false (Kfs.Journalfs.is_corrupt fs');
         if !acked_floor > 0 then
@@ -411,7 +434,7 @@ let cache_loss_torture seed =
               Alcotest.failf "seed %d: acked v%d unreadable after crash: %a" seed
                 !acked_floor Kspec.Fs_spec.pp_result r)
       (Kblock.Wcache.crash_residues wc ~limit:8);
-    List.iter (apply_entry media0) (Kblock.Wcache.take_durable wc);
+    media0 := Kblock.Wcache.patch !media0 (Kblock.Wcache.take_durable wc);
     acked_floor := !acked
   in
   for i = 1 to 120 do
@@ -487,6 +510,7 @@ let () =
             test_rawlog_reconciliation_fixture;
           Alcotest.test_case "barrier-free dependency flagged" `Quick
             test_audit_flags_barrier_free_dependency;
+          Alcotest.test_case "export pins no cache" `Quick test_export_pins_nothing;
         ] );
       ( "failpoints",
         [
