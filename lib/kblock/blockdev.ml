@@ -6,47 +6,73 @@
    [crash_media_states] enumerates the distinct post-crash media images so
    crash-safety checking can be exhaustive rather than sampled.
 
-   The media is a table of immutable blocks: [flush] swaps a block's
-   pointer instead of blitting into it, so a crash image shares every
-   block it did not change.  The table itself is copy-on-write: [image]
-   and [of_image] share it, and a device copies it (one pointer per
-   block) only when it next lands writes while an image may hold it. *)
+   The media is a two-level table of immutable blocks: a top table of
+   chunks, each holding [chunk_len] block pointers.  [flush] swaps a
+   block's pointer instead of blitting into it, so a crash image shares
+   every block it did not change.  Both levels are copy-on-write: [image]
+   and [of_image] share the table, and landing writes while an image may
+   hold it copies the top table once and each touched chunk once — never
+   the whole device's pointers. *)
 
 type pending = {
-  seq : int;
   blkno : int;
   data : string;
 }
 
-type image = string array
+(* A power of two, so a block's chunk and slot are a shift and a mask;
+   64 pointers keep both levels of a 4096-block device minor-heap
+   sized. *)
+let chunk_bits = 6
+let chunk_len = 1 lsl chunk_bits
+
+type image = string array array (* chunk -> slot -> block; the last chunk may be partial *)
 
 type t = {
   nblocks : int;
   block_size : int;
   mutable media : image;
-  mutable shared : bool; (* an image may hold [media]: copy before landing writes *)
+  mutable base : image;
+      (* the table last handed out by [image] or mounted by [of_image]:
+         [media] owns a top table or chunk only when it is not
+         physically the one in [base] *)
   mutable cache : pending list; (* newest first *)
-  mutable next_seq : int;
   mutable reads : int;
   mutable writes : int;
   mutable flushes : int;
 }
 
+let image_nblocks img =
+  match Array.length img with 0 -> 0 | n -> ((n - 1) * chunk_len) + Array.length img.(n - 1)
+
+let init_image nblocks f =
+  Array.init ((nblocks + chunk_len - 1) / chunk_len) (fun c ->
+      let first = c * chunk_len in
+      Array.init (min chunk_len (nblocks - first)) (fun i -> f (first + i)))
+
+let get img blkno = img.(blkno lsr chunk_bits).(blkno land (chunk_len - 1))
+
+(* Land one write on [top], a private copy of [base]'s top table: the
+   block's chunk is copied first unless [top] already has its own. *)
+let set ~base top blkno data =
+  let c = blkno lsr chunk_bits in
+  if top.(c) == base.(c) then top.(c) <- Array.copy base.(c);
+  top.(c).(blkno land (chunk_len - 1)) <- data
+
 let of_image ~block_size img =
   {
-    nblocks = Array.length img;
+    nblocks = image_nblocks img;
     block_size;
     media = img;
-    shared = true;
+    base = img;
     cache = [];
-    next_seq = 0;
     reads = 0;
     writes = 0;
     flushes = 0;
   }
 
 let create ~nblocks ~block_size =
-  of_image ~block_size (Array.make nblocks (String.make block_size '\000'))
+  let zero = String.make block_size '\000' in
+  of_image ~block_size (init_image nblocks (fun _ -> zero))
 
 let nblocks dev = dev.nblocks
 let block_size dev = dev.block_size
@@ -64,7 +90,7 @@ let read dev blkno =
     (* The device serves reads from its cache: latest write wins. *)
     match List.find_opt (fun p -> p.blkno = blkno) dev.cache with
     | Some p -> Ok (Bytes.of_string p.data)
-    | None -> Ok (Bytes.of_string dev.media.(blkno))
+    | None -> Ok (Bytes.of_string (get dev.media blkno))
   end
 
 let write dev blkno data =
@@ -72,52 +98,48 @@ let write dev blkno data =
   else if Bytes.length data <> dev.block_size then Error Ksim.Errno.EINVAL
   else begin
     dev.writes <- dev.writes + 1;
-    dev.cache <- { seq = dev.next_seq; blkno; data = Bytes.to_string data } :: dev.cache;
-    dev.next_seq <- dev.next_seq + 1;
+    dev.cache <- { blkno; data = Bytes.to_string data } :: dev.cache;
     Ok ()
   end
 
-(* [write] only caches whole blocks, so landing one is a pointer swap. *)
-let apply_to media pendings =
-  (* Oldest first so that last-write-wins per block. *)
-  List.iter (fun p -> media.(p.blkno) <- p.data)
-    (List.sort (fun a b -> compare a.seq b.seq) pendings)
-
+(* [write] only caches whole blocks, so landing one is a pointer swap.
+   Oldest first so that last-write-wins per block. *)
 let flush dev =
   dev.flushes <- dev.flushes + 1;
   if dev.cache <> [] then begin
-    if dev.shared then begin
-      dev.media <- Array.copy dev.media;
-      dev.shared <- false
-    end;
-    apply_to dev.media dev.cache;
+    if dev.media == dev.base then dev.media <- Array.copy dev.base;
+    List.iter (fun p -> set ~base:dev.base dev.media p.blkno p.data) (List.rev dev.cache);
     dev.cache <- []
   end
 
 let image dev =
-  dev.shared <- true;
+  dev.base <- dev.media;
   dev.media
 
 let patch img writes =
   if writes = [] then img
   else begin
-    let img = Array.copy img in
-    List.iter (fun (blkno, data) -> img.(blkno) <- data) writes;
-    img
+    let top = Array.copy img in
+    List.iter (fun (blkno, data) -> set ~base:img top blkno data) writes;
+    top
   end
 
-let snapshot_media dev = Array.map Bytes.of_string dev.media
+let to_media img = Array.init (image_nblocks img) (fun b -> Bytes.of_string (get img b))
 
-let of_media ~block_size media = of_image ~block_size (Array.map Bytes.to_string media)
+let snapshot_media dev = to_media dev.media
+
+let of_media ~block_size media =
+  of_image ~block_size (init_image (Array.length media) (fun b -> Bytes.to_string media.(b)))
 
 (* Enumerate distinct post-crash images: any subset of the cached writes
    may have reached the media.  With [n] pending writes there are up to
    [2^n] images; we enumerate them in a fixed order and stop at [limit].
    The no-surviving-writes image (bare media) always comes first, the
    all-survived image is always included when within limit.  Every
-   candidate shares the bare media outside the blocks the cache touches,
-   so only those blocks are digested for dedup. *)
+   candidate is the bare media patched with its subset, so only the
+   blocks the cache touches are digested for dedup. *)
 let crash_images dev ~limit =
+  let media0 = image dev in
   let pendings = Array.of_list (List.rev dev.cache) (* oldest first *) in
   let n = Array.length pendings in
   let touched = List.sort_uniq compare (List.map (fun p -> p.blkno) dev.cache) in
@@ -126,13 +148,12 @@ let crash_images dev ~limit =
   let images = ref [] in
   let seen = Hashtbl.create 16 in
   let emit mask =
-    let media = Array.copy dev.media in
     let subset = ref [] in
-    for i = 0 to n - 1 do
-      if mask land (1 lsl i) <> 0 then subset := pendings.(i) :: !subset
+    for i = n - 1 downto 0 do
+      if mask land (1 lsl i) <> 0 then subset := (pendings.(i).blkno, pendings.(i).data) :: !subset
     done;
-    apply_to media !subset;
-    let digest = String.concat "" (List.map (fun b -> Digest.string media.(b)) touched) in
+    let media = patch media0 !subset in
+    let digest = String.concat "" (List.map (fun b -> Digest.string (get media b)) touched) in
     if not (Hashtbl.mem seen digest) then begin
       Hashtbl.replace seen digest ();
       images := media :: !images
@@ -160,8 +181,7 @@ let crash_images dev ~limit =
   let images = List.rev !images in
   List.filteri (fun i _ -> i < count) images
 
-let crash_media_states dev ~limit =
-  List.map (Array.map Bytes.of_string) (crash_images dev ~limit)
+let crash_media_states dev ~limit = List.map to_media (crash_images dev ~limit)
 
 let crash_states dev ~limit =
   List.map (of_image ~block_size:dev.block_size) (crash_images dev ~limit)

@@ -6,13 +6,16 @@
     {!crash_media_states} makes it enumerable for exhaustive
     crash-safety checking.
 
-    The media is a table of immutable blocks, so a media {!image} is a
-    value: an image built from another by {!patch} shares every block it
-    did not replace, and taking or mounting one copies nothing — a device
-    copies its block table (one pointer per block, never block data) only
-    when it next lands writes while an image may hold that table.  A
-    crash image is therefore an immutable block table plus the residue
-    of writes that landed. *)
+    The media is a two-level table of immutable blocks — a top table of
+    chunks of 64 block pointers, the last chunk partial when [nblocks]
+    is not a multiple of 64 — so a media {!image} is a value: an image
+    built from another by {!patch} shares every block and every chunk it
+    did not write into, and taking or mounting one copies nothing.  A
+    device copies only when it lands writes while an image may hold its
+    table: the top table once, then each chunk it writes into once
+    (pointers, never block data), so the cost follows the writes, not
+    the device size.  A crash image is therefore an immutable block
+    table plus the chunks its residue touched. *)
 
 type t
 
@@ -52,9 +55,11 @@ val of_image : block_size:int -> image -> t
 
 val patch : image -> (int * string) list -> image
 (** [patch img writes] is [img] with each [(blkno, data)] landed in list
-    order (last write wins), at the cost of one block-table copy.  [img]
-    itself is unchanged; the result shares every untouched block with it.
-    [data] must be a whole block. *)
+    order (last write wins).  It copies the top table once and each
+    chunk the writes touch once: [nblocks / 64 + 64 × chunks touched]
+    pointers, 64 plus 64 per touched chunk on a 4096-block device.
+    [img] itself is unchanged; the result shares every untouched chunk
+    with it.  [data] must be a whole block. *)
 
 (** {1 Crash enumeration} *)
 

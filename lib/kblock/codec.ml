@@ -38,7 +38,9 @@ let get_string buf off =
    records in the simulator. *)
 let checksum data =
   let acc = ref 0 in
-  Bytes.iter (fun c -> acc := (!acc + Char.code c + 1) land 0x3fffffff) data;
+  for i = 0 to Bytes.length data - 1 do
+    acc := (!acc + Char.code (Bytes.get data i) + 1) land 0x3fffffff
+  done;
   !acc
 
 let checksum_many datas = List.fold_left (fun acc d -> (acc + checksum d) land 0x3fffffff) 0 datas

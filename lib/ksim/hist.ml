@@ -2,7 +2,10 @@
    power of two (~3% worst-case relative error), backed by one flat int
    array so [record] is branch-light enough for the load harness's
    per-operation hot path.  Exact min/max/total ride alongside so small
-   histograms still report exact edges. *)
+   histograms still report exact edges.  The array (1,888 words, a
+   major-heap allocation) is made on the first value, so the many
+   histograms that never record one — a supervisor per crash image —
+   cost a small record. *)
 
 let sub_bits = 5
 let subs = 1 lsl sub_bits (* 32 *)
@@ -10,7 +13,7 @@ let max_exp = 58 (* covers every non-negative OCaml int *)
 let nbuckets = subs + (max_exp * subs)
 
 type t = {
-  buckets : int array;
+  mutable buckets : int array; (* [||] until the first value *)
   mutable count : int;
   mutable min_v : int;
   mutable max_v : int;
@@ -18,7 +21,9 @@ type t = {
 }
 
 let create () =
-  { buckets = Array.make nbuckets 0; count = 0; min_v = max_int; max_v = 0; total = 0 }
+  { buckets = [||]; count = 0; min_v = max_int; max_v = 0; total = 0 }
+
+let ensure_buckets t = if Array.length t.buckets = 0 then t.buckets <- Array.make nbuckets 0
 
 let msb v =
   let rec go v acc = if v <= 1 then acc else go (v lsr 1) (acc + 1) in
@@ -41,6 +46,7 @@ let upper_of index =
 
 let record t v =
   let v = if v < 0 then 0 else v in
+  ensure_buckets t;
   t.buckets.(index_of v) <- t.buckets.(index_of v) + 1;
   t.count <- t.count + 1;
   if v < t.min_v then t.min_v <- v;
@@ -97,17 +103,18 @@ let summarize (t : t) =
     p999 = percentile t 99.9;
   }
 
-let merge_into ~dst src =
-  Array.iteri (fun i n -> if n > 0 then dst.buckets.(i) <- dst.buckets.(i) + n) src.buckets;
-  dst.count <- dst.count + src.count;
+let merge_into ~dst (src : t) =
   if src.count > 0 then begin
+    ensure_buckets dst;
+    Array.iteri (fun i n -> if n > 0 then dst.buckets.(i) <- dst.buckets.(i) + n) src.buckets;
+    dst.count <- dst.count + src.count;
     if src.min_v < dst.min_v then dst.min_v <- src.min_v;
-    if src.max_v > dst.max_v then dst.max_v <- src.max_v
-  end;
-  dst.total <- dst.total + src.total
+    if src.max_v > dst.max_v then dst.max_v <- src.max_v;
+    dst.total <- dst.total + src.total
+  end
 
 let reset t =
-  Array.fill t.buckets 0 nbuckets 0;
+  t.buckets <- [||];
   t.count <- 0;
   t.min_v <- max_int;
   t.max_v <- 0;

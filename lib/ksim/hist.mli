@@ -11,6 +11,9 @@
 type t
 
 val create : unit -> t
+(** An empty histogram, in a few words: the bucket array is allocated by
+    the first {!record} (or {!merge_into} from a non-empty source) and
+    dropped again by {!reset}. *)
 
 val record : t -> int -> unit
 (** Record one value (negative values are clamped to 0). *)

@@ -5,7 +5,10 @@
    nondeterminism — it only decides *when* each site is armed and with
    what composed knobs.  [tick] re-applies a site's configuration only
    when its set of covering bursts changes (a "window boundary"); in
-   between, the site's live [times] countdown drains undisturbed. *)
+   between, the site's live [times] countdown drains undisturbed.  Every
+   covering set is constant between two consecutive burst edges, so
+   [tick] remembers the edge-free range around the last rescan and does
+   nothing while [now] stays inside it. *)
 
 type burst = {
   site : string;
@@ -21,9 +24,14 @@ type t = {
   (* site -> indices (into [bursts]) of the window last applied; [] for
      "disabled by us".  Absent = never touched. *)
   applied : (string, int list) Hashtbl.t;
+  (* The edge-free range around the last rescan; [lo = hi] (empty)
+     forces the next one. *)
+  mutable lo : int;
+  mutable hi : int;
 }
 
-let create ~fp () = { fp; bursts = []; applied = Hashtbl.create 8 }
+let create ~fp () = { fp; bursts = []; applied = Hashtbl.create 8; lo = 0; hi = 0 }
+let forget_range t = t.hi <- t.lo
 
 let add t schedule =
   List.iter
@@ -37,7 +45,8 @@ let add t schedule =
         match String.compare a.site b.site with
         | 0 -> ( match compare a.start b.start with 0 -> compare a.stop b.stop | c -> c)
         | c -> c)
-      (t.bursts @ schedule)
+      (t.bursts @ schedule);
+  forget_range t
 
 let bursts t = t.bursts
 
@@ -59,25 +68,37 @@ let compose cover =
   in
   (prob, times)
 
+(* The widest [[lo, hi)] around [now] with no burst start or stop in
+   [(lo, hi)]: every tick in it has the covering sets of [now]. *)
+let edge_free_range bursts now =
+  let edge (lo, hi) e = if e <= now then (max lo e, hi) else (lo, min hi e) in
+  List.fold_left (fun r b -> edge (edge r b.start) b.stop) (min_int, max_int) bursts
+
 let tick t now =
-  List.iter
-    (fun site ->
-      let cover = covering t site now in
-      let signature = List.map fst cover in
-      let last = Hashtbl.find_opt t.applied site in
-      if last <> Some signature then begin
-        Hashtbl.replace t.applied site signature;
-        match cover with
-        | [] -> Failpoint.configure t.fp site ~enabled:false ()
-        | _ ->
-            let probability, times = compose cover in
-            Failpoint.configure t.fp site ~enabled:true ~probability ~times ()
-      end)
-    (sites t)
+  if now < t.lo || now >= t.hi then begin
+    List.iter
+      (fun site ->
+        let cover = covering t site now in
+        let signature = List.map fst cover in
+        let last = Hashtbl.find_opt t.applied site in
+        if last <> Some signature then begin
+          Hashtbl.replace t.applied site signature;
+          match cover with
+          | [] -> Failpoint.configure t.fp site ~enabled:false ()
+          | _ ->
+              let probability, times = compose cover in
+              Failpoint.configure t.fp site ~enabled:true ~probability ~times ()
+        end)
+      (sites t);
+    let lo, hi = edge_free_range t.bursts now in
+    t.lo <- lo;
+    t.hi <- hi
+  end
 
 let disable t =
   List.iter (fun site -> Failpoint.configure t.fp site ~enabled:false ()) (sites t);
-  Hashtbl.reset t.applied
+  Hashtbl.reset t.applied;
+  forget_range t
 
 let active t now =
   List.filter_map

@@ -48,7 +48,11 @@ val bursts : t -> burst list
 val tick : t -> int -> unit
 (** Advance storm time to [now]: reconfigure every managed site whose
     set of covering bursts changed since the last applied window.
-    Cheap when nothing changed. *)
+
+    Cost: O(1) while [now] stays between the same two consecutive burst
+    edges (starts and stops) as the previous tick.  Crossing an edge in
+    either direction, or the first tick after {!add} or {!disable},
+    rescans every site against every burst: O(sites × bursts). *)
 
 val disable : t -> unit
 (** Kill the storm mid-burst: disable every managed site and forget the

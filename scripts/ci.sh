@@ -145,6 +145,30 @@ refine_seed="${refine_seed%%,*}"
   || { echo "ci: FAIL — a krefine harness diverged from Fs_spec or ran out of memory" >&2; exit 1; }
 ( ulimit -v "$MEM_CAP_KB"
   KSIM_REFINE_SEEDS="${KSIM_REFINE_SEEDS:-11}" dune exec test/test_krefine.exe -- test harnesses )
+# The heap share crash checking adds.  Peak heap cannot be compared
+# across trace lengths (the trace itself grows), so one 4k-op sweep runs
+# with crash images at every op and without any, and the first may peak
+# at most 1.5x the second: crash images must be dropped after their
+# check.  The binary runs directly because `dune exec` prints GC stats
+# of its own under OCAMLRUNPARAM=v=0x400.
+refine_top_heap() {
+  ( ulimit -v "$MEM_CAP_KB"
+    OCAMLRUNPARAM=v=0x400 _build/default/bin/safeos.exe refine --all --seed 11 --ops 4000 \
+      --crash-every "$1" > /dev/null 2> _build/refine-gc.txt ) \
+    || { echo "ci: FAIL — the --crash-every $1 sweep diverged or ran out of memory" >&2; exit 1; }
+  sed -n 's/^top_heap_words: *//p' _build/refine-gc.txt
+}
+heap_crash=$(refine_top_heap 1)
+heap_plain=$(refine_top_heap 0)
+echo "ci: refine top_heap_words: $heap_crash with crash images, $heap_plain without"
+if [ -z "$heap_crash" ] || [ -z "$heap_plain" ]; then
+  echo "ci: FAIL — no top_heap_words in the sweep's GC stats" >&2
+  exit 1
+fi
+if [ $((heap_crash * 2)) -gt $((heap_plain * 3)) ]; then
+  echo "ci: FAIL — crash checking more than 1.5x the sweep's peak heap" >&2
+  exit 1
+fi
 if [ "${ALLOW_REFINE_REGRESS:-0}" = "1" ]; then
   dune exec bin/klint/main.exe -- --root . --refine-coverage "$REFINE_COVERAGE" \
     --refine-baseline refine.baseline --allow-refine-regress

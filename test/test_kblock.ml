@@ -142,7 +142,55 @@ let test_dev_snapshot_of_media () =
     (List.map (fun b -> Bytes.to_string (read_ok dev3 b)) [ 0; 1 ]);
   (* A read hands out a fresh buffer: scribbling on it is not a write. *)
   Bytes.fill (read_ok dev3 1) 0 4 '!';
-  check Alcotest.string "read is a copy" "cpyw" (Bytes.to_string (read_ok dev3 1))
+  check Alcotest.string "read is a copy" "cpyw" (Bytes.to_string (read_ok dev3 1));
+  (* The same across the two-level table: 194 blocks are four 64-block
+     chunks, the last one partial (blocks 192-193).  The first image's
+     writes touch chunks 0-2; the second round writes into those and
+     into untouched chunk 3. *)
+  let nblocks = 194 in
+  let land_writes dev writes =
+    List.iter (fun (b, c) -> write_ok dev b (Bytes.make 4 c)) writes;
+    Kblock.Blockdev.flush dev
+  in
+  (* The non-zero blocks, as (blkno, fill char). *)
+  let blocks dev =
+    List.filter_map
+      (fun b ->
+        match Bytes.get (read_ok dev b) 0 with '\000' -> None | c -> Some (b, c))
+      (List.init nblocks Fun.id)
+  in
+  let of_img img = Kblock.Blockdev.of_image ~block_size:4 img in
+  let pairs = Alcotest.(list (pair int char)) in
+  let dev = Kblock.Blockdev.create ~nblocks ~block_size:4 in
+  land_writes dev [ (0, 'a'); (63, 'b'); (64, 'c'); (129, 'd') ];
+  let img1 = Kblock.Blockdev.image dev in
+  land_writes dev [ (0, 'e'); (64, 'f'); (129, 'g'); (193, 'h') ];
+  let img2 = Kblock.Blockdev.image dev in
+  let dev3 = of_img img1 in
+  land_writes dev3 [ (63, 'i'); (192, 'j') ];
+  let patched = Kblock.Blockdev.patch img1 [ (1, "kkkk"); (2, "llll"); (1, "mmmm"); (130, "nnnn") ] in
+  land_writes dev [ (193, 'z') ];
+  let first = [ (0, 'a'); (63, 'b'); (64, 'c'); (129, 'd') ] in
+  check pairs "first image" first (blocks (of_img img1));
+  check pairs "second image"
+    [ (0, 'e'); (63, 'b'); (64, 'f'); (129, 'g'); (193, 'h') ]
+    (blocks (of_img img2));
+  check pairs "source device"
+    [ (0, 'e'); (63, 'b'); (64, 'f'); (129, 'g'); (193, 'z') ]
+    (blocks dev);
+  check pairs "of_image device"
+    [ (0, 'a'); (63, 'i'); (64, 'c'); (129, 'd'); (192, 'j') ]
+    (blocks dev3);
+  check pairs "patch: last write wins, one chunk copy per chunk"
+    [ (0, 'a'); (1, 'm'); (2, 'l'); (63, 'b'); (64, 'c'); (129, 'd'); (130, 'n') ]
+    (blocks (of_img patched));
+  check pairs "first image still unchanged" first (blocks (of_img img1));
+  List.iter
+    (fun d ->
+      check Alcotest.bool "EIO past the partial chunk" true
+        (Kblock.Blockdev.read d nblocks = Error Ksim.Errno.EIO);
+      check Alcotest.bool "EIO below zero" true (Kblock.Blockdev.read d (-1) = Error Ksim.Errno.EIO))
+    [ dev; dev3; of_img patched ]
 
 let prop_flush_then_crash_preserves_all =
   QCheck2.Test.make ~name:"flush makes all writes durable" ~count:100
@@ -176,6 +224,14 @@ let prop_blockdev_satisfies_axioms =
           | _ -> ops.Kspec.Axiom.flush ())
         script;
       Kspec.Axiom.violations shim = [])
+
+let prop_checksum_is_the_fold =
+  QCheck2.Test.make ~name:"checksum equals its fold definition" ~count:200
+    QCheck2.Gen.(frequency [ (1, pure ""); (9, string_size ~gen:char (int_range 1 600)) ])
+    (fun s ->
+      let data = Bytes.of_string s in
+      Kblock.Codec.checksum data
+      = Bytes.fold_left (fun acc c -> (acc + Char.code c + 1) land 0x3fffffff) 0 data)
 
 (* Buffer_head ------------------------------------------------------------------ *)
 
@@ -659,6 +715,7 @@ let () =
              test_dev_crash_states_limit_boundary
         :: Alcotest.test_case "snapshot is deep" `Quick test_dev_snapshot_of_media
         :: qcheck [ prop_flush_then_crash_preserves_all; prop_blockdev_satisfies_axioms ] );
+      ("codec", qcheck [ prop_checksum_is_the_fold ]);
       ( "buffer_head",
         Alcotest.test_case "valid combinations" `Quick test_bh_valid_combinations
         :: Alcotest.test_case "invalid combinations" `Quick test_bh_invalid_combinations

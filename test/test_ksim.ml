@@ -809,6 +809,39 @@ let test_hist_merge () =
   check Alcotest.int "merged max" 50000 (Ksim.Hist.max_value a);
   check Alcotest.int "merged total" 50100 (Ksim.Hist.total a)
 
+let test_hist_create_is_small () =
+  let before = Gc.allocated_bytes () in
+  let h = Sys.opaque_identity (Ksim.Hist.create ()) in
+  let words = (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8) in
+  ignore h;
+  check Alcotest.bool (Printf.sprintf "create allocates %.0f words" words) true (words < 48.0)
+
+let test_hist_empty_merge_reset () =
+  let summary = Alcotest.testable Ksim.Hist.pp_summary ( = ) in
+  let empty =
+    { Ksim.Hist.count = 0; min = 0; mean = 0.0; max = 0; p50 = 0; p95 = 0; p99 = 0; p999 = 0 }
+  in
+  let filled () =
+    let h = Ksim.Hist.create () in
+    List.iter (Ksim.Hist.record h) [ 7; 300; 4_000 ];
+    h
+  in
+  let full = Ksim.Hist.summarize (filled ()) in
+  check summary "empty" empty (Ksim.Hist.summarize (Ksim.Hist.create ()));
+  let a = Ksim.Hist.create () in
+  Ksim.Hist.merge_into ~dst:a (Ksim.Hist.create ());
+  check summary "empty merged into empty" empty (Ksim.Hist.summarize a);
+  Ksim.Hist.merge_into ~dst:a (filled ());
+  check summary "filled merged into empty" full (Ksim.Hist.summarize a);
+  Ksim.Hist.merge_into ~dst:a (Ksim.Hist.create ());
+  check summary "empty merged into filled" full (Ksim.Hist.summarize a);
+  Ksim.Hist.reset a;
+  check summary "reset" empty (Ksim.Hist.summarize a);
+  Ksim.Hist.merge_into ~dst:a (Ksim.Hist.create ());
+  check summary "empty merged into reset" empty (Ksim.Hist.summarize a);
+  List.iter (Ksim.Hist.record a) [ 7; 300; 4_000 ];
+  check summary "refilled after reset" full (Ksim.Hist.summarize a)
+
 let test_kstats_hist_snapshot () =
   let stats = Ksim.Kstats.create () in
   List.iter (Ksim.Kstats.observe stats "lat") [ 100; 200; 300 ];
@@ -928,6 +961,129 @@ let test_storm_replay_determinism () =
   check Alcotest.bool "the storm actually injected" true (injected > 0);
   check Alcotest.int "schedule records every injection" injected (List.length schedule)
 
+(* The storm's tick before it cached the edge-free range, kept as the
+   reference: every tick rescans every site against every burst. *)
+module Ref_storm = struct
+  type t = {
+    fp : Ksim.Failpoint.t;
+    mutable bursts : Ksim.Storm.burst list;
+    applied : (string, int list) Hashtbl.t;
+  }
+
+  let create fp = { fp; bursts = []; applied = Hashtbl.create 8 }
+
+  let add t schedule =
+    t.bursts <-
+      List.stable_sort
+        (fun (a : Ksim.Storm.burst) (b : Ksim.Storm.burst) ->
+          match String.compare a.site b.site with
+          | 0 -> ( match compare a.start b.start with 0 -> compare a.stop b.stop | c -> c)
+          | c -> c)
+        (t.bursts @ schedule)
+
+  let sites t = List.sort_uniq String.compare (List.map (fun (b : Ksim.Storm.burst) -> b.site) t.bursts)
+
+  let tick t now =
+    List.iter
+      (fun site ->
+        let cover =
+          List.mapi (fun i b -> (i, b)) t.bursts
+          |> List.filter (fun (_, (b : Ksim.Storm.burst)) ->
+                 String.equal b.site site && b.start <= now && now < b.stop)
+        in
+        let signature = List.map fst cover in
+        if Hashtbl.find_opt t.applied site <> Some signature then begin
+          Hashtbl.replace t.applied site signature;
+          match cover with
+          | [] -> Ksim.Failpoint.configure t.fp site ~enabled:false ()
+          | _ ->
+              let probability =
+                1.0
+                -. List.fold_left
+                     (fun acc (_, (b : Ksim.Storm.burst)) -> acc *. (1.0 -. b.probability))
+                     1.0 cover
+              in
+              let times =
+                if List.exists (fun (_, (b : Ksim.Storm.burst)) -> b.times < 0) cover then -1
+                else List.fold_left (fun acc (_, (b : Ksim.Storm.burst)) -> acc + b.times) 0 cover
+              in
+              Ksim.Failpoint.configure t.fp site ~enabled:true ~probability ~times ()
+        end)
+      (sites t)
+
+  let disable t =
+    List.iter (fun site -> Ksim.Failpoint.configure t.fp site ~enabled:false ()) (sites t);
+    Hashtbl.reset t.applied
+end
+
+type storm_op =
+  | Add of Ksim.Storm.burst list
+  | Tick of int
+  | Should_fail of string
+  | Disable
+
+let pp_storm_op = function
+  | Add bs ->
+      "add "
+      ^ String.concat ","
+          (List.map
+             (fun (b : Ksim.Storm.burst) ->
+               Printf.sprintf "%s[%d,%d)p%g/%d" b.site b.start b.stop b.probability b.times)
+             bs)
+  | Tick n -> Printf.sprintf "tick %d" n
+  | Should_fail s -> "should_fail " ^ s
+  | Disable -> "disable"
+
+let storm_op_gen =
+  let open QCheck2.Gen in
+  let site = oneofl [ "a"; "b"; "c" ] in
+  let burst =
+    map
+      (fun (site, start, len, (probability, times)) ->
+        { Ksim.Storm.site; start; stop = start + len; probability; times })
+      (quad site (int_range 0 40) (int_range 1 20)
+         (pair (oneofl [ 0.0; 0.25; 0.5; 1.0 ]) (int_range (-1) 4)))
+  in
+  frequency
+    [
+      (1, map (fun bs -> Add bs) (list_size (int_range 1 3) burst));
+      (6, map (fun n -> Tick n) (int_range 0 64));
+      (4, map (fun s -> Should_fail s) site);
+      (1, pure Disable);
+    ]
+
+let prop_storm_tick_matches_reference =
+  QCheck2.Test.make ~name:"cached tick = rescan-every-tick reference" ~count:300
+    ~print:(fun ops -> String.concat "; " (List.map pp_storm_op ops))
+    QCheck2.Gen.(list_size (int_range 1 80) storm_op_gen)
+    (fun ops ->
+      let registry () = Ksim.Failpoint.create ~trace:(Ksim.Ktrace.create ()) ~seed:9 () in
+      let fp = registry () and ref_fp = registry () in
+      let storm = Ksim.Storm.create ~fp () and reference = Ref_storm.create ref_fp in
+      let knobs fp =
+        List.map
+          (fun (s : Ksim.Failpoint.site) ->
+            (s.name, s.enabled, s.probability, s.times, s.hits, s.injected))
+          (Ksim.Failpoint.sites fp)
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Add bs ->
+              Ksim.Storm.add storm bs;
+              Ref_storm.add reference bs
+          | Tick now ->
+              Ksim.Storm.tick storm now;
+              Ref_storm.tick reference now
+          | Should_fail site ->
+              ignore (Ksim.Failpoint.should_fail fp site);
+              ignore (Ksim.Failpoint.should_fail ref_fp site)
+          | Disable ->
+              Ksim.Storm.disable storm;
+              Ref_storm.disable reference);
+          knobs fp = knobs ref_fp)
+        ops)
+
 let qcheck = List.map QCheck_alcotest.to_alcotest
 
 let () =
@@ -1031,6 +1187,9 @@ let () =
         [
           Alcotest.test_case "percentiles within resolution" `Quick test_hist_percentiles;
           Alcotest.test_case "merge" `Quick test_hist_merge;
+          Alcotest.test_case "create allocates no buckets" `Quick test_hist_create_is_small;
+          Alcotest.test_case "empty, merged and reset summaries" `Quick
+            test_hist_empty_merge_reset;
           Alcotest.test_case "kstats derived entries" `Quick test_kstats_hist_snapshot;
         ] );
       ( "storm",
@@ -1039,5 +1198,6 @@ let () =
             test_storm_overlap_composition;
           Alcotest.test_case "disable mid-burst" `Quick test_storm_disable_mid_burst;
           Alcotest.test_case "replay determinism" `Quick test_storm_replay_determinism;
-        ] );
+        ]
+        @ qcheck [ prop_storm_tick_matches_reference ] );
     ]
