@@ -338,8 +338,8 @@ let bench_mm () =
 let bench_ablation () =
   let trace = Kfs.Workload.generate ~seed:6 Kfs.Workload.Mixed ~ops:100 in
   let raw_impl () =
-    let t = Kfs.Memfs_verified.Impl.create () in
-    List.iter (fun op -> ignore (Kfs.Memfs_verified.Impl.apply t op)) trace
+    let t = Kfs.Memfs_verified.Impl.init () in
+    List.iter (fun op -> ignore (Kfs.Memfs_verified.Impl.step t op)) trace
   in
   let monitored () =
     let fs = Kfs.Memfs_verified.mkfs () in
@@ -624,8 +624,7 @@ let wcache_snapshot () =
   let wc = Kblock.Wcache.create ~capacity:8 ~seed:11 (Kblock.Blockdev.io dev) in
   let fs = Kfs.Journalfs.mkfs_on ~geometry:g ~io:(Kblock.Wcache.io wc) Kfs.Journalfs.Journaled dev in
   (match Kblock.Wcache.flush wc with Ok () -> () | Error _ -> assert false);
-  ignore (Kblock.Wcache.take_durable wc);
-  let media0 = ref (Kblock.Blockdev.image dev) in
+  let disk = Kblock.Wcache.disk dev wc in
   let hist = Ksim.Hist.create () in
   let p = Kspec.Fs_spec.path_of_string in
   let rng = Ksim.Rng.of_int 1009 in
@@ -644,17 +643,12 @@ let wcache_snapshot () =
     | _ -> ignore (Kfs.Journalfs.apply fs Kspec.Fs_spec.Fsync));
     if i mod 10 = 0 then begin
       List.iter
-        (fun residue ->
-          let dev' =
-            Kblock.Blockdev.of_image ~block_size:g.Kfs.Journalfs.block_size
-              (Kblock.Wcache.patch !media0 residue)
-          in
+        (fun dev' ->
           let m0 = Unix.gettimeofday () in
           ignore (Kfs.Journalfs.mount ~geometry:g Kfs.Journalfs.Journaled dev');
           Ksim.Hist.record hist
             (int_of_float ((Unix.gettimeofday () -. m0) *. 1e9)))
-        (Kblock.Wcache.crash_residues wc ~limit:8);
-      media0 := Kblock.Wcache.patch !media0 (Kblock.Wcache.take_durable wc)
+        (Kblock.Wcache.crash_devices disk ~limit:8)
     end
   done;
   let s = Ksim.Hist.summarize hist in

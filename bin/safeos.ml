@@ -56,27 +56,40 @@ let crash_test mode ops images =
            | Kspec.Fs_spec.Write { data; _ } -> String.length data <= 512
            | _ -> true)
   in
-  let check name (module F : Kspec.Crash.CRASHABLE_FS) =
-    let verdict = Kspec.Crash.check (module F) ~images_per_point:images trace in
-    Fmt.pr "%-10s ops=%d crash-points=%d images=%d failures=%d -> %s@." name
-      verdict.Kspec.Crash.ops_executed verdict.Kspec.Crash.crash_points
-      verdict.Kspec.Crash.images_checked
-      (List.length verdict.Kspec.Crash.failures)
-      (if Kspec.Crash.is_safe verdict then "CRASH-SAFE" else "UNSAFE");
-    List.iteri
-      (fun i f -> if i < 3 then Fmt.pr "    %a@." Kspec.Crash.pp_failure f)
-      verdict.Kspec.Crash.failures;
-    Kspec.Crash.is_safe verdict
+  (* A crash point at every op, no frontier bound, every divergence kept. *)
+  let config =
+    {
+      Kspec.Krefine.default_config with
+      images_per_op = images;
+      frontier_limit = max_int;
+      shrink = false;
+      max_divergences = max_int;
+    }
   in
+  let check name (Kharness.Packed (module M)) =
+    let cov = Kspec.Krefine.run ~config (module M) trace in
+    let safe = Kspec.Krefine.is_clean cov in
+    Fmt.pr "%-10s ops=%d crash-points=%d images=%d failures=%d -> %s@." name cov.ops
+      cov.crash_points cov.crash_images (List.length cov.divergences)
+      (if safe then "CRASH-SAFE" else "UNSAFE");
+    List.iteri
+      (fun i d -> if i < 3 then Fmt.pr "    %a@." Kspec.Krefine.pp_divergence d)
+      cov.divergences;
+    safe
+  in
+  let journaled () = check "journaled" (Kharness.journalfs_machine Kfs.Journalfs.Journaled) in
+  let group () =
+    check "group" (Kharness.journalfs_machine ~group_commit:true Kfs.Journalfs.Journaled)
+  in
+  let direct () = check "direct" (Kharness.journalfs_machine Kfs.Journalfs.Direct) in
   match mode with
-  | "journaled" -> if check "journaled" (module Kfs.Journalfs.Crashable_journaled) then 0 else 1
-  | "group" ->
-      if check "group" (module Kfs.Journalfs.Crashable_journaled_group) then 0 else 1
-  | "direct" -> if check "direct" (module Kfs.Journalfs.Crashable_direct) then 0 else 1
+  | "journaled" -> if journaled () then 0 else 1
+  | "group" -> if group () then 0 else 1
+  | "direct" -> if direct () then 0 else 1
   | _ ->
-      let a = check "journaled" (module Kfs.Journalfs.Crashable_journaled) in
-      let g = check "group" (module Kfs.Journalfs.Crashable_journaled_group) in
-      let b = check "direct" (module Kfs.Journalfs.Crashable_direct) in
+      let a = journaled () in
+      let g = group () in
+      let b = direct () in
       Fmt.pr "@.expected shape: journaled and group-commit crash-safe, direct not.@.";
       if a && g && not b then 0 else 1
 

@@ -1,7 +1,8 @@
 (* Crash-safety, demonstrated: the same file-system engine run twice —
-   once behind the write-ahead journal, once writing in place — crashed
-   after every operation, each crash image recovered and checked against
-   the crash-safe specification.
+   once behind the write-ahead journal, once writing in place — over a
+   volatile write-back disk, crashed after every operation, each crash
+   image (a cache-loss residue) recovered and checked against the
+   crash-safe specification by the refinement checker.
 
      dune exec examples/crash_safety.exe
 *)
@@ -25,22 +26,28 @@ let trace =
     Fs_spec.Unlink (p "/home/notes.txt");
   ]
 
-let report name (module F : Crash.CRASHABLE_FS) =
-  let verdict = Crash.check (module F) ~images_per_point:24 trace in
+let config =
+  {
+    Krefine.default_config with
+    images_per_op = 24;
+    frontier_limit = max_int;
+    shrink = false;
+    max_divergences = max_int;
+  }
+
+let report name (Kharness.Packed (module M)) =
+  let cov = Krefine.run ~config (module M) trace in
   Fmt.pr "%-10s  crash points: %2d   images checked: %3d   violations: %d   -> %s@." name
-    verdict.Crash.crash_points verdict.Crash.images_checked
-    (List.length verdict.Crash.failures)
-    (if Crash.is_safe verdict then "CRASH-SAFE" else "NOT crash-safe");
-  List.iteri
-    (fun i f -> if i < 4 then Fmt.pr "     %a@." Crash.pp_failure f)
-    verdict.Crash.failures
+    cov.crash_points cov.crash_images (List.length cov.divergences)
+    (if Krefine.is_clean cov then "CRASH-SAFE" else "NOT crash-safe");
+  List.iteri (fun i d -> if i < 4 then Fmt.pr "     %a@." Krefine.pp_divergence d) cov.divergences
 
 let () =
   Fmt.pr "trace (%d ops, fsync after op 4):@." (List.length trace);
   List.iteri (fun i op -> Fmt.pr "  %2d. %a@." i Fs_spec.pp_op op) trace;
   Fmt.pr "@.";
-  report "journaled" (module Kfs.Journalfs.Crashable_journaled);
-  report "direct" (module Kfs.Journalfs.Crashable_direct);
+  report "journaled" (Kharness.journalfs_machine Kfs.Journalfs.Journaled);
+  report "direct" (Kharness.journalfs_machine Kfs.Journalfs.Direct);
   Fmt.pr "@.";
 
   (* Peek inside: what recovery actually does after a crash. *)

@@ -8,43 +8,39 @@
    is "incremental benefit for incremental work": after each step the
    kernel runs with one more component at a higher rung. *)
 
-type divergence = {
-  at_op : int;
-  op : Kspec.Fs_spec.op;
-  expected : Kspec.Fs_spec.result;
-  got : Kspec.Fs_spec.result;
-}
-
-let pp_divergence ppf d =
-  Fmt.pf ppf "op %d (%a): spec %a, candidate %a" d.at_op Kspec.Fs_spec.pp_op d.op
-    Kspec.Fs_spec.pp_result d.expected Kspec.Fs_spec.pp_result d.got
-
 type validation = {
   trace_ops : int;
   checked : int;
-  divergence : divergence option;
+  divergence : Kspec.Krefine.divergence option;
 }
 
+let pp_divergence ppf (d : Kspec.Krefine.divergence) =
+  Fmt.pf ppf "op %d (%a): %a" d.step_index Kspec.Fs_spec.pp_op d.op Kspec.Krefine.pp_mismatch
+    d.mismatch
+
 (* Validate a candidate against the specification on a deterministic
-   generated trace: result equality on every op, state equality through
-   the interpretation function after every op. *)
+   generated trace: Krefine's lockstep check — result equality on every
+   op, state equality through the interpretation function after every
+   op — stopping at the first divergence. *)
 let validate ?(seed = 7) ?(ops = 400) candidate =
   let trace = Kfs.Workload.generate ~seed Kfs.Workload.Mixed ~ops in
-  let instance = candidate () in
-  let rec go i spec_state = function
-    | [] -> { trace_ops = ops; checked = i; divergence = None }
-    | op :: rest ->
-        let got = Kvfs.Iface.instance_apply instance op in
-        let spec_state', expected = Kspec.Fs_spec.step spec_state op in
-        if not (Kspec.Fs_spec.equal_result expected got) then
-          { trace_ops = ops; checked = i; divergence = Some { at_op = i; op; expected; got } }
-        else if
-          not (Kspec.Fs_spec.equal spec_state' (Kvfs.Iface.instance_interpret instance))
-        then
-          { trace_ops = ops; checked = i; divergence = Some { at_op = i; op; expected; got } }
-        else go (i + 1) spec_state' rest
+  let module M = struct
+    type vars = Kvfs.Iface.instance
+
+    let name = "candidate"
+    let init = candidate
+    let step v op = (v, Kvfs.Iface.instance_apply v op)
+    let interp = Kvfs.Iface.instance_interpret
+    let inv _ = true
+    let crash_images _ ~limit:_ = []
+  end in
+  let config =
+    { Kspec.Krefine.default_config with crash_every = 0; shrink = false; max_divergences = 1 }
   in
-  go 0 Kspec.Fs_spec.empty trace
+  let cov = Kspec.Krefine.run ~config (module M) trace in
+  match cov.divergences with
+  | [] -> { trace_ops = ops; checked = cov.ops; divergence = None }
+  | d :: _ -> { trace_ops = ops; checked = d.step_index; divergence = Some d }
 
 type step = {
   component : string;
@@ -58,7 +54,7 @@ type step = {
 type failure =
   | Not_an_upgrade of { current : Level.t; proposed : Level.t }
   | Interface_rejected of string
-  | Validation_failed of divergence
+  | Validation_failed of Kspec.Krefine.divergence
   | Unknown_component
 
 type outcome = {

@@ -6,24 +6,19 @@
     spec, results and interpreted states both) before the registry swaps
     implementations. *)
 
-type divergence = {
-  at_op : int;
-  op : Kspec.Fs_spec.op;
-  expected : Kspec.Fs_spec.result;
-  got : Kspec.Fs_spec.result;
-}
-
-val pp_divergence : Format.formatter -> divergence -> unit
-
 type validation = {
   trace_ops : int;
-  checked : int;
-  divergence : divergence option;
+  checked : int;  (** ops before the divergence, or all of them *)
+  divergence : Kspec.Krefine.divergence option;
 }
+
+val pp_divergence : Format.formatter -> Kspec.Krefine.divergence -> unit
 
 val validate :
   ?seed:int -> ?ops:int -> (unit -> Kvfs.Iface.instance) -> validation
-(** Run a fresh candidate against the spec on a deterministic trace. *)
+(** Run a fresh candidate against the spec on a deterministic trace:
+    {!Kspec.Krefine.run} in lockstep, no crash points, stopping at the
+    first divergence. *)
 
 type step = {
   component : string;
@@ -37,7 +32,7 @@ type step = {
 type failure =
   | Not_an_upgrade of { current : Level.t; proposed : Level.t }
   | Interface_rejected of string
-  | Validation_failed of divergence
+  | Validation_failed of Kspec.Krefine.divergence
   | Unknown_component
 
 type outcome = {

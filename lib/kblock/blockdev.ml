@@ -1,10 +1,9 @@
 (* Simulated block device with a volatile write cache.
 
-   Writes land in a cache and reach the media only on [flush]; a crash
-   loses an arbitrary subset of the cached writes (disks reorder), which
-   is exactly the failure model journaling must defend against.
-   [crash_media_states] enumerates the distinct post-crash media images so
-   crash-safety checking can be exhaustive rather than sampled.
+   Writes land in a cache and reach the media only on [flush]; [crash]
+   loses every cached write.  Crash images that keep some cached writes
+   and lose others come from [Wcache], whose residues are patched over
+   this device's media [image].
 
    The media is a two-level table of immutable blocks: a top table of
    chunks, each holding [chunk_len] block pointers.  [flush] swaps a
@@ -130,61 +129,6 @@ let snapshot_media dev = to_media dev.media
 
 let of_media ~block_size media =
   of_image ~block_size (init_image (Array.length media) (fun b -> Bytes.to_string media.(b)))
-
-(* Enumerate distinct post-crash images: any subset of the cached writes
-   may have reached the media.  With [n] pending writes there are up to
-   [2^n] images; we enumerate them in a fixed order and stop at [limit].
-   The no-surviving-writes image (bare media) always comes first, the
-   all-survived image is always included when within limit.  Every
-   candidate is the bare media patched with its subset, so only the
-   blocks the cache touches are digested for dedup. *)
-let crash_images dev ~limit =
-  let media0 = image dev in
-  let pendings = Array.of_list (List.rev dev.cache) (* oldest first *) in
-  let n = Array.length pendings in
-  let touched = List.sort_uniq compare (List.map (fun p -> p.blkno) dev.cache) in
-  let total = if n >= 20 then max_int else 1 lsl n in
-  let count = min limit total in
-  let images = ref [] in
-  let seen = Hashtbl.create 16 in
-  let emit mask =
-    let subset = ref [] in
-    for i = n - 1 downto 0 do
-      if mask land (1 lsl i) <> 0 then subset := (pendings.(i).blkno, pendings.(i).data) :: !subset
-    done;
-    let media = patch media0 !subset in
-    let digest = String.concat "" (List.map (fun b -> Digest.string (get media b)) touched) in
-    if not (Hashtbl.mem seen digest) then begin
-      Hashtbl.replace seen digest ();
-      images := media :: !images
-    end
-  in
-  if total <= count then
-    for mask = 0 to total - 1 do
-      emit mask
-    done
-  else begin
-    (* Too many subsets: take the empty set, all prefixes (in-order
-       partial flushes), the full set, then single-dropped-write subsets
-       until the limit. *)
-    emit 0;
-    for k = 1 to n do
-      emit ((1 lsl k) - 1)
-    done;
-    let full = (1 lsl n) - 1 in
-    let i = ref 0 in
-    while List.length !images < count && !i < n do
-      emit (full lxor (1 lsl !i));
-      incr i
-    done
-  end;
-  let images = List.rev !images in
-  List.filteri (fun i _ -> i < count) images
-
-let crash_media_states dev ~limit = List.map to_media (crash_images dev ~limit)
-
-let crash_states dev ~limit =
-  List.map (of_image ~block_size:dev.block_size) (crash_images dev ~limit)
 
 (* Lose all cached writes: the canonical single crash. *)
 let crash dev = dev.cache <- []

@@ -1,10 +1,9 @@
 (** Simulated block device with a volatile write cache.
 
-    Writes land in a cache and reach the media only on {!flush}; a crash
-    loses an arbitrary subset of cached writes (disks reorder).  This is
-    the failure model journaling defends against, and
-    {!crash_media_states} makes it enumerable for exhaustive
-    crash-safety checking.
+    Writes land in a cache and reach the media only on {!flush}; {!crash}
+    loses every cached write.  Crash images that keep an arbitrary subset
+    of writes, in arbitrary order, are {!Wcache} residues patched over
+    this device's media {!image} ({!Wcache.crash_devices}).
 
     The media is a two-level table of immutable blocks — a top table of
     chunks of 64 block pointers, the last chunk partial when [nblocks]
@@ -60,17 +59,6 @@ val patch : image -> (int * string) list -> image
     pointers, 64 plus 64 per touched chunk on a 4096-block device.
     [img] itself is unchanged; the result shares every untouched chunk
     with it.  [data] must be a whole block. *)
-
-(** {1 Crash enumeration} *)
-
-val crash_media_states : t -> limit:int -> bytes array list
-(** Distinct media images reachable by crashing now: any subset of cached
-    writes may have survived.  Exhaustive when [2^pending <= limit];
-    otherwise empty set, all prefixes, full set, and single-dropped
-    subsets, deduplicated, up to [limit]. *)
-
-val crash_states : t -> limit:int -> t list
-(** {!crash_media_states} as fresh devices with empty caches. *)
 
 val snapshot_media : t -> bytes array
 (** The media as a deep copy, one fresh [bytes] per block. *)

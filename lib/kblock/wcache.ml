@@ -424,6 +424,39 @@ let crash_residues t ~limit =
     List.rev !out
   end
 
+(* The one path from residue to device.  Settling folds the closed
+   epochs into [settled] and lands them on [media] only when the next
+   crash devices are built, so settling before an fsync never copies the
+   block table. *)
+type disk = {
+  dev : Blockdev.t;
+  cache : t;
+  mutable media : Blockdev.image; (* the media as of the last landing *)
+  settled : (int, string) Hashtbl.t; (* blkno -> newest durable write since *)
+}
+
+let disk dev cache =
+  ignore (take_durable cache : entry list);
+  { dev; cache; media = Blockdev.image dev; settled = Hashtbl.create 64 }
+
+let settle d =
+  List.iter (fun e -> Hashtbl.replace d.settled e.blkno e.data) (take_durable d.cache)
+
+let crash_devices d ~limit =
+  if Hashtbl.length d.settled > 0 then begin
+    let writes = Hashtbl.fold (fun b data acc -> (b, data) :: acc) d.settled [] in
+    d.media <- Blockdev.patch d.media writes;
+    Hashtbl.reset d.settled
+  end;
+  let block_size = Blockdev.block_size d.dev in
+  let devs =
+    List.map
+      (fun residue -> Blockdev.of_image ~block_size (patch d.media residue))
+      (crash_residues d.cache ~limit)
+  in
+  settle d;
+  devs
+
 let audit t = List.rev t.violations
 let ordering_violations t = t.nviolations
 let writes t = t.writes

@@ -72,9 +72,9 @@ val crash : t -> unit
 
     The cache logs every write since the last completed flush (the open
     {e barrier epoch}) plus the closed epochs since {!take_durable} was
-    last called.  A consumer materializes post-crash images by replaying
-    a residue ({!patch}) over its {!Blockdev.image} of the media as of
-    the last {!take_durable}. *)
+    last called.  A post-crash image is a residue replayed in list order
+    over the {!Blockdev.image} of the media as of the last
+    {!take_durable}; {!disk} below is the one place that does it. *)
 
 val crash_frames : t -> frame list
 (** One frame per barrier interval in the retained window: the epochs
@@ -95,10 +95,37 @@ val take_durable : t -> entry list
     residues are applied over.  Call after each {!crash_residues} sweep
     to keep enumeration linear in trace length. *)
 
-val patch : Blockdev.image -> entry list -> Blockdev.image
-(** {!Blockdev.patch} with the entries' writes in list order: a residue
-    over the media snapshot is a crash image, and {!take_durable}'s
-    epochs over it are the next snapshot. *)
+(** {1 Crash-enumerable disks}
+
+    The one path from cache-loss residues to post-crash devices, in the
+    verified-betrfs IOSystem shape: a crash is {!crash_devices}, then the
+    caller's recovery (e.g. a journal-replay mount) on each device. *)
+
+type disk
+(** A device, the cache over it, and the media image as of the last
+    settled barrier epoch. *)
+
+val disk : Blockdev.t -> t -> disk
+(** [disk dev cache] with [cache] directly over [Blockdev.io dev].  The
+    cache's closed epochs are already on [dev]'s media, so they are
+    dropped from the window ({!take_durable}) and the media imaged as
+    is. *)
+
+val settle : disk -> unit
+(** Fold the closed (durable) epochs out of the cache's window into the
+    settled image, so later crash devices start from them.  Call it
+    before an operation whose earlier crash instants the caller can no
+    longer judge (a checker's frontier resets at an fsync).  Landing is
+    deferred to the next {!crash_devices}: settling copies no block
+    table. *)
+
+val crash_devices : disk -> limit:int -> Blockdev.t list
+(** One fresh device per residue {!crash_residues} samples under
+    [limit], each the settled image patched with the residue
+    ({!Blockdev.patch}; block size read from the device): O(writes in
+    the residue), sharing every other block.  Then {!settle}, so the
+    retained window — and the next sweep's cost — stays proportional to
+    the crash cadence. *)
 
 (** {1 Barrier-discipline audit} *)
 

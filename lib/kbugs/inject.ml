@@ -220,23 +220,22 @@ let trigger_race () =
 
 (* The step-4 story for semantic bugs: a buggy implementation under the
    refinement monitor is caught on the first diverging operation. *)
-module Buggy_impl : Refine.FS_IMPL = struct
-  type t = Kfs.Memfs_verified.Impl.t
+module Buggy_impl = struct
+  include Kfs.Memfs_verified.Impl
 
   let name = "memfs_buggy"
-  let create = Kfs.Memfs_verified.Impl.create
 
-  let apply t op =
-    match (op, Kfs.Memfs_verified.Impl.apply t op) with
-    | Fs_spec.Read _, Ok (Fs_spec.Data data) when String.length data > 0 ->
+  let step t op =
+    match (op, step t op) with
+    | Fs_spec.Read _, (t, Ok (Fs_spec.Data data)) when String.length data > 0 ->
         (* The off-by-one, now inside a "verified" module. *)
-        Ok (Fs_spec.Data (String.sub data 0 (String.length data - 1)))
-    | _, result -> result
+        (t, Ok (Fs_spec.Data (String.sub data 0 (String.length data - 1))))
+    | _, r -> r
 
-  let interpret = Kfs.Memfs_verified.Impl.interpret
+  let apply t op = snd (step t op)
 end
 
-module Buggy_checked = Refine.Monitor (Buggy_impl)
+module Buggy_checked = Krefine.Monitor (Buggy_impl)
 
 let trigger_verified_semantic () =
   let t = Buggy_checked.create () in
@@ -248,13 +247,15 @@ let trigger_verified_semantic () =
   in
   match run () with
   | () -> Not_triggered
-  | exception Refine.Refinement_failure d ->
-      Detected (Fmt.str "refinement monitor: %a" Refine.pp_divergence d)
+  | exception Krefine.Refinement_failure d ->
+      Detected
+        (Fmt.str "refinement monitor: step %d (%a): %a" d.step_index Fs_spec.pp_op d.op
+           Krefine.pp_mismatch d.mismatch)
 
 (* Semantic bug below step 4: same buggy implementation, no monitor — the
    wrong result sails through. *)
 let trigger_unverified_semantic () =
-  let t = Buggy_impl.create () in
+  let t = Buggy_impl.init () in
   let p = Fs_spec.path_of_string in
   ignore (Buggy_impl.apply t (Fs_spec.Create (p "/a")));
   ignore (Buggy_impl.apply t (Fs_spec.Write { file = p "/a"; off = 0; data = "xyz" }));

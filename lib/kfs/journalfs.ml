@@ -646,13 +646,7 @@ let interpret t : Fs_spec.state =
   in
   go root_ino [] Fs_spec.empty
 
-(* Crash exploration: every device image a crash could leave, remounted. *)
-let crash_images t ~limit =
-  Kblock.Blockdev.crash_states t.dev ~limit
-  |> List.map (fun dev ->
-         mount ~geometry:t.geo ~group_commit:t.group_commit ~barriers:t.barriers t.mode dev)
-
-(* Mountable / crashable adapters --------------------------------------------- *)
+(* Mountable adapters ---------------------------------------------------------- *)
 
 module Journaled_fs = struct
   type nonrec fs = t
@@ -679,16 +673,6 @@ module Journaled_group_fs = struct
   let interpret = interpret
 end
 
-module Crashable_journaled_group = struct
-  type nonrec t = t
-
-  let name = "journalfs+group-commit"
-  let create () = Journaled_group_fs.mkfs ()
-  let apply = apply
-  let crash_images = crash_images
-  let interpret = interpret
-end
-
 module Direct_fs = struct
   type nonrec fs = t
 
@@ -696,25 +680,5 @@ module Direct_fs = struct
   let stage = 2
   let mkfs () = mkfs_on Direct (Kblock.Blockdev.create ~nblocks:default_geometry.nblocks ~block_size:default_geometry.block_size)
   let apply = apply
-  let interpret = interpret
-end
-
-module Crashable_journaled = struct
-  type nonrec t = t
-
-  let name = "journalfs"
-  let create () = Journaled_fs.mkfs ()
-  let apply = apply
-  let crash_images = crash_images
-  let interpret = interpret
-end
-
-module Crashable_direct = struct
-  type nonrec t = t
-
-  let name = "directfs"
-  let create () = Direct_fs.mkfs ()
-  let apply = apply
-  let crash_images = crash_images
   let interpret = interpret
 end

@@ -68,7 +68,6 @@ val apply : t -> Kspec.Fs_spec.op -> Kspec.Fs_spec.result
     once read-only, mutations fail [EROFS] and [Fsync] is a no-op. *)
 
 val interpret : t -> Kspec.Fs_spec.state
-val crash_images : t -> limit:int -> t list
 val mode : t -> mode
 val device : t -> Kblock.Blockdev.t
 val journal_stats : t -> Kblock.Journal.stats option
@@ -86,10 +85,3 @@ module Journaled_fs : Kvfs.Iface.FS_OPS with type fs = t
 module Journaled_group_fs : Kvfs.Iface.FS_OPS with type fs = t
 
 module Direct_fs : Kvfs.Iface.FS_OPS with type fs = t
-
-(** Crash-checkable adapters for {!Kspec.Crash.check}. *)
-module Crashable_journaled : Kspec.Crash.CRASHABLE_FS with type t = t
-
-module Crashable_journaled_group : Kspec.Crash.CRASHABLE_FS with type t = t
-
-module Crashable_direct : Kspec.Crash.CRASHABLE_FS with type t = t

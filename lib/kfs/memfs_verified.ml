@@ -2,7 +2,7 @@
 
    [Impl] is a functional path-trie — a genuinely different data structure
    from the spec's flat path map, so the interpretation function does real
-   abstraction work.  [Checked] wraps it in [Kspec.Refine.Monitor]: every
+   abstraction work.  [Checked] wraps it in [Kspec.Krefine.Monitor]: every
    operation is checked against [Kspec.Fs_spec] as it executes, which is
    what "functionally verified" means inside the simulator.  The monitor's
    cost is the verification-overhead ablation in bench [roadmap/*]. *)
@@ -14,10 +14,10 @@ module Impl = struct
     | TFile of string
     | TDir of (string * tree) list (* sorted by name *)
 
-  type t = { mutable root : tree }
+  type vars = { mutable root : tree }
 
   let name = "memfs_verified"
-  let create () = { root = TDir [] }
+  let init () = { root = TDir [] }
 
   let rec assoc_set name value = function
     | [] -> [ (name, value) ]
@@ -173,7 +173,9 @@ module Impl = struct
         | None -> Error Ksim.Errno.ENOENT)
     | Fsync -> Ok Fs_spec.Unit
 
-  let interpret t : Fs_spec.state =
+  let step t op = (t, apply t op)
+
+  let interp t : Fs_spec.state =
     let rec go tree rel acc =
       match tree with
       | TFile content -> Fs_spec.Pathmap.add rel (Fs_spec.File content) acc
@@ -182,9 +184,12 @@ module Impl = struct
           List.fold_left (fun acc (name, child) -> go child (rel @ [ name ]) acc) acc entries
     in
     go t.root [] Fs_spec.empty
+
+  let inv _ = true
+  let crash_images _ ~limit:_ = []
 end
 
-module Checked = Refine.Monitor (Impl)
+module Checked = Krefine.Monitor (Impl)
 
 (* Present the monitored implementation as a mountable file system. *)
 type fs = Checked.t

@@ -2,14 +2,16 @@
 
     {!Impl} is a functional path-trie (a different structure from the
     spec's flat map, so interpretation does real abstraction work);
-    the exported operations wrap it in {!Kspec.Refine.Monitor}, checking
+    the exported operations wrap it in {!Kspec.Krefine.Monitor}, checking
     every call against {!Kspec.Fs_spec} as it executes.
-    @raise Kspec.Refine.Refinement_failure if the implementation ever
+    @raise Kspec.Krefine.Refinement_failure if the implementation ever
     diverges from the spec. *)
 
-(** The bare, unmonitored implementation (used by the verification-
-    overhead ablation bench and as a building block in tests). *)
-module Impl : Kspec.Refine.FS_IMPL
+(** The bare, unmonitored implementation as a refinement machine (used by
+    the verification-overhead ablation bench and as a building block in
+    tests): mutable, so [step] returns its own [vars]; [inv] is [true]
+    and there are no crash images — the trie lives only in memory. *)
+module Impl : Kspec.Krefine.MACHINE
 
 include Kvfs.Iface.FS_OPS
 

@@ -42,134 +42,79 @@ let wcache_capacity = 16
    device: acked writes are volatile until the FS flushes, and crash
    images are wcache residues — subsets *and reorderings* of the writes
    since the last completed barrier, patched over an immutable image of
-   the media as of the last settled epoch.  An image shares every block
-   its residue did not write, so materializing one copies block pointers,
-   never block data.
+   the media as of the last settled epoch ([Kblock.Wcache.disk]).
 
-   Settling discipline: [crash_devs] folds the closed (durable) epochs
-   out of the cache's window after each enumeration, keeping the retained
-   window — and so enumeration cost — proportional to the crash cadence.
-   [settle] must also run *before* an [Fsync] is applied: the checker's
-   allowed-recovery frontier resets at [Fsync], so crash instants from
-   before the fsync stop being representable at later crash points; the
-   fsync's own barrier epochs stay in the window and are exactly the
-   images that convict a missing-barrier journal.  Folded entries land
-   on [media0] only when the next crash images are built, so an fsync
-   never copies the block table. *)
-module Wdisk = struct
-  type t = {
-    dev : Kblock.Blockdev.t;
-    wc : Kblock.Wcache.t;
-    mutable media0 : Kblock.Blockdev.image; (* media as of the last landing *)
-    settled : (int, string) Hashtbl.t; (* blkno -> newest durable write since then *)
-  }
+   Settling discipline: [Kblock.Wcache.crash_devices] settles after each
+   enumeration, keeping the retained window proportional to the crash
+   cadence.  [settle] must also run *before* an [Fsync] is applied: the
+   checker's frontier resets at [Fsync], so crash instants from before
+   the fsync stop being representable at later crash points; the fsync's
+   own barrier epochs stay in the window — the checker's Fsync window
+   judges them — and are exactly the images that convict a
+   missing-barrier journal. *)
+type disk = {
+  dev : Kblock.Blockdev.t;
+  wc : Kblock.Wcache.t;
+  crash : Kblock.Wcache.disk;
+}
 
-  let fresh_dev () =
-    Kblock.Blockdev.create ~nblocks:geometry.Kfs.Journalfs.nblocks
-      ~block_size:geometry.Kfs.Journalfs.block_size
+let fresh_dev () =
+  Kblock.Blockdev.create ~nblocks:geometry.Kfs.Journalfs.nblocks
+    ~block_size:geometry.Kfs.Journalfs.block_size
 
-  let wcache_over dev =
-    Kblock.Wcache.create ~name:"wcache" ~capacity:wcache_capacity ~seed:1
-      (Kblock.Blockdev.io dev)
+let wcache_over dev =
+  Kblock.Wcache.create ~name:"wcache" ~capacity:wcache_capacity ~seed:1 (Kblock.Blockdev.io dev)
 
-  let make dev wc =
-    { dev; wc; media0 = Kblock.Blockdev.image dev; settled = Hashtbl.create 64 }
+(* [wc] sits on [dev] and its last write was a barrier (mkfs ends with
+   one; a crash device starts cold). *)
+let disk_of dev wc = { dev; wc; crash = Kblock.Wcache.disk dev wc }
 
-  let settle d =
-    List.iter
-      (fun (e : Kblock.Wcache.entry) -> Hashtbl.replace d.settled e.blkno e.data)
-      (Kblock.Wcache.take_durable d.wc)
+(* Post-crash disks, each behind a fresh cold cache. *)
+let crash_disks d ~limit =
+  Kblock.Wcache.crash_devices d.crash ~limit
+  |> List.map (fun dev -> disk_of dev (wcache_over dev))
 
-  (* The media as of the last settle. *)
-  let media d =
-    if Hashtbl.length d.settled > 0 then begin
-      let writes = Hashtbl.fold (fun b data acc -> (b, data) :: acc) d.settled [] in
-      d.media0 <- Kblock.Blockdev.patch d.media0 writes;
-      Hashtbl.reset d.settled
-    end;
-    d.media0
-
-  (* Wrap an existing device (a crash image) behind a fresh cold cache. *)
-  let of_dev dev = make dev (wcache_over dev)
-
-  (* Materialize post-crash devices: one per sampled residue, each a
-     fresh device over [media0] patched with the residue's writes in
-     residue order.  Folds the durable epochs afterwards. *)
-  let crash_devs d ~limit =
-    let media0 = media d in
-    let devs =
-      Kblock.Wcache.crash_residues d.wc ~limit
-      |> List.map (fun residue ->
-             Kblock.Blockdev.of_image ~block_size:geometry.Kfs.Journalfs.block_size
-               (Kblock.Wcache.patch media0 residue))
-    in
-    settle d;
-    devs
-end
+let settle_before_fsync d = function Fs.Fsync -> Kblock.Wcache.settle d.crash | _ -> ()
 
 (* Journalfs as an IOSystem ---------------------------------------------- *)
 
-module Journalfs_prog_gen (B : sig
-  val name : string
-  val barriers : bool
-end) =
-struct
-  type program = Kfs.Journalfs.t
-  type disk = Wdisk.t
+let journalfs_machine ?(group_commit = false) ?(barriers = true) mode =
+  let module P = struct
+    type program = Kfs.Journalfs.t
+    type nonrec disk = disk
 
-  let name = B.name
+    let name =
+      (match mode with Kfs.Journalfs.Journaled -> "journalfs" | Direct -> "directfs")
+      ^ (if group_commit then "+group-commit" else "")
+      ^ if barriers then "" else ".missing-barrier"
 
-  let init () =
-    let dev = Wdisk.fresh_dev () in
-    let wc = Wdisk.wcache_over dev in
-    let fs =
-      Kfs.Journalfs.mkfs_on ~geometry ~barriers:B.barriers ~io:(Kblock.Wcache.io wc)
-        Kfs.Journalfs.Journaled dev
-    in
-    (* mkfs ends with a flush: fold its epochs away and snapshot. *)
-    let (_ : Kblock.Wcache.entry list) = Kblock.Wcache.take_durable wc in
-    (fs, Wdisk.make dev wc)
+    let init () =
+      let dev = fresh_dev () in
+      let wc = wcache_over dev in
+      let io = Kblock.Wcache.io wc in
+      let fs = Kfs.Journalfs.mkfs_on ~geometry ~group_commit ~barriers ~io mode dev in
+      (fs, disk_of dev wc)
 
-  let step fs (d : disk) op =
-    (match op with Fs.Fsync -> Wdisk.settle d | _ -> ());
-    Kfs.Journalfs.apply fs op
+    let step fs d op =
+      settle_before_fsync d op;
+      Kfs.Journalfs.apply fs op
 
-  let interp fs _d = Kfs.Journalfs.interpret fs
+    let interp fs _d = Kfs.Journalfs.interpret fs
 
-  let inv fs (d : disk) =
-    (not (Kfs.Journalfs.is_corrupt fs))
-    && (not (Kfs.Journalfs.is_readonly fs))
-    && Fs.wf (Kfs.Journalfs.interpret fs)
-    (* barrier discipline is part of the invariant: the FS must never
-       derive new writes from data it has not flushed *)
-    && Kblock.Wcache.ordering_violations d.Wdisk.wc = 0
+    let inv fs d =
+      (not (Kfs.Journalfs.is_corrupt fs))
+      && (not (Kfs.Journalfs.is_readonly fs))
+      && Fs.wf (Kfs.Journalfs.interpret fs)
+      (* barrier discipline is part of the invariant: the FS must never
+         derive new writes from data it has not flushed *)
+      && Kblock.Wcache.ordering_violations d.wc = 0
 
-  let crash_disks d ~limit = List.map Wdisk.of_dev (Wdisk.crash_devs d ~limit)
+    let crash_disks = crash_disks
 
-  let recover (d : disk) =
-    ( Kfs.Journalfs.mount ~geometry ~barriers:B.barriers ~io:(Kblock.Wcache.io d.Wdisk.wc)
-        Kfs.Journalfs.Journaled d.Wdisk.dev,
-      d )
-end
-
-module Journalfs_prog = Journalfs_prog_gen (struct
-  let name = "journalfs"
-  let barriers = true
-end)
-
-module Journalfs_machine = Krefine.Io_system (Journalfs_prog)
-
-(* The seeded missing-barrier mutant: the commit record flushes with its
-   data blocks and the checkpoint superblock with its home writes (one
-   barrier per logical op).  Under the write-back cache a crash can then
-   tear a checkpoint — some home blocks plus the advanced superblock land
-   while the rest vanish with replay disabled.  Not registered: it exists
-   for the refinement checker to convict. *)
-let journalfs_missing_barrier () =
-  let module P = Journalfs_prog_gen (struct
-    let name = "journalfs.missing-barrier"
-    let barriers = false
-  end) in
+    let recover d =
+      let io = Kblock.Wcache.io d.wc in
+      (Kfs.Journalfs.mount ~geometry ~group_commit ~barriers ~io mode d.dev, d)
+  end in
   Packed (module Krefine.Io_system (P))
 
 (* Cowfs ----------------------------------------------------------------- *)
@@ -207,7 +152,7 @@ let sup_policy =
 module Microreboot_base = struct
   type vars = {
     vfs : Kvfs.Vfs.t;
-    wdisk : Wdisk.t;
+    disk : disk;
     fp : Ksim.Failpoint.t;
     panic_every : int;
     mutable handle_epoch : int;  (* the epoch our "open handle" was minted at *)
@@ -219,12 +164,11 @@ module Microreboot_base = struct
   let name = "journalfs.microreboot"
 
   let make ~sabotage ~panic_every () =
-    let dev = Wdisk.fresh_dev () in
-    let wc = Wdisk.wcache_over dev in
+    let dev = fresh_dev () in
+    let wc = wcache_over dev in
     let io = Kblock.Wcache.io wc in
     let fs0 = Kfs.Journalfs.mkfs_on ~geometry ~io Kfs.Journalfs.Journaled dev in
-    let (_ : Kblock.Wcache.entry list) = Kblock.Wcache.take_durable wc in
-    let wdisk = Wdisk.make dev wc in
+    let disk = disk_of dev wc in
     let fp = Ksim.Failpoint.create ~trace:(Ksim.Ktrace.create ()) ~seed:1 () in
     let vfs = Kvfs.Vfs.create () in
     let wrap fs =
@@ -257,7 +201,7 @@ module Microreboot_base = struct
     | Error _ -> invalid_arg "Kharness.Microreboot: root mount failed");
     {
       vfs;
-      wdisk;
+      disk;
       fp;
       panic_every;
       handle_epoch = Kvfs.Vfs.epoch_at vfs [];
@@ -281,7 +225,7 @@ module Microreboot_base = struct
   let retry_budget = (sup_policy.Ksim.Supervisor.backoff_cap / sup_policy.Ksim.Supervisor.op_cost) + 10
 
   let step v op =
-    (match op with Fs.Fsync -> Wdisk.settle v.wdisk | _ -> ());
+    settle_before_fsync v.disk op;
     v.ops_done <- v.ops_done + 1;
     if v.ops_done mod v.panic_every = 0 then begin
       v.panics_injected <- v.panics_injected + 1;
@@ -300,14 +244,14 @@ module Microreboot_base = struct
     (v, go retry_budget)
 
   let interp v = Kvfs.Vfs.interpret v.vfs
-  let inv v = Fs.wf (Kvfs.Vfs.interpret v.vfs) && Kblock.Wcache.ordering_violations v.wdisk.Wdisk.wc = 0
+  let inv v = Fs.wf (Kvfs.Vfs.interpret v.vfs) && Kblock.Wcache.ordering_violations v.disk.wc = 0
 
   (* A device crash strikes the whole stack: enumerate cache-loss residues
      of the hostile disk, then bring each image up the way a reboot
      would — a fresh supervised mount (over a cold cache) whose first act
      is journal replay. *)
-  let remount_over (wdisk : Wdisk.t) =
-    let io = Kblock.Wcache.io wdisk.Wdisk.wc in
+  let remount_over disk =
+    let io = Kblock.Wcache.io disk.wc in
     let fp = Ksim.Failpoint.create ~trace:(Ksim.Ktrace.create ()) ~seed:1 () in
     let vfs = Kvfs.Vfs.create () in
     let wrap fs =
@@ -316,14 +260,14 @@ module Microreboot_base = struct
     in
     let remake () =
       let (_ : unit Ksim.Errno.r) = io.Kblock.Io.flush () in
-      wrap (Kfs.Journalfs.mount ~geometry ~io Kfs.Journalfs.Journaled wdisk.Wdisk.dev)
+      wrap (Kfs.Journalfs.mount ~geometry ~io Kfs.Journalfs.Journaled disk.dev)
     in
     (match Kvfs.Vfs.mount vfs ~at:[] ~remake ~policy:sup_policy (remake ()) with
     | Ok () -> ()
     | Error _ -> invalid_arg "Kharness.Microreboot: crash remount failed");
     {
       vfs;
-      wdisk;
+      disk;
       fp;
       panic_every = max_int;
       handle_epoch = Kvfs.Vfs.epoch_at vfs [];
@@ -332,8 +276,7 @@ module Microreboot_base = struct
       estale_remints = 0;
     }
 
-  let crash_images v ~limit =
-    List.map (fun dev -> remount_over (Wdisk.of_dev dev)) (Wdisk.crash_devs v.wdisk ~limit)
+  let crash_images v ~limit = List.map remount_over (crash_disks v.disk ~limit)
 end
 
 module Microreboot_machine = struct
@@ -353,7 +296,9 @@ let microreboot_sabotaged ?(panic_every = 4) () =
 
 (* Registrations --------------------------------------------------------- *)
 
-let journalfs = harness ~name:"journalfs" ~subsystem:"journalfs" (Packed (module Journalfs_machine))
+let journalfs =
+  harness ~name:"journalfs" ~subsystem:"journalfs" (journalfs_machine Kfs.Journalfs.Journaled)
+
 let cowfs = harness ~name:"cowfs" ~subsystem:"cowfs" (Packed (module Cowfs_machine))
 
 let microreboot =

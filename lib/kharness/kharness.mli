@@ -11,15 +11,17 @@
     so crash images are cache-loss residues (subsets {e and reorderings}
     of the unflushed writes, seeded sampling under the image limit) and
     recovery is a journal-replay mount over a cold cache.  The disk is a
-    value: each crash image is the immutable {!Kblock.Blockdev.image} of
-    the media as of the last settled barrier epoch, patched with one
-    residue ({!Kblock.Wcache.patch}), so it shares every block the residue
-    did not write and costs block pointers, not a device copy; cowfs over its
-    persistent tree; and the supervised-microreboot path — a journalfs
-    mount under {!Kvfs.Vfs} supervision with module panics injected on a
-    fixed cadence, remount-with-replay as the restart function, and
-    [ESTALE] epoch re-minting in the caller retry loop, over the same
-    hostile disk. *)
+    value: each crash image comes from {!Kblock.Wcache.crash_devices},
+    the media as of the last settled barrier epoch patched with one
+    residue, so it shares every block the residue did not write and costs
+    block pointers, not a device copy; cowfs over its persistent tree;
+    and the supervised-microreboot path — a journalfs mount under
+    {!Kvfs.Vfs} supervision with module panics injected on a fixed
+    cadence, remount-with-replay as the restart function, and [ESTALE]
+    epoch re-minting in the caller retry loop, over the same hostile
+    disk.  {!journalfs_machine} builds the journalfs machine for every
+    mode the FS supports, so crash-safety checks outside the registry
+    run through the same disk and the same checker. *)
 
 type packed = Packed : (module Kspec.Krefine.MACHINE with type vars = 'a) -> packed
 
@@ -47,10 +49,11 @@ val run :
 (** {1 The registered harnesses} *)
 
 val journalfs : entry
-(** The journaled block FS as an IOSystem: program = mounted FS, disk =
-    {!Kblock.Blockdev} behind a {!Kblock.Wcache}, crash = cache-loss
-    residues (unflushed-subset states, reorderings included) patched over
-    the settled media image + replay mount over a cold cache. *)
+(** The journaled block FS as an IOSystem ([journalfs_machine Journaled]):
+    program = mounted FS, disk = {!Kblock.Blockdev} behind a
+    {!Kblock.Wcache}, crash = cache-loss residues (unflushed-subset
+    states, reorderings included) patched over the settled media image
+    ({!Kblock.Wcache.crash_devices}) + replay mount over a cold cache. *)
 
 val cowfs : entry
 (** The copy-on-write FS (no crash semantics: the tree is persistent). *)
@@ -69,15 +72,21 @@ val wcache_capacity : int
 (** Dirty-set bound of the write-back cache under every disk-backed
     harness (small, so journal transactions force mid-epoch writeback). *)
 
-val journalfs_missing_barrier : unit -> packed
-(** The seeded missing-barrier journalfs mutant: the commit record
-    flushes together with its data blocks and the checkpoint superblock
-    with its home writes ({!Kfs.Journalfs.mkfs_on} [~barriers:false]).
-    Under the write-back cache a crash can tear a checkpoint — some home
-    blocks plus the advanced superblock survive while the rest vanish
-    with replay disabled.  Not registered — it exists so tests can prove
-    the crash enumerator convicts exactly this fault, with a shrunk
-    counterexample. *)
+val journalfs_machine :
+  ?group_commit:bool -> ?barriers:bool -> Kfs.Journalfs.mode -> packed
+(** Journalfs as an IOSystem over the hostile disk, built and remounted
+    with {!Kfs.Journalfs.mkfs_on}'s [mode], [group_commit] (default
+    [false]) and [barriers] (default [true]).  The name follows them:
+    ["journalfs"] (the registered {!journalfs}), ["journalfs+group-commit"],
+    ["directfs"], and ["journalfs.missing-barrier"] for the seeded
+    mutant whose commit record flushes together with its data blocks
+    and whose checkpoint superblock flushes with its home writes — under
+    the write-back cache a crash can then tear a checkpoint, some home
+    blocks plus the advanced superblock surviving while the rest vanish
+    with replay disabled.  Only ["journalfs"] is registered; the others
+    exist so the crash-safety experiment can show group commit safe and
+    Direct mode convicted, and tests can prove the crash enumerator
+    convicts the mutant with a shrunk counterexample. *)
 
 val microreboot_sabotaged : ?panic_every:int -> unit -> packed
 (** The {!microreboot} machine with a seeded replay-skip fault: the

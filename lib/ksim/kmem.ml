@@ -21,43 +21,48 @@ type 'a ptr = {
 }
 
 and t = {
-  name : string;
   mutable next_id : int;
   mutable allocated : int;
   mutable freed : int;
   mutable uaf_events : int;
   mutable double_free_events : int;
   live : (int, string) Hashtbl.t; (* id -> allocation site, for leak reports *)
-  uaf_sites : (string, int) Hashtbl.t; (* allocation site -> uaf count *)
-  double_free_sites : (string, int) Hashtbl.t;
-  mutable reported_leaks : (string * int) list; (* last [leaks] snapshot, per site *)
+  events : events;
   strict : bool; (* raise on violation instead of just counting *)
 }
 
-(* Every heap ever created, so the [KSIM_KMEM_EXPORT] at_exit hook can
-   dump events without each call site having to register anything. *)
-let all_heaps : t list ref = ref []
+(* A heap's name and event tables: what the [KSIM_KMEM_EXPORT] at_exit
+   dump reads, kept apart from the heap's live table. *)
+and events = {
+  name : string;
+  uaf_sites : (string, int) Hashtbl.t; (* allocation site -> uaf count *)
+  double_free_sites : (string, int) Hashtbl.t;
+  mutable reported_leaks : (string * int) list; (* last [leaks] snapshot, per site *)
+  mutable exported : bool;
+}
+
+(* The event tables of every heap that has recorded an event.  Tables,
+   never heaps: a heap pins every live allocation. *)
+let exported : events list ref = ref []
 
 let create ?(strict = true) ~name () =
-  let heap =
-    {
-      name;
-      next_id = 0;
-      allocated = 0;
-      freed = 0;
-      uaf_events = 0;
-      double_free_events = 0;
-      live = Hashtbl.create 64;
-      uaf_sites = Hashtbl.create 8;
-      double_free_sites = Hashtbl.create 8;
-      reported_leaks = [];
-      strict;
-    }
-  in
-  all_heaps := heap :: !all_heaps;
-  heap
+  {
+    next_id = 0;
+    allocated = 0;
+    freed = 0;
+    uaf_events = 0;
+    double_free_events = 0;
+    live = Hashtbl.create 64;
+    events =
+      { name; uaf_sites = Hashtbl.create 8; double_free_sites = Hashtbl.create 8;
+        reported_leaks = []; exported = false };
+    strict;
+  }
 
-let bump tbl site =
+let export_events ev = if not ev.exported then (ev.exported <- true; exported := ev :: !exported)
+
+let bump heap tbl site =
+  export_events heap.events;
   Hashtbl.replace tbl site (1 + Option.value ~default:0 (Hashtbl.find_opt tbl site))
 
 let alloc heap ~site value =
@@ -69,7 +74,7 @@ let alloc heap ~site value =
 
 let use_after_free ptr =
   ptr.heap.uaf_events <- ptr.heap.uaf_events + 1;
-  bump ptr.heap.uaf_sites ptr.site;
+  bump ptr.heap ptr.heap.events.uaf_sites ptr.site;
   if ptr.heap.strict then raise (Use_after_free { site = ptr.site; id = ptr.id })
 
 let read ptr =
@@ -95,7 +100,7 @@ let free ptr =
       Hashtbl.remove ptr.heap.live ptr.id
   | Freed ->
       ptr.heap.double_free_events <- ptr.heap.double_free_events + 1;
-      bump ptr.heap.double_free_sites ptr.site;
+      bump ptr.heap ptr.heap.events.double_free_sites ptr.site;
       if ptr.heap.strict then raise (Double_free { site = ptr.site; id = ptr.id })
 
 let is_live ptr = match ptr.state with Live _ -> true | Freed -> false
@@ -126,22 +131,20 @@ let leaks heap =
   (* A leak only exists once somebody asked at a quiescence point —
      live objects at process exit are normal — so the export snapshot
      records what the last report actually said. *)
-  heap.reported_leaks <- site_counts l;
+  heap.events.reported_leaks <- site_counts l;
+  if l <> [] then export_events heap.events;
   l
 
 let leak_sites heap =
   ignore (leaks heap : leak list);
-  heap.reported_leaks
+  heap.events.reported_leaks
 
-let uaf_sites heap =
-  Hashtbl.fold (fun s n acc -> (s, n) :: acc) heap.uaf_sites [] |> List.sort compare
-
-let double_free_sites heap =
-  Hashtbl.fold (fun s n acc -> (s, n) :: acc) heap.double_free_sites []
-  |> List.sort compare
+let sorted_sites tbl = Hashtbl.fold (fun s n acc -> (s, n) :: acc) tbl [] |> List.sort compare
+let uaf_sites heap = sorted_sites heap.events.uaf_sites
+let double_free_sites heap = sorted_sites heap.events.double_free_sites
 
 let pp_report ppf heap =
-  Fmt.pf ppf "heap %s: allocated=%d freed=%d live=%d uaf=%d double_free=%d" heap.name
+  Fmt.pf ppf "heap %s: allocated=%d freed=%d live=%d uaf=%d double_free=%d" heap.events.name
     heap.allocated heap.freed (live_count heap) heap.uaf_events heap.double_free_events
 
 (* Runtime event export ---------------------------------------------------- *)
@@ -150,11 +153,11 @@ let pp_report ppf heap =
    format klint's kown reconciliation ([--kmem-events]) consumes.
    Append-mode so every test binary in a suite contributes to the same
    file, mirroring [Lockdep.append_edges_to_file]. *)
-let append_events_to_file heap ~path =
+let append_event_rows ev ~path =
   let rows =
-    List.map (fun (s, n) -> ("uaf", s, n)) (uaf_sites heap)
-    @ List.map (fun (s, n) -> ("double_free", s, n)) (double_free_sites heap)
-    @ List.map (fun (s, n) -> ("leak", s, n)) heap.reported_leaks
+    List.map (fun (s, n) -> ("uaf", s, n)) (sorted_sites ev.uaf_sites)
+    @ List.map (fun (s, n) -> ("double_free", s, n)) (sorted_sites ev.double_free_sites)
+    @ List.map (fun (s, n) -> ("leak", s, n)) ev.reported_leaks
   in
   match rows with
   | [] -> ()
@@ -167,9 +170,11 @@ let append_events_to_file heap ~path =
           List.iter
             (fun (kind, site, n) ->
               Buffer.add_string buf
-                (Printf.sprintf "%s\t%s\t%s\t%d\n" kind heap.name site n))
+                (Printf.sprintf "%s\t%s\t%s\t%d\n" kind ev.name site n))
             rows;
           output_string oc (Buffer.contents buf))
+
+let append_events_to_file heap ~path = append_event_rows heap.events ~path
 
 let export_env = "KSIM_KMEM_EXPORT"
 
@@ -181,7 +186,5 @@ let () =
   match Sys.getenv_opt export_env with
   | Some path when path <> "" ->
       at_exit (fun () ->
-          List.iter
-            (fun heap -> try append_events_to_file heap ~path with Sys_error _ -> ())
-            !all_heaps)
+          List.iter (fun ev -> try append_event_rows ev ~path with Sys_error _ -> ()) !exported)
   | Some _ | None -> ()

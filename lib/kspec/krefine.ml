@@ -15,7 +15,17 @@
    freshly-synced state at each [Fsync].  Keeping it incrementally makes
    crash checking over 10k-op traces linear instead of quadratic; when
    the bounded frontier overflows we *skip and count* rather than guess,
-   so an alarm is always a real divergence. *)
+   so an alarm is always a real divergence.
+
+   The Fsync window.  A crash image taken at an [Fsync] may come from an
+   instant before the fsync returned — a write-back disk's window still
+   holds the fsync's own barrier epochs — and losing the unsynced batch
+   there is legal.  So at an [Fsync] an image may recover to the synced
+   state or to any state the frontier allowed just before the [Fsync];
+   if that pre-fsync frontier had overflowed, an image outside the
+   synced state is skipped and counted, as above.  An fsync that returns
+   without making its batch durable is still convicted at the next crash
+   point, where only the post-fsync frontier applies. *)
 
 module type MACHINE = sig
   type vars
@@ -247,6 +257,7 @@ let run_raw (type a) ~config (module M : MACHINE with type vars = a) ops =
            stop := true
          end);
     if not !stop then begin
+      let before = !frontier and before_overflowed = !overflowed in
       (* Advance the crash-safe frontier: reset at Fsync, else admit the
          new volatile state (deduplicated). *)
       (match op with
@@ -264,25 +275,41 @@ let run_raw (type a) ~config (module M : MACHINE with type vars = a) ops =
       if config.crash_every > 0 && (!i + 1) mod config.crash_every = 0 then begin
         incr crash_points;
         let images = M.crash_images v' ~limit:config.images_per_op in
+        let at_fsync = match op with Fs_spec.Fsync -> true | _ -> false in
         if !overflowed then skipped := !skipped + List.length images
         else
           List.iteri
             (fun image_index image ->
               if !n_div < config.max_divergences then begin
-                incr images_checked;
-                incr states;
                 let recovered = M.interp image in
-                if not (M.inv image) then
-                  record
-                    { step_index = !i; op; mismatch = Invariant_violation; counterexample = [] }
-                else if not (List.exists (Fs_spec.equal recovered) !frontier) then
-                  record
-                    {
-                      step_index = !i;
-                      op;
-                      mismatch = Crash_divergence { image_index; recovered; frontier = !frontier };
-                      counterexample = [];
-                    }
+                let inv_ok = M.inv image in
+                let allowed = inv_ok && List.exists (Fs_spec.equal recovered) !frontier in
+                (* The Fsync window (header comment): at an [Fsync] the
+                   frontier just before it, [before], allows too. *)
+                if inv_ok && (not allowed) && at_fsync && before_overflowed then incr skipped
+                else begin
+                  incr images_checked;
+                  incr states;
+                  if not inv_ok then
+                    record
+                      { step_index = !i; op; mismatch = Invariant_violation; counterexample = [] }
+                  else if
+                    not (allowed || (at_fsync && List.exists (Fs_spec.equal recovered) before))
+                  then
+                    record
+                      {
+                        step_index = !i;
+                        op;
+                        mismatch =
+                          Crash_divergence
+                            {
+                              image_index;
+                              recovered;
+                              frontier = (if at_fsync then before else !frontier);
+                            };
+                        counterexample = [];
+                      }
+                end
               end)
             images
       end;
@@ -357,6 +384,39 @@ let run (type a) ?(config = default_config) (module M : MACHINE with type vars =
   | _ :: _ ->
       let stamp d = { d with counterexample = take (d.step_index + 1) ops } in
       { cov with divergences = List.map stamp cov.divergences }
+
+exception Refinement_failure of divergence
+
+(* A live refinement monitor: every call is checked against the spec as
+   it happens. *)
+module Monitor (M : MACHINE) = struct
+  type t = {
+    mutable vars : M.vars;
+    mutable spec : Fs_spec.state;
+    mutable steps : int;
+  }
+
+  let create () = { vars = M.init (); spec = Fs_spec.empty; steps = 0 }
+
+  let apply t op =
+    let vars, impl_result = M.step t.vars op in
+    t.vars <- vars;
+    let step_index = t.steps in
+    let impl_state = M.interp vars in
+    (match check_step ~step_index ~spec_state:t.spec op ~impl_result ~impl_state with
+    | Error d -> raise (Refinement_failure d)
+    | Ok _ when not (M.inv vars) ->
+        raise
+          (Refinement_failure
+             { step_index; op; mismatch = Invariant_violation; counterexample = [] })
+    | Ok spec' ->
+        t.spec <- spec';
+        t.steps <- step_index + 1);
+    impl_result
+
+  let interpret t = M.interp t.vars
+  let checked_ops t = t.steps
+end
 
 (* Seeded fair merge of per-thread op streams (program order preserved
    within each stream). *)

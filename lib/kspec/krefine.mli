@@ -14,7 +14,12 @@
     - at every crash point, each post-crash image recovers to a state
       the crash-safe spec allows ({!Fs_spec.Crash_safe}), tracked by an
       incremental frontier instead of the quadratic
-      [allowed_recoveries] recomputation.
+      [allowed_recoveries] recomputation.  At an [Fsync] the images may
+      predate the fsync's return, so they may also recover to any state
+      the frontier allowed just before it (see {!config}).
+
+    {!Monitor} checks the same commuting square live, one call at a
+    time.
 
     {!Io_system} composes a program with its disk into one machine whose
     crash step is [crash_disks] followed by [recover] — the betrfs
@@ -106,7 +111,27 @@ val check_step :
   impl_state:Fs_spec.state ->
   (Fs_spec.state, divergence) Stdlib.result
 (** One commuting square (no invariant, no crash): the primitive
-    {!Refine} is built from.  [Ok] is the next spec state. *)
+    {!Monitor} is built from.  [Ok] is the next spec state. *)
+
+exception Refinement_failure of divergence
+
+(** Wrap a machine so every call is refinement-checked live — what
+    "verified module" means at roadmap step 4 inside the simulator.
+    Crash images are not consulted. *)
+module Monitor (M : MACHINE) : sig
+  type t
+
+  val create : unit -> t
+  (** A fresh [M.init ()] paired with the empty spec state. *)
+
+  val apply : t -> Fs_spec.op -> Fs_spec.result
+  (** Step the machine and check the commuting square and the invariant.
+      @raise Refinement_failure the moment the machine diverges; its
+      [counterexample] is empty. *)
+
+  val interpret : t -> Fs_spec.state
+  val checked_ops : t -> int
+end
 
 (** {1 The enumerator} *)
 
@@ -117,7 +142,11 @@ type config = {
   frontier_limit : int;
       (** bound on the allowed-recovery frontier; once exceeded, crash
           checks are skipped (and counted) until the next [Fsync] resets
-          the frontier — never a false alarm *)
+          the frontier — never a false alarm.  The frontier at an [Fsync]
+          is the synced state plus the frontier just before it, the
+          window in which the fsync had not yet returned; an image there
+          that only the pre-fsync frontier could allow is skipped (and
+          counted) when that frontier had overflowed *)
   lockstep : bool;  (** check the commuting square at every step *)
   shrink : bool;  (** delta-debug the first divergence to a minimal trace *)
   max_divergences : int;  (** stop collecting crash divergences after this many *)

@@ -7,7 +7,7 @@
    relations (predicates over before/after pairs).  Verification of an
    implementation is then refinement: each concrete operation, viewed
    through an interpretation function, must be a valid transition of the
-   model (see [Refine]). *)
+   model (see [Krefine]). *)
 
 module type STATE = sig
   type t

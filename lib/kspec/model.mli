@@ -4,7 +4,7 @@
     functions; nondeterministic specifications are relations over
     before/after pairs.  An implementation is verified by {e refinement}:
     each concrete operation, viewed through an interpretation function,
-    must be a valid transition of the model ({!Refine}). *)
+    must be a valid transition of the model ({!Krefine}). *)
 
 module type STATE = sig
   type t

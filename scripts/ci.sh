@@ -111,6 +111,14 @@ echo "== ci: wcache cache-loss torture (volatile disk contract, memory cap) =="
 ( ulimit -v "$MEM_CAP_KB"
   KSIM_WCACHE_SEEDS="${KSIM_WCACHE_SEEDS:-5,17}" dune exec test/test_wcache.exe -- test torture )
 
+echo "== ci: crash-test (EXP-CRASH shape, memory cap) =="
+# The crash-safety experiment through krefine over the write-back disk:
+# the exit code is 0 only when journaled and group commit are CRASH-SAFE
+# and Direct mode is UNSAFE.  The binary runs directly (built above).
+( ulimit -v "$MEM_CAP_KB"
+  _build/default/bin/safeos.exe crash-test > /dev/null ) \
+  || { echo "ci: FAIL — crash-test lost the EXP-CRASH shape or ran out of memory" >&2; exit 1; }
+
 echo "== ci: kload smoke (multi-tenant storm, recovery-SLO gate) =="
 # ~500 tenants of mixed traffic with a mid-run panic storm.  The SLO
 # gate is the exit code: p99 oops->healthy within bound, bounded error

@@ -1,6 +1,8 @@
 (* The crash-safety experiment (EXP-CRASH): the journaled file system must
    recover to a spec-allowed state after a crash at every point of every
-   trace; the direct (unjournaled) twin must be convicted. *)
+   trace; the direct (unjournaled) twin must be convicted.  Every check is
+   Krefine over the write-back disk: crash images are cache-loss residues,
+   recovery is a replay mount, and lockstep refinement runs alongside. *)
 
 open Kspec
 
@@ -29,27 +31,38 @@ let generated_trace seed ops =
          | Fs_spec.Write { data; _ } -> String.length data <= 256
          | _ -> true)
 
-let test_journaled_safe_fixed_trace () =
-  let verdict =
-    Crash.check (module Kfs.Journalfs.Crashable_journaled) ~images_per_point:16 trace_with_fsync
+(* A crash point at every op, every divergence kept, no frontier bound. *)
+let crash_check ?group_commit ?(mode = Kfs.Journalfs.Journaled) ~images trace =
+  let (Kharness.Packed (module M)) = Kharness.journalfs_machine ?group_commit mode in
+  let config =
+    {
+      Krefine.default_config with
+      images_per_op = images;
+      frontier_limit = max_int;
+      shrink = false;
+      max_divergences = max_int;
+    }
   in
-  check Alcotest.int "every op crashed" (List.length trace_with_fsync) verdict.Crash.crash_points;
-  check Alcotest.bool "images explored" true (verdict.Crash.images_checked > 0);
+  Krefine.run ~config (module M) trace
+
+let test_journaled_safe_fixed_trace () =
+  let cov = crash_check ~images:16 trace_with_fsync in
+  check Alcotest.int "every op crashed" (List.length trace_with_fsync) cov.Krefine.crash_points;
+  (* Cache-loss residues give more than one image per crash point: the
+     check is not vacuous. *)
+  check Alcotest.bool "more images than crash points" true
+    (cov.Krefine.crash_images > cov.Krefine.crash_points);
   check Alcotest.(list Alcotest.string) "no failures" []
-    (List.map (Fmt.str "%a" Crash.pp_failure) verdict.Crash.failures)
+    (List.map (Fmt.str "%a" Krefine.pp_divergence) cov.Krefine.divergences)
 
 let test_group_commit_safe_generated_traces () =
   (* Group commit defers durability but must never produce a non-prefix
      state: the whole uncommitted batch disappears at once. *)
   List.iter
     (fun seed ->
-      let verdict =
-        Crash.check
-          (module Kfs.Journalfs.Crashable_journaled_group)
-          ~images_per_point:8 (generated_trace seed 20)
-      in
+      let cov = crash_check ~group_commit:true ~images:8 (generated_trace seed 20) in
       check Alcotest.bool (Printf.sprintf "group seed %d crash-safe" seed) true
-        (Crash.is_safe verdict))
+        (Krefine.is_clean cov))
     [ 11; 12; 13 ]
 
 let test_group_commit_functional () =
@@ -68,11 +81,8 @@ let test_group_commit_functional () =
 let test_journaled_safe_generated_traces () =
   List.iter
     (fun seed ->
-      let verdict =
-        Crash.check (module Kfs.Journalfs.Crashable_journaled) ~images_per_point:8
-          (generated_trace seed 20)
-      in
-      check Alcotest.bool (Printf.sprintf "seed %d crash-safe" seed) true (Crash.is_safe verdict))
+      let cov = crash_check ~images:8 (generated_trace seed 20) in
+      check Alcotest.bool (Printf.sprintf "seed %d crash-safe" seed) true (Krefine.is_clean cov))
     [ 1; 2; 3; 4; 5 ]
 
 let test_direct_mode_convicted () =
@@ -82,10 +92,8 @@ let test_direct_mode_convicted () =
   List.iter
     (fun seed ->
       let trace = Fs_spec.Fsync :: trace_with_fsync @ generated_trace seed 15 in
-      let verdict =
-        Crash.check (module Kfs.Journalfs.Crashable_direct) ~images_per_point:16 trace
-      in
-      if not (Crash.is_safe verdict) then incr violations)
+      let cov = crash_check ~mode:Kfs.Journalfs.Direct ~images:16 trace in
+      if not (Krefine.is_clean cov) then incr violations)
     [ 1; 2; 3 ];
   check Alcotest.bool "unjournaled FS violates crash safety" true (!violations > 0)
 
@@ -149,7 +157,7 @@ let prop_journaled_always_crash_safe =
     QCheck2.Gen.(int_range 10 999)
     (fun seed ->
       let trace = generated_trace seed 12 in
-      Crash.is_safe (Crash.check (module Kfs.Journalfs.Crashable_journaled) ~images_per_point:6 trace))
+      Krefine.is_clean (crash_check ~images:6 trace))
 
 let qcheck = List.map QCheck_alcotest.to_alcotest
 

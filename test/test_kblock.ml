@@ -61,54 +61,6 @@ let test_dev_last_write_wins () =
   Kblock.Blockdev.crash dev;
   check Alcotest.string "media last" (String.make 8 'b') (Bytes.to_string (read_ok dev 0))
 
-let test_dev_crash_states_exhaustive () =
-  let dev = Kblock.Blockdev.create ~nblocks:4 ~block_size:8 in
-  write_ok dev 0 (block dev 'a');
-  write_ok dev 1 (block dev 'b');
-  let states = Kblock.Blockdev.crash_media_states dev ~limit:64 in
-  (* 2 pending writes to distinct blocks: 4 distinct media images. *)
-  check Alcotest.int "2^2 images" 4 (List.length states);
-  (* The bare-media image must be included. *)
-  check Alcotest.bool "empty image present" true
-    (List.exists
-       (fun media -> Array.for_all (fun b -> Bytes.to_string b = String.make 8 '\000') media)
-       states)
-
-let test_dev_crash_states_dedup () =
-  let dev = Kblock.Blockdev.create ~nblocks:4 ~block_size:8 in
-  write_ok dev 0 (block dev 'a');
-  write_ok dev 0 (block dev 'a') (* identical write: subsets collapse *);
-  let states = Kblock.Blockdev.crash_media_states dev ~limit:64 in
-  check Alcotest.int "deduplicated" 2 (List.length states)
-
-let media_fingerprint media = String.concat "" (List.map Bytes.to_string (Array.to_list media))
-
-let test_dev_crash_states_limit_boundary () =
-  let mk () =
-    let dev = Kblock.Blockdev.create ~nblocks:4 ~block_size:8 in
-    write_ok dev 0 (block dev 'a');
-    write_ok dev 1 (block dev 'b');
-    write_ok dev 2 (block dev 'c');
-    dev
-  in
-  (* 3 pending writes: 8 subsets.  At limit = 8 enumeration is exhaustive. *)
-  let exhaustive = Kblock.Blockdev.crash_media_states (mk ()) ~limit:8 in
-  check Alcotest.int "exactly at limit: exhaustive" 8 (List.length exhaustive);
-  (* One below the boundary: the sampled fallback, still within limit,
-     still deduplicated, still containing the two must-have images. *)
-  let sampled = Kblock.Blockdev.crash_media_states (mk ()) ~limit:7 in
-  check Alcotest.bool "within limit" true (List.length sampled <= 7);
-  let prints = List.map media_fingerprint sampled in
-  check Alcotest.int "no duplicates" (List.length prints)
-    (List.length (List.sort_uniq compare prints));
-  let blank = String.make 32 '\000' in
-  check Alcotest.bool "bare media present" true (List.mem blank prints);
-  let full = media_fingerprint [| block (mk ()) 'a'; block (mk ()) 'b'; block (mk ()) 'c'; Bytes.make 8 '\000' |] in
-  check Alcotest.bool "all-survived present" true (List.mem full prints);
-  (* Every sampled image is one of the true subsets. *)
-  let all = List.map media_fingerprint exhaustive in
-  List.iter (fun p -> check Alcotest.bool "a real subset" true (List.mem p all)) prints
-
 let test_dev_snapshot_of_media () =
   let dev = Kblock.Blockdev.create ~nblocks:2 ~block_size:4 in
   write_ok dev 0 (Bytes.of_string "abcd");
@@ -709,10 +661,6 @@ let () =
         :: Alcotest.test_case "crash loses cache" `Quick test_dev_crash_loses_cache
         :: Alcotest.test_case "flush durable" `Quick test_dev_flush_is_durable
         :: Alcotest.test_case "last write wins" `Quick test_dev_last_write_wins
-        :: Alcotest.test_case "crash states exhaustive" `Quick test_dev_crash_states_exhaustive
-        :: Alcotest.test_case "crash states dedup" `Quick test_dev_crash_states_dedup
-        :: Alcotest.test_case "crash states limit boundary" `Quick
-             test_dev_crash_states_limit_boundary
         :: Alcotest.test_case "snapshot is deep" `Quick test_dev_snapshot_of_media
         :: qcheck [ prop_flush_then_crash_preserves_all; prop_blockdev_satisfies_axioms ] );
       ("codec", qcheck [ prop_checksum_is_the_fold ]);

@@ -4,7 +4,9 @@
    verdict in the seed, and the divergence reporters — a deliberately
    buggy machine must be convicted with a minimal counterexample, and a
    seeded replay-skip fault in the microreboot remount must be caught by
-   the lockstep check. *)
+   the lockstep check — and the Fsync window, which admits crash images
+   from before an fsync returned but still convicts an fsync that syncs
+   nothing. *)
 
 open Kspec
 
@@ -224,7 +226,8 @@ let test_missing_barrier_convicted () =
     @ [ Fs_spec.Fsync; Fs_spec.Stat (p "/f0"); Fs_spec.Readdir (p "/") ]
   in
   let config = { Krefine.default_config with Krefine.images_per_op = 32 } in
-  let (Kharness.Packed (module Mutant)) = Kharness.journalfs_missing_barrier () in
+  let mutant () = Kharness.journalfs_machine ~barriers:false Kfs.Journalfs.Journaled in
+  let (Kharness.Packed (module Mutant)) = mutant () in
   let cov = Krefine.run ~config (module Mutant) t in
   match cov.Krefine.divergences with
   | [] -> Alcotest.fail "missing-barrier mutant escaped the crash enumerator"
@@ -237,7 +240,7 @@ let test_missing_barrier_convicted () =
       check Alcotest.bool "counterexample small" true
         (List.length d.Krefine.counterexample <= 6);
       (* the shrunk trace reproduces on a fresh mutant *)
-      let (Kharness.Packed (module Mutant2)) = Kharness.journalfs_missing_barrier () in
+      let (Kharness.Packed (module Mutant2)) = mutant () in
       let replay = Krefine.run ~config (module Mutant2) d.Krefine.counterexample in
       check Alcotest.bool "counterexample reproduces" false (Krefine.is_clean replay);
       (* honest barriers over the identical trace and config: clean *)
@@ -245,6 +248,66 @@ let test_missing_barrier_convicted () =
       if not (Krefine.is_clean honest) then
         Alcotest.failf "honest journalfs diverged on the mutant's trace: %a"
           Krefine.pp_coverage honest
+
+(* The Fsync window.  A spec-backed machine whose disk holds the state at
+   the last fsync; a crash at an [Fsync] may strike before the fsync
+   returned, so its images also include the durable state the fsync
+   replaced.  The lying twin's fsync never advances the durable state. *)
+module Synced (L : sig
+  val lying : bool
+end) =
+struct
+  type vars = {
+    mutable st : Fs_spec.state;
+    mutable durable : Fs_spec.state;
+    mutable before_fsync : Fs_spec.state option;  (* durable state an [Fsync] replaced *)
+  }
+
+  let name = if L.lying then "synced.lying" else "synced"
+  let recovered st = { st; durable = st; before_fsync = None }
+  let init () = recovered Fs_spec.empty
+
+  let step v op =
+    let st, r = Fs_spec.step v.st op in
+    v.st <- st;
+    (match op with
+    | Fs_spec.Fsync ->
+        v.before_fsync <- Some v.durable;
+        if not L.lying then v.durable <- st
+    | _ -> v.before_fsync <- None);
+    (v, r)
+
+  let interp v = v.st
+  let inv _ = true
+
+  let crash_images v ~limit:_ =
+    recovered v.durable :: Option.to_list (Option.map recovered v.before_fsync)
+end
+
+let fsync_window_trace = Fs_spec.[ Create (p "/a"); Fsync; Create (p "/b"); Fsync; Stat (p "/a") ]
+
+let test_fsync_window_honest () =
+  let module M = Synced (struct
+    let lying = false
+  end) in
+  let cov = Krefine.run (module M) fsync_window_trace in
+  if not (Krefine.is_clean cov) then
+    Alcotest.failf "pre-fsync images raised false alarms: %a" Krefine.pp_coverage cov;
+  check Alcotest.bool "images at the fsyncs checked" true
+    (cov.Krefine.crash_images > cov.Krefine.crash_points)
+
+let test_fsync_window_lying () =
+  let module M = Synced (struct
+    let lying = true
+  end) in
+  let config = { Krefine.default_config with Krefine.shrink = false } in
+  match (Krefine.run ~config (module M) fsync_window_trace).Krefine.divergences with
+  | [] -> Alcotest.fail "an fsync that syncs nothing escaped the checker"
+  | d :: _ ->
+      (match d.Krefine.mismatch with
+      | Krefine.Crash_divergence _ -> ()
+      | m -> Alcotest.failf "expected a crash divergence, got %a" Krefine.pp_mismatch m);
+      check Alcotest.int "convicted at the op after the first fsync" 2 d.Krefine.step_index
 
 let test_registry () =
   let names = List.map (fun e -> e.Kharness.hname) (Kharness.all ()) in
@@ -279,5 +342,9 @@ let () =
           Alcotest.test_case "replay-skip fault caught" `Quick test_replay_skip_fault_caught;
           Alcotest.test_case "missing-barrier mutant convicted" `Quick
             test_missing_barrier_convicted;
+          Alcotest.test_case "fsync window: pre-fsync images allowed" `Quick
+            test_fsync_window_honest;
+          Alcotest.test_case "fsync window: lying fsync convicted" `Quick
+            test_fsync_window_lying;
         ] );
     ]

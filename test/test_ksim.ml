@@ -144,6 +144,30 @@ let test_kmem_is_live () =
   Ksim.Kmem.free p;
   check Alcotest.bool "dead" false (Ksim.Kmem.is_live p)
 
+(* The export keeps event tables, never heaps: a heap that recorded an
+   event stays collectable once dropped, and so does its live table.  The
+   second leak report comes back empty, so the export file gains no rows. *)
+let test_kmem_export_pins_nothing () =
+  let n = 100 in
+  let heaps = Weak.create n in
+  let provoke i =
+    let heap = Ksim.Kmem.create ~name:"scratch" () in
+    let p = Ksim.Kmem.alloc heap ~site:"s" (Bytes.create 64) in
+    check Alcotest.int "leak reported" 1 (List.length (Ksim.Kmem.leaks heap));
+    Ksim.Kmem.free p;
+    check Alcotest.int "leak gone" 0 (List.length (Ksim.Kmem.leaks heap));
+    Weak.set heaps i (Some heap)
+  in
+  for i = 0 to n - 1 do
+    provoke i
+  done;
+  Gc.full_major ();
+  let live = ref 0 in
+  for i = 0 to n - 1 do
+    if Weak.check heaps i then incr live
+  done;
+  check Alcotest.int "no dropped heap stays reachable" 0 !live
+
 (* Klock ------------------------------------------------------------------- *)
 
 let test_lock_basic () =
@@ -1112,6 +1136,7 @@ let () =
           Alcotest.test_case "non-strict write-after-free" `Quick test_kmem_nonstrict_write_after_free;
           Alcotest.test_case "leak report" `Quick test_kmem_leaks;
           Alcotest.test_case "is_live" `Quick test_kmem_is_live;
+          Alcotest.test_case "export pins no heap" `Quick test_kmem_export_pins_nothing;
         ] );
       ( "klock",
         [

@@ -257,64 +257,73 @@ let test_relation_of_step () =
 (* Refinement -------------------------------------------------------------------- *)
 
 (* A correct implementation: directly run the spec (trivially refines). *)
-module Spec_impl : Refine.FS_IMPL = struct
-  type t = { mutable st : Fs_spec.state }
+module Spec_impl : Krefine.MACHINE = struct
+  type vars = { mutable st : Fs_spec.state }
 
   let name = "spec_itself"
-  let create () = { st = Fs_spec.empty }
+  let init () = { st = Fs_spec.empty }
 
-  let apply t op =
+  let step t op =
     let st', r = Fs_spec.step t.st op in
     t.st <- st';
-    r
+    (t, r)
 
-  let interpret t = t.st
+  let interp t = t.st
+  let inv _ = true
+  let crash_images _ ~limit:_ = []
 end
 
 (* A wrong implementation: unlink forgets to remove the file. *)
-module Buggy_unlink : Refine.FS_IMPL = struct
-  type t = { mutable st : Fs_spec.state }
+module Buggy_unlink : Krefine.MACHINE = struct
+  type vars = { mutable st : Fs_spec.state }
 
   let name = "buggy_unlink"
-  let create () = { st = Fs_spec.empty }
+  let init () = { st = Fs_spec.empty }
 
-  let apply t op =
+  let step t op =
     match op with
     | Fs_spec.Unlink path when Fs_spec.Pathmap.mem path t.st ->
-        Ok Fs_spec.Unit (* lies: returns success without removing *)
+        (t, Ok Fs_spec.Unit) (* lies: returns success without removing *)
     | _ ->
         let st', r = Fs_spec.step t.st op in
         t.st <- st';
-        r
+        (t, r)
 
-  let interpret t = t.st
+  let interp t = t.st
+  let inv _ = true
+  let crash_images _ ~limit:_ = []
 end
+
+(* Lockstep only, stopping at the first divergence. *)
+let lockstep_config =
+  { Krefine.default_config with Krefine.crash_every = 0; shrink = false; max_divergences = 1 }
 
 let test_refine_accepts_correct () =
   let trace = Kfs.Workload.generate ~seed:3 Kfs.Workload.Mixed ~ops:200 in
-  match Refine.check_trace (module Spec_impl) trace with
-  | Ok n -> check Alcotest.int "all checked" 200 n
-  | Error d -> fail (Fmt.str "unexpected divergence: %a" Refine.pp_divergence d)
+  let cov = Krefine.run ~config:lockstep_config (module Spec_impl) trace in
+  match cov.Krefine.divergences with
+  | [] -> check Alcotest.int "all checked" 200 cov.Krefine.ops
+  | d :: _ -> fail (Fmt.str "unexpected divergence: %a" Krefine.pp_divergence d)
 
 let test_refine_catches_buggy () =
   let trace =
     [ Fs_spec.Create (p "/f"); Fs_spec.Unlink (p "/f"); Fs_spec.Stat (p "/f") ]
   in
-  match Refine.check_trace (module Buggy_unlink) trace with
-  | Ok _ -> fail "buggy impl passed refinement"
-  | Error d -> check Alcotest.int "diverges at unlink" 1 d.Refine.step_index
+  match (Krefine.run ~config:lockstep_config (module Buggy_unlink) trace).Krefine.divergences with
+  | [] -> fail "buggy impl passed refinement"
+  | d :: _ -> check Alcotest.int "diverges at unlink" 1 d.Krefine.step_index
 
 let test_monitor_raises_on_divergence () =
-  let module M = Refine.Monitor (Buggy_unlink) in
+  let module M = Krefine.Monitor (Buggy_unlink) in
   let t = M.create () in
   ignore (M.apply t (Fs_spec.Create (p "/f")));
   match M.apply t (Fs_spec.Unlink (p "/f")) with
   | _ -> fail "expected Refinement_failure"
-  | exception Refine.Refinement_failure d ->
-      check Alcotest.int "at step 1" 1 d.Refine.step_index
+  | exception Krefine.Refinement_failure d ->
+      check Alcotest.int "at step 1" 1 d.Krefine.step_index
 
 let test_monitor_counts_ops () =
-  let module M = Refine.Monitor (Spec_impl) in
+  let module M = Krefine.Monitor (Spec_impl) in
   let t = M.create () in
   ignore (M.apply t (Fs_spec.Create (p "/f")));
   ignore (M.apply t (Fs_spec.Stat (p "/f")));

@@ -384,8 +384,8 @@ let test_permanent_flush_flips_readonly () =
 (* ALICE-style gate, hand-rolled (the kharness sweep below re-checks the
    same surface against the full spec): journalfs over the cache with
    writeback reordering forced on, a versioned key file, and at every
-   sweep each crash residue is materialized over the durable media
-   snapshot and mounted — the mount must parse (journal checksums make
+   sweep each crash device (a residue over the settled media) is
+   mounted — the mount must parse (journal checksums make
    any residue recoverable) and must read the key at or past the last
    acknowledged version.  In Journaled mode every successful Write
    committed through two real barriers, so acked means durable even
@@ -401,24 +401,20 @@ let cache_loss_torture seed =
   Ksim.Failpoint.configure fp "wc.writeback-reorder" ~enabled:true ~probability:1.0 ();
   let fs = Kfs.Journalfs.mkfs_on ~geometry:g ~io:(Kblock.Wcache.io wc) Kfs.Journalfs.Journaled dev in
   ok "post-mkfs barrier" (Kblock.Wcache.flush wc);
-  ignore (Kblock.Wcache.take_durable wc);
-  let media0 = ref (Kblock.Blockdev.image dev) in
+  let disk = Kblock.Wcache.disk dev wc in
   let p = Kspec.Fs_spec.path_of_string in
   let key = "/k" in
   let version = ref 0 and acked = ref 0 and acked_floor = ref 0 in
   let rng = Ksim.Rng.of_int (seed * 7919) in
   let images = ref 0 in
-  (* The residues span every crash instant since the previous sweep
-     (take_durable resets the window), so the durability floor is the
+  (* The crash devices span every crash instant since the previous sweep
+     (each sweep settles the window), so the durability floor is the
      version acked {e at the window's start} — anything acked mid-window
      may legally be missing from an early-frame image. *)
   let sweep () =
     List.iter
-      (fun residue ->
+      (fun dev' ->
         incr images;
-        let dev' =
-          Kblock.Blockdev.of_image ~block_size:g.block_size (Kblock.Wcache.patch !media0 residue)
-        in
         let fs' = Kfs.Journalfs.mount ~geometry:g Kfs.Journalfs.Journaled dev' in
         check bool "residue mounts clean" false (Kfs.Journalfs.is_corrupt fs');
         if !acked_floor > 0 then
@@ -433,8 +429,7 @@ let cache_loss_torture seed =
           | r ->
               Alcotest.failf "seed %d: acked v%d unreadable after crash: %a" seed
                 !acked_floor Kspec.Fs_spec.pp_result r)
-      (Kblock.Wcache.crash_residues wc ~limit:8);
-    media0 := Kblock.Wcache.patch !media0 (Kblock.Wcache.take_durable wc);
+      (Kblock.Wcache.crash_devices disk ~limit:8);
     acked_floor := !acked
   in
   for i = 1 to 120 do
