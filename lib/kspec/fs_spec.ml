@@ -38,7 +38,8 @@ let basename path = match List.rev path with [] -> None | last :: _ -> Some last
 module Pathmap = Map.Make (struct
   type t = path
 
-  let compare = compare
+  (* The same order as polymorphic [compare], without its generic walk. *)
+  let compare = List.compare String.compare
 end)
 
 type node =

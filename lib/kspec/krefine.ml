@@ -1,13 +1,18 @@
 (* State-machine refinement checking at scale (verified-betrfs mold).
 
    The spec side is always [Fs_spec]; a low machine supplies its own
-   state, an interpretation function and an inductive invariant, and the
+   state, an interpretation function and its own invariant, and the
    enumerator discharges the proof obligations executably at every step
    of a trace:
 
      init  ⊢ Inv            and   interp (init ()) = empty
      Inv ∧ step ⊢ Inv'      and   the commuting square refines
      crash ⊢ recovery lands inside the crash-safe frontier
+
+   [Inv v] is [M.inv v ∧ Fs_spec.wf (interp v)]: the machine's invariant
+   is about its own state, well-formedness is about the spec state, and
+   the checker interprets each state once and checks both on it (the
+   split of verified-betrfs's [Inv] and [I(s)]).
 
    The crash frontier is the incremental form of
    [Fs_spec.Crash_safe.allowed_recoveries]: the volatile states reached
@@ -45,7 +50,7 @@ module Spec_machine = struct
   let init () = Fs_spec.empty
   let step st op = Fs_spec.step st op
   let interp st = st
-  let inv st = Fs_spec.wf st
+  let inv _ = true
   let crash_images _ ~limit:_ = []
 end
 
@@ -111,26 +116,6 @@ let pp_divergence ppf d =
     pp_mismatch d.mismatch
     (List.length d.counterexample)
 
-let check_step ~step_index ~spec_state op ~impl_result ~impl_state =
-  let spec_state', spec_result = Fs_spec.step spec_state op in
-  if not (Fs_spec.equal_result spec_result impl_result) then
-    Error
-      {
-        step_index;
-        op;
-        mismatch = Result_mismatch { expected = spec_result; got = impl_result };
-        counterexample = [];
-      }
-  else if not (Fs_spec.equal spec_state' impl_state) then
-    Error
-      {
-        step_index;
-        op;
-        mismatch = State_mismatch { expected = spec_state'; got = impl_state };
-        counterexample = [];
-      }
-  else Ok spec_state'
-
 type config = {
   seed : int;
   images_per_op : int;
@@ -193,6 +178,23 @@ let coverage_fingerprint c =
     c.divergences;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
+(* The per-state check: interpret [v] once, then [Inv v] on that
+   interpretation (header comment). *)
+let interp_inv (type a) (module M : MACHINE with type vars = a) v =
+  let s = M.interp v in
+  (s, M.inv v && Fs_spec.wf s)
+
+(* One lockstep step, in the order [run] and [Monitor] share: results,
+   then the invariant, then the commuting square. *)
+let step_mismatch (type a) (module M : MACHINE with type vars = a) ~expected ~got spec' v' =
+  if not (Fs_spec.equal_result expected got) then Some (Result_mismatch { expected; got })
+  else
+    let istate, inv_ok = interp_inv (module M) v' in
+    if not inv_ok then Some Invariant_violation
+    else if not (Fs_spec.equal spec' istate) then
+      Some (State_mismatch { expected = spec'; got = istate })
+    else None
+
 (* The enumerator core.  [frontier] carries the crash-safe spec's
    allowed recovery states incrementally; see the header comment. *)
 let run_raw (type a) ~config (module M : MACHINE with type vars = a) ops =
@@ -214,7 +216,8 @@ let run_raw (type a) ~config (module M : MACHINE with type vars = a) ops =
   let overflowed = ref false in
   let stop = ref false in
   (* init ⊢ Inv, and the interpretation of init must be the empty map. *)
-  if not (M.inv !v && Fs_spec.equal (M.interp !v) Fs_spec.empty) then begin
+  let s0, inv_ok = interp_inv (module M) !v in
+  if not (inv_ok && Fs_spec.equal s0 Fs_spec.empty) then begin
     (match ops with
     | [] -> ()
     | op :: _ ->
@@ -230,32 +233,11 @@ let run_raw (type a) ~config (module M : MACHINE with type vars = a) ops =
     incr states;
     incr executed;
     (if config.lockstep then
-       if not (Fs_spec.equal_result expected got) then begin
-         record
-           {
-             step_index = !i;
-             op;
-             mismatch = Result_mismatch { expected; got };
-             counterexample = [];
-           };
-         stop := true
-       end
-       else if not (M.inv v') then begin
-         record { step_index = !i; op; mismatch = Invariant_violation; counterexample = [] };
-         stop := true
-       end
-       else
-         let istate = M.interp v' in
-         if not (Fs_spec.equal spec' istate) then begin
-           record
-             {
-               step_index = !i;
-               op;
-               mismatch = State_mismatch { expected = spec'; got = istate };
-               counterexample = [];
-             };
+       match step_mismatch (module M) ~expected ~got spec' v' with
+       | Some mismatch ->
+           record { step_index = !i; op; mismatch; counterexample = [] };
            stop := true
-         end);
+       | None -> ());
     if not !stop then begin
       let before = !frontier and before_overflowed = !overflowed in
       (* Advance the crash-safe frontier: reset at Fsync, else admit the
@@ -281,8 +263,7 @@ let run_raw (type a) ~config (module M : MACHINE with type vars = a) ops =
           List.iteri
             (fun image_index image ->
               if !n_div < config.max_divergences then begin
-                let recovered = M.interp image in
-                let inv_ok = M.inv image in
+                let recovered, inv_ok = interp_inv (module M) image in
                 let allowed = inv_ok && List.exists (Fs_spec.equal recovered) !frontier in
                 (* The Fsync window (header comment): at an [Fsync] the
                    frontier just before it, [before], allows too. *)
@@ -399,20 +380,16 @@ module Monitor (M : MACHINE) = struct
   let create () = { vars = M.init (); spec = Fs_spec.empty; steps = 0 }
 
   let apply t op =
-    let vars, impl_result = M.step t.vars op in
+    let spec', expected = Fs_spec.step t.spec op in
+    let vars, got = M.step t.vars op in
     t.vars <- vars;
-    let step_index = t.steps in
-    let impl_state = M.interp vars in
-    (match check_step ~step_index ~spec_state:t.spec op ~impl_result ~impl_state with
-    | Error d -> raise (Refinement_failure d)
-    | Ok _ when not (M.inv vars) ->
-        raise
-          (Refinement_failure
-             { step_index; op; mismatch = Invariant_violation; counterexample = [] })
-    | Ok spec' ->
+    (match step_mismatch (module M) ~expected ~got spec' vars with
+    | Some mismatch ->
+        raise (Refinement_failure { step_index = t.steps; op; mismatch; counterexample = [] })
+    | None ->
         t.spec <- spec';
-        t.steps <- step_index + 1);
-    impl_result
+        t.steps <- t.steps + 1);
+    got
 
   let interpret t = M.interp t.vars
   let checked_ops t = t.steps

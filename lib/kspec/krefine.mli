@@ -1,25 +1,31 @@
 (** State-machine refinement checking at scale, in the verified-betrfs
-    mold (ROADMAP item 4).
+    mold.
 
     The spec is a {e UIStateMachine} over the abstract map {!Fs_spec}
     ({!Spec_machine}); an implementation is a low machine ({!MACHINE})
     carrying an interpretation function [interp : vars -> Fs_spec.state]
-    and an inductive invariant [inv].  {!run} checks, at every step of a
-    trace, the verified-betrfs proof obligations executably:
+    and its own invariant [inv].  The inductive invariant the checker
+    discharges is [Inv v = inv v ∧ Fs_spec.wf (interp v)]: [inv] is
+    about the implementation's state, well-formedness about the spec
+    state, and each state is interpreted once with both checked on
+    that interpretation.  {!run} checks, at every step of a trace, the
+    verified-betrfs proof obligations executably:
 
     - [init ⊢ Inv] and [interp (init ()) = Fs_spec.empty];
     - [Inv ∧ step ⊢ Inv'] and the commuting square
       [interp (step v op) = Fs_spec.step (interp v) op] with equal
-      results;
-    - at every crash point, each post-crash image recovers to a state
-      the crash-safe spec allows ({!Fs_spec.Crash_safe}), tracked by an
-      incremental frontier instead of the quadratic
-      [allowed_recoveries] recomputation.  At an [Fsync] the images may
-      predate the fsync's return, so they may also recover to any state
-      the frontier allowed just before it (see {!config}).
+      results — a result mismatch is reported first, then a broken
+      [Inv'], then a state mismatch;
+    - at every crash point, each post-crash image satisfies [Inv] and
+      recovers to a state the crash-safe spec allows
+      ({!Fs_spec.Crash_safe}), tracked by an incremental frontier
+      instead of the quadratic [allowed_recoveries] recomputation.  At
+      an [Fsync] the images may predate the fsync's return, so they may
+      also recover to any state the frontier allowed just before it
+      (see {!config}).
 
-    {!Monitor} checks the same commuting square live, one call at a
-    time.
+    {!Monitor} checks the same invariant and commuting square live, one
+    call at a time, and classifies a divergence as {!run} does.
 
     {!Io_system} composes a program with its disk into one machine whose
     crash step is [crash_disks] followed by [recover] — the betrfs
@@ -44,7 +50,11 @@ module type MACHINE = sig
   (** The interpretation (abstraction) function [I : L.Vars -> H.Vars]. *)
 
   val inv : vars -> bool
-  (** The inductive invariant, checked at init and after every step. *)
+  (** The implementation's own invariant (e.g. not corrupt, no barrier
+      violations), checked at init, after every step and on every crash
+      image.  It need not interpret: the checker checks
+      [Fs_spec.wf (interp v)] itself, on the interpretation it already
+      has.  [fun _ -> true] when the machine has nothing of its own. *)
 
   val crash_images : vars -> limit:int -> vars list
   (** Recovered machines reachable if a crash struck right now — one per
@@ -53,7 +63,8 @@ module type MACHINE = sig
 end
 
 module Spec_machine : MACHINE with type vars = Fs_spec.state
-(** The high machine: {!Fs_spec} itself (interp = identity, inv = wf). *)
+(** The high machine: {!Fs_spec} itself (interp = identity, inv = true;
+    the checker's well-formedness check is the spec's own invariant). *)
 
 (** A program over an abstract disk, with explicit crash steps.  The
     concrete disk type lives with the implementation (e.g. a
@@ -103,16 +114,6 @@ type divergence = {
 val pp_mismatch : Format.formatter -> mismatch -> unit
 val pp_divergence : Format.formatter -> divergence -> unit
 
-val check_step :
-  step_index:int ->
-  spec_state:Fs_spec.state ->
-  Fs_spec.op ->
-  impl_result:Fs_spec.result ->
-  impl_state:Fs_spec.state ->
-  (Fs_spec.state, divergence) Stdlib.result
-(** One commuting square (no invariant, no crash): the primitive
-    {!Monitor} is built from.  [Ok] is the next spec state. *)
-
 exception Refinement_failure of divergence
 
 (** Wrap a machine so every call is refinement-checked live — what
@@ -125,7 +126,8 @@ module Monitor (M : MACHINE) : sig
   (** A fresh [M.init ()] paired with the empty spec state. *)
 
   val apply : t -> Fs_spec.op -> Fs_spec.result
-  (** Step the machine and check the commuting square and the invariant.
+  (** Step the machine and check it as {!run}'s lockstep does: results,
+      then the invariant, then the commuting square.
       @raise Refinement_failure the moment the machine diverges; its
       [counterexample] is empty. *)
 

@@ -162,17 +162,19 @@ let apply t op = apply_gen t op
 let apply_stamped t ~epoch op = apply_gen ~handle_epoch:epoch t op
 
 (* Merge the mounted file systems' abstract states under their mount
-   points — the whole kernel's file namespace as one spec state. *)
+   points — the whole kernel's file namespace as one spec state.  The
+   root mount comes last and its entries win at a clash; its map needs
+   no rebasing, so it merges whole (a lone root mount is returned as is). *)
 let interpret t =
   List.fold_left
     (fun acc m ->
       let sub = Iface.instance_interpret m.fs in
-      let acc =
-        (* The mount point itself must exist as a directory (unless root). *)
-        if m.mount_point = [] then acc
-        else Kspec.Fs_spec.Pathmap.add m.mount_point Kspec.Fs_spec.Dir acc
-      in
-      Kspec.Fs_spec.Pathmap.fold
-        (fun path node acc -> Kspec.Fs_spec.Pathmap.add (m.mount_point @ path) node acc)
-        sub acc)
+      match m.mount_point with
+      | [] -> Kspec.Fs_spec.Pathmap.union (fun _ _ n -> Some n) acc sub
+      | at ->
+          (* The mount point itself must exist as a directory. *)
+          Kspec.Fs_spec.Pathmap.fold
+            (fun path node acc -> Kspec.Fs_spec.Pathmap.add (at @ path) node acc)
+            sub
+            (Kspec.Fs_spec.Pathmap.add at Kspec.Fs_spec.Dir acc))
     Kspec.Fs_spec.empty t.mounts

@@ -134,9 +134,10 @@ KSIM_KLOAD_SEEDS="${KSIM_KLOAD_SEEDS:-7,101}" dune exec test/test_kload.exe -- t
 echo "== ci: refine sweep (krefine harnesses vs Fs_spec, coverage ratchet, memory cap) =="
 # Every registered kharness machine (journalfs, cowfs, the supervised
 # microreboot path) replays a kload-recorded trace in lockstep with
-# Fs_spec at the `safeos refine` defaults — a >=10k-op trace with 4
+# Fs_spec at the `safeos refine` defaults — a >=10k-op trace with 6
 # crash images at every op.  Any divergence, or running out of the
-# memory cap, fails the run; the coverage the pass produced is then
+# memory cap, fails the run; its `wall:` line shows what the stage
+# costs.  The coverage the pass produced is then
 # ratcheted against refine.baseline inside klint (R15 keeps "Verified"
 # registry claims honest even when this stage is skipped).
 # KSIM_REFINE_SEEDS widens the seed set, same hook style as
@@ -149,8 +150,9 @@ refine_seed="${KSIM_REFINE_SEEDS:-11}"
 refine_seed="${refine_seed%%,*}"
 ( ulimit -v "$MEM_CAP_KB"
   dune exec bin/safeos.exe -- refine --all --seed "$refine_seed" \
-    --coverage-out "$REFINE_COVERAGE" > /dev/null ) \
+    --coverage-out "$REFINE_COVERAGE" > _build/refine-sweep.txt ) \
   || { echo "ci: FAIL — a krefine harness diverged from Fs_spec or ran out of memory" >&2; exit 1; }
+echo "ci: refine sweep $(grep '^wall:' _build/refine-sweep.txt)"
 ( ulimit -v "$MEM_CAP_KB"
   KSIM_REFINE_SEEDS="${KSIM_REFINE_SEEDS:-11}" dune exec test/test_krefine.exe -- test harnesses )
 # The heap share crash checking adds.  Peak heap cannot be compared

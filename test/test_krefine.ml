@@ -4,9 +4,11 @@
    verdict in the seed, and the divergence reporters — a deliberately
    buggy machine must be convicted with a minimal counterexample, and a
    seeded replay-skip fault in the microreboot remount must be caught by
-   the lockstep check — and the Fsync window, which admits crash images
+   the lockstep check — the Fsync window, which admits crash images
    from before an fsync returned but still convicts an fsync that syncs
-   nothing. *)
+   nothing, and the checker's own well-formedness check, which reports
+   an orphaned path as an invariant violation in lockstep, on a crash
+   image and from the monitor. *)
 
 open Kspec
 
@@ -122,7 +124,7 @@ let test_at_scale () =
   else begin
     let t = trace ~target_ops:10_000 ~seed:11 in
     check Alcotest.bool ">=10k ops recorded" true (List.length t >= 10_000);
-    let config = { Krefine.default_config with Krefine.images_per_op = 4; crash_every = 1 } in
+    let config = { Krefine.default_config with Krefine.images_per_op = 6; crash_every = 1 } in
     List.iter
       (fun (e : Kharness.entry) ->
         let cov = Kharness.run ~config e t in
@@ -150,7 +152,7 @@ module Lost_rename = struct
     | _ -> (v, Kfs.Memfs_typed.apply v op)
 
   let interp = Kfs.Memfs_typed.interpret
-  let inv v = Fs_spec.wf (Kfs.Memfs_typed.interpret v)
+  let inv _ = true
   let crash_images _ ~limit:_ = []
 end
 
@@ -309,6 +311,60 @@ let test_fsync_window_lying () =
       | m -> Alcotest.failf "expected a crash divergence, got %a" Krefine.pp_mismatch m);
       check Alcotest.int "convicted at the op after the first fsync" 2 d.Krefine.step_index
 
+(* The checker owns well-formedness.  This machine's own invariant is
+   trivially true, and it orphans files two ways: refusing to [Rmdir] a
+   non-empty directory, it answers ENOTEMPTY as the spec does but drops
+   the directory anyway; and its recovery keeps files but loses every
+   directory.  Either orphan is an invariant violation at the step that
+   produces it, not a state or crash mismatch. *)
+module Orphaning = struct
+  type vars = Fs_spec.state
+
+  let name = "orphaning"
+  let init () = Fs_spec.empty
+
+  let step st op =
+    match (op, Fs_spec.step st op) with
+    | Fs_spec.Rmdir dir, (_, (Error Ksim.Errno.ENOTEMPTY as r)) -> (Fs_spec.Pathmap.remove dir st, r)
+    | _, stepped -> stepped
+
+  let interp st = st
+  let inv _ = true
+  let crash_images st ~limit:_ = [ Fs_spec.Pathmap.filter (fun _ n -> n <> Fs_spec.Dir) st ]
+end
+
+(* The orphan appears at step 2, the refused [Rmdir]. *)
+let orphaning_trace = Fs_spec.[ Mkdir (p "/d"); Create (p "/d/f"); Rmdir (p "/d"); Stat (p "/d/f") ]
+
+let check_invariant_violation what ~step_index (d : Krefine.divergence) =
+  (match d.Krefine.mismatch with
+  | Krefine.Invariant_violation -> ()
+  | m -> Alcotest.failf "%s: expected an invariant violation, got %a" what Krefine.pp_mismatch m);
+  check Alcotest.int (what ^ ": at the step that orphans") step_index d.Krefine.step_index
+
+let test_orphan_in_lockstep () =
+  let config = { Krefine.default_config with Krefine.crash_every = 0; shrink = false } in
+  match (Krefine.run ~config (module Orphaning) orphaning_trace).Krefine.divergences with
+  | [ d ] -> check_invariant_violation "lockstep" ~step_index:2 d
+  | ds -> Alcotest.failf "expected one divergence, got %d" (List.length ds)
+
+let test_orphan_in_crash_image () =
+  (* No refused [Rmdir], so lockstep stays clean.  At step 0 the
+     recovered image is empty, an allowed state; at step 1 it is the
+     orphan [/d/f]. *)
+  let t = Fs_spec.[ Mkdir (p "/d"); Create (p "/d/f"); Stat (p "/d/f") ] in
+  let config = { Krefine.default_config with Krefine.shrink = false; max_divergences = 1 } in
+  match (Krefine.run ~config (module Orphaning) t).Krefine.divergences with
+  | [ d ] -> check_invariant_violation "crash image" ~step_index:1 d
+  | ds -> Alcotest.failf "expected one divergence, got %d" (List.length ds)
+
+let test_orphan_in_monitor () =
+  let module Mon = Krefine.Monitor (Orphaning) in
+  let t = Mon.create () in
+  match List.iter (fun op -> ignore (Mon.apply t op)) orphaning_trace with
+  | () -> Alcotest.fail "the monitor let an orphaned path through"
+  | exception Krefine.Refinement_failure d -> check_invariant_violation "monitor" ~step_index:2 d
+
 let test_registry () =
   let names = List.map (fun e -> e.Kharness.hname) (Kharness.all ()) in
   List.iter
@@ -346,5 +402,11 @@ let () =
             test_fsync_window_honest;
           Alcotest.test_case "fsync window: lying fsync convicted" `Quick
             test_fsync_window_lying;
+          Alcotest.test_case "orphan: invariant violation in lockstep" `Quick
+            test_orphan_in_lockstep;
+          Alcotest.test_case "orphan: invariant violation on a crash image" `Quick
+            test_orphan_in_crash_image;
+          Alcotest.test_case "orphan: invariant violation from the monitor" `Quick
+            test_orphan_in_monitor;
         ] );
     ]

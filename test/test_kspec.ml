@@ -187,6 +187,30 @@ let prop_wf_preserved =
   QCheck2.Test.make ~name:"spec state stays well-formed" ~count:300 gen_trace (fun ops ->
       Fs_spec.wf (run ops))
 
+(* Pathmap keys compare with [List.compare String.compare]; folds, and so
+   [children], [pp] and every coverage fingerprint, rely on that being
+   exactly polymorphic [compare]'s order.  Components include the empty
+   string and bytes >= 0x80, and both paths share a random prefix. *)
+let gen_component =
+  QCheck2.Gen.(
+    oneof
+      [
+        oneofl [ ""; "a"; "ab"; "b"; "\x7f"; "\x80"; "a\xff"; "\xff" ];
+        string_size ~gen:char (int_range 0 3);
+      ])
+
+let gen_components = QCheck2.Gen.(list_size (int_range 0 3) gen_component)
+
+let prop_pathmap_order_is_compare =
+  QCheck2.Test.make ~name:"pathmap order = polymorphic compare" ~count:1000
+    QCheck2.Gen.(triple gen_components gen_components gen_components)
+    (fun (prefix, a, b) ->
+      let a = prefix @ a and b = prefix @ b in
+      let sign x = Int.compare x 0 in
+      sign (List.compare String.compare a b) = sign (compare a b)
+      && List.map fst Fs_spec.Pathmap.(bindings (add a () (singleton b ())))
+         = List.sort_uniq compare [ a; b ])
+
 let prop_failed_ops_preserve_state =
   QCheck2.Test.make ~name:"failed ops leave state unchanged" ~count:300 gen_trace (fun ops ->
       List.for_all
@@ -482,6 +506,7 @@ let () =
             prop_failed_ops_preserve_state;
             prop_read_after_write;
             prop_rename_is_prefix_substitution;
+            prop_pathmap_order_is_compare;
           ] );
       ( "model",
         [

@@ -262,6 +262,53 @@ let prop_vfs_routes_to_submount =
           Fs_spec.equal_result via_vfs direct)
         ops)
 
+(* Property: the namespace merge ------------------------------------------------ *)
+
+(* The reference merge: fold the mounts longest mount point first, as the
+   mount table orders them, adding every rebased path one at a time, so
+   the root mount's entries win at a clash. *)
+let interpret_by_add mounts =
+  List.fold_left
+    (fun acc (at, inst) ->
+      let acc = if at = [] then acc else Fs_spec.Pathmap.add at Fs_spec.Dir acc in
+      Fs_spec.Pathmap.fold
+        (fun path node acc -> Fs_spec.Pathmap.add (at @ path) node acc)
+        (Kvfs.Iface.instance_interpret inst) acc)
+    Fs_spec.empty mounts
+
+let mount_exn vfs ~at inst =
+  match Kvfs.Vfs.mount vfs ~at inst with Ok () -> () | Error _ -> assert false
+
+let prop_interpret_lone_root =
+  QCheck2.Test.make ~name:"interpret = fold-and-add, lone root mount" ~count:150
+    QCheck2.Gen.(list_size (int_range 0 30) gen_sub_op)
+    (fun ops ->
+      let vfs = Kvfs.Vfs.create () in
+      let root = Kvfs.Iface.make (module Kfs.Memfs_typed) () in
+      mount_exn vfs ~at:[] root;
+      List.iter (fun op -> ignore (Kvfs.Vfs.apply vfs op)) ops;
+      Fs_spec.equal (Kvfs.Vfs.interpret vfs) (interpret_by_add [ ([], root) ]))
+
+let prop_interpret_root_and_sub =
+  (* Ops under /sub before the mount land in the root file system and
+     stay there, shadowed, so the two maps clash under /sub. *)
+  QCheck2.Test.make ~name:"interpret = fold-and-add, root shadowed by /sub" ~count:150
+    QCheck2.Gen.(
+      pair (list_size (int_range 0 15) gen_sub_op) (list_size (int_range 0 30) (pair bool gen_sub_op)))
+    (fun (before, after) ->
+      let vfs = Kvfs.Vfs.create () in
+      let root = Kvfs.Iface.make (module Kfs.Memfs_typed) () in
+      let sub = Kvfs.Iface.make (module Kfs.Memfs_typed) () in
+      mount_exn vfs ~at:[] root;
+      ignore (Kvfs.Vfs.apply vfs (Mkdir (p "/sub")));
+      List.iter (fun op -> ignore (Kvfs.Vfs.apply vfs (rebase_op (p "/sub") op))) before;
+      mount_exn vfs ~at:(p "/sub") sub;
+      List.iter
+        (fun (under_sub, op) ->
+          ignore (Kvfs.Vfs.apply vfs (if under_sub then rebase_op (p "/sub") op else op)))
+        after;
+      Fs_spec.equal (Kvfs.Vfs.interpret vfs) (interpret_by_add [ (p "/sub", sub); ([], root) ]))
+
 (* Property: the fd layer against an independent model --------------------------- *)
 
 type fd_model = {
@@ -507,7 +554,12 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_vfs_routes_to_submount; prop_fd_layer_matches_model ] );
+          [
+            prop_vfs_routes_to_submount;
+            prop_interpret_lone_root;
+            prop_interpret_root_and_sub;
+            prop_fd_layer_matches_model;
+          ] );
       ( "vtypes",
         [
           Alcotest.test_case "inode identity" `Quick test_inode_identity;
