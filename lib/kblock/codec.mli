@@ -12,6 +12,7 @@ val get_string : bytes -> int -> string * int
 (** Read a u16-length-prefixed string; returns it and the offset past it. *)
 
 val checksum : bytes -> int
-(** Additive checksum used to detect torn journal records. *)
+(** Additive checksum used to detect torn journal records: the sum of
+    (byte + 1) over the buffer, mod 2^30. *)
 
 val checksum_many : bytes list -> int

@@ -58,8 +58,6 @@ and tx = {
   mutable committed : bool;
 }
 
-exception Journal_full
-
 let ( let* ) = Result.bind
 
 let data_start j = j.jblocks
@@ -125,7 +123,10 @@ let decode_record buf =
     | 'C' -> Some (Commit, Codec.get_u32 buf 1, [], Codec.get_u32 buf 5)
     | _ -> None
 
-let max_tx_writes j = (block_size j - 9) / 4
+(* One descriptor block names every home block of a transaction, and an
+   empty journal (head at 1) must hold descriptor + data + commit. *)
+let tx_capacity ~block_size ~jblocks = min ((block_size - 9) / 4) (jblocks - 3)
+let max_tx_writes j = tx_capacity ~block_size:(block_size j) ~jblocks:j.jblocks
 
 (* Formatting and opening ------------------------------------------------- *)
 
@@ -234,8 +235,8 @@ let commit j tx =
   if tx.committed then invalid_arg "Journal.commit: already committed";
   if List.length tx.writes > max_tx_writes j then Error Ksim.Errno.EOVERFLOW
   else
+    (* Fits an empty journal, so it fits once a checkpoint empties it. *)
     let* () = if j.head + space_needed tx > j.jblocks then checkpoint j else Ok () in
-    if j.head + space_needed tx > j.jblocks then raise Journal_full;
     let start_head = j.head in
     let seq = j.next_seq in
     let writes = List.rev tx.writes (* oldest first *) in

@@ -28,9 +28,6 @@ type stats = {
   mutable journal_block_writes : int;
 }
 
-exception Journal_full
-(** A single transaction larger than the journal area. *)
-
 val format : ?barriers:bool -> Io.t -> jblocks:int -> t
 (** Initialize the journal area (blocks [0..jblocks-1]) on a fresh device.
     Runs over a reliable view of the device; I/O failure here is fatal.
@@ -76,10 +73,11 @@ val commit : t -> tx -> unit Ksim.Errno.r
     [Ok] from commit is a durability promise: every journal record of the
     transaction has hit stable media before control returns (kdur R17
     polices this; the [?barriers:false] mutant path is the grandfathered
-    counterexample).
+    counterexample).  A transaction of more than {!max_tx_writes} blocks,
+    which even an empty journal could not hold, fails [EOVERFLOW] before
+    any I/O.
     @durable
-    @consumes: tx
-    @raise Journal_full if the transaction alone exceeds the area. *)
+    @consumes: tx *)
 
 val abort : t -> tx -> unit
 (** Discard an uncommitted transaction without touching the device; the
@@ -100,7 +98,11 @@ val tx_size : tx -> int
 (** Distinct blocks staged in an open transaction so far. *)
 
 val max_tx_writes : t -> int
-(** Largest number of distinct blocks one transaction may touch. *)
+(** Largest number of distinct blocks one transaction may touch: what one
+    descriptor block can name and an empty journal area can hold. *)
+
+val tx_capacity : block_size:int -> jblocks:int -> int
+(** {!max_tx_writes} of a journal with this geometry, before it exists. *)
 
 val pending_txs : t -> int
 val checkpointed_seq : t -> int

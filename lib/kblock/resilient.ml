@@ -64,6 +64,8 @@ let backoff t attempt =
   let spread = int_of_float (t.jitter *. float_of_int base) in
   if spread > 0 then base + Ksim.Rng.int t.rng (spread + 1) else base
 
+(* [label] is a thunk: the trace text is built only on the recovered and
+   permanent-failure paths that print it, never on a first-try success. *)
 let run t label f =
   t.ops <- t.ops + 1;
   let rec go attempt =
@@ -71,8 +73,8 @@ let run t label f =
     | Ok v ->
         if attempt > 1 then begin
           t.recovered_ops <- t.recovered_ops + 1;
-          Ksim.Ktrace.emitf t.trace ~category:"resilient" "%s: recovered on attempt %d" label
-            attempt
+          Ksim.Ktrace.emitf t.trace ~category:"resilient" "%s: recovered on attempt %d"
+            (label ()) attempt
         end;
         Ok v
     | Error e when transient e && attempt < t.max_attempts ->
@@ -83,22 +85,23 @@ let run t label f =
         if transient e then begin
           t.permanent_failures <- t.permanent_failures + 1;
           Ksim.Ktrace.emitf t.trace ~category:"resilient"
-            "%s: permanent failure (%s) after %d attempts" label (Ksim.Errno.to_string e)
-            attempt
+            "%s: permanent failure (%s) after %d attempts" (label ())
+            (Ksim.Errno.to_string e) attempt
         end;
         Error e
   in
   go 1
 
-let read t blkno = run t (Printf.sprintf "read %d" blkno) (fun () -> t.base.Io.read blkno)
+let read t blkno =
+  run t (fun () -> Printf.sprintf "read %d" blkno) (fun () -> t.base.Io.read blkno)
 
 let write t blkno data =
-  run t (Printf.sprintf "write %d" blkno) (fun () -> t.base.Io.write blkno data)
+  run t (fun () -> Printf.sprintf "write %d" blkno) (fun () -> t.base.Io.write blkno data)
 
-let flush t = run t "flush" (fun () -> t.base.Io.flush ())
+let flush t = run t (fun () -> "flush") (fun () -> t.base.Io.flush ())
 
 let write_fua t blkno data =
-  run t (Printf.sprintf "write-fua %d" blkno) (fun () -> Io.fua t.base blkno data)
+  run t (fun () -> Printf.sprintf "write-fua %d" blkno) (fun () -> Io.fua t.base blkno data)
 
 let io t : Io.t =
   {

@@ -8,8 +8,10 @@
    before the flush durable.
 
    Crash surface.  The cache keeps an ordered log of every write since
-   the last *completed* flush (the open "barrier epoch") plus the closed
-   epochs since the consumer last folded them away ([take_durable]).  A
+   the last *completed* flush (the open "barrier epoch").  Once a crash
+   checker attaches a [disk], it also keeps the closed epochs since the
+   disk last folded them away ([take_durable]); a bare cache drops each
+   epoch as it closes, so nothing it acked outlives the next flush.  A
    crash anywhere in that window lands between two barriers: everything
    before some completed flush is durable, and of the epoch that was open
    at the moment of the crash an arbitrary subset — in arbitrary order —
@@ -60,16 +62,23 @@ type violation = {
   v_write_seq : int;
 }
 
+type failpoints = {
+  fp : Ksim.Failpoint.t;
+  flush_dropped : Ksim.Failpoint.site;
+  writeback_reorder : Ksim.Failpoint.site;
+}
+
 type t = {
   name : string;
   base : Io.t;
   capacity : int;
-  fp : Ksim.Failpoint.t option;
+  failpoints : failpoints option;
   rng : Ksim.Rng.t; (* writeback victim selection *)
   seed : int;
   trace : Ksim.Ktrace.t;
   mutable dirty : entry list; (* oldest first, at most one per blkno *)
   mutable epoch : entry list; (* newest first; the open barrier epoch *)
+  mutable windowed : bool; (* a [disk] is attached: [flush] keeps closed epochs *)
   mutable history : entry list list; (* closed epochs, newest first *)
   mutable next_seq : int;
   tainted : (int, int) Hashtbl.t; (* blkno -> wseq read back unflushed *)
@@ -86,10 +95,6 @@ type t = {
   mutable fua_writes : int;
 }
 
-let site t kind = t.name ^ "." ^ kind
-let flush_dropped_site t = site t "flush-dropped"
-let writeback_reorder_site t = site t "writeback-reorder"
-
 (* Every violation any cache recorded, newest first, for the
    KSIM_WCACHE_EXPORT at_exit dump.  Records, never caches: a cache pins
    its base device, and a crash sweep builds a cache per image. *)
@@ -98,46 +103,47 @@ let exported : (string * violation) list ref = ref []
 let create ?(name = "wcache") ?(capacity = 32) ?fp ?(seed = 0)
     ?(trace = Ksim.Ktrace.global) base =
   if capacity < 1 then invalid_arg "Wcache.create: capacity";
-  let t =
-    {
-      name;
-      base;
-      capacity;
-      fp;
-      rng = Ksim.Rng.of_int (seed + Hashtbl.hash name);
-      seed;
-      trace;
-      dirty = [];
-      epoch = [];
-      history = [];
-      next_seq = 0;
-      tainted = Hashtbl.create 16;
-      nviolations = 0;
-      violations = [];
-      writes = 0;
-      reads = 0;
-      cache_hits = 0;
-      flushes = 0;
-      flush_drops = 0;
-      writebacks = 0;
-      reordered_writebacks = 0;
-      writeback_errors = 0;
-      fua_writes = 0;
-    }
+  let failpoints =
+    Option.map
+      (fun fp ->
+        let site kind = Ksim.Failpoint.register fp (name ^ "." ^ kind) in
+        let flush_dropped = site "flush-dropped" in
+        { fp; flush_dropped; writeback_reorder = site "writeback-reorder" })
+      fp
   in
-  (match fp with
-  | Some fp ->
-      ignore (Ksim.Failpoint.register fp (flush_dropped_site t));
-      ignore (Ksim.Failpoint.register fp (writeback_reorder_site t))
-  | None -> ());
-  t
+  {
+    name;
+    base;
+    capacity;
+    failpoints;
+    rng = Ksim.Rng.of_int (seed + Hashtbl.hash name);
+    seed;
+    trace;
+    dirty = [];
+    epoch = [];
+    windowed = false;
+    history = [];
+    next_seq = 0;
+    tainted = Hashtbl.create 16;
+    nviolations = 0;
+    violations = [];
+    writes = 0;
+    reads = 0;
+    cache_hits = 0;
+    flushes = 0;
+    flush_drops = 0;
+    writebacks = 0;
+    reordered_writebacks = 0;
+    writeback_errors = 0;
+    fua_writes = 0;
+  }
 
 let name t = t.name
 let dirty_blocks t = List.length t.dirty
 let unflushed_writes t = List.length t.epoch
 
-let should_fail t kind =
-  match t.fp with None -> false | Some fp -> Ksim.Failpoint.should_fail fp (site t kind)
+let fires t site =
+  match t.failpoints with None -> false | Some f -> Ksim.Failpoint.fire f.fp (site f)
 
 let in_range t blkno = blkno >= 0 && blkno < t.base.Io.nblocks
 
@@ -149,7 +155,7 @@ let evict_one t =
   match t.dirty with
   | [] -> ()
   | oldest :: _ ->
-      let reorder = should_fail t "writeback-reorder" in
+      let reorder = fires t (fun f -> f.writeback_reorder) in
       let victim =
         if reorder && List.length t.dirty > 1 then Ksim.Rng.pick t.rng t.dirty
         else oldest
@@ -241,7 +247,9 @@ let read t blkno =
   if not (in_range t blkno) then Error Ksim.Errno.EIO
   else begin
     t.reads <- t.reads + 1;
-    match List.find_opt (fun e -> e.blkno = blkno) (List.rev t.dirty) with
+    (* [dirty] holds at most one entry per block: no need to search it
+       newest first. *)
+    match List.find_opt (fun e -> e.blkno = blkno) t.dirty with
     | Some e ->
         t.cache_hits <- t.cache_hits + 1;
         taint t blkno;
@@ -257,7 +265,7 @@ let read t blkno =
 
 let flush t =
   t.flushes <- t.flushes + 1;
-  if should_fail t "flush-dropped" then begin
+  if fires t (fun f -> f.flush_dropped) then begin
     (* The lying drive: ack the barrier without doing the work.  Nothing
        is lost yet — the dirty set and the open epoch survive — but
        nothing became durable either. *)
@@ -265,24 +273,29 @@ let flush t =
     Ok ()
   end
   else begin
-    let rec drain = function
+    (* Oldest first, one pass: a failed writeback leaves it and everything
+       after it dirty. *)
+    let rec drain () =
+      match t.dirty with
       | [] -> Ok ()
       | e :: rest -> (
           match t.base.Io.write e.blkno (Bytes.of_string e.data) with
           | Ok () ->
-              t.dirty <- List.filter (fun d -> d.wseq <> e.wseq) t.dirty;
+              t.dirty <- rest;
               t.writebacks <- t.writebacks + 1;
-              drain rest
+              drain ()
           | Error _ as err -> err)
     in
-    match drain t.dirty with
+    match drain () with
     | Error _ as e -> e
     | Ok () -> (
         match t.base.Io.flush () with
         | Error _ as e -> e
         | Ok () ->
-            (* Barrier complete: the open epoch closes. *)
-            if t.epoch <> [] then t.history <- List.rev t.epoch :: t.history;
+            (* Barrier complete: the open epoch closes, and only an
+               attached [disk] needs it kept. *)
+            if t.windowed && t.epoch <> [] then
+              t.history <- List.rev t.epoch :: t.history;
             t.epoch <- [];
             Hashtbl.reset t.tainted;
             Ok ())
@@ -436,6 +449,7 @@ type disk = {
 }
 
 let disk dev cache =
+  cache.windowed <- true;
   ignore (take_durable cache : entry list);
   { dev; cache; media = Blockdev.image dev; settled = Hashtbl.create 64 }
 

@@ -55,8 +55,6 @@ val io : t -> Io.t
     plus base FUA). *)
 
 val name : t -> string
-val flush_dropped_site : t -> string
-val writeback_reorder_site : t -> string
 
 val read : t -> int -> bytes Ksim.Errno.r
 val write : t -> int -> bytes -> unit Ksim.Errno.r
@@ -71,15 +69,20 @@ val crash : t -> unit
 (** {1 Crash-surface enumeration}
 
     The cache logs every write since the last completed flush (the open
-    {e barrier epoch}) plus the closed epochs since {!take_durable} was
-    last called.  A post-crash image is a residue replayed in list order
-    over the {!Blockdev.image} of the media as of the last
-    {!take_durable}; {!disk} below is the one place that does it. *)
+    {e barrier epoch}).  The crash window opens at {!disk}: from then on
+    the cache also keeps the closed epochs since {!take_durable} was
+    last called.  A bare cache, with no {!disk} attached, drops each
+    epoch as its flush completes, so its memory stays bounded however
+    long it runs, and {!crash_frames}, {!crash_residues} and
+    {!take_durable} see only the open epoch.  A post-crash image is a
+    residue replayed in list order over the {!Blockdev.image} of the
+    media as of the last {!take_durable}; {!disk} below is the one place
+    that does it. *)
 
 val crash_frames : t -> frame list
 (** One frame per barrier interval in the retained window: the epochs
     before it are durable, of the epoch itself any subset in any order
-    may have landed. *)
+    may have landed.  On a bare cache, one frame: the open epoch. *)
 
 val crash_residues : t -> limit:int -> entry list list
 (** Up to [limit] distinct write sequences sampled from the frames
@@ -93,7 +96,8 @@ val take_durable : t -> entry list
 (** The closed (durable) epochs, oldest first, clearing them from the
     retained window: fold these into the media snapshot that future
     residues are applied over.  Call after each {!crash_residues} sweep
-    to keep enumeration linear in trace length. *)
+    to keep enumeration linear in trace length.  Always [[]] on a bare
+    cache, which retains no closed epoch. *)
 
 (** {1 Crash-enumerable disks}
 
@@ -106,10 +110,11 @@ type disk
     settled barrier epoch. *)
 
 val disk : Blockdev.t -> t -> disk
-(** [disk dev cache] with [cache] directly over [Blockdev.io dev].  The
-    cache's closed epochs are already on [dev]'s media, so they are
-    dropped from the window ({!take_durable}) and the media imaged as
-    is. *)
+(** [disk dev cache] with [cache] directly over [Blockdev.io dev].  Opens
+    the cache's crash window: from now on every completed flush keeps its
+    closed epoch until this disk settles it.  Anything already closed is
+    on [dev]'s media, so it is dropped ({!take_durable}) and the media
+    imaged as is. *)
 
 val settle : disk -> unit
 (** Fold the closed (durable) epochs out of the cache's window into the

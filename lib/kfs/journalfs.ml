@@ -145,7 +145,19 @@ let encode_inode geo node blocks =
   buf
 
 let max_direct geo = (geo.block_size - 8) / 4
-let max_file_size geo = max_direct geo * geo.block_size
+
+(* An inode's direct pointers, and in Journaled mode what one
+   transaction carries besides the inode and bitmap blocks: a write the
+   journal would refuse is refused before the mirror changes. *)
+let max_file_size mode geo =
+  let blocks =
+    match mode with
+    | Direct -> max_direct geo
+    | Journaled ->
+        min (max_direct geo)
+          (Kblock.Journal.tx_capacity ~block_size:geo.block_size ~jblocks:geo.jblocks - 2)
+  in
+  blocks * geo.block_size
 
 (* Staging ------------------------------------------------------------------ *)
 
@@ -491,7 +503,7 @@ let update_file t path f =
       match node t ino with
       | Some (MFile content) ->
           let content' = f content in
-          if String.length content' > max_file_size t.geo then Error Ksim.Errno.ENOSPC
+          if String.length content' > max_file_size t.mode t.geo then Error Ksim.Errno.ENOSPC
           else begin
             t.nodes.(ino) <- Some (MFile content');
             commit_inodes t [ ino ]

@@ -77,7 +77,11 @@ val is_readonly : t -> bool
 (** The errors=remount-ro latch: set by the first persistent I/O failure,
     never cleared for the lifetime of this mount. *)
 
-val max_file_size : geometry -> int
+val max_file_size : mode -> geometry -> int
+(** The largest file a write or truncate may produce: what an inode's
+    direct block pointers reach and, in [Journaled] mode, what one journal
+    transaction carries next to the inode and bitmap blocks.  A larger
+    write fails [ENOSPC] and changes nothing. *)
 
 (** Mountable adapters (fresh default-geometry device per [mkfs]). *)
 module Journaled_fs : Kvfs.Iface.FS_OPS with type fs = t

@@ -52,7 +52,12 @@ val should_fail : t -> string -> bool
 (** One hit at the named site; [true] means inject the fault now.  A hit
     injects iff the site is enabled, its times budget is not exhausted,
     the hit lands on the interval, and the site's RNG draw passes the
-    probability gate. *)
+    probability gate.  Same as [fire t (register t name)]. *)
+
+val fire : t -> site -> bool
+(** One hit at a site handle {!register} returned for this registry:
+    {!should_fail} without the name lookup, sharing the site's counters,
+    RNG stream and trace events with every by-name hit. *)
 
 val hits : t -> string -> int
 val injected : t -> string -> int

@@ -126,6 +126,32 @@ echo "== ci: kload smoke (multi-tenant storm, recovery-SLO gate) =="
 dune exec bin/safeos.exe -- load --tenants 500 --storm mixed --seed 42 > /dev/null \
   || { echo "ci: FAIL — kload smoke violated the recovery SLO" >&2; exit 1; }
 
+echo "== ci: kload heap growth (memory bounded in trace length, memory cap) =="
+# Durable kload traffic (fsynced journal commits through the write-back
+# cache, no storm) at two run lengths: quadrupling the ops may at most
+# double the peak heap, so nothing on the block stack may keep every
+# write it acked.  The binary runs directly because `dune exec` prints
+# GC stats of its own under OCAMLRUNPARAM=v=0x400.
+kload_top_heap() {
+  ( ulimit -v "$MEM_CAP_KB"
+    OCAMLRUNPARAM=v=0x400 _build/default/bin/safeos.exe load --storm none --seed 42 \
+      --spec "tenants=64;ops=$1;keyspace=96;payload=4096;classes=bulk:1:dwrite=8,dread=2" \
+      > /dev/null 2> _build/kload-gc.txt ) \
+    || { echo "ci: FAIL — the ops=$1 durable kload run failed or ran out of memory" >&2; exit 1; }
+  sed -n 's/^top_heap_words: *//p' _build/kload-gc.txt
+}
+heap_short=$(kload_top_heap 100)
+heap_long=$(kload_top_heap 400)
+echo "ci: kload top_heap_words: $heap_short at 100 ops/tenant, $heap_long at 400"
+if [ -z "$heap_short" ] || [ -z "$heap_long" ]; then
+  echo "ci: FAIL — no top_heap_words in the kload runs' GC stats" >&2
+  exit 1
+fi
+if [ "$heap_long" -gt $((heap_short * 2)) ]; then
+  echo "ci: FAIL — 4x the kload ops more than doubled the peak heap" >&2
+  exit 1
+fi
+
 echo "== ci: kload extra seeds =="
 # KSIM_KLOAD_SEEDS / KSIM_KLOAD_TENANTS widen the seeded population the
 # alcotest kload suite runs (same hook style as KSIM_TORTURE_SEEDS).

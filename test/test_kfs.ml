@@ -258,10 +258,11 @@ let test_journalfs_enospc () =
   let dev = Kblock.Blockdev.create ~nblocks:160 ~block_size:512 in
   let fs = Kfs.Journalfs.mkfs_on ~geometry Kfs.Journalfs.Journaled dev in
   ignore (Kfs.Journalfs.apply fs (Fs_spec.Create (p "/f")));
-  (* The data area is ~55 blocks; a 100-block file cannot fit. *)
+  (* The data area is 54 blocks; a 60-block file fits one journal
+     transaction but not the disk. *)
   check result_t "write too big" (Error Ksim.Errno.ENOSPC)
     (Kfs.Journalfs.apply fs
-       (Fs_spec.Write { file = p "/f"; off = 0; data = String.make 51_200 'x' }));
+       (Fs_spec.Write { file = p "/f"; off = 0; data = String.make 30_720 'x' }));
   (* Inode exhaustion. *)
   let created = ref 0 in
   (try
@@ -273,6 +274,43 @@ let test_journalfs_enospc () =
      done
    with Exit -> ());
   check Alcotest.bool "inode table exhausts" true (!created < 21)
+
+(* The kload/kharness geometry: 96 journal blocks hold at most 93 blocks
+   per transaction, so a file write may stage 91 data blocks next to its
+   inode and bitmap.  A larger write is refused before the mirror
+   changes: Stat and a remount both still see the old file. *)
+let test_journalfs_oversized_write_changes_nothing () =
+  let geometry =
+    { Kfs.Journalfs.nblocks = 4096; block_size = 512; jblocks = 96; ninodes = 128 }
+  in
+  let limit = Kfs.Journalfs.max_file_size Kfs.Journalfs.Journaled geometry in
+  check Alcotest.int "91 data blocks" (91 * 512) limit;
+  let dev = Kblock.Blockdev.create ~nblocks:4096 ~block_size:512 in
+  let fs = Kfs.Journalfs.mkfs_on ~geometry Kfs.Journalfs.Journaled dev in
+  let apply = Kfs.Journalfs.apply fs in
+  let size n = Ok (Fs_spec.Attr { kind = `File; size = n }) in
+  check result_t "create" (Ok Fs_spec.Unit) (apply (Fs_spec.Create (p "/f")));
+  check result_t "write" (Ok Fs_spec.Unit)
+    (apply (Fs_spec.Write { file = p "/f"; off = 0; data = "hello" }));
+  List.iter
+    (fun len ->
+      check result_t
+        (Printf.sprintf "%d-byte write refused" len)
+        (Error Ksim.Errno.ENOSPC)
+        (apply (Fs_spec.Write { file = p "/f"; off = 0; data = String.make len 'x' }));
+      check result_t (Printf.sprintf "stat after %d" len) (size 5) (apply (Fs_spec.Stat (p "/f"))))
+    [ 50 * 1024; 62 * 1024; limit + 1 ];
+  check result_t "fsync" (Ok Fs_spec.Unit) (apply Fs_spec.Fsync);
+  let remounted = Kfs.Journalfs.mount ~geometry Kfs.Journalfs.Journaled dev in
+  check result_t "remount sees the old file" (size 5)
+    (Kfs.Journalfs.apply remounted (Fs_spec.Stat (p "/f")));
+  (* The largest write that fits still commits and survives a remount. *)
+  check result_t "write at the limit" (Ok Fs_spec.Unit)
+    (apply (Fs_spec.Write { file = p "/f"; off = 0; data = String.make limit 'y' }));
+  check result_t "fsync again" (Ok Fs_spec.Unit) (apply Fs_spec.Fsync);
+  let remounted = Kfs.Journalfs.mount ~geometry Kfs.Journalfs.Journaled dev in
+  check result_t "limit survives remount" (size limit)
+    (Kfs.Journalfs.apply remounted (Fs_spec.Stat (p "/f")))
 
 let test_journalfs_large_file_multiblock () =
   let fs = Kfs.Journalfs.Journaled_fs.mkfs () in
@@ -542,6 +580,8 @@ let () =
           Alcotest.test_case "crash recovers committed" `Quick
             test_journalfs_crash_without_fsync_recovers_committed;
           Alcotest.test_case "enospc paths" `Quick test_journalfs_enospc;
+          Alcotest.test_case "oversized write changes nothing" `Quick
+            test_journalfs_oversized_write_changes_nothing;
           Alcotest.test_case "multi-block files" `Quick test_journalfs_large_file_multiblock;
           Alcotest.test_case "direct mode loses unflushed" `Quick
             test_journalfs_direct_mode_loses_unflushed;

@@ -631,6 +631,67 @@ let test_failpoint_publish () =
   check Alcotest.int "hits published" 1 (Ksim.Kstats.get stats "s.hits");
   check Alcotest.int "injected published" 1 (Ksim.Kstats.get stats "s.injected")
 
+(* Hitting a site by the handle [register] returned is hitting it by
+   name: one registry is driven by name only, a twin with the same seed
+   and knobs by a random mix of handle and name hits, with knob changes
+   (made by name) interleaved.  Answers, counters and the fault schedule
+   must agree. *)
+type fp_op =
+  | Hit of int * bool (* site index; true = by handle *)
+  | Knob of int * float * int (* site index, probability, times *)
+
+let prop_failpoint_fire_is_should_fail =
+  let names = [| "alpha"; "beta"; "gamma" |] in
+  let op_gen =
+    let open QCheck2.Gen in
+    frequency
+      [
+        (8, map2 (fun i h -> Hit (i, h)) (int_range 0 2) bool);
+        ( 1,
+          map3
+            (fun i p t -> Knob (i, p, t))
+            (int_range 0 2)
+            (oneofl [ 0.0; 0.3; 0.7; 1.0 ])
+            (int_range (-1) 5) );
+      ]
+  in
+  QCheck2.Test.make ~name:"fire by handle = should_fail by name" ~count:300
+    QCheck2.Gen.(pair int (list_size (int_range 1 120) op_gen))
+    (fun (seed, ops) ->
+      let registry () =
+        let fp = Ksim.Failpoint.create ~trace:(Ksim.Ktrace.create ()) ~seed () in
+        Ksim.Failpoint.configure fp "alpha" ~enabled:true ~probability:0.5 ();
+        Ksim.Failpoint.configure fp "beta" ~enabled:true ~interval:3 ~times:4 ();
+        fp
+      in
+      let by_name = registry () and mixed = registry () in
+      (* gamma stays disabled until a Knob op turns it on *)
+      let handles = Array.map (Ksim.Failpoint.register mixed) names in
+      let answers =
+        List.filter_map
+          (function
+            | Hit (i, by_handle) ->
+                let expected = Ksim.Failpoint.should_fail by_name names.(i) in
+                let got =
+                  if by_handle then Ksim.Failpoint.fire mixed handles.(i)
+                  else Ksim.Failpoint.should_fail mixed names.(i)
+                in
+                Some (expected = got)
+            | Knob (i, probability, times) ->
+                List.iter
+                  (fun fp ->
+                    Ksim.Failpoint.configure fp names.(i) ~enabled:true ~probability ~times ())
+                  [ by_name; mixed ];
+                None)
+          ops
+      in
+      let counters fp =
+        Array.map (fun n -> (Ksim.Failpoint.hits fp n, Ksim.Failpoint.injected fp n)) names
+      in
+      List.for_all Fun.id answers
+      && counters by_name = counters mixed
+      && Ksim.Failpoint.schedule by_name = Ksim.Failpoint.schedule mixed)
+
 (* Kstats --------------------------------------------------------------------- *)
 
 let test_kstats () =
@@ -1189,7 +1250,8 @@ let () =
           Alcotest.test_case "per-site streams vs registration order" `Quick
             test_failpoint_streams_per_site;
           Alcotest.test_case "publish counters" `Quick test_failpoint_publish;
-        ] );
+        ]
+        @ qcheck [ prop_failpoint_fire_is_should_fail ] );
       ( "kstats",
         [
           Alcotest.test_case "counters" `Quick test_kstats;

@@ -108,9 +108,11 @@ let test_fua_in_every_residue () =
         (List.exists (fun (e : Kblock.Wcache.entry) -> e.blkno = 1) r))
     residues
 
+(* The crash window opens at [Wcache.disk]: attach one first. *)
 let test_take_durable () =
   let dev = mk_dev () in
   let wc = Kblock.Wcache.create (Kblock.Blockdev.io dev) in
+  let (_ : Kblock.Wcache.disk) = Kblock.Wcache.disk dev wc in
   ok "w0" (Kblock.Wcache.write wc 0 (blk 'a'));
   ok "w1" (Kblock.Wcache.write wc 1 (blk 'b'));
   ok "flush" (Kblock.Wcache.flush wc);
@@ -127,6 +129,63 @@ let test_take_durable () =
     (List.map
        (List.map (fun (e : Kblock.Wcache.entry) -> e.blkno))
        (Kblock.Wcache.crash_residues wc ~limit:8))
+
+(* A bare cache retains no closed epoch: nothing it acked outlives the
+   flush that made it durable, however long it runs. *)
+let test_bare_cache_window_bounded () =
+  (* Over a base that keeps nothing, and with a trace of its own, every
+     word reachable from the cache is the cache's own. *)
+  let sink =
+    {
+      Kblock.Io.nblocks;
+      block_size;
+      read = (fun _ -> Ok (Bytes.make block_size '\000'));
+      write = (fun _ _ -> Ok ());
+      flush = (fun () -> Ok ());
+      write_fua = None;
+    }
+  in
+  let wc = Kblock.Wcache.create ~capacity:4 ~trace:(Ksim.Ktrace.create ()) sink in
+  let cycle i =
+    ok "w" (Kblock.Wcache.write wc (i mod nblocks) (blk (Char.chr (32 + (i mod 90)))));
+    ok "flush" (Kblock.Wcache.flush wc)
+  in
+  for i = 0 to 9 do
+    cycle i
+  done;
+  let words_after_10 = Obj.reachable_words (Obj.repr wc) in
+  for i = 10 to 999 do
+    cycle i
+  done;
+  check int "no closed epochs kept" 0 (List.length (Kblock.Wcache.take_durable wc));
+  check int "one frame: the open epoch" 1 (List.length (Kblock.Wcache.crash_frames wc));
+  let words = Obj.reachable_words (Obj.repr wc) in
+  check bool
+    (Printf.sprintf "reachable words bounded (%d after 10 cycles, %d after 1000)"
+       words_after_10 words)
+    true
+    (words <= words_after_10 + 16 && words < 1_000)
+
+(* With a disk attached the window holds exactly the epochs since the
+   last settle. *)
+let test_disk_window_since_settle () =
+  let dev = mk_dev () in
+  let wc = Kblock.Wcache.create (Kblock.Blockdev.io dev) in
+  ok "before the disk" (Kblock.Wcache.write wc 9 (blk 'z'));
+  ok "flush" (Kblock.Wcache.flush wc);
+  let d = Kblock.Wcache.disk dev wc in
+  let epoch blocks =
+    List.iter (fun b -> ok "w" (Kblock.Wcache.write wc b (blk 'e'))) blocks;
+    ok "flush" (Kblock.Wcache.flush wc)
+  in
+  epoch [ 0; 1 ];
+  Kblock.Wcache.settle d;
+  epoch [ 2 ];
+  epoch [ 3; 4 ];
+  check int "two closed epochs + the open one" 3
+    (List.length (Kblock.Wcache.crash_frames wc));
+  check (Alcotest.list Alcotest.int) "epochs since the settle, oldest first" [ 2; 3; 4 ]
+    (List.map (fun (e : Kblock.Wcache.entry) -> e.blkno) (Kblock.Wcache.take_durable wc))
 
 (* -- barrier-discipline audit ------------------------------------------ *)
 
@@ -498,6 +557,9 @@ let () =
             test_residues_exhaustive_with_reorderings;
           Alcotest.test_case "fua survives every crash" `Quick test_fua_in_every_residue;
           Alcotest.test_case "take_durable closes the window" `Quick test_take_durable;
+          Alcotest.test_case "bare cache keeps no closed epochs" `Quick
+            test_bare_cache_window_bounded;
+          Alcotest.test_case "disk window since settle" `Quick test_disk_window_since_settle;
         ] );
       ( "audit",
         [
