@@ -436,17 +436,26 @@ let bench_lint () =
     | Some r -> r
     | None -> failwith "bench: cannot locate dune-project root"
   in
+  (* each whole-tree entry parses the tree, then runs its pass *)
+  let parsed () =
+    let _, parsed, _ = Klint.Kparse.tree ~root in
+    parsed
+  in
+  let ktcb () =
+    let parsed = parsed () in
+    let kown = Klint.Kown.analyze ~root parsed in
+    Klint.Ktcb.analyze ~root parsed ~summaries:kown.Klint.Kown.summaries
+  in
+  let kdur () = Klint.Kdur.analyze ~root (parsed ()) in
   let rows =
     run_group "lint"
       [
         Test.make ~name:"kracer-whole-tree"
-          (staged (fun () -> ignore (Klint.Kracer.analyze_tree ~root)));
+          (staged (fun () -> ignore (Klint.Kracer.analyze ~root (parsed ()))));
         Test.make ~name:"kown-whole-tree"
-          (staged (fun () -> ignore (Klint.Kown.analyze_tree ~root)));
-        Test.make ~name:"ktcb-whole-tree"
-          (staged (fun () -> ignore (Klint.Ktcb.analyze_tree ~root)));
-        Test.make ~name:"kdur-whole-tree"
-          (staged (fun () -> ignore (Klint.Kdur.analyze_tree ~root)));
+          (staged (fun () -> ignore (Klint.Kown.analyze ~root (parsed ()))));
+        Test.make ~name:"ktcb-whole-tree" (staged (fun () -> ignore (ktcb ())));
+        Test.make ~name:"kdur-whole-tree" (staged (fun () -> ignore (kdur ())));
         Test.make ~name:"full-lint+kracer-tree"
           (staged (fun () -> ignore (Klint.Engine.lint_tree ~root)));
       ]
@@ -455,7 +464,7 @@ let bench_lint () =
      plus the metric object itself, the per-PR trajectory the ratchet
      walks downward. *)
   let t0 = Unix.gettimeofday () in
-  let tcb = Klint.Ktcb.analyze_tree ~root in
+  let tcb = ktcb () in
   let wall = Unix.gettimeofday () -. t0 in
   Fmt.pr "@.ktcb (persisted): %d/%d unsafe lines (%.1f%%), frame %d files/%d lines@."
     tcb.Klint.Ktcb.unsafe_loc tcb.Klint.Ktcb.total_loc (Klint.Ktcb.ratio tcb)
@@ -475,7 +484,7 @@ let bench_lint () =
      kdur pass plus the contract/finding counts — the trajectory the dur
      ratchet walks downward as barrier paths get fixed. *)
   let t0 = Unix.gettimeofday () in
-  let kdur = Klint.Kdur.analyze_tree ~root in
+  let kdur = kdur () in
   let kdur_wall = Unix.gettimeofday () -. t0 in
   Fmt.pr
     "kdur (persisted): %d functions, %d durable / %d ordering contracts, %d findings@."

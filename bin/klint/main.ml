@@ -1,500 +1,363 @@
 (* klint driver: lint lib/ against the safety ladder, reconcile with the
-   boot registry's level claims, and gate CI.
+   boot registry's level claims, and gate CI — every ratchet and every
+   static/runtime reconciliation this run has input for, over one lint.
 
    Exit codes: 0 clean (or only baselined/permitted findings),
-   1 non-baselined violations, 2 operational errors (parse failure,
-   bad baseline, missing tree). *)
+   1 non-baselined violations, ratchet regressions or runtime events the
+   static passes missed, 2 operational errors (parse failure, bad
+   baseline, missing tree, a fixpoint that did not converge, a
+   reconciliation input that is missing, malformed or empty). *)
+
+open Klint
 
 let ( / ) = Filename.concat
 
-let run root_opt baseline_opt report_opt update_baseline verbose lockdep_edges lock_graph_dot
-    kmem_events tcb_baseline_opt update_tcb_baseline allow_tcb_growth refine_coverage
-    refine_baseline_opt update_refine_baseline allow_refine_regress baseline_head
-    allow_baseline_growth dur_baseline_opt update_dur_baseline allow_dur_growth
-    wcache_violations =
+(* An operational error: say so and exit 2 on the spot. *)
+let fail fmt =
+  Fmt.kstr
+    (fun msg ->
+      Fmt.epr "klint: %s@." msg;
+      exit 2)
+    fmt
+
+let load what load path =
+  match load path with Ok x -> x | Error msg -> fail "bad %s %s: %s" what path msg
+
+(* The three count ratchets — klint.baseline against its HEAD copy,
+   tcb.baseline and dur.baseline against the live findings — score the
+   same way: a (rule, file) count above [against] fails unless [allow],
+   one below it is progress. *)
+let count_ratchet ~name ~against ~why ?(allow = false) ~baseline current =
+  let regressions, progress = Baseline.Counts.compare_counts ~baseline current in
+  if progress <> [] then
+    Fmt.pr
+      "klint: %s ratchet progress — %d (rule, file) counts below %s; regenerate with \
+       --update-baseline@."
+      name (List.length progress) against;
+  List.iter
+    (fun (d : Baseline.Counts.delta) ->
+      let delta =
+        Fmt.str "%s %s: %d finding(s) > %s %d" (Finding.rule_id d.Baseline.Counts.d_rule)
+          d.Baseline.Counts.d_file d.Baseline.Counts.d_have against d.Baseline.Counts.d_allowed
+      in
+      if allow then Fmt.pr "klint: %s growth (allowed) — %s@." name delta
+      else Fmt.epr "klint: %s REGRESSION — %s (%s)@." (String.uppercase_ascii name) delta why)
+    regressions;
+  if regressions = [] || allow then 0 else 1
+
+let run root_opt report_opt update_baseline verbose lockdep_edges lock_graph_dot kmem_events
+    refine_coverage allow_refine_regress baseline_head allow_baseline_growth wcache_violations =
   let root =
     match root_opt with
     | Some r -> r
     | None -> (
-        match Klint.find_root () with
+        match find_root () with
         | Some r -> r
-        | None ->
-            Fmt.epr "klint: cannot find dune-project above %s (use --root)@." (Sys.getcwd ());
-            exit 2)
+        | None -> fail "cannot find dune-project above %s (use --root)" (Sys.getcwd ()))
   in
-  if not (Sys.file_exists (root / "lib")) then begin
-    Fmt.epr "klint: %s has no lib/ to lint@." root;
-    exit 2
-  end;
-  let baseline_path = match baseline_opt with Some p -> p | None -> root / "klint.baseline" in
-  let tcb_baseline_path =
-    match tcb_baseline_opt with Some p -> p | None -> root / "tcb.baseline"
-  in
-  let refine_baseline_path =
-    match refine_baseline_opt with Some p -> p | None -> root / "refine.baseline"
-  in
-  let dur_baseline_path =
-    match dur_baseline_opt with Some p -> p | None -> root / "dur.baseline"
-  in
+  if not (Sys.file_exists (root / "lib")) then fail "%s has no lib/ to lint" root;
   let report_path =
     match report_opt with Some p -> p | None -> root / "_build" / "klint-report.json"
   in
-  (* The same registry the kernel boots with, sized from the tree. *)
-  let registry =
-    Safeos_core.Boot.registry ~loc_of:(fun name -> Klint.registry_loc ~root name) ()
+  (* The reconciliation inputs first: a missing, malformed or empty one
+     would check nothing, so it fails before any lint work. *)
+  let read export =
+    Option.map (fun path ->
+        match Kparse.read_export export path with Ok r -> r | Error msg -> fail "%s" msg)
   in
-  let tree = Klint.Engine.lint_tree ~root in
+  let runtime_edges =
+    Option.map (List.sort_uniq compare) (read Kracer.lockdep_edges lockdep_edges)
+  in
+  let kmem_events = read Kown.kmem_events kmem_events in
+  let wcache_violations = read Kdur.wcache_violations wcache_violations in
+  let refine_rows = read Kverify.coverage refine_coverage in
+  (* The same registry the kernel boots with, sized from the tree. *)
+  let registry = Safeos_core.Boot.registry ~loc_of:(fun name -> registry_loc ~root name) () in
+  let tree =
+    try Engine.lint_tree ~root
+    with Fixpoint.Diverged { pass; rounds } ->
+      fail "the %s fixpoint did not converge in %d rounds; its findings would be partial" pass
+        rounds
+  in
   List.iter
     (fun (file, msg) -> Fmt.epr "klint: parse error in %s:@.%s@." file msg)
-    tree.Klint.Engine.parse_errors;
-  if tree.Klint.Engine.parse_errors <> [] then exit 2;
+    tree.Engine.parse_errors;
+  if tree.Engine.parse_errors <> [] then exit 2;
+  let kracer = tree.Engine.kracer and kown = tree.Engine.kown in
+  let ktcb = tree.Engine.ktcb and kdur = tree.Engine.kdur in
+  let tcb_counts = Baseline.Counts.of_findings ktcb.Ktcb.findings in
+  let dur_counts = Baseline.Counts.of_findings kdur.Kdur.findings in
   if update_baseline then begin
-    Klint.Baseline.save baseline_path (Klint.Baseline.of_findings tree.Klint.Engine.findings);
-    Fmt.pr "klint: wrote %d baseline entries to %s@."
-      (List.length (Klint.Baseline.of_findings tree.Klint.Engine.findings))
-      baseline_path
+    let entries = Baseline.of_findings tree.Engine.findings in
+    Baseline.save (root / "klint.baseline") entries;
+    Baseline.Counts.save ~header:Ktcb.baseline_header (root / "tcb.baseline") tcb_counts;
+    Baseline.Counts.save ~header:Kdur.baseline_header (root / "dur.baseline") dur_counts;
+    Option.iter
+      (fun rows -> Kverify.save_floor (root / "refine.baseline") (Kverify.floor_of_rows rows))
+      refine_rows;
+    Fmt.pr "klint: wrote klint.baseline (%d entries), tcb.baseline (%d), dur.baseline (%d)%s@."
+      (List.length entries) (List.length tcb_counts) (List.length dur_counts)
+      (if refine_rows = None then "" else " and refine.baseline")
   end;
-  let baseline =
-    match Klint.Baseline.load baseline_path with
-    | Ok entries -> entries
-    | Error msg ->
-        Fmt.epr "klint: bad baseline %s: %s@." baseline_path msg;
-        exit 2
-  in
-  (* The baseline growth ratchet ci.sh used to re-derive in awk: compare
-     the line-anchored baseline against its HEAD copy per (rule, file)
-     count, so pure renumbering from unrelated edits in the same file is
-     never growth, one more suppressed finding in a file always is. *)
-  let head_rc =
-    match baseline_head with
-    | None -> 0
-    | Some path -> (
-        match Klint.Baseline.load path with
-        | Error msg ->
-            Fmt.epr "klint: bad head baseline %s: %s@." path msg;
-            2
-        | Ok head -> (
-            let regressions, _ =
-              Klint.Baseline.Counts.compare_counts
-                ~baseline:(Klint.Baseline.counts head)
-                (Klint.Baseline.counts baseline)
-            in
-            match regressions with
-            | [] ->
-                Fmt.pr "klint: baseline did not grow vs %s@." path;
-                0
-            | _ when allow_baseline_growth ->
-                List.iter
-                  (fun (d : Klint.Baseline.Counts.delta) ->
-                    Fmt.pr "klint: baseline growth (allowed) — %s %s: %d > HEAD %d@."
-                      (Klint.Finding.rule_id d.Klint.Baseline.Counts.d_rule)
-                      d.Klint.Baseline.Counts.d_file d.Klint.Baseline.Counts.d_have
-                      d.Klint.Baseline.Counts.d_allowed)
-                  regressions;
-                0
-            | _ ->
-                List.iter
-                  (fun (d : Klint.Baseline.Counts.delta) ->
-                    Fmt.epr
-                      "klint: BASELINE GREW — %s %s: %d suppressed finding(s) > HEAD %d \
-                       (fix the findings, or ALLOW_BASELINE_GROWTH=1 to accept)@."
-                      (Klint.Finding.rule_id d.Klint.Baseline.Counts.d_rule)
-                      d.Klint.Baseline.Counts.d_file d.Klint.Baseline.Counts.d_have
-                      d.Klint.Baseline.Counts.d_allowed)
-                  regressions;
-                1))
-  in
+  let baseline = load "baseline" Baseline.load (root / "klint.baseline") in
   (* R15 (unverified-functional-claim) needs the live registry, so it is
      synthesized here and fed through the same reconciliation as the
      per-file rules.  It is deliberately not baselineable: the baseline
      is regenerated from the tree findings alone, so a Verified claim
      without a harness can never be grandfathered in. *)
-  let r15_findings = Klint.Kverify.r15 ~registry tree.Klint.Engine.kverify in
-  let all_findings = Klint.Finding.sort (tree.Klint.Engine.findings @ r15_findings) in
-  let r = Klint.Engine.reconcile ~registry ~baseline all_findings in
-  let refine_rows =
-    match refine_coverage with
-    | None -> None
-    | Some path -> (
-        match Klint.Kverify.load_coverage path with
-        | Ok rows -> Some rows
-        | Error msg ->
-            Fmt.epr "klint: bad refine coverage %s: %s@." path msg;
-            exit 2)
-  in
-  Klint.Report.write ~path:report_path
-    (Klint.Report.to_json ~registry ?refine:refine_rows tree r);
-  let attributed = r.Klint.Engine.attributed in
+  let r15_findings = Kverify.r15 ~registry tree.Engine.kverify in
+  let all_findings = Finding.sort (tree.Engine.findings @ r15_findings) in
+  let r = Engine.reconcile ~registry ~baseline all_findings in
+  Report.write ~path:report_path (Report.to_json ~registry ?refine:refine_rows tree r);
+  let attributed = r.Engine.attributed in
   if verbose then
     List.iter
-      (fun (a : Klint.Engine.attributed) ->
-        Fmt.pr "%a  [%s@%s%s]@." Klint.Finding.pp a.Klint.Engine.finding a.Klint.Engine.sub
-          (Safeos_core.Level.to_string a.Klint.Engine.level)
-          (if a.Klint.Engine.baselined then ", baselined" else ""))
+      (fun (a : Engine.attributed) ->
+        Fmt.pr "%a  [%s@%s%s]@." Finding.pp a.Engine.finding a.Engine.sub
+          (Safeos_core.Level.to_string a.Engine.level)
+          (if a.Engine.baselined then ", baselined" else ""))
       attributed;
   Fmt.pr "klint: %d files, %d effective lines, %d findings (%d baselined), %d violations@."
-    (List.length tree.Klint.Engine.files)
-    tree.Klint.Engine.effective_loc (List.length attributed)
-    (List.length (List.filter (fun a -> a.Klint.Engine.baselined) attributed))
-    (List.length r.Klint.Engine.violations);
-  if r.Klint.Engine.stale_baseline <> [] then
+    (List.length tree.Engine.files)
+    tree.Engine.effective_loc (List.length attributed)
+    (List.length (List.filter (fun a -> a.Engine.baselined) attributed))
+    (List.length r.Engine.violations);
+  if r.Engine.stale_baseline <> [] then
     Fmt.pr "klint: ratchet progress — %d baseline entries no longer fire; regenerate with --update-baseline@."
-      (List.length r.Klint.Engine.stale_baseline);
+      (List.length r.Engine.stale_baseline);
   Fmt.pr "klint: report written to %s@." report_path;
-  let kracer = tree.Klint.Engine.kracer in
+  (* The baseline growth ratchet: the line-anchored baseline against its
+     HEAD copy, per (rule, file) count, so pure renumbering from unrelated
+     edits in the same file is never growth, one more suppressed finding
+     in a file always is. *)
+  let head_rc =
+    match baseline_head with
+    | None -> 0
+    | Some path ->
+        let rc =
+          count_ratchet ~name:"baseline" ~against:"HEAD"
+            ~why:"fix the findings, or ALLOW_BASELINE_GROWTH=1 to accept"
+            ~allow:allow_baseline_growth
+            ~baseline:(Baseline.counts (load "head baseline" Baseline.load path))
+            (Baseline.counts baseline)
+        in
+        if rc = 0 then Fmt.pr "klint: baseline did not grow vs %s@." path;
+        rc
+  in
   Fmt.pr "klint: lock graph — %d functions, %d static edges, %d guard classes@."
-    kracer.Klint.Kracer.funcs
-    (List.length kracer.Klint.Kracer.edges)
-    (List.length kracer.Klint.Kracer.guards);
+    kracer.Kracer.funcs
+    (List.length kracer.Kracer.edges)
+    (List.length kracer.Kracer.guards);
   List.iter
     (fun cyc ->
       Fmt.pr "klint: PREDICTED DEADLOCK — static lock-order cycle: %s@."
         (String.concat " -> " (cyc @ [ List.hd cyc ])))
-    kracer.Klint.Kracer.cycles;
+    kracer.Kracer.cycles;
   (match lock_graph_dot with
   | Some path ->
       let oc = open_out path in
-      output_string oc (Klint.Kracer.dot_of_edges kracer.Klint.Kracer.edges);
+      output_string oc (Kracer.dot_of_edges kracer.Kracer.edges);
       close_out oc;
       Fmt.pr "klint: lock graph written to %s@." path
   | None -> ());
   (* Static/runtime reconciliation: every lock nesting the tests saw must
      already be in the static graph, otherwise the analysis has a hole. *)
-  let reconcile_rc =
-    match lockdep_edges with
+  let lockdep_rc =
+    match runtime_edges with
     | None -> 0
-    | Some path -> (
-        match Klint.Kracer.read_runtime_edges path with
-        | Error msg ->
-            Fmt.epr "klint: %s@." msg;
-            2
-        | Ok runtime -> (
-            let tcb_lock_rc =
-              (* Frame-confinement attribution: a runtime lock class the
-                 static graph has never seen, created by a module the
-                 TCB metric classifies as frame-free, is a confinement
-                 hole, not just a kracer gap. *)
-              let static_classes =
-                List.sort_uniq String.compare
-                  (List.concat_map
-                     (fun (a, b) -> [ a; b ])
-                     kracer.Klint.Kracer.edges
-                  @ List.map snd kracer.Klint.Kracer.guards)
-              in
-              match
-                Klint.Ktcb.unsound_lock_edges ~result:tree.Klint.Engine.ktcb
-                  ~static_classes runtime
-              with
-              | [] -> 0
-              | unsound ->
-                  List.iter
-                    (fun (cls, file) ->
-                      Fmt.epr
-                        "klint: UNSOUND — runtime lock class %s is created in %s, which the \
-                         TCB metric classifies as frame-free, and is absent from the static \
-                         lock graph@."
-                        cls file)
-                    unsound;
-                  1
-            in
-            match
-              Klint.Kracer.missing_runtime_edges ~static:kracer.Klint.Kracer.edges runtime
-            with
-            | [] ->
-                if tcb_lock_rc = 0 then
-                  Fmt.pr
-                    "klint: lockdep reconciliation — %d runtime edges, all covered \
-                     statically and TCB-confined@."
-                    (List.length runtime);
-                tcb_lock_rc
-            | missing ->
-                List.iter
-                  (fun (a, b) ->
-                    Fmt.epr
-                      "klint: UNSOUND — runtime lock order %s -> %s is missing from the static graph@."
-                      a b)
-                  missing;
-                1))
+    | Some runtime ->
+        (* Frame-confinement attribution: a runtime lock class the static
+           graph has never seen, created by a module the TCB metric
+           classifies as frame-free, is a confinement hole, not just a
+           kracer gap. *)
+        let static_classes =
+          List.sort_uniq String.compare
+            (List.concat_map (fun (a, b) -> [ a; b ]) kracer.Kracer.edges
+            @ List.map snd kracer.Kracer.guards)
+        in
+        let unsound = Ktcb.unsound_lock_edges ~result:ktcb ~static_classes runtime in
+        List.iter
+          (fun (cls, file) ->
+            Fmt.epr
+              "klint: UNSOUND — runtime lock class %s is created in %s, which the TCB metric \
+               classifies as frame-free, and is absent from the static lock graph@."
+              cls file)
+          unsound;
+        let missing = Kracer.missing_runtime_edges ~static:kracer.Kracer.edges runtime in
+        List.iter
+          (fun (a, b) ->
+            Fmt.epr
+              "klint: UNSOUND — runtime lock order %s -> %s is missing from the static graph@."
+              a b)
+          missing;
+        if unsound = [] && missing = [] then begin
+          Fmt.pr
+            "klint: lockdep reconciliation — %d runtime edges, all covered statically and \
+             TCB-confined@."
+            (List.length runtime);
+          0
+        end
+        else 1
   in
   (* Same closure for the ownership pass: every heap event the tests
      observed must correspond to a static R8-R11 finding in that file. *)
-  let kown = tree.Klint.Engine.kown in
   Fmt.pr "klint: ownership — %d functions, %d consuming, %d returning owned@."
-    kown.Klint.Kown.funcs kown.Klint.Kown.consuming kown.Klint.Kown.returning_owned;
-  let ktcb = tree.Klint.Engine.ktcb in
+    kown.Kown.funcs kown.Kown.consuming kown.Kown.returning_owned;
   let kmem_rc =
     match kmem_events with
     | None -> 0
-    | Some path -> (
-        match Klint.Kown.read_kmem_events path with
-        | Error msg ->
-            Fmt.epr "klint: %s@." msg;
-            2
-        | Ok events -> (
-            let tcb_rc =
-              (* The frame-confinement half of the same contract: raw
-                 heap traffic must originate from the frame or a module
-                 the TCB metric already prices as unsafe. *)
-              match
-                Klint.Ktcb.unsound_kmem_events ~files:tree.Klint.Engine.files ~result:ktcb
-                  events
-              with
-              | [] -> 0
-              | unsound ->
-                  List.iter
-                    (fun ((ev : Klint.Kown.kmem_event), file) ->
-                      Fmt.epr
-                        "klint: UNSOUND — runtime %s event on heap %s (x%d) originates from \
-                         %s, which the TCB metric classifies as frame-free@."
-                        ev.Klint.Kown.kind ev.Klint.Kown.heap ev.Klint.Kown.count file)
-                    unsound;
-                  1
-            in
-            match
-              Klint.Kown.unflagged_kmem_events ~files:tree.Klint.Engine.files
-                ~findings:tree.Klint.Engine.findings events
-            with
-            | [] ->
-                if tcb_rc = 0 then
-                  Fmt.pr
-                    "klint: kmem reconciliation — %d runtime events, all flagged statically \
-                     and TCB-confined@."
-                    (List.length events);
-                tcb_rc
-            | missing ->
-                List.iter
-                  (fun ((ev : Klint.Kown.kmem_event), file, rule) ->
-                    Fmt.epr
-                      "klint: UNSOUND — runtime %s event on heap %s (x%d) has no static %s finding in %s@."
-                      ev.Klint.Kown.kind ev.Klint.Kown.heap ev.Klint.Kown.count
-                      (Klint.Finding.rule_id rule) file)
-                  missing;
-                1))
+    | Some events ->
+        (* The frame-confinement half of the same contract: raw heap
+           traffic must originate from the frame or a module the TCB
+           metric already prices as unsafe. *)
+        let unsound = Ktcb.unsound_kmem_events ~files:tree.Engine.files ~result:ktcb events in
+        List.iter
+          (fun ((ev : Kown.kmem_event), file) ->
+            Fmt.epr
+              "klint: UNSOUND — runtime %s event on heap %s (x%d) originates from %s, which \
+               the TCB metric classifies as frame-free@."
+              ev.Kown.kind ev.Kown.heap ev.Kown.count file)
+          unsound;
+        let missing =
+          Kown.unflagged_kmem_events ~files:tree.Engine.files ~findings:tree.Engine.findings
+            events
+        in
+        List.iter
+          (fun ((ev : Kown.kmem_event), file, rule) ->
+            Fmt.epr
+              "klint: UNSOUND — runtime %s event on heap %s (x%d) has no static %s finding in %s@."
+              ev.Kown.kind ev.Kown.heap ev.Kown.count (Finding.rule_id rule) file)
+          missing;
+        if unsound = [] && missing = [] then begin
+          Fmt.pr
+            "klint: kmem reconciliation — %d runtime events, all flagged statically and \
+             TCB-confined@."
+            (List.length events);
+          0
+        end
+        else 1
   in
-  let reconcile_rc = max reconcile_rc kmem_rc in
-  let reconcile_rc = max reconcile_rc head_rc in
   (* Same closure for the durability pass: every barrier-discipline
      violation the Wcache audit observed at runtime must correspond to a
      static R16 finding in the file that built the offending cache. *)
-  let kdur = tree.Klint.Engine.kdur in
   Fmt.pr
     "klint: durability — %d functions, %d durable, %d ordering contracts, %d writers, \
      %d barriers@."
-    kdur.Klint.Kdur.funcs kdur.Klint.Kdur.durable_funcs kdur.Klint.Kdur.ordering_funcs
-    kdur.Klint.Kdur.writing_funcs kdur.Klint.Kdur.flushing_funcs;
-  if verbose then
-    List.iter
-      (fun f -> Fmt.pr "%a  [dur]@." Klint.Finding.pp f)
-      kdur.Klint.Kdur.findings;
+    kdur.Kdur.funcs kdur.Kdur.durable_funcs kdur.Kdur.ordering_funcs kdur.Kdur.writing_funcs
+    kdur.Kdur.flushing_funcs;
+  if verbose then List.iter (fun f -> Fmt.pr "%a  [dur]@." Finding.pp f) kdur.Kdur.findings;
   let wcache_rc =
     match wcache_violations with
     | None -> 0
-    | Some path -> (
-        match Klint.Kdur.read_wcache_violations path with
-        | Error msg ->
-            Fmt.epr "klint: %s@." msg;
-            2
-        | Ok events -> (
-            match
-              Klint.Kdur.unflagged_wcache_violations ~files:tree.Klint.Engine.files
-                ~findings:kdur.Klint.Kdur.findings events
-            with
-            | [] ->
-                Fmt.pr
-                  "klint: wcache reconciliation — %d runtime violations, all covered \
-                   statically@."
-                  (List.length events);
-                0
-            | missing ->
-                List.iter
-                  (fun (cache, file, n) ->
-                    Fmt.epr
-                      "klint: UNSOUND — runtime barrier violation on cache %s (x%d) has no \
-                       static R16 finding in %s@."
-                      cache n file)
-                  missing;
-                1))
-  in
-  let reconcile_rc = max reconcile_rc wcache_rc in
-  (* The durability count ratchet, dur.baseline: R16-R18 per (rule, file),
-     downward-only, same Counts engine as the TCB ratchet. *)
-  if update_dur_baseline then begin
-    let entries = Klint.Baseline.Counts.of_findings kdur.Klint.Kdur.findings in
-    Klint.Kdur.save_baseline dur_baseline_path entries;
-    Fmt.pr "klint: wrote %d dur baseline entries to %s@." (List.length entries)
-      dur_baseline_path
-  end;
-  let dur_ratchet_rc =
-    match Klint.Kdur.load_baseline dur_baseline_path with
-    | Error msg ->
-        Fmt.epr "klint: bad dur baseline %s: %s@." dur_baseline_path msg;
-        2
-    | Ok baseline -> (
-        let current = Klint.Baseline.Counts.of_findings kdur.Klint.Kdur.findings in
-        let regressions, progress =
-          Klint.Baseline.Counts.compare_counts ~baseline current
-        in
-        if progress <> [] then
-          Fmt.pr
-            "klint: dur ratchet progress — %d (rule, file) counts below baseline; \
-             regenerate with --update-dur-baseline@."
-            (List.length progress);
-        match regressions with
-        | [] -> 0
-        | _ when allow_dur_growth ->
-            List.iter
-              (fun (d : Klint.Baseline.Counts.delta) ->
-                Fmt.pr "klint: dur growth (allowed) — %s %s: %d > baseline %d@."
-                  (Klint.Finding.rule_id d.Klint.Baseline.Counts.d_rule)
-                  d.Klint.Baseline.Counts.d_file d.Klint.Baseline.Counts.d_have
-                  d.Klint.Baseline.Counts.d_allowed)
-              regressions;
+    | Some events -> (
+        match
+          Kdur.unflagged_wcache_violations ~files:tree.Engine.files ~findings:kdur.Kdur.findings
+            events
+        with
+        | [] ->
+            Fmt.pr
+              "klint: wcache reconciliation — %d runtime violations, all covered statically@."
+              (List.length events);
             0
-        | _ ->
+        | missing ->
             List.iter
-              (fun (d : Klint.Baseline.Counts.delta) ->
+              (fun (cache, file, n) ->
                 Fmt.epr
-                  "klint: DUR REGRESSION — %s %s: %d finding(s) > baseline %d (barrier \
-                   discipline only tightens; ALLOW_DUR_GROWTH=1 to override)@."
-                  (Klint.Finding.rule_id d.Klint.Baseline.Counts.d_rule)
-                  d.Klint.Baseline.Counts.d_file d.Klint.Baseline.Counts.d_have
-                  d.Klint.Baseline.Counts.d_allowed)
-              regressions;
+                  "klint: UNSOUND — runtime barrier violation on cache %s (x%d) has no static \
+                   R16 finding in %s@."
+                  cache n file)
+              missing;
             1)
   in
-  let reconcile_rc = max reconcile_rc dur_ratchet_rc in
+  (* The durability count ratchet, dur.baseline: R16-R18 per (rule, file),
+     downward-only. *)
+  let dur_rc =
+    count_ratchet ~name:"dur" ~against:"dur.baseline"
+      ~why:"barrier discipline only tightens; fix the path, or regenerate with --update-baseline"
+      ~baseline:(load "dur baseline" Baseline.Counts.load (root / "dur.baseline"))
+      dur_counts
+  in
   (* The TCB metric and its downward-only count ratchet. *)
   Fmt.pr "klint: tcb — %d/%d unsafe lines (%.1f%%), frame %d files/%d lines, surface %d vals@."
-    ktcb.Klint.Ktcb.unsafe_loc ktcb.Klint.Ktcb.total_loc (Klint.Ktcb.ratio ktcb)
-    ktcb.Klint.Ktcb.frame_files ktcb.Klint.Ktcb.frame_loc ktcb.Klint.Ktcb.surface_vals;
-  if update_tcb_baseline then begin
-    let entries = Klint.Ktcb.counts_of_findings ktcb.Klint.Ktcb.findings in
-    Klint.Ktcb.save tcb_baseline_path entries;
-    Fmt.pr "klint: wrote %d tcb baseline entries to %s@." (List.length entries)
-      tcb_baseline_path
-  end;
-  let tcb_ratchet_rc =
-    match Klint.Ktcb.load tcb_baseline_path with
-    | Error msg ->
-        Fmt.epr "klint: bad tcb baseline %s: %s@." tcb_baseline_path msg;
-        2
-    | Ok baseline -> (
-        let current = Klint.Ktcb.counts_of_findings ktcb.Klint.Ktcb.findings in
-        let regressions, progress = Klint.Ktcb.compare_counts ~baseline current in
-        if progress <> [] then
-          Fmt.pr
-            "klint: tcb ratchet progress — %d (rule, file) counts below baseline; \
-             regenerate with --update-tcb-baseline@."
-            (List.length progress);
-        match regressions with
-        | [] -> 0
-        | _ when allow_tcb_growth ->
-            List.iter
-              (fun (d : Klint.Ktcb.delta) ->
-                Fmt.pr "klint: tcb growth (allowed) — %s %s: %d > baseline %d@."
-                  (Klint.Finding.rule_id d.Klint.Ktcb.d_rule) d.Klint.Ktcb.d_file
-                  d.Klint.Ktcb.d_have d.Klint.Ktcb.d_allowed)
-              regressions;
-            0
-        | _ ->
-            List.iter
-              (fun (d : Klint.Ktcb.delta) ->
-                Fmt.epr
-                  "klint: TCB REGRESSION — %s %s: %d finding(s) > baseline %d (the unsafe \
-                   TCB only shrinks; ALLOW_TCB_GROWTH=1 to override)@."
-                  (Klint.Finding.rule_id d.Klint.Ktcb.d_rule) d.Klint.Ktcb.d_file
-                  d.Klint.Ktcb.d_have d.Klint.Ktcb.d_allowed)
-              regressions;
-            1)
+    ktcb.Ktcb.unsafe_loc ktcb.Ktcb.total_loc (Ktcb.ratio ktcb) ktcb.Ktcb.frame_files
+    ktcb.Ktcb.frame_loc ktcb.Ktcb.surface_vals;
+  let tcb_rc =
+    count_ratchet ~name:"tcb" ~against:"tcb.baseline"
+      ~why:"the unsafe TCB only shrinks; fix the use, or regenerate with --update-baseline"
+      ~baseline:(load "tcb baseline" Baseline.Counts.load (root / "tcb.baseline"))
+      tcb_counts
   in
-  let reconcile_rc = max reconcile_rc tcb_ratchet_rc in
   (* The refinement-coverage ratchet: harnesses registered statically,
      and — when [safeos refine] handed us its coverage file — the
      enumerator's aggregate numbers, which may only grow. *)
-  let kv = tree.Klint.Engine.kverify in
+  let kv = tree.Engine.kverify in
   Fmt.pr "klint: kverify — %d harness registrations covering %d subsystems%s@."
-    (List.length kv.Klint.Kverify.registrations)
+    (List.length kv.Kverify.registrations)
     (List.length
        (List.sort_uniq String.compare
           (List.map
-             (fun (reg : Klint.Kverify.registration) -> reg.Klint.Kverify.reg_subsystem)
-             kv.Klint.Kverify.registrations)))
+             (fun (reg : Kverify.registration) -> reg.Kverify.reg_subsystem)
+             kv.Kverify.registrations)))
     (if r15_findings = [] then ""
      else Fmt.str "; %d Verified claim(s) UNCHECKED" (List.length r15_findings));
   let refine_rc =
     match refine_rows with
     | None -> 0
-    | Some rows -> (
-        let diverged =
-          List.filter (fun r -> r.Klint.Kverify.cov_divergences > 0) rows
-        in
+    | Some rows ->
+        let diverged = List.filter (fun r -> r.Kverify.cov_divergences > 0) rows in
         List.iter
-          (fun (row : Klint.Kverify.coverage_row) ->
-            Fmt.epr "klint: REFINEMENT DIVERGENCE — harness %s reported %d divergence(s) \
-                     (deepest at step %d)@."
-              row.Klint.Kverify.cov_harness row.Klint.Kverify.cov_divergences
-              row.Klint.Kverify.cov_deepest)
+          (fun (row : Kverify.coverage_row) ->
+            Fmt.epr
+              "klint: REFINEMENT DIVERGENCE — harness %s reported %d divergence(s) (deepest \
+               at step %d)@."
+              row.Kverify.cov_harness row.Kverify.cov_divergences row.Kverify.cov_deepest)
           diverged;
-        let current = Klint.Kverify.floor_of_rows rows in
-        if update_refine_baseline then begin
-          Klint.Kverify.save_floor refine_baseline_path current;
-          Fmt.pr "klint: wrote refine baseline to %s@." refine_baseline_path
-        end;
-        match Klint.Kverify.load_floor refine_baseline_path with
-        | Error msg ->
-            Fmt.epr "klint: bad refine baseline %s: %s@." refine_baseline_path msg;
-            2
-        | Ok floor -> (
-            let regressions, progress = Klint.Kverify.compare_floor ~baseline:floor current in
-            if progress <> [] then
-              Fmt.pr
-                "klint: refine ratchet progress — %s above baseline; regenerate with \
-                 --update-refine-baseline@."
-                (String.concat ", "
-                   (List.map (fun (m, have, want) -> Fmt.str "%s %d>%d" m have want) progress));
-            let regress_rc =
-              match regressions with
-              | [] -> 0
-              | _ when allow_refine_regress ->
-                  List.iter
-                    (fun (m, have, want) ->
-                      Fmt.pr "klint: refine coverage regression (allowed) — %s: %d < baseline %d@."
-                        m have want)
-                    regressions;
-                  0
-              | _ ->
-                  List.iter
-                    (fun (m, have, want) ->
-                      Fmt.epr
-                        "klint: REFINE REGRESSION — %s: %d < baseline %d (refinement coverage \
-                         only grows; ALLOW_REFINE_REGRESS=1 to override)@."
-                        m have want)
-                    regressions;
-                  1
-            in
-            max regress_rc (if diverged = [] then 0 else 1)))
+        let floor = load "refine baseline" Kverify.load_floor (root / "refine.baseline") in
+        let regressions, progress =
+          Kverify.compare_floor ~baseline:floor (Kverify.floor_of_rows rows)
+        in
+        if progress <> [] then
+          Fmt.pr
+            "klint: refine ratchet progress — %s above baseline; regenerate with \
+             --update-baseline@."
+            (String.concat ", "
+               (List.map (fun (m, have, want) -> Fmt.str "%s %d>%d" m have want) progress));
+        List.iter
+          (fun (m, have, want) ->
+            if allow_refine_regress then
+              Fmt.pr "klint: refine coverage regression (allowed) — %s: %d < baseline %d@." m
+                have want
+            else
+              Fmt.epr
+                "klint: REFINE REGRESSION — %s: %d < baseline %d (refinement coverage only \
+                 grows; ALLOW_REFINE_REGRESS=1 to override)@."
+                m have want)
+          regressions;
+        if diverged <> [] || (regressions <> [] && not allow_refine_regress) then 1 else 0
   in
-  let reconcile_rc = max reconcile_rc refine_rc in
-  if r.Klint.Engine.violations = [] then reconcile_rc
-  else begin
-    List.iter
-      (fun (a : Klint.Engine.attributed) ->
-        Fmt.epr "klint: VIOLATION %a — subsystem %s claims %s@." Klint.Finding.pp
-          a.Klint.Engine.finding a.Klint.Engine.sub
-          (Safeos_core.Level.to_string a.Klint.Engine.level))
-      r.Klint.Engine.violations;
-    1
-  end
+  Fmt.pr "klint: fixpoint rounds (of bound) — %s@."
+    (String.concat ", "
+       (List.map
+          (fun (f : Fixpoint.stats) ->
+            Fmt.str "%s %d/%d" f.Fixpoint.pass f.Fixpoint.rounds f.Fixpoint.bound)
+          (Engine.fixpoints tree)));
+  List.iter
+    (fun (a : Engine.attributed) ->
+      Fmt.epr "klint: VIOLATION %a — subsystem %s claims %s@." Finding.pp a.Engine.finding
+        a.Engine.sub
+        (Safeos_core.Level.to_string a.Engine.level))
+    r.Engine.violations;
+  List.fold_left max
+    (if r.Engine.violations = [] then 0 else 1)
+    [ head_rc; lockdep_rc; kmem_rc; wcache_rc; dur_rc; tcb_rc; refine_rc ]
 
 open Cmdliner
 
 let root =
   Arg.(value & opt (some string) None & info [ "root" ] ~docv:"DIR"
-         ~doc:"Tree root (default: nearest dune-project above the cwd)")
-
-let baseline =
-  Arg.(value & opt (some string) None & info [ "baseline" ] ~docv:"FILE"
-         ~doc:"Baseline file (default: ROOT/klint.baseline)")
+         ~doc:"Tree root (default: nearest dune-project above the cwd); the ratchet files \
+               are ROOT/klint.baseline, ROOT/tcb.baseline, ROOT/dur.baseline and \
+               ROOT/refine.baseline")
 
 let report =
   Arg.(value & opt (some string) None & info [ "report" ] ~docv:"FILE"
@@ -502,7 +365,9 @@ let report =
 
 let update_baseline =
   Arg.(value & flag & info [ "update-baseline" ]
-         ~doc:"Rewrite the baseline from the current findings, then lint against it")
+         ~doc:"Rewrite every ratchet file this run has input for — klint.baseline, \
+               tcb.baseline and dur.baseline from the current findings, refine.baseline \
+               from --refine-coverage — then lint against them")
 
 let verbose = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print every finding")
 
@@ -510,7 +375,7 @@ let lockdep_edges =
   Arg.(value & opt (some string) None & info [ "lockdep-edges" ] ~docv:"FILE"
          ~doc:"Reconcile the static lock-order graph against runtime edges exported by \
                Ksim.Lockdep (KSIM_LOCKDEP_EXPORT); exit 1 if any runtime edge is missing \
-               from the static graph")
+               from the static graph, 2 if the file has no edges")
 
 let lock_graph_dot =
   Arg.(value & opt (some string) None & info [ "lock-graph-dot" ] ~docv:"FILE"
@@ -520,36 +385,13 @@ let kmem_events =
   Arg.(value & opt (some string) None & info [ "kmem-events" ] ~docv:"FILE"
          ~doc:"Reconcile kown's static R8-R11 findings against runtime heap events \
                exported by Ksim.Kmem (KSIM_KMEM_EXPORT); exit 1 if any runtime event \
-               hit a linted file kown did not flag")
-
-let tcb_baseline =
-  Arg.(value & opt (some string) None & info [ "tcb-baseline" ] ~docv:"FILE"
-         ~doc:"TCB count-ratchet file (default: ROOT/tcb.baseline)")
-
-let update_tcb_baseline =
-  Arg.(value & flag & info [ "update-tcb-baseline" ]
-         ~doc:"Rewrite the tcb baseline from the current R12-R14 counts, then ratchet \
-               against it")
-
-let allow_tcb_growth =
-  Arg.(value & flag & info [ "allow-tcb-growth" ]
-         ~doc:"Report TCB count regressions without failing (the ALLOW_TCB_GROWTH=1 CI \
-               escape)")
+               hit a linted file kown did not flag, 2 if the file has no events")
 
 let refine_coverage =
   Arg.(value & opt (some string) None & info [ "refine-coverage" ] ~docv:"FILE"
          ~doc:"Ratchet the krefine coverage file written by 'safeos refine --coverage-out' \
-               against the refine baseline, and embed it in the JSON report; exit 1 on \
+               against refine.baseline, and embed it in the JSON report; exit 1 on \
                reported divergences or coverage regressions")
-
-let refine_baseline =
-  Arg.(value & opt (some string) None & info [ "refine-baseline" ] ~docv:"FILE"
-         ~doc:"Refinement-coverage ratchet file (default: ROOT/refine.baseline)")
-
-let update_refine_baseline =
-  Arg.(value & flag & info [ "update-refine-baseline" ]
-         ~doc:"Rewrite the refine baseline from the supplied coverage, then ratchet \
-               against it")
 
 let allow_refine_regress =
   Arg.(value & flag & info [ "allow-refine-regress" ]
@@ -558,42 +400,27 @@ let allow_refine_regress =
 
 let baseline_head =
   Arg.(value & opt (some string) None & info [ "baseline-head" ] ~docv:"FILE"
-         ~doc:"Compare the line-anchored baseline against this HEAD copy per (rule, file) \
-               count and fail on growth (the check ci.sh used to re-derive in awk)")
+         ~doc:"Compare klint.baseline against this HEAD copy per (rule, file) count and \
+               fail on growth")
 
 let allow_baseline_growth =
   Arg.(value & flag & info [ "allow-baseline-growth" ]
          ~doc:"Report baseline growth vs --baseline-head without failing (the \
                ALLOW_BASELINE_GROWTH=1 CI escape)")
 
-let dur_baseline =
-  Arg.(value & opt (some string) None & info [ "dur-baseline" ] ~docv:"FILE"
-         ~doc:"Durability count-ratchet file (default: ROOT/dur.baseline)")
-
-let update_dur_baseline =
-  Arg.(value & flag & info [ "update-dur-baseline" ]
-         ~doc:"Rewrite the dur baseline from the current R16-R18 counts, then ratchet \
-               against it")
-
-let allow_dur_growth =
-  Arg.(value & flag & info [ "allow-dur-growth" ]
-         ~doc:"Report durability count regressions without failing (the ALLOW_DUR_GROWTH=1 \
-               CI escape)")
-
 let wcache_violations =
   Arg.(value & opt (some string) None & info [ "wcache-violations" ] ~docv:"FILE"
          ~doc:"Reconcile kdur's static R16 findings against barrier-discipline violations \
                exported by Kblock.Wcache (KSIM_WCACHE_EXPORT); exit 1 if any runtime \
-               violation hit a linted file kdur did not flag")
+               violation hit a linted file kdur did not flag, 2 if the file has no \
+               violations")
 
 let cmd =
   Cmd.v
     (Cmd.info "klint" ~version:"1.0.0"
        ~doc:"Static safety-ladder linter: enforce Registry level claims against the source tree")
-    Term.(const run $ root $ baseline $ report $ update_baseline $ verbose $ lockdep_edges
-          $ lock_graph_dot $ kmem_events $ tcb_baseline $ update_tcb_baseline
-          $ allow_tcb_growth $ refine_coverage $ refine_baseline $ update_refine_baseline
-          $ allow_refine_regress $ baseline_head $ allow_baseline_growth $ dur_baseline
-          $ update_dur_baseline $ allow_dur_growth $ wcache_violations)
+    Term.(const run $ root $ report $ update_baseline $ verbose $ lockdep_edges
+          $ lock_graph_dot $ kmem_events $ refine_coverage $ allow_refine_regress
+          $ baseline_head $ allow_baseline_growth $ wcache_violations)
 
 let () = exit (Cmd.eval' cmd)

@@ -742,7 +742,9 @@ let tcb json =
       Fmt.epr "safeos tcb: cannot find dune-project above %s@." (Sys.getcwd ());
       2
   | Some root ->
-      let t = Klint.Ktcb.analyze_tree ~root in
+      let _, parsed, _ = Klint.Kparse.tree ~root in
+      let kown = Klint.Kown.analyze ~root parsed in
+      let t = Klint.Ktcb.analyze ~root parsed ~summaries:kown.Klint.Kown.summaries in
       if json then begin
         Fmt.pr "%s@." (Klint.Report.tcb_json t);
         0

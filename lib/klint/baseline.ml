@@ -105,8 +105,7 @@ let stale entries findings =
 
      R12 lib/kfs/memfs_unsafe.ml 17
 
-   Each client supplies its own header (naming its --update-* flag) and
-   a [what] tag for parse errors; parsing, comparison, and the
+   Each client supplies its own header; parsing, comparison, and the
    regression/progress split live here once.  The line-anchored
    klint.baseline growth check rides the same comparison via [counts]. *)
 module Counts = struct
@@ -138,7 +137,7 @@ module Counts = struct
   let to_string ~header entries =
     header ^ String.concat "" (List.map (fun e -> entry_to_line e ^ "\n") entries)
 
-  let parse_line ~what line =
+  let parse_line line =
     let line = String.trim line in
     if line = "" || line.[0] = '#' then Ok None
     else
@@ -149,14 +148,14 @@ module Counts = struct
               Ok (Some { b_rule = rule; b_file = file; b_count = count })
           | None, _ -> Error (Fmt.str "unknown rule id %S" rule_id)
           | _, _ -> Error (Fmt.str "bad count in %S" line))
-      | _ -> Error (Fmt.str "malformed %s baseline entry %S" what line)
+      | _ -> Error (Fmt.str "malformed count baseline entry %S" line)
 
-  let of_string ~what s =
+  let of_string s =
     let entries = ref [] in
     let errors = ref [] in
     List.iter
       (fun line ->
-        match parse_line ~what line with
+        match parse_line line with
         | Ok (Some e) -> entries := e :: !entries
         | Ok None -> ()
         | Error msg -> errors := msg :: !errors)
@@ -165,13 +164,13 @@ module Counts = struct
     | [] -> Ok (List.sort compare_entry !entries)
     | errs -> Error (String.concat "; " (List.rev errs))
 
-  let load ~what path =
+  let load path =
     if not (Sys.file_exists path) then Ok []
     else
       let ic = open_in_bin path in
       Fun.protect
         ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> of_string ~what (really_input_string ic (in_channel_length ic)))
+        (fun () -> of_string (really_input_string ic (in_channel_length ic)))
 
   let save ~header path entries =
     let oc = open_out_bin path in

@@ -100,6 +100,18 @@ let mli_annots ~root rel_ml =
 
 (* Build ------------------------------------------------------------------ *)
 
+(* Index [funcs] by last component, in definition order. *)
+let index funcs =
+  let by_last = Hashtbl.create 256 in
+  List.iter
+    (fun f ->
+      match List.rev f.qualname with
+      | last :: _ ->
+          Hashtbl.replace by_last last (f :: (Option.value ~default:[] (Hashtbl.find_opt by_last last)))
+      | [] -> ())
+    funcs;
+  { funcs; by_last }
+
 let build ~root files =
   let funcs =
     List.concat_map
@@ -117,15 +129,13 @@ let build ~root files =
               funcs)
       files
   in
-  let by_last = Hashtbl.create 256 in
-  List.iter
-    (fun f ->
-      match List.rev f.qualname with
-      | last :: _ ->
-          Hashtbl.replace by_last last (f :: (Option.value ~default:[] (Hashtbl.find_opt by_last last)))
-      | [] -> ())
-    funcs;
-  { funcs; by_last }
+  index funcs
+
+(* The graph of the files [keep] accepts, as if built from them alone:
+   [build] collects each file independently and in order, so dropping a
+   file's functions and re-indexing the rest resolves every call the way
+   [build] on the kept files would. *)
+let restrict t ~keep = index (List.filter (fun f -> keep f.file) t.funcs)
 
 (* Resolution ------------------------------------------------------------- *)
 

@@ -80,29 +80,21 @@ type tree_result = {
 }
 
 let lint_tree ~root =
-  let files = Loc.ml_files_under ~root "lib" in
-  (* parse each file once; the per-file rules and the interprocedural
-     pass walk the same trees *)
-  let parsed, parse_errors =
-    List.fold_left
-      (fun (ok, errs) rel ->
-        match Kparse.parse (Filename.concat root rel) with
-        | Ok structure -> ((rel, structure) :: ok, errs)
-        | Error msg -> (ok, (rel, msg) :: errs))
-      ([], []) files
-  in
-  let parsed = List.rev parsed in
+  (* parse each file once and build one callgraph; the per-file rules
+     and every interprocedural pass read the same trees *)
+  let files, parsed, parse_errors = Kparse.tree ~root in
   let findings =
     List.concat_map (fun (rel, structure) -> lint_structure ~file:rel ~prefix:"" structure)
       parsed
   in
-  let kracer = Kracer.analyze ~root parsed in
-  let kown = Kown.analyze ~root parsed in
-  let ktcb = Ktcb.analyze ~root parsed ~summaries:kown.Kown.summaries in
-  let kdur = Kdur.analyze ~root parsed in
+  let cg = Callgraph.build ~root parsed in
+  let kracer = Kracer.of_callgraph cg in
+  let kown = Kown.of_callgraph cg in
+  let ktcb = Ktcb.of_callgraph ~root parsed ~summaries:kown.Kown.summaries cg in
+  let kdur = Kdur.of_callgraph cg in
   {
     findings = Finding.sort (kown.Kown.findings @ kracer.Kracer.findings @ findings);
-    parse_errors = List.rev parse_errors;
+    parse_errors;
     files;
     effective_loc =
       List.fold_left (fun acc rel -> acc + Loc.count_file (Filename.concat root rel)) 0 files;
@@ -112,6 +104,11 @@ let lint_tree ~root =
     kverify = Kverify.scan parsed;
     kdur;
   }
+
+(* Every pass's fixpoint rounds, in the order [lint_tree] runs them. *)
+let fixpoints tree =
+  tree.kracer.Kracer.fixpoint @ tree.kown.Kown.fixpoint @ tree.ktcb.Ktcb.fixpoint
+  @ tree.kdur.Kdur.fixpoint
 
 (* Reconciliation -------------------------------------------------------- *)
 

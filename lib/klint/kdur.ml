@@ -34,18 +34,8 @@ type result = {
   flushing_funcs : int;  (** summaries that perform a full barrier *)
   summaries : (string * Durset.summary) list;
       (** the converged per-function transfers, keyed by qualified name *)
+  fixpoint : Fixpoint.stats list;
 }
-
-let empty =
-  {
-    findings = [];
-    funcs = 0;
-    durable_funcs = 0;
-    ordering_funcs = 0;
-    writing_funcs = 0;
-    flushing_funcs = 0;
-    summaries = [];
-  }
 
 (* The block mechanism itself is excluded: [Io.t] is the contract being
    policed, and Wcache/Blockdev/Flakydev are the devices implementing
@@ -58,29 +48,15 @@ let excluded rel =
       "lib/kblock/flakydev.ml";
     ]
 
-let analyze ~root files =
-  let files = List.filter (fun (rel, _) -> not (excluded rel)) files in
-  let cg = Callgraph.build ~root files in
-  let tbl : (string, Durset.summary) Hashtbl.t = Hashtbl.create 64 in
-  let lookup name =
-    Option.value ~default:Durset.empty_summary (Hashtbl.find_opt tbl name)
+let of_callgraph cg =
+  let cg = Callgraph.restrict cg ~keep:(fun rel -> not (excluded rel)) in
+  (* Bottom-up transfer fixpoint, kown's pattern.  Not monotone in every
+     field: [out_dirty] starts true and may turn off as callee summaries
+     arrive. *)
+  let lookup, summaries, stats =
+    Fixpoint.solve ~pass:"kdur" ~equal:Durset.summary_equal ~default:Durset.empty_summary
+      ~key:Callgraph.name ~step:(Durset.summarize cg) cg.Callgraph.funcs
   in
-  (* Bottom-up transfer fixpoint, kown's pattern.  Effects only turn on
-     as callee summaries arrive; the round cap is a backstop. *)
-  let changed = ref true in
-  let rounds = ref 0 in
-  while !changed && !rounds < 32 do
-    changed := false;
-    incr rounds;
-    List.iter
-      (fun f ->
-        let s = Durset.summarize cg lookup f in
-        if not (Durset.summary_equal s (lookup (Callgraph.name f))) then begin
-          Hashtbl.replace tbl (Callgraph.name f) s;
-          changed := true
-        end)
-      cg.Callgraph.funcs
-  done;
   (* Final pass under the stable summaries is the one that reports. *)
   let findings = ref [] in
   List.iter
@@ -90,11 +66,11 @@ let analyze ~root files =
           : Durset.summary))
     cg.Callgraph.funcs;
   let writing_funcs, flushing_funcs =
-    Hashtbl.fold
-      (fun _ (s : Durset.summary) (w, fl) ->
+    List.fold_left
+      (fun (w, fl) (_, (s : Durset.summary)) ->
         ( (if s.Durset.writes then w + 1 else w),
           if s.Durset.flushes then fl + 1 else fl ))
-      tbl (0, 0)
+      (0, 0) summaries
   in
   let durable_funcs, ordering_funcs =
     List.fold_left
@@ -110,33 +86,20 @@ let analyze ~root files =
     ordering_funcs;
     writing_funcs;
     flushing_funcs;
-    summaries =
-      Hashtbl.fold (fun name s acc -> (name, s) :: acc) tbl []
-      |> List.sort (fun (a, _) (b, _) -> String.compare a b);
+    summaries = List.sort (fun (a, _) (b, _) -> String.compare a b) summaries;
+    fixpoint = [ stats ];
   }
 
-(* Standalone entry (bench, tests): parse the tree itself. *)
-let analyze_tree ~root =
-  let files =
-    Loc.ml_files_under ~root "lib"
-    |> List.filter_map (fun rel ->
-           match Kparse.parse (Filename.concat root rel) with
-           | Ok structure -> Some (rel, structure)
-           | Error _ -> None)
-  in
-  analyze ~root files
+let analyze ~root parsed = of_callgraph (Callgraph.build ~root parsed)
 
-(* The count ratchet --------------------------------------------------------- *)
-
+(* The dur.baseline count ratchet, on the shared {!Baseline.Counts}
+   engine. *)
 let baseline_header =
   "# dur baseline — grandfathered durability findings (R16-R18), counted per\n\
    # (rule, file).  The declared exhibits live here: the journal's\n\
    # ?barriers:false ablation paths and lib/kfs/rawlog_unsafe.ml.  Shrink by\n\
    # fixing barrier paths; regenerate (after genuine fixes only) with:\n\
-   #   dune exec bin/klint/main.exe -- --update-dur-baseline\n"
-
-let load_baseline path = Baseline.Counts.load ~what:"dur" path
-let save_baseline path entries = Baseline.Counts.save ~header:baseline_header path entries
+   #   dune exec bin/klint/main.exe -- --update-baseline\n"
 
 (* Runtime reconciliation --------------------------------------------------- *)
 
@@ -149,49 +112,33 @@ type wcache_violation = {
 }
 
 (* "name\tblkno\tread_seq\twrite_blkno\twrite_seq" per line, the format
-   [Wcache]'s [KSIM_WCACHE_EXPORT] at_exit hook writes.  Unparseable
-   lines are errors — a truncated export must not pass reconciliation by
-   vacuity. *)
-let read_wcache_violations path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let rec loop acc =
-        match input_line ic with
-        | exception End_of_file -> Ok (List.rev acc)
-        | "" -> loop acc
-        | line -> (
-            match String.split_on_char '\t' line with
-            | [ cache; a; b; c; d ] -> (
-                match
-                  ( int_of_string_opt a, int_of_string_opt b, int_of_string_opt c,
-                    int_of_string_opt d )
-                with
-                | Some v_blkno, Some v_read_seq, Some v_write_blkno, Some v_write_seq ->
-                    loop
-                      ({ cache; v_blkno; v_read_seq; v_write_blkno; v_write_seq } :: acc)
-                | _ -> Error (Fmt.str "%s: malformed wcache violation line %S" path line))
-            | _ -> Error (Fmt.str "%s: malformed wcache violation line %S" path line))
-      in
-      loop [])
-
-(* A cache is attributed to the linted file whose module basename equals
-   the cache name ([~name:"rawlog_unsafe"] -> [lib/kfs/rawlog_unsafe.ml]);
-   caches with no such file (test-local scratch caches, default-named
-   stacks) cannot correspond to a static finding and are skipped, as are
-   caches naming a mechanism file kdur excludes by design. *)
-let file_of_cache ~files cache =
-  List.find_opt
-    (fun rel -> String.equal (Filename.remove_extension (Filename.basename rel)) cache)
-    files
+   [Wcache]'s [KSIM_WCACHE_EXPORT] at_exit hook writes. *)
+let wcache_violations =
+  {
+    Kparse.what = "wcache violation";
+    of_line =
+      (fun line ->
+        match String.split_on_char '\t' line with
+        | [ cache; a; b; c; d ] -> (
+            match List.map int_of_string_opt [ a; b; c; d ] with
+            | [ Some v_blkno; Some v_read_seq; Some v_write_blkno; Some v_write_seq ] ->
+                Some { cache; v_blkno; v_read_seq; v_write_blkno; v_write_seq }
+            | _ -> None)
+        | _ -> None);
+  }
 
 (* Aggregate runtime violations by cache and subtract the static
    findings: a cache survives — [(cache, file, count)] — when its file
-   has no static R16 finding at all.  Audit violations carry block
-   numbers and write sequences, not source locations, so the granularity
-   is the file: the static analysis must have *something* to say about
-   unordered dependent writes in that file, baselined or not. *)
+   has no static R16 finding at all.  A cache is attributed to the
+   linted file named after it ([~name:"rawlog_unsafe"] ->
+   [lib/kfs/rawlog_unsafe.ml], {!Loc.file_named}); caches with no such
+   file (test-local scratch caches, default-named stacks) cannot
+   correspond to a static finding and are skipped, as are caches naming
+   a mechanism file kdur excludes by design.  Audit violations carry
+   block numbers and write sequences, not source locations, so the
+   granularity is the file: the static analysis must have *something* to
+   say about unordered dependent writes in that file, baselined or
+   not. *)
 let unflagged_wcache_violations ~files ~findings events =
   let agg = Hashtbl.create 16 in
   List.iter
@@ -202,7 +149,7 @@ let unflagged_wcache_violations ~files ~findings events =
   Hashtbl.fold (fun cache n acc -> (cache, n) :: acc) agg []
   |> List.sort compare
   |> List.filter_map (fun (cache, n) ->
-         match file_of_cache ~files cache with
+         match Loc.file_named ~files cache with
          | None -> None
          | Some file when excluded file -> None
          | Some file ->

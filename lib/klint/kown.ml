@@ -25,41 +25,21 @@ type result = {
   summaries : (string * Ownset.summary) list;
       (** the converged per-function summaries, keyed by qualified name —
           ktcb's R14 reads ownership facts straight from these *)
+  fixpoint : Fixpoint.stats list;
 }
-
-let empty =
-  { findings = []; funcs = 0; consuming = 0; returning_owned = 0; summaries = [] }
 
 (* The allocators' own implementations free and resurrect their internal
    state by design — analyzing the mechanism would only flag itself. *)
 let excluded rel =
   List.mem rel [ "lib/ksim/kmem.ml"; "lib/ownership/checker.ml"; "lib/ownership/cap.ml" ]
 
-let analyze ~root files =
-  let files = List.filter (fun (rel, _) -> not (excluded rel)) files in
-  let cg = Callgraph.build ~root files in
-  let tbl : (string, Ownset.summary) Hashtbl.t = Hashtbl.create 64 in
-  let lookup name =
-    Option.value ~default:Ownset.empty_summary (Hashtbl.find_opt tbl name)
+let of_callgraph cg =
+  let cg = Callgraph.restrict cg ~keep:(fun rel -> not (excluded rel)) in
+  (* Bottom-up summary fixpoint, kracer's may_acquire pattern. *)
+  let lookup, summaries, stats =
+    Fixpoint.solve ~pass:"kown" ~equal:Ownset.summary_equal ~default:Ownset.empty_summary
+      ~key:Callgraph.name ~step:(Ownset.summarize cg) cg.Callgraph.funcs
   in
-  (* Bottom-up summary fixpoint, kracer's may_acquire pattern.  The
-     inference is effectively monotone (consumes/returns_owned only turn
-     on as callee summaries arrive); the round cap is a backstop, not a
-     tuning knob. *)
-  let changed = ref true in
-  let rounds = ref 0 in
-  while !changed && !rounds < 32 do
-    changed := false;
-    incr rounds;
-    List.iter
-      (fun f ->
-        let s = Ownset.summarize cg lookup f in
-        if not (Ownset.summary_equal s (lookup (Callgraph.name f))) then begin
-          Hashtbl.replace tbl (Callgraph.name f) s;
-          changed := true
-        end)
-      cg.Callgraph.funcs
-  done;
   (* Final pass under the stable summaries is the one that reports. *)
   let findings = ref [] in
   List.iter
@@ -69,58 +49,39 @@ let analyze ~root files =
           : Ownset.summary))
     cg.Callgraph.funcs;
   let consuming, returning_owned =
-    Hashtbl.fold
-      (fun _ (s : Ownset.summary) (c, r) ->
+    List.fold_left
+      (fun (c, r) (_, (s : Ownset.summary)) ->
         ( (if Ownset.SS.is_empty s.Ownset.consumes then c else c + 1),
           if s.Ownset.returns_owned then r + 1 else r ))
-      tbl (0, 0)
+      (0, 0) summaries
   in
   {
     findings = Finding.sort !findings;
     funcs = List.length cg.Callgraph.funcs;
     consuming;
     returning_owned;
-    summaries =
-      Hashtbl.fold (fun name s acc -> (name, s) :: acc) tbl []
-      |> List.sort (fun (a, _) (b, _) -> String.compare a b);
+    summaries = List.sort (fun (a, _) (b, _) -> String.compare a b) summaries;
+    fixpoint = [ stats ];
   }
 
-(* Standalone entry (bench, tests): parse the tree itself. *)
-let analyze_tree ~root =
-  let files =
-    Loc.ml_files_under ~root "lib"
-    |> List.filter_map (fun rel ->
-           match Kparse.parse (Filename.concat root rel) with
-           | Ok structure -> Some (rel, structure)
-           | Error _ -> None)
-  in
-  analyze ~root files
+let analyze ~root parsed = of_callgraph (Callgraph.build ~root parsed)
 
 (* Runtime reconciliation --------------------------------------------------- *)
 
 type kmem_event = { kind : string; heap : string; site : string; count : int }
 
 (* "kind\theap\tsite\tcount" per line, the format [Kmem]'s
-   [KSIM_KMEM_EXPORT] at_exit hook writes.  Unparseable lines are errors
-   — a truncated export must not pass reconciliation by vacuity. *)
-let read_kmem_events path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let rec loop acc =
-        match input_line ic with
-        | exception End_of_file -> Ok (List.rev acc)
-        | "" -> loop acc
-        | line -> (
-            match String.split_on_char '\t' line with
-            | [ kind; heap; site; count ] -> (
-                match int_of_string_opt count with
-                | Some count -> loop ({ kind; heap; site; count } :: acc)
-                | None -> Error (Fmt.str "%s: malformed kmem event line %S" path line))
-            | _ -> Error (Fmt.str "%s: malformed kmem event line %S" path line))
-      in
-      loop [])
+   [KSIM_KMEM_EXPORT] at_exit hook writes. *)
+let kmem_events =
+  {
+    Kparse.what = "kmem event";
+    of_line =
+      (fun line ->
+        match String.split_on_char '\t' line with
+        | [ kind; heap; site; count ] ->
+            Option.map (fun count -> { kind; heap; site; count }) (int_of_string_opt count)
+        | _ -> None);
+  }
 
 let rule_of_kind = function
   | "uaf" -> Some Finding.R8_use_after_free
@@ -128,21 +89,16 @@ let rule_of_kind = function
   | "leak" -> Some Finding.R10_error_leak
   | _ -> None
 
-(* A heap is attributed to the linted file whose module basename equals
-   the heap name ([~name:"memfs_unsafe"] -> [lib/kfs/memfs_unsafe.ml]);
-   heaps with no such file (test-local scratch heaps) cannot correspond
-   to a static finding and are skipped. *)
-let file_of_heap ~files heap =
-  List.find_opt
-    (fun rel -> String.equal (Filename.remove_extension (Filename.basename rel)) heap)
-    files
-
 (* Aggregate runtime events by (kind, heap) and subtract the static
    findings: an event survives — [(event, file, rule)] — when its file
-   has no static finding of the matching rule at all.  Site strings are
-   allocation sites, not source locations, so the granularity is
-   (rule, file): the static analysis must have *something* to say about
-   that failure mode in that file, baselined or not. *)
+   has no static finding of the matching rule at all.  A heap is
+   attributed to the linted file named after it ([~name:"memfs_unsafe"]
+   -> [lib/kfs/memfs_unsafe.ml], {!Loc.file_named}); heaps with no such
+   file (test-local scratch heaps) cannot correspond to a static finding
+   and are skipped.  Site strings are allocation sites, not source
+   locations, so the granularity is (rule, file): the static analysis
+   must have *something* to say about that failure mode in that file,
+   baselined or not. *)
 let unflagged_kmem_events ~files ~findings events =
   let agg = Hashtbl.create 16 in
   List.iter
@@ -158,7 +114,7 @@ let unflagged_kmem_events ~files ~findings events =
          match rule_of_kind ev.kind with
          | None -> None
          | Some rule -> (
-             match file_of_heap ~files ev.heap with
+             match Loc.file_named ~files ev.heap with
              | None -> None
              | Some file ->
                  if

@@ -9,3 +9,45 @@ let parse path =
       match Location.error_of_exn exn with
       | Some (`Ok report) -> Error (Format.asprintf "%a" Location.print_report report)
       | Some `Already_displayed | None -> Error (Printexc.to_string exn))
+
+(* The tree every pass reads: each .ml under ROOT/lib, parsed once, as
+   (every file, the parsed ones, (file, message) for the rest). *)
+let tree ~root =
+  let files = Loc.ml_files_under ~root "lib" in
+  let parsed, errors =
+    List.partition_map
+      (fun rel ->
+        match parse (Filename.concat root rel) with
+        | Ok structure -> Left (rel, structure)
+        | Error msg -> Right (rel, msg))
+      files
+  in
+  (files, parsed, errors)
+
+(* Record files the passes are reconciled against: the runtime exports
+   (lockdep edges, kmem events, wcache violations) and the refine
+   coverage file.  One record per line; blank and '#' lines are skipped.
+   A malformed line is an error, and so is a file with no records — a
+   truncated or missing export must not pass reconciliation by
+   vacuity. *)
+type 'a export = { what : string; of_line : string -> 'a option }
+
+let read_export { what; of_line } path =
+  match open_in_bin path with
+  | exception Sys_error msg -> Error msg
+  | ic ->
+      Fun.protect
+        ~finally:(fun () -> close_in_noerr ic)
+        (fun () ->
+          let rec loop acc lineno =
+            match input_line ic with
+            | exception End_of_file ->
+                if acc = [] then Error (Fmt.str "%s: no %s records; checked nothing" path what)
+                else Ok (List.rev acc)
+            | line when String.trim line = "" || line.[0] = '#' -> loop acc (lineno + 1)
+            | line -> (
+                match of_line line with
+                | Some r -> loop (r :: acc) (lineno + 1)
+                | None -> Error (Fmt.str "%s:%d: malformed %s line %S" path lineno what line))
+          in
+          loop [] 1)

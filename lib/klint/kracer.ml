@@ -35,10 +35,8 @@ type result = {
   guards : (string * string) list;  (** cell class -> guard class *)
   funcs : int;  (** functions analyzed *)
   unresolved_calls : int;  (** known-name call sites left unresolved *)
+  fixpoint : Fixpoint.stats list;  (** [may_acquire], then [guaranteed_entry] *)
 }
-
-let empty =
-  { findings = []; edges = []; cycles = []; guards = []; funcs = 0; unresolved_calls = 0 }
 
 (* Klock's own implementation manipulates holder fields directly and
    defines the very primitives the walk intercepts — analyzing it would
@@ -47,40 +45,29 @@ let excluded rel = String.equal rel "lib/ksim/klock.ml"
 
 (* Fixpoints --------------------------------------------------------------- *)
 
+let name_of (s : Lockset.summary) = Callgraph.name s.Lockset.func
+
 let may_acquire summaries =
-  let tbl = Hashtbl.create 64 in
-  let get name = Option.value ~default:SS.empty (Hashtbl.find_opt tbl name) in
-  List.iter
-    (fun (s : Lockset.summary) ->
-      let own =
+  let own (s : Lockset.summary) =
+    let own =
+      List.fold_left
+        (fun acc (e : Lockset.event) -> SS.add e.Lockset.subject acc)
+        SS.empty s.Lockset.acquires
+    in
+    List.fold_left (fun acc l -> SS.add l acc) own
+      s.Lockset.func.Callgraph.annot.Annot.acquires
+  in
+  let get, _, stats =
+    Fixpoint.solve ~pass:"may_acquire" ~equal:SS.equal ~default:SS.empty
+      ~seed:(List.map (fun s -> (name_of s, own s)) summaries)
+      ~key:name_of
+      ~step:(fun get (s : Lockset.summary) ->
         List.fold_left
-          (fun acc (e : Lockset.event) -> SS.add e.Lockset.subject acc)
-          SS.empty s.Lockset.acquires
-      in
-      let own =
-        List.fold_left (fun acc l -> SS.add l acc) own
-          s.Lockset.func.Callgraph.annot.Annot.acquires
-      in
-      Hashtbl.replace tbl (Callgraph.name s.Lockset.func) own)
-    summaries;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun (s : Lockset.summary) ->
-        let name = Callgraph.name s.Lockset.func in
-        let now =
-          List.fold_left
-            (fun acc (callee, _) -> SS.union acc (get (Callgraph.name callee)))
-            (get name) s.Lockset.calls
-        in
-        if not (SS.equal now (get name)) then begin
-          Hashtbl.replace tbl name now;
-          changed := true
-        end)
+          (fun acc (callee, _) -> SS.union acc (get (Callgraph.name callee)))
+          (get (name_of s)) s.Lockset.calls)
       summaries
-  done;
-  get
+  in
+  (get, stats)
 
 let guaranteed_entry summaries =
   (* the universe for the greatest fixpoint: every class the tree ever
@@ -119,25 +106,20 @@ let guaranteed_entry summaries =
         (Callgraph.name s.Lockset.func)
         (SS.of_list s.Lockset.func.Callgraph.annot.Annot.must_hold))
     summaries;
-  let tbl = Hashtbl.create 64 in
-  List.iter
-    (fun (s : Lockset.summary) ->
-      let name = Callgraph.name s.Lockset.func in
-      let init =
-        if Hashtbl.mem sites name then universe
-        else Hashtbl.find annot_of name (* uncalled: only the contract holds *)
-      in
-      Hashtbl.replace tbl name init)
-    summaries;
-  let get name = Option.value ~default:SS.empty (Hashtbl.find_opt tbl name) in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun (s : Lockset.summary) ->
-        let name = Callgraph.name s.Lockset.func in
+  let init s =
+    let name = name_of s in
+    ( name,
+      if Hashtbl.mem sites name then universe
+      else Hashtbl.find annot_of name (* uncalled: only the contract holds *) )
+  in
+  let get, _, stats =
+    Fixpoint.solve ~pass:"guaranteed_entry" ~equal:SS.equal ~default:SS.empty
+      ~seed:(List.map init summaries)
+      ~key:name_of
+      ~step:(fun get s ->
+        let name = name_of s in
         match Hashtbl.find_opt sites name with
-        | None -> ()
+        | None -> get name
         | Some call_sites ->
             let from_callers =
               List.fold_left
@@ -148,17 +130,11 @@ let guaranteed_entry summaries =
                   | Some inter -> Some (SS.inter inter provided))
                 None call_sites
             in
-            let now =
-              SS.union (Hashtbl.find annot_of name)
-                (Option.value ~default:SS.empty from_callers)
-            in
-            if not (SS.equal now (get name)) then begin
-              Hashtbl.replace tbl name now;
-              changed := true
-            end)
+            SS.union (Hashtbl.find annot_of name)
+              (Option.value ~default:SS.empty from_callers))
       summaries
-  done;
-  get
+  in
+  (get, stats)
 
 (* Cycle prediction -------------------------------------------------------- *)
 
@@ -221,12 +197,11 @@ let find_cycles edges =
 let pp_classes ss =
   match SS.elements ss with [] -> "nothing" | ls -> String.concat ", " ls
 
-let analyze ~root files =
-  let files = List.filter (fun (rel, _) -> not (excluded rel)) files in
-  let cg = Callgraph.build ~root files in
+let of_callgraph cg =
+  let cg = Callgraph.restrict cg ~keep:(fun rel -> not (excluded rel)) in
   let summaries = List.map (Lockset.summarize cg) cg.Callgraph.funcs in
-  let may = may_acquire summaries in
-  let entry = guaranteed_entry summaries in
+  let may, may_stats = may_acquire summaries in
+  let entry, entry_stats = guaranteed_entry summaries in
   let guard_map =
     List.concat_map (fun (s : Lockset.summary) -> s.Lockset.guards) summaries
     |> List.sort_uniq compare
@@ -295,18 +270,10 @@ let analyze ~root files =
     funcs = List.length summaries;
     unresolved_calls =
       List.fold_left (fun acc (s : Lockset.summary) -> acc + s.Lockset.unresolved) 0 summaries;
+    fixpoint = [ may_stats; entry_stats ];
   }
 
-(* Standalone entry (bench, tests): parse the tree itself. *)
-let analyze_tree ~root =
-  let files =
-    Loc.ml_files_under ~root "lib"
-    |> List.filter_map (fun rel ->
-           match Kparse.parse (Filename.concat root rel) with
-           | Ok structure -> Some (rel, structure)
-           | Error _ -> None)
-  in
-  analyze ~root files
+let analyze ~root parsed = of_callgraph (Callgraph.build ~root parsed)
 
 (* Reconciliation ---------------------------------------------------------- *)
 
@@ -321,23 +288,16 @@ let missing_runtime_edges ~static runtime =
   |> List.filter (fun e -> not (List.mem e static))
 
 (* "held acquired" per line, the format [Lockdep.append_edges_to_file]
-   writes.  Unparseable lines are errors — a truncated export must not
-   pass reconciliation by vacuity. *)
-let read_runtime_edges path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let rec loop acc =
-        match input_line ic with
-        | exception End_of_file -> Ok (List.sort_uniq compare (List.rev acc))
-        | "" -> loop acc
-        | line -> (
-            match String.split_on_char ' ' (String.trim line) with
-            | [ a; b ] -> loop ((a, b) :: acc)
-            | _ -> Error (Fmt.str "%s: malformed lockdep edge line %S" path line))
-      in
-      loop [])
+   writes. *)
+let lockdep_edges =
+  {
+    Kparse.what = "lockdep edge";
+    of_line =
+      (fun line ->
+        match String.split_on_char ' ' (String.trim line) with
+        | [ a; b ] -> Some (a, b)
+        | _ -> None);
+  }
 
 let dot_of_edges edges =
   let buf = Buffer.create 256 in

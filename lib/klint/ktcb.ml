@@ -75,20 +75,8 @@ type result = {
   lock_creators : (string * string) list;
       (** lock class -> creating file, from literal [Klock.create ~name]
           sites — the attribution the lockdep reconciliation uses *)
+  fixpoint : Fixpoint.stats list;
 }
-
-let empty =
-  {
-    findings = [];
-    rows = [];
-    frame_files = 0;
-    frame_loc = 0;
-    surface_vals = 0;
-    total_loc = 0;
-    unsafe_loc = 0;
-    funcs = 0;
-    lock_creators = [];
-  }
 
 (* The frame-surface metric: how many vals the blessed boundary exports
    (recursively, so [Frame.Priv.wrap] counts once). *)
@@ -134,9 +122,8 @@ let lock_class_creators parsed =
     parsed;
   List.sort_uniq compare !acc
 
-let analyze ~root parsed ~summaries =
+let of_callgraph ~root parsed ~summaries cg =
   let files = List.map fst parsed in
-  let cg = Callgraph.build ~root parsed in
   let findings = ref [] in
   (* (file, line, col) already carrying a finding — R13 never re-flags a
      call site R12 already priced. *)
@@ -200,39 +187,26 @@ let analyze ~root parsed ~summaries =
     not
       ((not (Frame.is_exhibit f.Callgraph.file)) && Frame.is_exhibit g.Callgraph.file)
   in
-  let tainted : (string, unit) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun (f : Callgraph.func) ->
-      if (not (Frame.in_frame f.Callgraph.file)) && direct_use f then
-        Hashtbl.replace tainted (fkey f) ())
-    cg.Callgraph.funcs;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun ((f : Callgraph.func), _, (g : Callgraph.func)) ->
-        if (not (Hashtbl.mem tainted (fkey f))) && edge_carries f g then begin
-          let taints =
-            if Frame.in_frame g.Callgraph.file then not (Frame.blessed_symbol g)
-            else Hashtbl.mem tainted (fkey g)
-          in
-          if taints then begin
-            Hashtbl.replace tainted (fkey f) ();
-            changed := true
-          end
-        end)
+  let taints tainted (g : Callgraph.func) =
+    if Frame.in_frame g.Callgraph.file then not (Frame.blessed_symbol g)
+    else tainted (fkey g)
+  in
+  let tainted, _, stats =
+    Fixpoint.solve ~pass:"ktcb" ~equal:Bool.equal ~default:false
+      ~seed:
+        (List.filter_map
+           (fun (f : Callgraph.func) ->
+             if (not (Frame.in_frame f.Callgraph.file)) && direct_use f then Some (fkey f, true)
+             else None)
+           cg.Callgraph.funcs)
+      ~key:(fun (f, _, _) -> fkey f)
+      ~step:(fun tainted (f, _, g) -> tainted (fkey f) || (edge_carries f g && taints tainted g))
       edges
-  done;
+  in
   (* R13 at the laundering call sites. *)
   List.iter
     (fun ((f : Callgraph.func), loc, (g : Callgraph.func)) ->
-      let bypass =
-        edge_carries f g
-        &&
-        if Frame.in_frame g.Callgraph.file then not (Frame.blessed_symbol g)
-        else Hashtbl.mem tainted (fkey g)
-      in
-      if bypass then begin
+      if edge_carries f g && taints tainted g then begin
         let k = key_of_loc f.Callgraph.file loc in
         if not (Hashtbl.mem marked k) then begin
           Hashtbl.replace marked k ();
@@ -336,59 +310,22 @@ let analyze ~root parsed ~summaries =
     unsafe_loc = !total_unsafe;
     funcs = List.length cg.Callgraph.funcs;
     lock_creators = lock_class_creators parsed;
+    fixpoint = [ stats ];
   }
+
+let analyze ~root parsed ~summaries =
+  of_callgraph ~root parsed ~summaries (Callgraph.build ~root parsed)
 
 let ratio result =
   if result.total_loc = 0 then 0.0
   else 100.0 *. float_of_int result.unsafe_loc /. float_of_int result.total_loc
 
-(* Standalone entry (bench, tests): parse the tree and run kown for the
-   summaries R14 needs. *)
-let analyze_tree ~root =
-  let files =
-    Loc.ml_files_under ~root "lib"
-    |> List.filter_map (fun rel ->
-           match Kparse.parse (Filename.concat root rel) with
-           | Ok structure -> Some (rel, structure)
-           | Error _ -> None)
-  in
-  let kown = Kown.analyze ~root files in
-  analyze ~root files ~summaries:kown.Kown.summaries
-
-(* The tcb.baseline count-ratchet ------------------------------------------ *)
-
-(* The parse/compare/update engine lives in {!Baseline.Counts} (shared
-   with kdur's dur.baseline); this is the tcb-flavoured instantiation,
-   kept under the historical names so call sites read the same. *)
-
-type baseline_entry = Baseline.Counts.entry = {
-  b_rule : Finding.rule;
-  b_file : string;
-  b_count : int;
-}
-
-let compare_entry = Baseline.Counts.compare_entry
-let counts_of_findings = Baseline.Counts.of_findings
-let entry_to_line = Baseline.Counts.entry_to_line
-
-let header =
+(* The tcb.baseline count ratchet, on the shared {!Baseline.Counts}
+   engine. *)
+let baseline_header =
   "# tcb baseline — grandfathered R12-R14 counts per (rule, file), the\n\
    # downward-only TCB ratchet.  Regenerate (after genuine shrinkage only) with:\n\
-   #   dune exec bin/klint/main.exe -- --update-tcb-baseline\n"
-
-let to_string entries = Baseline.Counts.to_string ~header entries
-let of_string s = Baseline.Counts.of_string ~what:"tcb" s
-let load path = Baseline.Counts.load ~what:"tcb" path
-let save path entries = Baseline.Counts.save ~header path entries
-
-type delta = Baseline.Counts.delta = {
-  d_rule : Finding.rule;
-  d_file : string;
-  d_have : int;
-  d_allowed : int;
-}
-
-let compare_counts = Baseline.Counts.compare_counts
+   #   dune exec bin/klint/main.exe -- --update-baseline\n"
 
 (* Runtime reconciliation --------------------------------------------------- *)
 
@@ -405,7 +342,7 @@ let priced ~result file =
 let unsound_kmem_events ~files ~result events =
   List.filter_map
     (fun (ev : Kown.kmem_event) ->
-      match Kown.file_of_heap ~files ev.Kown.heap with
+      match Loc.file_named ~files ev.Kown.heap with
       | None -> None (* test-local scratch heap, no corresponding module *)
       | Some file -> if priced ~result file then None else Some (ev, file))
     events

@@ -127,17 +127,14 @@ let row_to_line c =
 
 let row_of_line line =
   let rec pairs = function
-    | [] -> Ok []
-    | k :: v :: rest -> Result.map (fun t -> (k, v) :: t) (pairs rest)
-    | [ k ] -> Error (Fmt.str "dangling key %S" k)
+    | [] -> Some []
+    | k :: v :: rest -> Option.map (fun t -> (k, v) :: t) (pairs rest)
+    | [ _ ] -> None
   in
-  let ( let* ) = Result.bind in
+  let ( let* ) = Option.bind in
   let* kvs = pairs (String.split_on_char ' ' (String.trim line)) in
-  let str k = match List.assoc_opt k kvs with Some v -> Ok v | None -> Error ("missing " ^ k) in
-  let int k =
-    let* v = str k in
-    match int_of_string_opt v with Some n -> Ok n | None -> Error (Fmt.str "bad %s %S" k v)
-  in
+  let str k = List.assoc_opt k kvs in
+  let int k = Option.bind (str k) int_of_string_opt in
   let* cov_harness = str "harness" in
   let* cov_subsystem = str "subsystem" in
   let* cov_ops = int "ops" in
@@ -148,7 +145,7 @@ let row_of_line line =
   let* cov_divergences = int "divergences" in
   let* cov_deepest = int "deepest" in
   let* cov_fingerprint = str "fingerprint" in
-  Ok
+  Some
     {
       cov_harness;
       cov_subsystem;
@@ -172,24 +169,7 @@ let save_coverage path rows =
       output_string oc (coverage_header ^ "\n");
       List.iter (fun r -> output_string oc (row_to_line r ^ "\n")) rows)
 
-let load_coverage path =
-  match open_in_bin path with
-  | exception Sys_error msg -> Error msg
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          let rec go acc lineno =
-            match input_line ic with
-            | exception End_of_file -> Ok (List.rev acc)
-            | "" -> go acc (lineno + 1)
-            | line when String.length line > 0 && line.[0] = '#' -> go acc (lineno + 1)
-            | line -> (
-                match row_of_line line with
-                | Ok r -> go (r :: acc) (lineno + 1)
-                | Error e -> Error (Fmt.str "line %d: %s" lineno e))
-          in
-          go [] 1)
+let coverage = { Kparse.what = "refine coverage"; of_line = row_of_line }
 
 (* The coverage ratchet -------------------------------------------------- *)
 

@@ -74,6 +74,14 @@ let rec ml_files_under ~root rel =
   else if is_ml rel then [ rel ]
   else []
 
+(* The file in [files] whose module basename is [name]
+   ([memfs_unsafe] -> [lib/kfs/memfs_unsafe.ml]): how a runtime export
+   that names a heap or a cache is attributed to source. *)
+let file_named ~files name =
+  List.find_opt
+    (fun rel -> String.equal (Filename.remove_extension (Filename.basename rel)) name)
+    files
+
 (* [loc_of_dir ~root path]: effective lines of one file or of every .ml
    under a directory, both given relative to [root]. *)
 let loc_of_dir ~root path =

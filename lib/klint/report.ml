@@ -304,6 +304,11 @@ let to_json ?registry ?refine (tree : Engine.tree_result) (r : Engine.reconcilia
       ("tcb", tcb_json tree.Engine.ktcb);
       ("durability", durability_json tree.Engine.kdur);
       ("refinement", refinement_json ?coverage:refine tree.Engine.kverify);
+      ( "fixpoint",
+        json_obj
+          (List.map
+             (fun (f : Fixpoint.stats) -> (f.Fixpoint.pass, string_of_int f.Fixpoint.rounds))
+             (Engine.fixpoints tree)) );
     ]
 
 let write ~path json =

@@ -1,65 +1,24 @@
 #!/bin/sh
-# Tier-1 gate: build, static lint with its ratchet, full test suite with
-# runtime lock-order capture, a seeded fault-injection torture smoke
-# run, and finally the static/runtime lock-graph reconciliation. The
-# torture suite drives the journalfs stack through Flakydev faults under
-# fixed seeds and checks that every crash/recovery lands in a
-# spec-allowed state — it must stay green before any merge.
+# Tier-1 gate: build, static lint with its count ratchets, full test
+# suite with runtime lock-order/heap/barrier capture, a seeded
+# fault-injection torture smoke run, the refine sweep, and finally one
+# klint run that takes every ratchet and static/runtime reconciliation
+# input. The torture suite drives the journalfs stack through Flakydev
+# faults under fixed seeds and checks that every crash/recovery lands in
+# a spec-allowed state — it must stay green before any merge.
 set -eu
 cd "$(dirname "$0")/.."
 
 echo "== ci: dune build =="
 dune build
 
-echo "== ci: klint (static safety-ladder lint) =="
+echo "== ci: klint (static safety-ladder lint, tcb and dur ratchets) =="
+# The early fast fail: the ladder reconciliation against klint.baseline,
+# plus the tcb.baseline (R12-R14) and dur.baseline (R16-R18) count
+# ratchets, which run on every klint call.  Those counts may only shrink;
+# a genuine new exhibit means regenerating the file with
+# `dune exec bin/klint/main.exe -- --update-baseline`.
 dune build @lint
-
-echo "== ci: klint baseline ratchet =="
-# The baseline may only shrink: a commit adding entries (new suppressed
-# findings) fails here.  Deliberate growth (e.g. a new checked exhibit)
-# must be acknowledged with ALLOW_BASELINE_GROWTH=1.
-# The comparison itself (per (rule, file) count, so pure renumbering
-# from unrelated edits in the same file is never growth) lives in
-# klint's shared Baseline.Counts engine — the same code the tcb and dur
-# ratchets run — via --baseline-head; this stage only digs the HEAD
-# copy out of git.
-mkdir -p _build
-if git rev-parse --verify -q HEAD >/dev/null 2>&1 \
-   && git cat-file -e HEAD:klint.baseline 2>/dev/null; then
-  git show HEAD:klint.baseline > _build/baseline-head.txt
-  if [ "${ALLOW_BASELINE_GROWTH:-0}" = "1" ]; then
-    dune exec bin/klint/main.exe -- --root . --baseline-head _build/baseline-head.txt \
-      --allow-baseline-growth
-  else
-    dune exec bin/klint/main.exe -- --root . --baseline-head _build/baseline-head.txt
-  fi
-else
-  echo "ci: no HEAD baseline to ratchet against (first commit?); skipping"
-fi
-
-echo "== ci: tcb ratchet (unsafe-TCB counts may only shrink) =="
-# The framekernel ratchet: R12-R14 counts per (rule, file) are compared
-# against tcb.baseline inside klint itself — count-based, so renumbering
-# from unrelated edits is never growth.  A genuine new exhibit must be
-# acknowledged with ALLOW_TCB_GROWTH=1 (and then --update-tcb-baseline).
-if [ "${ALLOW_TCB_GROWTH:-0}" = "1" ]; then
-  dune exec bin/klint/main.exe -- --root . --tcb-baseline tcb.baseline --allow-tcb-growth
-else
-  dune exec bin/klint/main.exe -- --root . --tcb-baseline tcb.baseline
-fi
-
-echo "== ci: dur ratchet (R16-R18 durability counts may only shrink) =="
-# The barrier-discipline ratchet: kdur's R16-R18 counts per (rule, file)
-# are compared against dur.baseline inside klint (the same Counts engine
-# as the tcb ratchet).  The grandfathered entries are the declared
-# exhibits — the journal's ?barriers:false ablation paths and
-# lib/kfs/rawlog_unsafe.ml; a genuine new exhibit must be acknowledged
-# with ALLOW_DUR_GROWTH=1 (and then --update-dur-baseline).
-if [ "${ALLOW_DUR_GROWTH:-0}" = "1" ]; then
-  dune exec bin/klint/main.exe -- --root . --dur-baseline dur.baseline --allow-dur-growth
-else
-  dune exec bin/klint/main.exe -- --root . --dur-baseline dur.baseline
-fi
 
 # Every test binary from here on appends the lock-order edges it
 # observed to this file; kracer checks them against its static graph at
@@ -77,7 +36,8 @@ export KSIM_KMEM_EXPORT="$KMEM_EVENTS"
 
 # And for barrier-discipline violations: every Wcache audit hit the
 # tests provoke is dumped here, and kdur checks at the end that each one
-# (in a linted file) was already flagged as a static R16.
+# (in a linted file) was already flagged as a static R16.  test_wcache's
+# rawlog_unsafe reconciliation fixture guarantees at least one lands here.
 WCACHE_VIOLATIONS="$(pwd)/_build/wcache-violations.txt"
 rm -f "$WCACHE_VIOLATIONS"
 export KSIM_WCACHE_EXPORT="$WCACHE_VIOLATIONS"
@@ -157,19 +117,17 @@ echo "== ci: kload extra seeds =="
 # alcotest kload suite runs (same hook style as KSIM_TORTURE_SEEDS).
 KSIM_KLOAD_SEEDS="${KSIM_KLOAD_SEEDS:-7,101}" dune exec test/test_kload.exe -- test harness 3
 
-echo "== ci: refine sweep (krefine harnesses vs Fs_spec, coverage ratchet, memory cap) =="
+echo "== ci: refine sweep (krefine harnesses vs Fs_spec, memory cap) =="
 # Every registered kharness machine (journalfs, cowfs, the supervised
 # microreboot path) replays a kload-recorded trace in lockstep with
 # Fs_spec at the `safeos refine` defaults — a >=10k-op trace with 6
 # crash images at every op.  Any divergence, or running out of the
 # memory cap, fails the run; its `wall:` line shows what the stage
-# costs.  The coverage the pass produced is then
-# ratcheted against refine.baseline inside klint (R15 keeps "Verified"
+# costs.  The coverage the pass produced is ratcheted against
+# refine.baseline by the final klint stage (R15 keeps "Verified"
 # registry claims honest even when this stage is skipped).
 # KSIM_REFINE_SEEDS widens the seed set, same hook style as
-# KSIM_TORTURE_SEEDS; a deliberate coverage reduction must be
-# acknowledged with ALLOW_REFINE_REGRESS=1 (and then
-# --update-refine-baseline).
+# KSIM_TORTURE_SEEDS.
 REFINE_COVERAGE="$(pwd)/_build/refine-coverage.txt"
 rm -f "$REFINE_COVERAGE"
 refine_seed="${KSIM_REFINE_SEEDS:-11}"
@@ -205,41 +163,37 @@ if [ $((heap_crash * 2)) -gt $((heap_plain * 3)) ]; then
   echo "ci: FAIL — crash checking more than 1.5x the sweep's peak heap" >&2
   exit 1
 fi
+
+echo "== ci: klint ratchets and reconciliation (static vs runtime) =="
+# One klint run over one lint of the tree takes every remaining input:
+# - klint.baseline may only shrink against its HEAD copy, per (rule,
+#   file) count, so pure renumbering is never growth (deliberate growth:
+#   ALLOW_BASELINE_GROWTH=1);
+# - the refine sweep's coverage may only grow against refine.baseline,
+#   and any reported divergence fails (deliberate reduction:
+#   ALLOW_REFINE_REGRESS=1, then --update-baseline);
+# - every lock nesting, heap event (use-after-free, double-free, leak)
+#   and Wcache barrier violation the tests exported must already be in
+#   klint's static findings, or the analysis has a hole.
+# An export with no records fails too (exit 2): the capture is broken,
+# and a reconciliation that checked nothing must not pass.  The binary
+# runs directly, like the heap stages above.
+set -- --root . --refine-coverage "$REFINE_COVERAGE" --lockdep-edges "$LOCKDEP_EDGES" \
+  --kmem-events "$KMEM_EVENTS" --wcache-violations "$WCACHE_VIOLATIONS"
+if git rev-parse --verify -q HEAD >/dev/null 2>&1 \
+   && git cat-file -e HEAD:klint.baseline 2>/dev/null; then
+  git show HEAD:klint.baseline > _build/baseline-head.txt
+  set -- "$@" --baseline-head _build/baseline-head.txt
+else
+  echo "ci: no HEAD baseline to ratchet against (first commit?); skipping that ratchet"
+fi
+if [ "${ALLOW_BASELINE_GROWTH:-0}" = "1" ]; then
+  set -- "$@" --allow-baseline-growth
+fi
 if [ "${ALLOW_REFINE_REGRESS:-0}" = "1" ]; then
-  dune exec bin/klint/main.exe -- --root . --refine-coverage "$REFINE_COVERAGE" \
-    --refine-baseline refine.baseline --allow-refine-regress
-else
-  dune exec bin/klint/main.exe -- --root . --refine-coverage "$REFINE_COVERAGE" \
-    --refine-baseline refine.baseline
+  set -- "$@" --allow-refine-regress
 fi
-
-echo "== ci: lock-graph reconciliation (static vs runtime) =="
-if [ -s "$LOCKDEP_EDGES" ]; then
-  dune exec bin/klint/main.exe -- --root . --lockdep-edges "$LOCKDEP_EDGES"
-else
-  echo "ci: FAIL — no runtime lock edges were exported; the capture is broken" >&2
-  exit 1
-fi
-
-echo "== ci: kmem reconciliation (static vs runtime heap events) =="
-if [ -s "$KMEM_EVENTS" ]; then
-  dune exec bin/klint/main.exe -- --root . --kmem-events "$KMEM_EVENTS"
-else
-  echo "ci: FAIL — no runtime kmem events were exported; the capture is broken" >&2
-  exit 1
-fi
-
-echo "== ci: wcache reconciliation (static vs runtime barrier violations) =="
-# The durability closure: the rawlog_unsafe reconciliation fixture in
-# test_wcache guarantees at least one named-cache violation lands here,
-# so an empty file means the export hook (or the fixture) is broken —
-# vacuous soundness is a fail, exactly like the lockdep/kmem stages.
-if [ -s "$WCACHE_VIOLATIONS" ]; then
-  dune exec bin/klint/main.exe -- --root . --wcache-violations "$WCACHE_VIOLATIONS"
-else
-  echo "ci: FAIL — no runtime wcache violations were exported; the capture is broken" >&2
-  exit 1
-fi
+_build/default/bin/klint/main.exe "$@"
 
 echo "== ci: bench result validation =="
 # Every persisted BENCH_*.json must parse and carry the claim schema

@@ -40,6 +40,12 @@ let lint_snippet ?(rel = "lib/fixture/snippet.ml") content =
   | Error msg -> Alcotest.fail ("fixture did not parse: " ^ msg)
 
 let rule_ids findings = List.map (fun f -> F.rule_id f.F.rule) findings
+
+let contains s needle =
+  let nl = String.length needle and sl = String.length s in
+  let rec at i = i + nl <= sl && (String.sub s i nl = needle || at (i + 1)) in
+  at 0
+
 let ids = Alcotest.(list string)
 
 (* Every fixture claims one subsystem at a chosen level, so the
@@ -237,7 +243,7 @@ let test_kracer_static_edges_and_cycles () =
   (* Both nestings of the same two locks: the static graph must contain
      both edges and predict the AB-BA deadlock as a cycle, including the
      acquisition that only happens inside a callee. *)
-  let root, _ =
+  let _, tree =
     lint_tree_fixture
       [
         ( "lib/fixture/order.ml",
@@ -248,7 +254,7 @@ let test_kracer_static_edges_and_cycles () =
           \      Ksim.Klock.with_lock a_lock (fun () -> ()))\n" );
       ]
   in
-  let k = Klint.Kracer.analyze_tree ~root in
+  let k = tree.E.kracer in
   check Alcotest.bool "a->b edge (through the call)" true
     (List.mem ("a_lock", "b_lock") k.Klint.Kracer.edges);
   check Alcotest.bool "b->a edge (direct nesting)" true
@@ -472,24 +478,6 @@ let test_kown_mli_annotation () =
     (List.hd tree.E.findings).F.func
 
 let test_kown_kmem_events () =
-  let write_tmp content =
-    let path = Filename.temp_file "kmem" ".events" in
-    let oc = open_out_bin path in
-    output_string oc content;
-    close_out oc;
-    path
-  in
-  (* parse: well-formed lines load, a malformed line is a hard error so a
-     truncated export cannot pass reconciliation by vacuity *)
-  (match
-     Klint.Kown.read_kmem_events
-       (write_tmp "uaf\town_ev\tsite-a\t2\n\nleak\town_ev\tsite-b\t1\n")
-   with
-  | Ok evs -> check Alcotest.int "events parsed, blank line skipped" 2 (List.length evs)
-  | Error msg -> Alcotest.fail msg);
-  (match Klint.Kown.read_kmem_events (write_tmp "uaf own_ev site-a 2\n") with
-  | Ok _ -> Alcotest.fail "malformed line accepted"
-  | Error _ -> ());
   (* subtraction: an event whose file already has a static finding of the
      matching rule is covered; one without is the unsound residue; heaps
      with no linted file (test scratch heaps) are skipped *)
@@ -710,34 +698,35 @@ let test_ktcb_r14_unsound_export () =
   check ids "frame-internal consumption is clean" [] (ktcb_ids good.E.ktcb)
 
 let test_ktcb_baseline_ratchet () =
-  let e rule file count = { K.b_rule = rule; b_file = file; b_count = count } in
+  let module C = Klint.Baseline.Counts in
+  let e rule file count = { C.b_rule = rule; b_file = file; b_count = count } in
   let base =
-    List.sort K.compare_entry
+    List.sort C.compare_entry
       [
         e F.R12_unsafe_primitive "lib/kfs/memfs_unsafe.ml" 2;
         e F.R13_frame_bypass "lib/knet/amp.ml" 1;
       ]
   in
-  (match K.of_string (K.to_string base) with
+  (match C.of_string (C.to_string ~header:K.baseline_header base) with
   | Ok base' -> check Alcotest.bool "to_string/of_string round-trip" true (base = base')
   | Error msg -> Alcotest.fail msg);
-  (match K.of_string "R99 lib/foo.ml 1\n" with
+  (match C.of_string "R99 lib/foo.ml 1\n" with
   | Ok _ -> Alcotest.fail "unknown rule id parsed?"
   | Error _ -> ());
   (* counts, not lines: one more finding in a priced file is a
      regression, a vanished entry is ratchet progress *)
   let current = [ e F.R12_unsafe_primitive "lib/kfs/memfs_unsafe.ml" 3 ] in
-  let regressions, progress = K.compare_counts ~baseline:base current in
+  let regressions, progress = C.compare_counts ~baseline:base current in
   (match regressions with
   | [ r ] ->
-      check Alcotest.int "regression live count" 3 r.K.d_have;
-      check Alcotest.int "regression grandfathered count" 2 r.K.d_allowed
+      check Alcotest.int "regression live count" 3 r.C.d_have;
+      check Alcotest.int "regression grandfathered count" 2 r.C.d_allowed
   | _ -> Alcotest.fail "expected exactly one regression");
   (match progress with
-  | [ p ] -> check Alcotest.string "vanished entry is progress" "lib/knet/amp.ml" p.K.d_file
+  | [ p ] -> check Alcotest.string "vanished entry is progress" "lib/knet/amp.ml" p.C.d_file
   | _ -> Alcotest.fail "expected exactly one progress entry");
   (* identical counts are neither growth nor progress *)
-  let regressions, progress = K.compare_counts ~baseline:base base in
+  let regressions, progress = C.compare_counts ~baseline:base base in
   check Alcotest.int "self-compare: no regressions" 0 (List.length regressions);
   check Alcotest.int "self-compare: no progress" 0 (List.length progress)
 
@@ -915,8 +904,8 @@ let test_kdur_baseline_roundtrip () =
     ]
   in
   let path = Filename.temp_file "dur_baseline" ".txt" in
-  D.save_baseline path base;
-  (match D.load_baseline path with
+  C.save ~header:D.baseline_header path base;
+  (match C.load path with
   | Ok loaded -> check Alcotest.bool "save/load round-trip" true (loaded = base)
   | Error msg -> Alcotest.fail msg);
   Sys.remove path;
@@ -939,30 +928,9 @@ let test_kdur_baseline_roundtrip () =
   | _ -> Alcotest.fail "expected exactly one progress entry"
 
 let test_kdur_wcache_reconciliation () =
-  (* The runtime closure: export lines parse (malformed ones are hard
-     errors), caches attribute to linted files by module basename, and a
-     violation survives only when its file has no static R16 at all. *)
-  let path = Filename.temp_file "kdur_wv" ".txt" in
-  let oc = open_out path in
-  output_string oc "rawlog_unsafe\t1\t5\t2\t6\n\nwc\t3\t1\t4\t2\n";
-  close_out oc;
-  (match D.read_wcache_violations path with
-  | Ok [ a; b ] ->
-      check Alcotest.string "cache" "rawlog_unsafe" a.D.cache;
-      check Alcotest.int "read block" 1 a.D.v_blkno;
-      check Alcotest.int "read seq" 5 a.D.v_read_seq;
-      check Alcotest.int "write block" 2 a.D.v_write_blkno;
-      check Alcotest.int "write seq" 6 a.D.v_write_seq;
-      check Alcotest.string "blank lines skipped, second entry kept" "wc" b.D.cache
-  | Ok other -> Alcotest.failf "expected two violations, got %d" (List.length other)
-  | Error msg -> Alcotest.fail msg);
-  let oc = open_out path in
-  output_string oc "rawlog_unsafe\t1\t5\tnope\t6\n";
-  close_out oc;
-  (match D.read_wcache_violations path with
-  | Ok _ -> Alcotest.fail "malformed line parsed"
-  | Error _ -> ());
-  Sys.remove path;
+  (* The runtime closure: caches attribute to linted files by module
+     basename, and a violation survives only when its file has no static
+     R16 at all. *)
   let files = [ "lib/kfs/rawlog_unsafe.ml"; "lib/kblock/wcache.ml" ] in
   let ev cache = { D.cache; v_blkno = 1; v_read_seq = 1; v_write_blkno = 2; v_write_seq = 2 } in
   let r16 =
@@ -1044,6 +1012,115 @@ let test_annot_unknown_marker_diagnostics () =
   check ids "emails are not markers" []
     (Klint.Annot.unknown_markers "Contact dev@example.com about this.\n")
 
+(* The shared fixpoint ---------------------------------------------------- *)
+
+(* A [let rec] chain [c1 -> c2 -> ... -> cn] written caller first, so
+   round-robin solving moves a fact one hop per round: a pass that gave
+   up after a fixed number of rounds would miss what the last hop does. *)
+let deep_chain ~params ~last n =
+  String.concat "\n"
+    (List.init n (fun i ->
+         let i = i + 1 in
+         Fmt.str "%s c%d %s = %s"
+           (if i = 1 then "let rec" else "and")
+           i params
+           (if i = n then last else Fmt.str "c%d %s" (i + 1) params)))
+  ^ "\n"
+
+let test_fixpoint_deep_chain_r8 () =
+  let _, tree =
+    lint_tree_fixture
+      [
+        ( "lib/fixture/chain.ml",
+          deep_chain ~params:"q" ~last:"Ksim.Kmem.free q" 40
+          ^ "let user q = c1 q; Ksim.Kmem.read q\n" );
+      ]
+  in
+  check ids "the use after the 40-hop free is R8" [ "R8" ] (rule_ids tree.E.findings);
+  check Alcotest.string "in the caller" "Chain.user" (List.hd tree.E.findings).F.func;
+  match tree.E.kown.Klint.Kown.fixpoint with
+  | [ f ] ->
+      check Alcotest.bool "one round per hop" true (f.Klint.Fixpoint.rounds > 40);
+      check Alcotest.bool "within the bound" true
+        (f.Klint.Fixpoint.rounds <= f.Klint.Fixpoint.bound)
+  | _ -> Alcotest.fail "kown runs one fixpoint"
+
+let test_fixpoint_deep_chain_r17 () =
+  let _, tree =
+    lint_tree_fixture
+      [
+        ( "lib/fixture/chain.ml",
+          "let ( let* ) = Result.bind\n"
+          ^ deep_chain ~params:"io b" ~last:"io.Kblock.Io.write 0 b" 40
+          ^ "let commit io b =\n\
+            \  let* () = c1 io b in\n\
+            \  Ok ()\n\
+             [@@durable]\n" );
+      ]
+  in
+  check ids "the ack after the 40-hop write is R17" [ "R17" ] (kdur_ids tree.E.kdur);
+  check Alcotest.string "in the durable caller" "Chain.commit"
+    (List.hd tree.E.kdur.D.findings).F.func
+
+let test_fixpoint_diverges_loudly () =
+  (* A step that flips its own fact never settles: the solver must raise,
+     naming the pass, instead of handing back a table mid-flight. *)
+  match
+    Klint.Fixpoint.solve ~pass:"flip" ~equal:Bool.equal ~default:false ~key:Fun.id
+      ~step:(fun get k -> not (get k))
+      [ "a"; "b" ]
+  with
+  | _ -> Alcotest.fail "an oscillating fixpoint returned"
+  | exception Klint.Fixpoint.Diverged { pass; rounds } ->
+      check Alcotest.string "names the pass" "flip" pass;
+      check Alcotest.int "after the input-sized bound" 3 rounds
+
+let test_export_reader () =
+  (* One reader for every reconciliation input: records parse, blank and
+     comment lines are skipped, and a malformed line, a missing file or a
+     file with no records at all is an error — a reconciliation that
+     checked nothing must not pass. *)
+  let read export content =
+    let path = Filename.temp_file "klint_export" ".txt" in
+    let oc = open_out_bin path in
+    output_string oc content;
+    close_out oc;
+    let r = Klint.Kparse.read_export export path in
+    Sys.remove path;
+    r
+  in
+  let kmem = Klint.Kown.kmem_events and wcache = Klint.Kdur.wcache_violations in
+  (match read kmem "# kmem\nuaf\town_ev\tsite-a\t2\n\nleak\town_ev\tsite-b\t1\n" with
+  | Ok [ a; b ] ->
+      check Alcotest.string "first kind" "uaf" a.Klint.Kown.kind;
+      check Alcotest.int "first count" 2 a.Klint.Kown.count;
+      check Alcotest.string "second site" "site-b" b.Klint.Kown.site
+  | Ok l -> Alcotest.failf "expected two events, got %d" (List.length l)
+  | Error msg -> Alcotest.fail msg);
+  (* the wcache format's field order: cache, read block and sequence,
+     dependent write block and sequence *)
+  (match read wcache "rawlog_unsafe\t1\t5\t2\t6\n" with
+  | Ok [ v ] ->
+      check Alcotest.string "cache" "rawlog_unsafe" v.D.cache;
+      check Alcotest.(list int) "blocks and sequences" [ 1; 5; 2; 6 ]
+        [ v.D.v_blkno; v.D.v_read_seq; v.D.v_write_blkno; v.D.v_write_seq ]
+  | Ok l -> Alcotest.failf "expected one violation, got %d" (List.length l)
+  | Error msg -> Alcotest.fail msg);
+  let is_error what = function
+    | Ok _ -> Alcotest.fail (what ^ " accepted")
+    | Error _ -> ()
+  in
+  is_error "a malformed line" (read kmem "uaf own_ev site-a 2\n");
+  is_error "a non-numeric sequence" (read wcache "rawlog_unsafe\t1\t5\tnope\t6\n");
+  is_error "an export of blank lines" (read kmem "\n\n");
+  is_error "a missing export"
+    (Klint.Kparse.read_export Klint.Kracer.lockdep_edges "/nonexistent/lockdep-edges.txt");
+  match read wcache "" with
+  | Error msg ->
+      check Alcotest.bool "the error says nothing was checked" true
+        (contains msg "checked nothing")
+  | Ok _ -> Alcotest.fail "empty wcache export accepted"
+
 (* The shipped tree ------------------------------------------------------ *)
 
 let with_repo_root f =
@@ -1077,21 +1154,16 @@ let test_shipped_tree_clean () =
         r.E.attributed;
       (* the report's level histogram is the registry's, verbatim *)
       let json = Klint.Report.to_json ~registry tree r in
-      let contains needle =
-        let nl = String.length needle and jl = String.length json in
-        let rec at i = i + nl <= jl && (String.sub json i nl = needle || at (i + 1)) in
-        at 0
-      in
       List.iter
         (fun (level, n) ->
           let needle = Fmt.str "%S: %d" (Level.to_string level) n in
-          check Alcotest.bool ("level_counts has " ^ needle) true (contains needle))
+          check Alcotest.bool ("level_counts has " ^ needle) true (contains json needle))
         (Safeos_core.Registry.level_counts registry);
       (* and every registered subsystem appears as a per-subsystem row *)
       List.iter
         (fun e ->
           let needle = Fmt.str "\"name\": %S" e.Safeos_core.Registry.name in
-          check Alcotest.bool ("subsystem row " ^ needle) true (contains needle))
+          check Alcotest.bool ("subsystem row " ^ needle) true (contains json needle))
         (Safeos_core.Registry.all registry))
 
 let test_kown_shipped_exhibits () =
@@ -1146,12 +1218,13 @@ let test_ktcb_shipped_tree () =
       check Alcotest.bool "unsafe TCB is a strict minority" true
         (k.K.unsafe_loc * 2 < k.K.total_loc);
       let baseline =
-        match K.load (Filename.concat root "tcb.baseline") with
+        match Klint.Baseline.Counts.load (Filename.concat root "tcb.baseline") with
         | Ok b -> b
         | Error msg -> Alcotest.fail msg
       in
       let regressions, progress =
-        K.compare_counts ~baseline (K.counts_of_findings k.K.findings)
+        Klint.Baseline.Counts.compare_counts ~baseline
+          (Klint.Baseline.Counts.of_findings k.K.findings)
       in
       check Alcotest.int "no tcb regressions" 0 (List.length regressions);
       check Alcotest.int "checked-in tcb baseline is not stale" 0 (List.length progress);
@@ -1199,7 +1272,7 @@ let test_kdur_shipped_tree () =
       check Alcotest.bool "ordering contracts are seen" true (d.D.ordering_funcs >= 2);
       check Alcotest.bool "the tree has flushing functions" true (d.D.flushing_funcs > 0);
       let baseline =
-        match D.load_baseline (Filename.concat root "dur.baseline") with
+        match Klint.Baseline.Counts.load (Filename.concat root "dur.baseline") with
         | Ok b -> b
         | Error msg -> Alcotest.fail msg
       in
@@ -1209,6 +1282,26 @@ let test_kdur_shipped_tree () =
       in
       check Alcotest.int "no dur regressions" 0 (List.length regressions);
       check Alcotest.int "checked-in dur baseline is not stale" 0 (List.length progress))
+
+let test_one_callgraph_four_passes () =
+  (* The engine builds one callgraph and restricts it per pass; the
+     standalone wrappers (what perfbench's traced pass times) build one
+     each from their own files.  Both must give the same answer. *)
+  with_repo_root (fun root ->
+      let tree = E.lint_tree ~root in
+      let _, parsed, _ = Klint.Kparse.tree ~root in
+      check Alcotest.bool "kracer" true (tree.E.kracer = Klint.Kracer.analyze ~root parsed);
+      let kown = Klint.Kown.analyze ~root parsed in
+      check Alcotest.bool "kown findings and counts" true
+        ({ kown with Klint.Kown.summaries = [] }
+        = { tree.E.kown with Klint.Kown.summaries = [] });
+      check Alcotest.bool "kown summaries" true
+        (List.equal
+           (fun (a, s) (b, t) -> String.equal a b && Klint.Ownset.summary_equal s t)
+           kown.Klint.Kown.summaries tree.E.kown.Klint.Kown.summaries);
+      check Alcotest.bool "ktcb" true
+        (tree.E.ktcb = K.analyze ~root parsed ~summaries:kown.Klint.Kown.summaries);
+      check Alcotest.bool "kdur" true (tree.E.kdur = D.analyze ~root parsed))
 
 let test_loc_derivation () =
   with_repo_root (fun root ->
@@ -1341,16 +1434,16 @@ let test_kverify_coverage_ratchet () =
   List.iter
     (fun r ->
       match KV.row_of_line (KV.row_to_line r) with
-      | Ok r' -> check Alcotest.bool "row round-trips" true (r = r')
-      | Error msg -> Alcotest.fail msg)
+      | Some r' -> check Alcotest.bool "row round-trips" true (r = r')
+      | None -> Alcotest.fail "row did not parse back")
     rows;
   (match KV.row_of_line "harness x mangled" with
-  | Ok _ -> Alcotest.fail "mangled row parsed?"
-  | Error _ -> ());
+  | Some _ -> Alcotest.fail "mangled row parsed?"
+  | None -> ());
   (* file round-trip *)
   let path = Filename.temp_file "kverify" ".coverage" in
   KV.save_coverage path rows;
-  (match KV.load_coverage path with
+  (match Klint.Kparse.read_export KV.coverage path with
   | Ok rows' -> check Alcotest.bool "coverage file round-trips" true (rows = rows')
   | Error msg -> Alcotest.fail msg);
   Sys.remove path;
@@ -1434,6 +1527,15 @@ let () =
           Alcotest.test_case "cast under type-safe claim" `Quick test_reconcile_cast_violation;
           Alcotest.test_case "unbalanced lock under ownership claim" `Quick
             test_reconcile_lock_violation;
+          Alcotest.test_case "export reader refuses empty input" `Quick test_export_reader;
+        ] );
+      ( "fixpoint",
+        [
+          Alcotest.test_case "40-hop free reaches the caller (r8)" `Quick
+            test_fixpoint_deep_chain_r8;
+          Alcotest.test_case "40-hop write reaches the durable ack (r17)" `Quick
+            test_fixpoint_deep_chain_r17;
+          Alcotest.test_case "oscillation raises Diverged" `Quick test_fixpoint_diverges_loudly;
         ] );
       ( "baseline",
         [ Alcotest.test_case "round-trip and ratchet" `Quick test_baseline_roundtrip ] );
@@ -1487,6 +1589,8 @@ let () =
             test_ktcb_shipped_tree;
           Alcotest.test_case "barrier discipline on the shipped tree" `Quick
             test_kdur_shipped_tree;
+          Alcotest.test_case "one callgraph gives the four passes' answers" `Quick
+            test_one_callgraph_four_passes;
           Alcotest.test_case "registry loc derived from klint" `Quick test_loc_derivation;
           Alcotest.test_case "effective line counting" `Quick test_effective_loc;
         ] );

@@ -239,7 +239,7 @@ let test_rawlog_reconciliation_fixture () =
   (* wire format: what the at_exit export writes, klint's reader parses *)
   let path = Filename.temp_file "wcache_viol" ".txt" in
   Kblock.Wcache.append_violations_to_file wc ~path;
-  (match Klint.Kdur.read_wcache_violations path with
+  (match Klint.Kparse.read_export Klint.Kdur.wcache_violations path with
   | Ok (v :: _ as vs) ->
       check int "every audit entry exported"
         (List.length (Kblock.Wcache.audit wc))
