@@ -1,18 +1,27 @@
-(* The benchmark harness: regenerates every table and figure of the paper
-   (printed first, computed from the record-level data), then times the
-   microbenchmarks behind the paper's performance claims:
+(* The paper-shape benchmarks: regenerates every table and figure of the
+   paper (printed first, computed from the record-level data), then times
+   the microbenchmarks behind the paper's performance claims:
 
-     modularity/*  cost of calling through the modular interface (step 1)
-     typesafety/*  void*-dispatch vs typed dispatch (step 2)
-     ownership/*   the three sharing models vs copying message passing (§4.3)
-     roadmap/*     the same workload at every safety stage (steps 0-4)
-     journal/*     journaling vs in-place writes, and batching (§4.4)
-     ablation/*    each checker's overhead, switchable off
+     modularity/*   cost of calling through the modular interface (step 1)
+     typesafety/*   void*-dispatch vs typed dispatch (step 2)
+     ownership/*    the three sharing models vs copying message passing (§4.3)
+     roadmap/*      the same workload at every safety stage (steps 0-4)
+     journal/*      journaling vs in-place writes, and batching (§4.4)
+     resilience/*   the fault-injection stack with failpoints off and on
+     supervision/*  the oops firewall's healthy path and a full microreboot
+     ebpf/*         the verified extension VM vs a native hook
+     mm/*           demand faults, resident reads, fork with copy-on-write
+     kload/*        a small multi-tenant population, with and without a storm
+     ablation/*     each checker's overhead, switchable off
+     lint/*         each static pass over the whole tree
+     refine/*       lockstep refinement and crash enumeration vs bare runs
 
    Absolute numbers are simulator numbers; the claims under test are the
    *shapes*: modular dispatch is cheap, sharing models stay flat while
    copying grows with payload size, safety stages cost a small constant
-   factor, journaling pays a bounded write amplification. *)
+   factor, journaling pays a bounded write amplification.  The run ends
+   with one line per shape claim.  It writes no files: perfbench
+   (BENCHMARK.json) is the benchmark that records results. *)
 
 open Bechamel
 
@@ -377,55 +386,21 @@ let bench_ablation () =
       Test.make ~name:"migration-validation-50ops" (staged validation);
     ]
 
-(* BENCH-LOAD: the multi-tenant load harness.  Two things happen here:
-   a bechamel timing of a small population (the harness must stay cheap
-   enough to live inside CI), and one full storm run whose report is
-   persisted as BENCH_6.json at the repo root — ops/sec, recovery-latency
-   percentiles and the shed-load rate, the per-PR trajectory ROADMAP
-   item 2 asks for. *)
+(* BENCH-LOAD: the multi-tenant load harness on a small population; it
+   must stay cheap enough to live inside CI. *)
 
 let bench_kload () =
   let small =
     { Kload.Spec.default with Kload.Spec.tenants = 60; ops_per_tenant = 6 }
   in
-  let rows =
-    run_group "kload"
-      [
-        Test.make ~name:"360ops-60tenants-no-storm"
-          (staged (fun () -> Kload.Harness.run ~spec:small ~seed:11 ()));
-        Test.make ~name:"360ops-60tenants-panic-wave"
-          (staged (fun () ->
-               Kload.Harness.run ~spec:small ~storm:Kload.Harness.Panic_wave ~seed:11 ()));
-      ]
-  in
-  (* The persisted run: default population, full mixed storm. *)
-  let t0 = Unix.gettimeofday () in
-  let { Kload.Harness.report; _ } =
-    Kload.Harness.run ~storm:Kload.Harness.Mixed ~seed:42 ()
-  in
-  let wall = Unix.gettimeofday () -. t0 in
-  let shed_rate =
-    if report.Kload.Report.planned = 0 then 0.
-    else float_of_int report.Kload.Report.shed /. float_of_int report.Kload.Report.planned
-  in
-  Fmt.pr "@.kload storm run (persisted): %a@." Kload.Report.pp report;
-  let json =
-    Printf.sprintf
-      "{\n  \"issue\": 6,\n  \"wall_seconds\": %.4f,\n  \"wall_ops_per_sec\": %.0f,\n  \"report\": %s\n}\n"
-      wall
-      (if wall > 0. then float_of_int report.Kload.Report.executed /. wall else 0.)
-      (Kload.Report.to_json_string report)
-  in
-  let path =
-    match Klint.find_root () with
-    | Some root -> Filename.concat root "BENCH_6.json"
-    | None -> "BENCH_6.json"
-  in
-  let oc = open_out path in
-  output_string oc json;
-  close_out oc;
-  Fmt.pr "kload: shed rate %.3f, report written to %s@." shed_rate path;
-  rows
+  run_group "kload"
+    [
+      Test.make ~name:"360ops-60tenants-no-storm"
+        (staged (fun () -> Kload.Harness.run ~spec:small ~seed:11 ()));
+      Test.make ~name:"360ops-60tenants-panic-wave"
+        (staged (fun () ->
+             Kload.Harness.run ~spec:small ~storm:Kload.Harness.Panic_wave ~seed:11 ()));
+    ]
 
 (* BENCH-LINT: the static analyses gate every CI run, so their cost is
    part of the developer loop; keep the whole-tree pass visibly cheap. ---- *)
@@ -447,68 +422,21 @@ let bench_lint () =
     Klint.Ktcb.analyze ~root parsed ~summaries:kown.Klint.Kown.summaries
   in
   let kdur () = Klint.Kdur.analyze ~root (parsed ()) in
-  let rows =
-    run_group "lint"
-      [
-        Test.make ~name:"kracer-whole-tree"
-          (staged (fun () -> ignore (Klint.Kracer.analyze ~root (parsed ()))));
-        Test.make ~name:"kown-whole-tree"
-          (staged (fun () -> ignore (Klint.Kown.analyze ~root (parsed ()))));
-        Test.make ~name:"ktcb-whole-tree" (staged (fun () -> ignore (ktcb ())));
-        Test.make ~name:"kdur-whole-tree" (staged (fun () -> ignore (kdur ())));
-        Test.make ~name:"full-lint+kracer-tree"
-          (staged (fun () -> ignore (Klint.Engine.lint_tree ~root)));
-      ]
-  in
-  (* The persisted TCB snapshot: one wall-clocked whole-tree ktcb pass
-     plus the metric object itself, the per-PR trajectory the ratchet
-     walks downward. *)
-  let t0 = Unix.gettimeofday () in
-  let tcb = ktcb () in
-  let wall = Unix.gettimeofday () -. t0 in
-  Fmt.pr "@.ktcb (persisted): %d/%d unsafe lines (%.1f%%), frame %d files/%d lines@."
-    tcb.Klint.Ktcb.unsafe_loc tcb.Klint.Ktcb.total_loc (Klint.Ktcb.ratio tcb)
-    tcb.Klint.Ktcb.frame_files tcb.Klint.Ktcb.frame_loc;
-  let json =
-    Printf.sprintf
-      "{\n  \"issue\": 7,\n  \"ktcb_wall_seconds\": %.4f,\n  \"tcb\": %s\n}\n"
-      wall
-      (Klint.Report.tcb_json tcb)
-  in
-  let path = Filename.concat root "BENCH_7.json" in
-  let oc = open_out path in
-  output_string oc json;
-  close_out oc;
-  Fmt.pr "ktcb: tcb snapshot written to %s@." path;
-  (* And the durability snapshot (issue 10): one wall-clocked whole-tree
-     kdur pass plus the contract/finding counts — the trajectory the dur
-     ratchet walks downward as barrier paths get fixed. *)
-  let t0 = Unix.gettimeofday () in
-  let kdur = kdur () in
-  let kdur_wall = Unix.gettimeofday () -. t0 in
-  Fmt.pr
-    "kdur (persisted): %d functions, %d durable / %d ordering contracts, %d findings@."
-    kdur.Klint.Kdur.funcs kdur.Klint.Kdur.durable_funcs kdur.Klint.Kdur.ordering_funcs
-    (List.length kdur.Klint.Kdur.findings);
-  let json =
-    Printf.sprintf
-      "{\n  \"issue\": 10,\n  \"kdur_wall_seconds\": %.4f,\n  \"durability\": %s\n}\n"
-      kdur_wall
-      (Klint.Report.durability_json kdur)
-  in
-  let path = Filename.concat root "BENCH_10.json" in
-  let oc = open_out path in
-  output_string oc json;
-  close_out oc;
-  Fmt.pr "kdur: durability snapshot written to %s@." path;
-  rows
+  run_group "lint"
+    [
+      Test.make ~name:"kracer-whole-tree"
+        (staged (fun () -> ignore (Klint.Kracer.analyze ~root (parsed ()))));
+      Test.make ~name:"kown-whole-tree"
+        (staged (fun () -> ignore (Klint.Kown.analyze ~root (parsed ()))));
+      Test.make ~name:"ktcb-whole-tree" (staged (fun () -> ignore (ktcb ())));
+      Test.make ~name:"kdur-whole-tree" (staged (fun () -> ignore (kdur ())));
+      Test.make ~name:"full-lint+kracer-tree"
+        (staged (fun () -> ignore (Klint.Engine.lint_tree ~root)));
+    ]
 
-(* BENCH-REFINE: the krefine enumerator.  A bechamel timing of a short
-   lockstep-only pass (the inner loop CI's refine smoke stage pays per
-   op), plus one persisted full run — states/sec and crash-images/sec
-   over a kload-recorded trace, written as BENCH_8.json so the
-   enumerator's throughput is a per-PR trajectory like the kload and tcb
-   snapshots before it. *)
+(* BENCH-REFINE: the krefine enumerator — bare journalfs, the lockstep
+   pass the CI refine stage pays per op, and crash enumeration, over one
+   kload-recorded trace. *)
 
 let bench_refine () =
   let trace = Kharness.recorded_trace ~target_ops:400 ~seed:11 () in
@@ -532,178 +460,17 @@ let bench_refine () =
     let fs = Kfs.Journalfs.mkfs_on ~geometry Kfs.Journalfs.Journaled dev in
     List.iter (fun op -> ignore (Kfs.Journalfs.apply fs op)) trace
   in
-  let rows =
-    run_group "refine"
-      [
-        Test.make ~name:"journalfs-bare-400ops" (staged bare_run);
-        Test.make ~name:"journalfs-lockstep-400ops"
-          (staged (fun () ->
-               ignore (Kharness.run ~config:lockstep_only Kharness.journalfs trace)));
-        Test.make ~name:"journalfs-crash-enum-400ops"
-          (staged (fun () ->
-               ignore (Kharness.run ~config:crashing Kharness.journalfs trace)));
-        Test.make ~name:"cowfs-lockstep-400ops"
-          (staged (fun () ->
-               ignore (Kharness.run ~config:lockstep_only Kharness.cowfs trace)));
-      ]
-  in
-  rows
-
-(* The persisted refine run: every registered harness over a longer
-   trace with crash enumeration on, wall-clocked.  Runs *before* the
-   timing groups — the process-global simulator state (lockdep classes,
-   kmem site tables) the other benches accumulate across thousands of
-   mounts would otherwise tax this measurement. *)
-let refine_snapshot () =
-  let long = Kharness.recorded_trace ~target_ops:2_000 ~seed:11 () in
-  let config =
-    { Kspec.Krefine.default_config with Kspec.Krefine.images_per_op = 4; crash_every = 4 }
-  in
-  let t0 = Unix.gettimeofday () in
-  let covs = List.map (fun e -> (e, Kharness.run ~config e long)) (Kharness.all ()) in
-  let wall = Unix.gettimeofday () -. t0 in
-  let sum f = List.fold_left (fun a (_, c) -> a + f c) 0 covs in
-  let states = sum (fun c -> c.Kspec.Krefine.states_explored) in
-  let images = sum (fun c -> c.Kspec.Krefine.crash_images) in
-  let divergences = sum (fun c -> List.length c.Kspec.Krefine.divergences) in
-  let per_sec n = if wall > 0. then float_of_int n /. wall else 0. in
-  let harness_json =
-    String.concat ",\n    "
-      (List.map
-         (fun ((e : Kharness.entry), (c : Kspec.Krefine.coverage)) ->
-           Printf.sprintf
-             "{\"harness\": \"%s\", \"ops\": %d, \"states\": %d, \"crash_images\": %d, \
-              \"divergences\": %d, \"fingerprint\": \"%s\"}"
-             e.Kharness.hname c.Kspec.Krefine.ops c.Kspec.Krefine.states_explored
-             c.Kspec.Krefine.crash_images
-             (List.length c.Kspec.Krefine.divergences)
-             (Kspec.Krefine.coverage_fingerprint c))
-         covs)
-  in
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"issue\": 8,\n\
-      \  \"trace_ops\": %d,\n\
-      \  \"wall_seconds\": %.4f,\n\
-      \  \"states_per_sec\": %.0f,\n\
-      \  \"crash_images_per_sec\": %.0f,\n\
-      \  \"divergences\": %d,\n\
-      \  \"harnesses\": [\n    %s\n  ]\n\
-       }\n"
-      (List.length long) wall (per_sec states) (per_sec images) divergences harness_json
-  in
-  let path =
-    match Klint.find_root () with
-    | Some root -> Filename.concat root "BENCH_8.json"
-    | None -> "BENCH_8.json"
-  in
-  let oc = open_out path in
-  output_string oc json;
-  close_out oc;
-  Fmt.pr
-    "@.krefine (persisted): %d states (%.0f/s), %d crash images (%.0f/s), %d divergences, \
-     written to %s@."
-    states (per_sec states) images (per_sec images) divergences path
-
-(* BENCH-WCACHE: the volatile write-back disk contract (issue 9).  Two
-   persisted trajectories in BENCH_9.json: enumerator throughput with
-   cache-loss residues sampled at {e every} op (the crash surface the
-   wcache multiplied under every registered harness), and wall-clock
-   percentiles for one journal-replay recovery over a materialized
-   cache-loss residue — the price of coming back from a lying drive. *)
-let wcache_snapshot () =
-  let trace = Kharness.recorded_trace ~target_ops:1_000 ~seed:11 () in
-  let config =
-    { Kspec.Krefine.default_config with Kspec.Krefine.images_per_op = 8; crash_every = 1 }
-  in
-  let t0 = Unix.gettimeofday () in
-  let covs = List.map (fun e -> (e, Kharness.run ~config e trace)) (Kharness.all ()) in
-  let wall = Unix.gettimeofday () -. t0 in
-  let sum f = List.fold_left (fun a (_, c) -> a + f c) 0 covs in
-  let states = sum (fun c -> c.Kspec.Krefine.states_explored) in
-  let images = sum (fun c -> c.Kspec.Krefine.crash_images) in
-  let divergences = sum (fun c -> List.length c.Kspec.Krefine.divergences) in
-  let per_sec n = if wall > 0. then float_of_int n /. wall else 0. in
-  (* Cache-loss recovery: journalfs over the cache with a small dirty
-     bound, residues materialized over the durable media snapshot, each
-     journal-replay mount wall-clocked into a histogram. *)
-  let g = { Kfs.Journalfs.nblocks = 512; block_size = 128; jblocks = 48; ninodes = 16 } in
-  let dev = Kblock.Blockdev.create ~nblocks:g.Kfs.Journalfs.nblocks ~block_size:g.Kfs.Journalfs.block_size in
-  let wc = Kblock.Wcache.create ~capacity:8 ~seed:11 (Kblock.Blockdev.io dev) in
-  let fs = Kfs.Journalfs.mkfs_on ~geometry:g ~io:(Kblock.Wcache.io wc) Kfs.Journalfs.Journaled dev in
-  (match Kblock.Wcache.flush wc with Ok () -> () | Error _ -> assert false);
-  let disk = Kblock.Wcache.disk dev wc in
-  let hist = Ksim.Hist.create () in
-  let p = Kspec.Fs_spec.path_of_string in
-  let rng = Ksim.Rng.of_int 1009 in
-  ignore (Kfs.Journalfs.apply fs (Kspec.Fs_spec.Create (p "/k")));
-  for i = 1 to 200 do
-    (match Ksim.Rng.int rng 5 with
-    | 0 | 1 | 2 ->
-        ignore
-          (Kfs.Journalfs.apply fs
-             (Kspec.Fs_spec.Write
-                { file = p "/k"; off = 0; data = Printf.sprintf "v%08d:%s" i (String.make 16 'x') }))
-    | 3 ->
-        ignore
-          (Kfs.Journalfs.apply fs
-             (Kspec.Fs_spec.Create (p (Printf.sprintf "/c%d" (Ksim.Rng.int rng 4)))))
-    | _ -> ignore (Kfs.Journalfs.apply fs Kspec.Fs_spec.Fsync));
-    if i mod 10 = 0 then begin
-      List.iter
-        (fun dev' ->
-          let m0 = Unix.gettimeofday () in
-          ignore (Kfs.Journalfs.mount ~geometry:g Kfs.Journalfs.Journaled dev');
-          Ksim.Hist.record hist
-            (int_of_float ((Unix.gettimeofday () -. m0) *. 1e9)))
-        (Kblock.Wcache.crash_devices disk ~limit:8)
-    end
-  done;
-  let s = Ksim.Hist.summarize hist in
-  let harness_json =
-    String.concat ",\n    "
-      (List.map
-         (fun ((e : Kharness.entry), (c : Kspec.Krefine.coverage)) ->
-           Printf.sprintf
-             "{\"harness\": \"%s\", \"ops\": %d, \"states\": %d, \"crash_images\": %d, \
-              \"divergences\": %d}"
-             e.Kharness.hname c.Kspec.Krefine.ops c.Kspec.Krefine.states_explored
-             c.Kspec.Krefine.crash_images
-             (List.length c.Kspec.Krefine.divergences))
-         covs)
-  in
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"issue\": 9,\n\
-      \  \"trace_ops\": %d,\n\
-      \  \"crash_every\": 1,\n\
-      \  \"wall_seconds\": %.4f,\n\
-      \  \"states_per_sec\": %.0f,\n\
-      \  \"crash_images_per_sec\": %.0f,\n\
-      \  \"divergences\": %d,\n\
-      \  \"recovery_ns\": {\"count\": %d, \"min\": %d, \"mean\": %.0f, \"p50\": %d, \
-       \"p95\": %d, \"p99\": %d, \"max\": %d},\n\
-      \  \"harnesses\": [\n    %s\n  ]\n\
-       }\n"
-      (List.length trace) wall (per_sec states) (per_sec images) divergences
-      s.Ksim.Hist.count s.Ksim.Hist.min s.Ksim.Hist.mean s.Ksim.Hist.p50 s.Ksim.Hist.p95
-      s.Ksim.Hist.p99 s.Ksim.Hist.max harness_json
-  in
-  let path =
-    match Klint.find_root () with
-    | Some root -> Filename.concat root "BENCH_9.json"
-    | None -> "BENCH_9.json"
-  in
-  let oc = open_out path in
-  output_string oc json;
-  close_out oc;
-  Fmt.pr
-    "@.kwcache (persisted): %d states (%.0f/s), %d cache-loss images (%.0f/s), %d \
-     divergences; recovery p50=%dns p99=%dns over %d replay mounts, written to %s@."
-    states (per_sec states) images (per_sec images) divergences s.Ksim.Hist.p50
-    s.Ksim.Hist.p99 s.Ksim.Hist.count path
+  run_group "refine"
+    [
+      Test.make ~name:"journalfs-bare-400ops" (staged bare_run);
+      Test.make ~name:"journalfs-lockstep-400ops"
+        (staged (fun () ->
+             ignore (Kharness.run ~config:lockstep_only Kharness.journalfs trace)));
+      Test.make ~name:"journalfs-crash-enum-400ops"
+        (staged (fun () -> ignore (Kharness.run ~config:crashing Kharness.journalfs trace)));
+      Test.make ~name:"cowfs-lockstep-400ops"
+        (staged (fun () -> ignore (Kharness.run ~config:lockstep_only Kharness.cowfs trace)));
+    ]
 
 (* Shape checks: turn the measured rows into the paper's qualitative
    claims, so bench output is self-judging. ------------------------------- *)
@@ -803,176 +570,6 @@ let shape_summary ~modularity ~typesafety ~ownership ~roadmap ~journal ~resilien
   Fmt.pr "  [--] %-52s %s@." "crash enumeration (remount+interp per image, info only)"
     (Fmt.str "crash-enum/lockstep %.1fx" rc)
 
-(* BENCH-VALIDATE: `bench --validate` re-parses every persisted
-   BENCH_*.json at the repo root and fails fast on a malformed one, so a
-   bad snapshot breaks CI instead of silently dropping out of the
-   paper's evidence trail.  The tree has no JSON library (and shouldn't
-   grow one for this), so the checker is a minimal hand-rolled
-   recursive-descent pass: full well-formedness, plus the snapshot
-   schema — a top-level object carrying a numeric "issue" tag and at
-   least one numeric metric. ------------------------------------------------- *)
-
-module Validate = struct
-  exception Malformed of string
-
-  (* Parse [s] as one JSON value; returns (keys seen in any object,
-     count of numeric literals).  Raises [Malformed] with a byte offset
-     on any syntax error, including trailing garbage. *)
-  let parse (s : string) : string list * int =
-    let n = String.length s in
-    let pos = ref 0 in
-    let keys = ref [] in
-    let numbers = ref 0 in
-    let fail msg = raise (Malformed (Printf.sprintf "%s at byte %d" msg !pos)) in
-    let peek () = if !pos >= n then '\255' else s.[!pos] in
-    let advance () = incr pos in
-    let rec skip_ws () =
-      match peek () with ' ' | '\t' | '\n' | '\r' -> advance (); skip_ws () | _ -> ()
-    in
-    let expect c =
-      if peek () = c then advance () else fail (Printf.sprintf "expected '%c'" c)
-    in
-    let keyword k =
-      let l = String.length k in
-      if !pos + l <= n && String.sub s !pos l = k then pos := !pos + l
-      else fail ("expected " ^ k)
-    in
-    let number () =
-      let start = !pos in
-      if peek () = '-' then advance ();
-      let digit c = c >= '0' && c <= '9' in
-      while digit (peek ()) || peek () = '.' || peek () = 'e' || peek () = 'E'
-            || peek () = '+' || peek () = '-' do
-        advance ()
-      done;
-      let lit = String.sub s start (!pos - start) in
-      match float_of_string_opt lit with
-      | Some _ -> incr numbers
-      | None -> fail (Printf.sprintf "bad number %S" lit)
-    in
-    let string_lit () =
-      expect '"';
-      let start = !pos in
-      let rec go () =
-        match peek () with
-        | '\255' -> fail "unterminated string"
-        | '"' ->
-            let v = String.sub s start (!pos - start) in
-            advance ();
-            v
-        | '\\' ->
-            advance ();
-            if !pos >= n then fail "unterminated escape";
-            advance ();
-            go ()
-        | _ -> advance (); go ()
-      in
-      go ()
-    in
-    let rec value () =
-      skip_ws ();
-      match peek () with
-      | '{' -> obj ()
-      | '[' -> arr ()
-      | '"' -> ignore (string_lit ())
-      | 't' -> keyword "true"
-      | 'f' -> keyword "false"
-      | 'n' -> keyword "null"
-      | c when c = '-' || (c >= '0' && c <= '9') -> number ()
-      | '\255' -> fail "unexpected end of input"
-      | c -> fail (Printf.sprintf "unexpected '%c'" c)
-    and obj () =
-      expect '{';
-      skip_ws ();
-      if peek () = '}' then advance ()
-      else
-        let rec members () =
-          skip_ws ();
-          keys := string_lit () :: !keys;
-          skip_ws ();
-          expect ':';
-          value ();
-          skip_ws ();
-          match peek () with
-          | ',' -> advance (); members ()
-          | '}' -> advance ()
-          | _ -> fail "expected ',' or '}' in object"
-        in
-        members ()
-    and arr () =
-      expect '[';
-      skip_ws ();
-      if peek () = ']' then advance ()
-      else
-        let rec elems () =
-          value ();
-          skip_ws ();
-          match peek () with
-          | ',' -> advance (); elems ()
-          | ']' -> advance ()
-          | _ -> fail "expected ',' or ']' in array"
-        in
-        elems ()
-    in
-    skip_ws ();
-    if peek () <> '{' then fail "snapshot must be a top-level object";
-    value ();
-    skip_ws ();
-    if !pos <> n then fail "trailing garbage after the top-level value";
-    (List.rev !keys, !numbers)
-
-  let check_file path =
-    let ic = open_in_bin path in
-    let s =
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    let keys, numbers = parse s in
-    if not (List.mem "issue" keys) then
-      raise (Malformed "schema: missing \"issue\" tag");
-    if numbers = 0 then raise (Malformed "schema: no numeric metrics");
-    (List.length keys, numbers)
-
-  let run () =
-    let root =
-      match Klint.find_root () with
-      | Some r -> r
-      | None -> failwith "bench: cannot locate dune-project root"
-    in
-    let files =
-      Sys.readdir root |> Array.to_list
-      |> List.filter (fun f ->
-             String.length f > 6
-             && String.sub f 0 6 = "BENCH_"
-             && Filename.check_suffix f ".json")
-      |> List.sort compare
-    in
-    if files = [] then begin
-      Fmt.epr "bench: FAIL — no BENCH_*.json snapshots under %s@." root;
-      exit 1
-    end;
-    let bad = ref 0 in
-    List.iter
-      (fun f ->
-        let path = Filename.concat root f in
-        match check_file path with
-        | nkeys, nnums ->
-            Fmt.pr "bench: %-14s ok (%d keys, %d numeric metrics)@." f nkeys nnums
-        | exception Malformed msg ->
-            incr bad;
-            Fmt.epr "bench: FAIL — %s: %s@." f msg
-        | exception Sys_error msg ->
-            incr bad;
-            Fmt.epr "bench: FAIL — %s: %s@." f msg)
-      files;
-    if !bad > 0 then begin
-      Fmt.epr "bench: %d malformed snapshot(s)@." !bad;
-      exit 1
-    end;
-    Fmt.pr "bench: %d snapshot(s) valid@." (List.length files)
-end
-
 (* main ----------------------------------------------------------------------- *)
 
 let boot_registry () =
@@ -992,18 +589,10 @@ let boot_registry () =
   r
 
 let () =
-  (* Validation mode: parse the persisted snapshots and exit — must not
-     run (or overwrite) any benchmark. *)
-  if Array.exists (fun a -> a = "--validate") Sys.argv then begin
-    Validate.run ();
-    exit 0
-  end;
   Fmt.pr "================ paper artifacts (tables & figures) ================@.";
   Kcve.Figures.all std (boot_registry ());
   Format.pp_print_flush std ();
   Fmt.pr "@.================ timing benchmarks ================@.";
-  refine_snapshot ();
-  wcache_snapshot ();
   let modularity = bench_modularity () in
   let typesafety = bench_typesafety () in
   let ownership = bench_ownership () in

@@ -45,8 +45,8 @@ let count_ratchet ~name ~against ~why ?(allow = false) ~baseline current =
     regressions;
   if regressions = [] || allow then 0 else 1
 
-let run root_opt report_opt update_baseline verbose lockdep_edges lock_graph_dot kmem_events
-    refine_coverage allow_refine_regress baseline_head allow_baseline_growth wcache_violations =
+let run root_opt report_opt update_baseline verbose runtime_export lock_graph_dot
+    refine_coverage baseline_head allow_baseline_growth =
   let root =
     match root_opt with
     | Some r -> r
@@ -61,16 +61,23 @@ let run root_opt report_opt update_baseline verbose lockdep_edges lock_graph_dot
   in
   (* The reconciliation inputs first: a missing, malformed or empty one
      would check nothing, so it fails before any lint work. *)
-  let read export =
-    Option.map (fun path ->
-        match Kparse.read_export export path with Ok r -> r | Error msg -> fail "%s" msg)
+  let ok = function Ok r -> r | Error msg -> fail "%s" msg in
+  let kinds = [ Kracer.lockdep_edge.kind; Kown.kmem_event.kind; Kdur.wcache_violation.kind ] in
+  let export =
+    Option.map (fun path -> (path, ok (Kparse.read_export ~kinds path))) runtime_export
   in
-  let runtime_edges =
-    Option.map (List.sort_uniq compare) (read Kracer.lockdep_edges lockdep_edges)
+  let decode kind =
+    Option.map
+      (fun (path, rows) ->
+        match Kparse.decode kind rows with Ok r -> r | Error msg -> fail "%s: %s" path msg)
+      export
   in
-  let kmem_events = read Kown.kmem_events kmem_events in
-  let wcache_violations = read Kdur.wcache_violations wcache_violations in
-  let refine_rows = read Kverify.coverage refine_coverage in
+  let runtime_edges = Option.map (List.sort_uniq compare) (decode Kracer.lockdep_edge) in
+  let kmem_events = decode Kown.kmem_event in
+  let wcache_violations = decode Kdur.wcache_violation in
+  let refine_rows =
+    Option.map (fun path -> ok (Kparse.read_records Kverify.coverage path)) refine_coverage
+  in
   (* The same registry the kernel boots with, sized from the tree. *)
   let registry = Safeos_core.Boot.registry ~loc_of:(fun name -> registry_loc ~root name) () in
   let tree =
@@ -324,16 +331,12 @@ let run root_opt report_opt update_baseline verbose lockdep_edges lock_graph_dot
                (List.map (fun (m, have, want) -> Fmt.str "%s %d>%d" m have want) progress));
         List.iter
           (fun (m, have, want) ->
-            if allow_refine_regress then
-              Fmt.pr "klint: refine coverage regression (allowed) — %s: %d < baseline %d@." m
-                have want
-            else
-              Fmt.epr
-                "klint: REFINE REGRESSION — %s: %d < baseline %d (refinement coverage only \
-                 grows; ALLOW_REFINE_REGRESS=1 to override)@."
-                m have want)
+            Fmt.epr
+              "klint: REFINE REGRESSION — %s: %d < baseline %d (refinement coverage only \
+               grows; a deliberate reduction reruns with --update-baseline)@."
+              m have want)
           regressions;
-        if diverged <> [] || (regressions <> [] && not allow_refine_regress) then 1 else 0
+        if diverged <> [] || regressions <> [] then 1 else 0
   in
   Fmt.pr "klint: fixpoint rounds (of bound) — %s@."
     (String.concat ", "
@@ -371,32 +374,24 @@ let update_baseline =
 
 let verbose = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print every finding")
 
-let lockdep_edges =
-  Arg.(value & opt (some string) None & info [ "lockdep-edges" ] ~docv:"FILE"
-         ~doc:"Reconcile the static lock-order graph against runtime edges exported by \
-               Ksim.Lockdep (KSIM_LOCKDEP_EXPORT); exit 1 if any runtime edge is missing \
-               from the static graph, 2 if the file has no edges")
+let runtime_export =
+  Arg.(value & opt (some string) None & info [ "runtime-export" ] ~docv:"FILE"
+         ~doc:"Reconcile the static passes against the runtime export Ksim.Export writes \
+               (KSIM_EXPORT): lock-order edges against kracer's graph, heap events against \
+               kown's R8-R11 findings, barrier violations against kdur's R16 findings, and \
+               lock classes and heap events against ktcb's frame.  Exit 1 if any runtime \
+               record is missing from the static findings, 2 if the file is missing or \
+               malformed or lacks records of one kind")
 
 let lock_graph_dot =
   Arg.(value & opt (some string) None & info [ "lock-graph-dot" ] ~docv:"FILE"
          ~doc:"Write the static lock-order graph as Graphviz dot")
-
-let kmem_events =
-  Arg.(value & opt (some string) None & info [ "kmem-events" ] ~docv:"FILE"
-         ~doc:"Reconcile kown's static R8-R11 findings against runtime heap events \
-               exported by Ksim.Kmem (KSIM_KMEM_EXPORT); exit 1 if any runtime event \
-               hit a linted file kown did not flag, 2 if the file has no events")
 
 let refine_coverage =
   Arg.(value & opt (some string) None & info [ "refine-coverage" ] ~docv:"FILE"
          ~doc:"Ratchet the krefine coverage file written by 'safeos refine --coverage-out' \
                against refine.baseline, and embed it in the JSON report; exit 1 on \
                reported divergences or coverage regressions")
-
-let allow_refine_regress =
-  Arg.(value & flag & info [ "allow-refine-regress" ]
-         ~doc:"Report refinement-coverage regressions without failing (the \
-               ALLOW_REFINE_REGRESS=1 CI escape)")
 
 let baseline_head =
   Arg.(value & opt (some string) None & info [ "baseline-head" ] ~docv:"FILE"
@@ -408,19 +403,11 @@ let allow_baseline_growth =
          ~doc:"Report baseline growth vs --baseline-head without failing (the \
                ALLOW_BASELINE_GROWTH=1 CI escape)")
 
-let wcache_violations =
-  Arg.(value & opt (some string) None & info [ "wcache-violations" ] ~docv:"FILE"
-         ~doc:"Reconcile kdur's static R16 findings against barrier-discipline violations \
-               exported by Kblock.Wcache (KSIM_WCACHE_EXPORT); exit 1 if any runtime \
-               violation hit a linted file kdur did not flag, 2 if the file has no \
-               violations")
-
 let cmd =
   Cmd.v
     (Cmd.info "klint" ~version:"1.0.0"
        ~doc:"Static safety-ladder linter: enforce Registry level claims against the source tree")
-    Term.(const run $ root $ report $ update_baseline $ verbose $ lockdep_edges
-          $ lock_graph_dot $ kmem_events $ refine_coverage $ allow_refine_regress
-          $ baseline_head $ allow_baseline_growth $ wcache_violations)
+    Term.(const run $ root $ report $ update_baseline $ verbose $ runtime_export
+          $ lock_graph_dot $ refine_coverage $ baseline_head $ allow_baseline_growth)
 
 let () = exit (Cmd.eval' cmd)

@@ -95,10 +95,19 @@ type t = {
   mutable fua_writes : int;
 }
 
-(* Every violation any cache recorded, newest first, for the
-   KSIM_WCACHE_EXPORT at_exit dump.  Records, never caches: a cache pins
-   its base device, and a crash sweep builds a cache per image. *)
+(* Every violation a cache recorded while the runtime export was on,
+   newest first: one "wcache" record each (cache, blkno, read_seq,
+   write_blkno, write_seq).  Records, never caches: a cache pins its base
+   device, and a crash sweep builds a cache per image. *)
 let exported : (string * violation) list ref = ref []
+
+let () =
+  Ksim.Export.register "wcache" (fun () ->
+      List.rev_map
+        (fun (name, v) ->
+          name
+          :: List.map string_of_int [ v.v_blkno; v.v_read_seq; v.v_write_blkno; v.v_write_seq ])
+        !exported)
 
 let create ?(name = "wcache") ?(capacity = 32) ?fp ?(seed = 0)
     ?(trace = Ksim.Ktrace.global) base =
@@ -176,7 +185,7 @@ let record_violation t ~v_blkno ~v_read_seq ~v_write_blkno ~v_write_seq =
   if List.length t.violations < 64 then begin
     let v = { v_blkno; v_read_seq; v_write_blkno; v_write_seq } in
     t.violations <- v :: t.violations;
-    exported := (t.name, v) :: !exported
+    if Ksim.Export.on () then exported := (t.name, v) :: !exported
   end;
   if t.nviolations <= 8 then
     Ksim.Ktrace.emitf t.trace ~category:"incident"
@@ -500,42 +509,3 @@ let io t : Io.t =
     flush = (fun () -> flush t);
     write_fua = Some (write_fua t);
   }
-
-(* Runtime audit export ----------------------------------------------------- *)
-
-(* One "name\tblkno\tread_seq\twrite_blkno\twrite_seq" line per recorded
-   ordering violation, the wire format klint's kdur reconciliation
-   ([--wcache-violations]) consumes.  Append-mode so every test binary in
-   a suite contributes to the same file, mirroring
-   [Kmem.append_events_to_file]. *)
-let append_rows ~path = function
-  | [] -> ()
-  | rows ->
-      let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () ->
-          let buf = Buffer.create 256 in
-          List.iter
-            (fun (name, v) ->
-              Buffer.add_string buf
-                (Printf.sprintf "%s\t%d\t%d\t%d\t%d\n" name v.v_blkno v.v_read_seq
-                   v.v_write_blkno v.v_write_seq))
-            rows;
-          output_string oc (Buffer.contents buf))
-
-let append_violations_to_file t ~path =
-  append_rows ~path (List.map (fun v -> (t.name, v)) (audit t))
-
-let export_env = "KSIM_WCACHE_EXPORT"
-
-(* When [KSIM_WCACHE_EXPORT] names a file, every process dumps the audit
-   violations its caches recorded there on exit: `scripts/ci.sh` sets it
-   across `dune runtest` so kdur can check its static R16 findings
-   against every barrier-discipline violation the suite actually
-   provoked. *)
-let () =
-  match Sys.getenv_opt export_env with
-  | Some path when path <> "" ->
-      at_exit (fun () -> try append_rows ~path (List.rev !exported) with Sys_error _ -> ())
-  | Some _ | None -> ()

@@ -137,25 +137,14 @@ val crash_devices : disk -> limit:int -> Blockdev.t list
 val audit : t -> violation list
 (** Ordering violations observed so far, oldest first (bounded at 64;
     {!ordering_violations} has the true count).  Each also emitted an
-    ["incident"] trace event, feeding the Audit/UNSOUND reconciliation. *)
+    ["incident"] trace event, feeding the Audit/UNSOUND reconciliation.
+    While the {!Ksim.Export} is on, each is also kept as a ["wcache"]
+    record (fields: cache name, blkno, read_seq, write_blkno,
+    write_seq) — a record, never the cache, so a dropped cache and its
+    base device stay collectable.  kdur reconciles them with its static
+    R16 findings. *)
 
 val ordering_violations : t -> int
-
-val append_violations_to_file : t -> path:string -> unit
-(** Append this cache's recorded audit violations to [path], one
-    ["name\tblkno\tread_seq\twrite_blkno\twrite_seq"] line each — the
-    wire format klint's kdur reconciliation ([--wcache-violations])
-    consumes.  No-op when the audit is clean. *)
-
-val export_env : string
-(** ["KSIM_WCACHE_EXPORT"].  When set to a file path, every process
-    appends the audit violations its caches recorded there at exit, in
-    the {!append_violations_to_file} format; scripts/ci.sh sets it across
-    [dune runtest] so kdur's static R16 findings are checked against every
-    violation the suite actually provoked.  The export keeps a
-    [(cache name, violation)] record per {!audit} entry, taken when the
-    violation is recorded — never the cache itself, so a dropped cache
-    and its base device stay collectable. *)
 
 (** {1 Counters} *)
 

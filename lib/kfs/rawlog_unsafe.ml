@@ -8,7 +8,7 @@
    kdur rule, grandfathered in dur.baseline, and [append_chained] is
    also the runtime counterpart — driven over a {!Kblock.Wcache} named
    ["rawlog_unsafe"] it provokes the audit's read-back-then-dependent-
-   write violation, which the KSIM_WCACHE_EXPORT reconciliation then
+   write violation, which kdur's runtime-export reconciliation then
    matches against the static R16 finding in this file.
 
    Specimens:

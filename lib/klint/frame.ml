@@ -76,8 +76,8 @@ let classify_path path =
    is unexported until blessed here. *)
 let blessed_modules =
   [
-    "Frame"; "Errno"; "Failpoint"; "Hist"; "Klock"; "Kstats"; "Kthread";
-    "Ktrace"; "Lockdep"; "Rng"; "Storm"; "Supervisor";
+    "Frame"; "Errno"; "Export"; "Failpoint"; "Hist"; "Klock"; "Kstats";
+    "Kthread"; "Ktrace"; "Lockdep"; "Rng"; "Storm"; "Supervisor";
   ]
 
 let frame_module_of_file rel =

@@ -11,8 +11,8 @@
    stated once and checked against every caller.
 
    The second output is the runtime reconciliation: {!Kblock.Wcache}
-   dumps its barrier-discipline audit (read-back-then-dependent-write
-   violations) when [KSIM_WCACHE_EXPORT] is set, and
+   exports its barrier-discipline audit (read-back-then-dependent-write
+   violations) when [KSIM_EXPORT] is set, and
    [unflagged_wcache_violations] subtracts kdur's static R16 findings —
    any runtime violation in a linted file that kdur did not flag
    statically is an unsoundness (an ordering path the syntactic analysis
@@ -111,20 +111,19 @@ type wcache_violation = {
   v_write_seq : int;
 }
 
-(* "name\tblkno\tread_seq\twrite_blkno\twrite_seq" per line, the format
-   [Wcache]'s [KSIM_WCACHE_EXPORT] at_exit hook writes. *)
-let wcache_violations =
+(* The runtime export's barrier violations: cache, blkno, read_seq,
+   write_blkno, write_seq. *)
+let wcache_violation =
   {
-    Kparse.what = "wcache violation";
-    of_line =
-      (fun line ->
-        match String.split_on_char '\t' line with
-        | [ cache; a; b; c; d ] -> (
-            match List.map int_of_string_opt [ a; b; c; d ] with
-            | [ Some v_blkno; Some v_read_seq; Some v_write_blkno; Some v_write_seq ] ->
-                Some { cache; v_blkno; v_read_seq; v_write_blkno; v_write_seq }
-            | _ -> None)
-        | _ -> None);
+    Kparse.kind = "wcache";
+    of_fields =
+      (function
+      | [ cache; a; b; c; d ] -> (
+          match List.map int_of_string_opt [ a; b; c; d ] with
+          | [ Some v_blkno; Some v_read_seq; Some v_write_blkno; Some v_write_seq ] ->
+              Some { cache; v_blkno; v_read_seq; v_write_blkno; v_write_seq }
+          | _ -> None)
+      | _ -> None);
   }
 
 (* Aggregate runtime violations by cache and subtract the static

@@ -9,9 +9,9 @@
    inference where present, so a contract can be stated once and checked
    against every caller.
 
-   The second output is the runtime reconciliation: {!Ksim.Kmem} dumps
+   The second output is the runtime reconciliation: {!Ksim.Kmem} exports
    heap events (use-after-free, double-free, leak sites) when
-   [KSIM_KMEM_EXPORT] is set, and [unflagged_kmem_events] subtracts
+   [KSIM_EXPORT] is set, and [unflagged_kmem_events] subtracts
    kown's static findings — any runtime event in a linted file that kown
    did not flag statically is an unsoundness (a lifetime path the
    syntactic analysis failed to see) and fails CI, exactly like kracer's
@@ -70,17 +70,15 @@ let analyze ~root parsed = of_callgraph (Callgraph.build ~root parsed)
 
 type kmem_event = { kind : string; heap : string; site : string; count : int }
 
-(* "kind\theap\tsite\tcount" per line, the format [Kmem]'s
-   [KSIM_KMEM_EXPORT] at_exit hook writes. *)
-let kmem_events =
+(* The runtime export's heap events: event, heap, site, count. *)
+let kmem_event =
   {
-    Kparse.what = "kmem event";
-    of_line =
-      (fun line ->
-        match String.split_on_char '\t' line with
-        | [ kind; heap; site; count ] ->
-            Option.map (fun count -> { kind; heap; site; count }) (int_of_string_opt count)
-        | _ -> None);
+    Kparse.kind = "kmem";
+    of_fields =
+      (function
+      | [ kind; heap; site; count ] ->
+          Option.map (fun count -> { kind; heap; site; count }) (int_of_string_opt count)
+      | _ -> None);
   }
 
 let rule_of_kind = function

@@ -24,15 +24,14 @@ let tree ~root =
   in
   (files, parsed, errors)
 
-(* Record files the passes are reconciled against: the runtime exports
-   (lockdep edges, kmem events, wcache violations) and the refine
-   coverage file.  One record per line; blank and '#' lines are skipped.
-   A malformed line is an error, and so is a file with no records — a
-   truncated or missing export must not pass reconciliation by
-   vacuity. *)
-type 'a export = { what : string; of_line : string -> 'a option }
+(* Record files the passes are reconciled against: the runtime export
+   and the refine coverage file.  One record per line; blank and '#'
+   lines are skipped.  A malformed line is an error, and so is a file
+   with no records — a truncated or missing file must not pass
+   reconciliation by vacuity. *)
+type 'a records = { what : string; of_line : string -> 'a option }
 
-let read_export { what; of_line } path =
+let read_records { what; of_line } path =
   match open_in_bin path with
   | exception Sys_error msg -> Error msg
   | ic ->
@@ -51,3 +50,35 @@ let read_export { what; of_line } path =
                 | None -> Error (Fmt.str "%s:%d: malformed %s line %S" path lineno what line))
           in
           loop [] 1)
+
+(* One kind of record in the runtime export [Ksim.Export] writes, one
+   "kind\tfield\t..." line each.  The pass that reconciles a kind owns
+   its field decoder. *)
+type 'a kind = { kind : string; of_fields : string list -> 'a option }
+
+(* The runtime export, read once, as (kind, fields) in file order.  A
+   line of any kind outside [kinds] is malformed, and each of [kinds]
+   needs records of its own: a producer that never reached the export
+   would otherwise let its reconciliation check nothing. *)
+let read_export ~kinds path =
+  let of_line line =
+    match String.split_on_char '\t' line with
+    | kind :: (_ :: _ as fields) when List.mem kind kinds -> Some (kind, fields)
+    | _ -> None
+  in
+  Result.bind (read_records { what = "runtime export"; of_line } path) (fun rows ->
+      match List.find_opt (fun kind -> not (List.mem_assoc kind rows)) kinds with
+      | Some kind -> Error (Fmt.str "%s: no %s records; checked nothing" path kind)
+      | None -> Ok rows)
+
+(* The records of one kind, decoded by its pass; a record its decoder
+   rejects is malformed. *)
+let decode { kind; of_fields } rows =
+  let decoded =
+    List.filter_map
+      (fun (k, fields) -> if String.equal k kind then Some (fields, of_fields fields) else None)
+      rows
+  in
+  match List.find_opt (fun (_, r) -> Option.is_none r) decoded with
+  | Some (fields, _) -> Error (Fmt.str "malformed %s record %S" kind (String.concat "\t" fields))
+  | None -> Ok (List.filter_map snd decoded)

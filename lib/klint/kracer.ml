@@ -287,16 +287,11 @@ let missing_runtime_edges ~static runtime =
   |> List.sort_uniq compare
   |> List.filter (fun e -> not (List.mem e static))
 
-(* "held acquired" per line, the format [Lockdep.append_edges_to_file]
-   writes. *)
-let lockdep_edges =
+(* The runtime export's lock-order edges: held, acquired. *)
+let lockdep_edge =
   {
-    Kparse.what = "lockdep edge";
-    of_line =
-      (fun line ->
-        match String.split_on_char ' ' (String.trim line) with
-        | [ a; b ] -> Some (a, b)
-        | _ -> None);
+    Kparse.kind = "lockdep";
+    of_fields = (function [ held; acquired ] -> Some (held, acquired) | _ -> None);
   }
 
 let dot_of_edges edges =

@@ -336,7 +336,7 @@ let priced ~result file =
   Frame.in_frame file
   || List.exists (fun (f : Finding.t) -> String.equal f.Finding.file file) result.findings
 
-(* Raw heap events ([KSIM_KMEM_EXPORT]) from a module the metric
+(* Raw heap events (the runtime export's kmem records) from a module the metric
    classifies as frame-free: the static confinement claim is UNSOUND —
    same CI contract as kracer's and kown's reconciliations. *)
 let unsound_kmem_events ~files ~result events =

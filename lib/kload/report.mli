@@ -53,4 +53,4 @@ val pp : Format.formatter -> t -> unit
 
 val to_json_string : t -> string
 (** The report as a JSON object (hand-rolled; no external deps) —
-    what [BENCH_6.json] and the CLI emit. *)
+    what [safeos load --json] and [--out] emit. *)

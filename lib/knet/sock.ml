@@ -228,20 +228,20 @@ module Supervised = struct
 
   type t = {
     sup : Ksim.Supervisor.t;
-    fp : Ksim.Failpoint.t option;
+    panic : (Ksim.Failpoint.t * Ksim.Failpoint.site) option;
   }
 
   let create ?policy ?trace ?stats ?fp ~name () =
     let sup = Ksim.Supervisor.create ?policy ?trace ?stats ~name () in
     Ksim.Supervisor.set_restart sup (fun () -> Ok ());
-    { sup; fp }
+    { sup; panic = Option.map (fun fp -> (fp, Ksim.Failpoint.register fp panic_site)) fp }
 
   let supervisor t = t.sup
   let epoch t = Ksim.Supervisor.epoch t.sup
 
   let maybe_panic t =
-    match t.fp with
-    | Some fp when Ksim.Failpoint.should_fail fp panic_site ->
+    match t.panic with
+    | Some (fp, site) when Ksim.Failpoint.fire fp site ->
         raise (Ksim.Supervisor.Module_panic panic_site)
     | _ -> ()
 

@@ -31,8 +31,8 @@ and t = {
   strict : bool; (* raise on violation instead of just counting *)
 }
 
-(* A heap's name and event tables: what the [KSIM_KMEM_EXPORT] at_exit
-   dump reads, kept apart from the heap's live table. *)
+(* A heap's name and event tables: what its runtime export records are
+   read from at exit, kept apart from the heap's live table. *)
 and events = {
   name : string;
   uaf_sites : (string, int) Hashtbl.t; (* allocation site -> uaf count *)
@@ -40,10 +40,6 @@ and events = {
   mutable reported_leaks : (string * int) list; (* last [leaks] snapshot, per site *)
   mutable exported : bool;
 }
-
-(* The event tables of every heap that has recorded an event.  Tables,
-   never heaps: a heap pins every live allocation. *)
-let exported : events list ref = ref []
 
 let create ?(strict = true) ~name () =
   {
@@ -59,7 +55,23 @@ let create ?(strict = true) ~name () =
     strict;
   }
 
-let export_events ev = if not ev.exported then (ev.exported <- true; exported := ev :: !exported)
+let sorted_sites tbl = Hashtbl.fold (fun s n acc -> (s, n) :: acc) tbl [] |> List.sort compare
+
+(* One "kmem" record per aggregated event: event, heap, site, count. *)
+let event_rows ev =
+  let rows event = List.map (fun (site, n) -> [ event; ev.name; site; string_of_int n ]) in
+  rows "uaf" (sorted_sites ev.uaf_sites)
+  @ rows "double_free" (sorted_sites ev.double_free_sites)
+  @ rows "leak" ev.reported_leaks
+
+(* A heap that records an event while the export is on hands its event
+   tables to it, once.  Tables, never heaps: a heap pins every live
+   allocation. *)
+let export_events ev =
+  if (not ev.exported) && Export.on () then begin
+    ev.exported <- true;
+    Export.register "kmem" (fun () -> event_rows ev)
+  end
 
 let bump heap tbl site =
   export_events heap.events;
@@ -139,52 +151,9 @@ let leak_sites heap =
   ignore (leaks heap : leak list);
   heap.events.reported_leaks
 
-let sorted_sites tbl = Hashtbl.fold (fun s n acc -> (s, n) :: acc) tbl [] |> List.sort compare
 let uaf_sites heap = sorted_sites heap.events.uaf_sites
 let double_free_sites heap = sorted_sites heap.events.double_free_sites
 
 let pp_report ppf heap =
   Fmt.pf ppf "heap %s: allocated=%d freed=%d live=%d uaf=%d double_free=%d" heap.events.name
     heap.allocated heap.freed (live_count heap) heap.uaf_events heap.double_free_events
-
-(* Runtime event export ---------------------------------------------------- *)
-
-(* One "kind\theap\tsite\tcount" line per aggregated event, the wire
-   format klint's kown reconciliation ([--kmem-events]) consumes.
-   Append-mode so every test binary in a suite contributes to the same
-   file, mirroring [Lockdep.append_edges_to_file]. *)
-let append_event_rows ev ~path =
-  let rows =
-    List.map (fun (s, n) -> ("uaf", s, n)) (sorted_sites ev.uaf_sites)
-    @ List.map (fun (s, n) -> ("double_free", s, n)) (sorted_sites ev.double_free_sites)
-    @ List.map (fun (s, n) -> ("leak", s, n)) ev.reported_leaks
-  in
-  match rows with
-  | [] -> ()
-  | rows ->
-      let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () ->
-          let buf = Buffer.create 256 in
-          List.iter
-            (fun (kind, site, n) ->
-              Buffer.add_string buf
-                (Printf.sprintf "%s\t%s\t%s\t%d\n" kind ev.name site n))
-            rows;
-          output_string oc (Buffer.contents buf))
-
-let append_events_to_file heap ~path = append_event_rows heap.events ~path
-
-let export_env = "KSIM_KMEM_EXPORT"
-
-(* When [KSIM_KMEM_EXPORT] names a file, every process dumps all heaps'
-   aggregated events there on exit: `scripts/ci.sh` sets it across `dune
-   runtest` so kown can check its static R8-R11 findings against every
-   heap event the suite actually observed. *)
-let () =
-  match Sys.getenv_opt export_env with
-  | Some path when path <> "" ->
-      at_exit (fun () ->
-          List.iter (fun ev -> try append_event_rows ev ~path with Sys_error _ -> ()) !exported)
-  | Some _ | None -> ()

@@ -3,7 +3,13 @@
     The classic C memory bugs — use-after-free, double-free, leaks — become
     observable events.  Unsafe modules (roadmap steps 0–2) manage lifetimes
     through this allocator by hand; the point of roadmap step 3 is that a
-    whole class of these events becomes impossible by construction. *)
+    whole class of these events becomes impossible by construction.
+
+    While the {!Export} is on, a heap that records an event hands its
+    event tables (never the heap) to it: one ["kmem"] record per
+    aggregated event, with fields event ([uaf], [double_free] or
+    [leak]), heap, site and count.  kown reconciles them with its static
+    R8-R11 findings. *)
 
 exception Use_after_free of { site : string; id : int }
 exception Double_free of { site : string; id : int }
@@ -56,12 +62,3 @@ val double_free_sites : t -> (string * int) list
 (** Double-free events, aggregated per allocation site. *)
 
 val pp_report : Format.formatter -> t -> unit
-
-val append_events_to_file : t -> path:string -> unit
-(** Append this heap's aggregated events to [path], one
-    "kind\theap\tsite\tcount" line each — the format
-    [klint --kmem-events] reconciles against kown's static findings. *)
-
-val export_env : string
-(** ["KSIM_KMEM_EXPORT"]: when set to a file path, every heap's events
-    are appended there at process exit. *)

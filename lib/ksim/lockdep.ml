@@ -116,33 +116,9 @@ let dump_dot t =
   Buffer.add_string buf "}\n";
   Buffer.contents buf
 
-(* Append the edge list to [path], one "held acquired" pair per line —
-   the wire format the static/runtime reconciliation (klint's kracer)
-   consumes.  Append-mode so every test binary in a suite can contribute
-   to the same file. *)
-let append_edges_to_file t ~path =
-  match edges t with
-  | [] -> ()
-  | es ->
-      let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () ->
-          let buf = Buffer.create 256 in
-          List.iter (fun (a, b) -> Buffer.add_string buf (a ^ " " ^ b ^ "\n")) es;
-          output_string oc (Buffer.contents buf))
-
-(* A process-wide instance, mirroring the kernel's single lockdep. *)
+(* A process-wide instance, mirroring the kernel's single lockdep.  Its
+   graph is the runtime export's "lockdep" records: kracer checks its
+   static lock-order graph against everything a run actually observed. *)
 let global = create ()
 
-let export_env = "KSIM_LOCKDEP_EXPORT"
-
-(* When [KSIM_LOCKDEP_EXPORT] names a file, every process dumps the
-   global graph there on exit: `scripts/ci.sh` sets it across `dune
-   runtest` so kracer can check its static lock-order graph against
-   everything the suite actually observed. *)
-let () =
-  match Sys.getenv_opt export_env with
-  | Some path when path <> "" ->
-      at_exit (fun () -> try append_edges_to_file global ~path with Sys_error _ -> ())
-  | Some _ | None -> ()
+let () = Export.register "lockdep" (fun () -> List.map (fun (a, b) -> [ a; b ]) (edges global))

@@ -36,16 +36,7 @@ val edges : t -> (string * string) list
 val dump_dot : t -> string
 (** The graph in graphviz dot syntax, for debugging. *)
 
-val append_edges_to_file : t -> path:string -> unit
-(** Append {!edges} to [path], one ["held acquired"] pair per line.
-    Append-mode, so concurrent test binaries can share one dump file. *)
-
 val global : t
 (** The process-wide instance, mirroring the kernel's single lockdep.
-    When the [KSIM_LOCKDEP_EXPORT] environment variable names a file,
-    the global graph is appended to it at process exit (the hook
-    `scripts/ci.sh` uses to collect the runtime graph across the whole
-    test suite for kracer's static/runtime reconciliation). *)
-
-val export_env : string
-(** The name of that environment variable, ["KSIM_LOCKDEP_EXPORT"]. *)
+    Its edges are the {!Export} records of kind ["lockdep"] (fields:
+    held, acquired), which kracer's static/runtime reconciliation reads. *)

@@ -36,13 +36,14 @@ let instance_interpret (Instance ((module F), fs)) = F.interpret fs
 
 let make (type f) (module F : FS_OPS with type fs = f) () = instance (module F) (F.mkfs ())
 
-(* A panic shim around an instance: every entry point first consults a
-   failpoint and, when it fires, raises a module panic *through* the
-   modular interface — exactly the oops the supervisor exists to
-   contain.  The wrapped instance is the closure state, so a remake
-   factory that re-wraps a fresh inner instance gives the supervisor a
-   rebootable panicky module. *)
+(* A panic shim around an instance: every entry point first fires a
+   failpoint (registered once, here) and, when it fires, raises a module
+   panic *through* the modular interface — exactly the oops the
+   supervisor exists to contain.  The wrapped instance is the closure
+   state, so a remake factory that re-wraps a fresh inner instance gives
+   the supervisor a rebootable panicky module. *)
 let panicky ?(site = "module.panic") ~fp inner =
+  let panic = Ksim.Failpoint.register fp site in
   let module P = struct
     type fs = unit
 
@@ -51,7 +52,7 @@ let panicky ?(site = "module.panic") ~fp inner =
     let mkfs () = ()
 
     let apply () op =
-      if Ksim.Failpoint.should_fail fp site then raise (Ksim.Supervisor.Module_panic site);
+      if Ksim.Failpoint.fire fp panic then raise (Ksim.Supervisor.Module_panic site);
       instance_apply inner op
 
     let interpret () = instance_interpret inner

@@ -20,27 +20,15 @@ echo "== ci: klint (static safety-ladder lint, tcb and dur ratchets) =="
 # `dune exec bin/klint/main.exe -- --update-baseline`.
 dune build @lint
 
-# Every test binary from here on appends the lock-order edges it
-# observed to this file; kracer checks them against its static graph at
-# the end.  --force so cached (skipped) tests cannot leave holes.
-LOCKDEP_EDGES="$(pwd)/_build/lockdep-edges.txt"
-rm -f "$LOCKDEP_EDGES"
-export KSIM_LOCKDEP_EXPORT="$LOCKDEP_EDGES"
-
-# Likewise for heap events (use-after-free, double-free, leak sites):
-# kown checks at the end that everything the tests observed at runtime
-# was already flagged statically.
-KMEM_EVENTS="$(pwd)/_build/kmem-events.txt"
-rm -f "$KMEM_EVENTS"
-export KSIM_KMEM_EXPORT="$KMEM_EVENTS"
-
-# And for barrier-discipline violations: every Wcache audit hit the
-# tests provoke is dumped here, and kdur checks at the end that each one
-# (in a linted file) was already flagged as a static R16.  test_wcache's
-# rawlog_unsafe reconciliation fixture guarantees at least one lands here.
-WCACHE_VIOLATIONS="$(pwd)/_build/wcache-violations.txt"
-rm -f "$WCACHE_VIOLATIONS"
-export KSIM_WCACHE_EXPORT="$WCACHE_VIOLATIONS"
+# Every process from here on appends the runtime records it observed to
+# this one file at exit: lock-order edges, heap events (use-after-free,
+# double-free, leak sites) and Wcache barrier-discipline violations.
+# The final klint call checks each against the static findings.
+# test_wcache's rawlog_unsafe fixture guarantees a wcache record lands
+# here.  --force so cached (skipped) tests cannot leave holes.
+RUNTIME_EXPORT="$(pwd)/_build/runtime-export.txt"
+rm -f "$RUNTIME_EXPORT"
+export KSIM_EXPORT="$RUNTIME_EXPORT"
 
 echo "== ci: dune runtest =="
 dune runtest --force
@@ -60,6 +48,19 @@ KSIM_TORTURE_SEEDS="101,202,303" dune exec test/test_torture.exe
 # its check, so the full sweep needs tens of MB; a leak that pins crash
 # devices fails its stage instead of swapping the host.
 MEM_CAP_KB=1048576
+
+# top_heap_words FAILURE CMD...: run CMD under the memory cap with GC
+# stats on and print its peak heap in words, or fail with FAILURE if it
+# fails or runs out of memory.  Binaries run directly because `dune
+# exec` prints GC stats of its own under OCAMLRUNPARAM=v=0x400.
+top_heap_words() {
+  failure=$1
+  shift
+  ( ulimit -v "$MEM_CAP_KB"
+    OCAMLRUNPARAM=v=0x400 "$@" > /dev/null 2> _build/gc-stats.txt ) \
+    || { echo "ci: FAIL — $failure" >&2; exit 1; }
+  sed -n 's/^top_heap_words: *//p' _build/gc-stats.txt
+}
 
 echo "== ci: wcache cache-loss torture (volatile disk contract, memory cap) =="
 # Seeded cache-loss torture: journalfs over the volatile write-back
@@ -90,18 +91,12 @@ echo "== ci: kload heap growth (memory bounded in trace length, memory cap) =="
 # Durable kload traffic (fsynced journal commits through the write-back
 # cache, no storm) at two run lengths: quadrupling the ops may at most
 # double the peak heap, so nothing on the block stack may keep every
-# write it acked.  The binary runs directly because `dune exec` prints
-# GC stats of its own under OCAMLRUNPARAM=v=0x400.
-kload_top_heap() {
-  ( ulimit -v "$MEM_CAP_KB"
-    OCAMLRUNPARAM=v=0x400 _build/default/bin/safeos.exe load --storm none --seed 42 \
-      --spec "tenants=64;ops=$1;keyspace=96;payload=4096;classes=bulk:1:dwrite=8,dread=2" \
-      > /dev/null 2> _build/kload-gc.txt ) \
-    || { echo "ci: FAIL — the ops=$1 durable kload run failed or ran out of memory" >&2; exit 1; }
-  sed -n 's/^top_heap_words: *//p' _build/kload-gc.txt
-}
-heap_short=$(kload_top_heap 100)
-heap_long=$(kload_top_heap 400)
+# write it acked.
+kload_spec='keyspace=96;payload=4096;classes=bulk:1:dwrite=8,dread=2'
+heap_short=$(top_heap_words "the ops=100 durable kload run failed or ran out of memory" \
+  _build/default/bin/safeos.exe load --storm none --seed 42 --spec "tenants=64;ops=100;$kload_spec")
+heap_long=$(top_heap_words "the ops=400 durable kload run failed or ran out of memory" \
+  _build/default/bin/safeos.exe load --storm none --seed 42 --spec "tenants=64;ops=400;$kload_spec")
 echo "ci: kload top_heap_words: $heap_short at 100 ops/tenant, $heap_long at 400"
 if [ -z "$heap_short" ] || [ -z "$heap_long" ]; then
   echo "ci: FAIL — no top_heap_words in the kload runs' GC stats" >&2
@@ -143,17 +138,11 @@ echo "ci: refine sweep $(grep '^wall:' _build/refine-sweep.txt)"
 # across trace lengths (the trace itself grows), so one 4k-op sweep runs
 # with crash images at every op and without any, and the first may peak
 # at most 1.5x the second: crash images must be dropped after their
-# check.  The binary runs directly because `dune exec` prints GC stats
-# of its own under OCAMLRUNPARAM=v=0x400.
-refine_top_heap() {
-  ( ulimit -v "$MEM_CAP_KB"
-    OCAMLRUNPARAM=v=0x400 _build/default/bin/safeos.exe refine --all --seed 11 --ops 4000 \
-      --crash-every "$1" > /dev/null 2> _build/refine-gc.txt ) \
-    || { echo "ci: FAIL — the --crash-every $1 sweep diverged or ran out of memory" >&2; exit 1; }
-  sed -n 's/^top_heap_words: *//p' _build/refine-gc.txt
-}
-heap_crash=$(refine_top_heap 1)
-heap_plain=$(refine_top_heap 0)
+# check.
+heap_crash=$(top_heap_words "the --crash-every 1 sweep diverged or ran out of memory" \
+  _build/default/bin/safeos.exe refine --all --seed 11 --ops 4000 --crash-every 1)
+heap_plain=$(top_heap_words "the --crash-every 0 sweep diverged or ran out of memory" \
+  _build/default/bin/safeos.exe refine --all --seed 11 --ops 4000 --crash-every 0)
 echo "ci: refine top_heap_words: $heap_crash with crash images, $heap_plain without"
 if [ -z "$heap_crash" ] || [ -z "$heap_plain" ]; then
   echo "ci: FAIL — no top_heap_words in the sweep's GC stats" >&2
@@ -170,16 +159,15 @@ echo "== ci: klint ratchets and reconciliation (static vs runtime) =="
 #   file) count, so pure renumbering is never growth (deliberate growth:
 #   ALLOW_BASELINE_GROWTH=1);
 # - the refine sweep's coverage may only grow against refine.baseline,
-#   and any reported divergence fails (deliberate reduction:
-#   ALLOW_REFINE_REGRESS=1, then --update-baseline);
+#   and any reported divergence fails (a deliberate reduction reruns
+#   klint with --update-baseline, which rewrites refine.baseline first);
 # - every lock nesting, heap event (use-after-free, double-free, leak)
-#   and Wcache barrier violation the tests exported must already be in
-#   klint's static findings, or the analysis has a hole.
-# An export with no records fails too (exit 2): the capture is broken,
-# and a reconciliation that checked nothing must not pass.  The binary
-# runs directly, like the heap stages above.
-set -- --root . --refine-coverage "$REFINE_COVERAGE" --lockdep-edges "$LOCKDEP_EDGES" \
-  --kmem-events "$KMEM_EVENTS" --wcache-violations "$WCACHE_VIOLATIONS"
+#   and Wcache barrier violation in the runtime export must already be
+#   in klint's static findings, or the analysis has a hole.
+# An export that lacks records of any kind fails too (exit 2): the
+# capture is broken, and a reconciliation that checked nothing must not
+# pass.  The binary runs directly, like the heap stages above.
+set -- --root . --refine-coverage "$REFINE_COVERAGE" --runtime-export "$RUNTIME_EXPORT"
 if git rev-parse --verify -q HEAD >/dev/null 2>&1 \
    && git cat-file -e HEAD:klint.baseline 2>/dev/null; then
   git show HEAD:klint.baseline > _build/baseline-head.txt
@@ -190,15 +178,6 @@ fi
 if [ "${ALLOW_BASELINE_GROWTH:-0}" = "1" ]; then
   set -- "$@" --allow-baseline-growth
 fi
-if [ "${ALLOW_REFINE_REGRESS:-0}" = "1" ]; then
-  set -- "$@" --allow-refine-regress
-fi
 _build/default/bin/klint/main.exe "$@"
-
-echo "== ci: bench result validation =="
-# Every persisted BENCH_*.json must parse and carry the claim schema
-# (group, claims, numbers) — a malformed snapshot fails fast instead of
-# silently dropping out of the paper's evidence trail.
-dune exec bench/main.exe -- --validate
 
 echo "== ci: ok =="

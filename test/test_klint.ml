@@ -1076,50 +1076,77 @@ let test_fixpoint_diverges_loudly () =
       check Alcotest.int "after the input-sized bound" 3 rounds
 
 let test_export_reader () =
-  (* One reader for every reconciliation input: records parse, blank and
-     comment lines are skipped, and a malformed line, a missing file or a
-     file with no records at all is an error — a reconciliation that
-     checked nothing must not pass. *)
-  let read export content =
+  (* One read of the one runtime export: records of every kind
+     round-trip from Ksim.Export's writer through klint's reader and
+     their pass's decoder, and a missing or empty file, a malformed
+     line, an unknown kind or a kind with no records is an error — a
+     reconciliation that checked nothing must not pass. *)
+  let module K = Klint.Kparse in
+  let lockdep = Klint.Kracer.lockdep_edge
+  and kmem = Klint.Kown.kmem_event
+  and wcache = D.wcache_violation in
+  let kinds = [ lockdep.K.kind; kmem.K.kind; wcache.K.kind ] in
+  let read write =
     let path = Filename.temp_file "klint_export" ".txt" in
-    let oc = open_out_bin path in
-    output_string oc content;
-    close_out oc;
-    let r = Klint.Kparse.read_export export path in
+    write path;
+    let r = K.read_export ~kinds path in
     Sys.remove path;
     r
   in
-  let kmem = Klint.Kown.kmem_events and wcache = Klint.Kdur.wcache_violations in
-  (match read kmem "# kmem\nuaf\town_ev\tsite-a\t2\n\nleak\town_ev\tsite-b\t1\n" with
-  | Ok [ a; b ] ->
-      check Alcotest.string "first kind" "uaf" a.Klint.Kown.kind;
-      check Alcotest.int "first count" 2 a.Klint.Kown.count;
-      check Alcotest.string "second site" "site-b" b.Klint.Kown.site
-  | Ok l -> Alcotest.failf "expected two events, got %d" (List.length l)
-  | Error msg -> Alcotest.fail msg);
-  (* the wcache format's field order: cache, read block and sequence,
-     dependent write block and sequence *)
-  (match read wcache "rawlog_unsafe\t1\t5\t2\t6\n" with
-  | Ok [ v ] ->
-      check Alcotest.string "cache" "rawlog_unsafe" v.D.cache;
-      check Alcotest.(list int) "blocks and sequences" [ 1; 5; 2; 6 ]
-        [ v.D.v_blkno; v.D.v_read_seq; v.D.v_write_blkno; v.D.v_write_seq ]
-  | Ok l -> Alcotest.failf "expected one violation, got %d" (List.length l)
-  | Error msg -> Alcotest.fail msg);
-  let is_error what = function
-    | Ok _ -> Alcotest.fail (what ^ " accepted")
-    | Error _ -> ()
+  let raw content path =
+    let oc = open_out_bin path in
+    output_string oc content;
+    close_out oc
   in
-  is_error "a malformed line" (read kmem "uaf own_ev site-a 2\n");
-  is_error "a non-numeric sequence" (read wcache "rawlog_unsafe\t1\t5\tnope\t6\n");
-  is_error "an export of blank lines" (read kmem "\n\n");
-  is_error "a missing export"
-    (Klint.Kparse.read_export Klint.Kracer.lockdep_edges "/nonexistent/lockdep-edges.txt");
-  match read wcache "" with
-  | Error msg ->
-      check Alcotest.bool "the error says nothing was checked" true
-        (contains msg "checked nothing")
-  | Ok _ -> Alcotest.fail "empty wcache export accepted"
+  let decoded kind rows =
+    match K.decode kind rows with Ok l -> l | Error msg -> Alcotest.fail msg
+  in
+  (match
+     read (fun path ->
+         Ksim.Export.write path
+           [
+             ("lockdep", [ "s_lock"; "i_lock:3" ]);
+             ("kmem", [ "uaf"; "own_ev"; "site-a"; "2" ]);
+             ("wcache", [ "rawlog_unsafe"; "1"; "5"; "2"; "6" ]);
+             ("kmem", [ "leak"; "own_ev"; "site-b"; "1" ]);
+           ])
+   with
+  | Ok rows ->
+      check
+        Alcotest.(list (pair string string))
+        "lockdep: held, acquired" [ ("s_lock", "i_lock:3") ] (decoded lockdep rows);
+      (match decoded kmem rows with
+      | [ a; b ] ->
+          check Alcotest.string "first event" "uaf" a.Klint.Kown.kind;
+          check Alcotest.int "first count" 2 a.Klint.Kown.count;
+          check Alcotest.string "second site" "site-b" b.Klint.Kown.site
+      | l -> Alcotest.failf "expected two kmem events, got %d" (List.length l));
+      (* the wcache field order: cache, read block and sequence,
+         dependent write block and sequence *)
+      (match decoded wcache rows with
+      | [ v ] ->
+          check Alcotest.string "cache" "rawlog_unsafe" v.D.cache;
+          check Alcotest.(list int) "blocks and sequences" [ 1; 5; 2; 6 ]
+            [ v.D.v_blkno; v.D.v_read_seq; v.D.v_write_blkno; v.D.v_write_seq ]
+      | l -> Alcotest.failf "expected one violation, got %d" (List.length l))
+  | Error msg -> Alcotest.fail msg);
+  let all = "lockdep\ta\tb\nkmem\tuaf\th\ts\t1\nwcache\tc\t1\t5\t2\t6\n" in
+  let is_error what ?(says = "") = function
+    | Ok _ -> Alcotest.fail (what ^ " accepted")
+    | Error msg ->
+        check Alcotest.bool (what ^ ": the error says " ^ says) true (contains msg says)
+  in
+  is_error "an unknown kind" (read (raw (all ^ "lockstat\ta\tb\n")));
+  is_error "a file without kmem records" ~says:"no kmem records"
+    (read (raw "# comment\nlockdep\ta\tb\n\nwcache\tc\t1\t5\t2\t6\n"));
+  is_error "a line with no fields" (read (raw (all ^ "lockdep\n")));
+  is_error "a space-separated line" (read (raw (all ^ "lockdep a b\n")));
+  is_error "an empty export" ~says:"checked nothing" (read (raw ""));
+  is_error "an export of blank lines" (read (raw "\n\n"));
+  is_error "a missing export" (K.read_export ~kinds "/nonexistent/export.txt");
+  match read (raw (all ^ "wcache\tc\t1\tnope\t2\t6\n")) with
+  | Ok rows -> is_error "a non-numeric sequence" ~says:"malformed" (K.decode wcache rows)
+  | Error msg -> Alcotest.fail msg
 
 (* The shipped tree ------------------------------------------------------ *)
 
@@ -1443,7 +1470,7 @@ let test_kverify_coverage_ratchet () =
   (* file round-trip *)
   let path = Filename.temp_file "kverify" ".coverage" in
   KV.save_coverage path rows;
-  (match Klint.Kparse.read_export KV.coverage path with
+  (match Klint.Kparse.read_records KV.coverage path with
   | Ok rows' -> check Alcotest.bool "coverage file round-trips" true (rows = rows')
   | Error msg -> Alcotest.fail msg);
   Sys.remove path;

@@ -144,23 +144,42 @@ let test_kmem_is_live () =
   Ksim.Kmem.free p;
   check Alcotest.bool "dead" false (Ksim.Kmem.is_live p)
 
+(* Run [f] with the runtime export on (records kept) or off, whatever
+   the environment says, then restore it.  Switching it on keeps the
+   file the environment named, if any. *)
+let with_export on f =
+  let saved = Ksim.Export.target () in
+  Ksim.Export.set_target (if on then Some (Option.value saved ~default:Filename.null) else None);
+  Fun.protect ~finally:(fun () -> Ksim.Export.set_target saved) f
+
+let export_records kind =
+  List.filter_map (fun (k, fields) -> if k = kind then Some fields else None) (Ksim.Export.records ())
+
 (* The export keeps event tables, never heaps: a heap that recorded an
    event stays collectable once dropped, and so does its live table.  The
-   second leak report comes back empty, so the export file gains no rows. *)
+   export reads each leak report as it stands, so the second, empty one
+   leaves no rows behind. *)
 let test_kmem_export_pins_nothing () =
   let n = 100 in
   let heaps = Weak.create n in
+  let scratch_rows () =
+    List.filter (fun fields -> List.nth fields 1 = "scratch") (export_records "kmem")
+  in
   let provoke i =
     let heap = Ksim.Kmem.create ~name:"scratch" () in
     let p = Ksim.Kmem.alloc heap ~site:"s" (Bytes.create 64) in
     check Alcotest.int "leak reported" 1 (List.length (Ksim.Kmem.leaks heap));
+    check Alcotest.(list (list string)) "the export holds the leak"
+      [ [ "leak"; "scratch"; "s"; "1" ] ] (scratch_rows ());
     Ksim.Kmem.free p;
     check Alcotest.int "leak gone" 0 (List.length (Ksim.Kmem.leaks heap));
+    check Alcotest.(list (list string)) "and lets it go" [] (scratch_rows ());
     Weak.set heaps i (Some heap)
   in
-  for i = 0 to n - 1 do
-    provoke i
-  done;
+  with_export true (fun () ->
+      for i = 0 to n - 1 do
+        provoke i
+      done);
   Gc.full_major ();
   let live = ref 0 in
   for i = 0 to n - 1 do
@@ -304,19 +323,34 @@ let test_lockdep_edges_export () =
   let dot = Ksim.Lockdep.dump_dot dep in
   check Alcotest.bool "dot names the graph" true
     (String.length dot > 0 && String.sub dot 0 16 = "digraph lockdep ");
+  (* the global graph is the export's "lockdep" kind: held, acquired *)
+  check
+    Alcotest.(list (list string))
+    "one record per global edge"
+    (List.map (fun (a, b) -> [ a; b ]) (Ksim.Lockdep.edges Ksim.Lockdep.global))
+    (export_records "lockdep");
   (* the wire format the kracer reconciliation reads back *)
-  let path = Filename.temp_file "lockdep" ".txt" in
+  let path = Filename.temp_file "export" ".txt" in
   Sys.remove path;
-  Ksim.Lockdep.append_edges_to_file dep ~path;
-  Ksim.Lockdep.append_edges_to_file dep ~path;
+  let records = List.map (fun (a, b) -> ("lockdep", [ a; b ])) (Ksim.Lockdep.edges dep) in
+  Ksim.Export.write path records;
+  Ksim.Export.write path records;
   let ic = open_in path in
   let rec slurp acc =
     match input_line ic with line -> slurp (line :: acc) | exception End_of_file -> List.rev acc
   in
   let lines = slurp [] in
   close_in ic;
+  Sys.remove path;
   check Alcotest.int "append mode accumulates" 6 (List.length lines);
-  check Alcotest.string "held-acquired pairs, space separated" "A B" (List.hd lines)
+  check Alcotest.string "kind, held, acquired, tab separated" "lockdep\tA\tB" (List.hd lines)
+
+(* A process that cannot write its export must not exit as if it had:
+   the writer's error reaches the exit hook and fails the process. *)
+let test_export_unwritable_raises () =
+  match Ksim.Export.write "/nonexistent/export.txt" [ ("lockdep", [ "A"; "B" ]) ] with
+  | () -> fail "a write to an unwritable export was swallowed"
+  | exception Sys_error _ -> ()
 
 let test_lockdep_release_out_of_order () =
   (* A held, B acquired, A released first: acquiring C now must record
@@ -1287,4 +1321,5 @@ let () =
           Alcotest.test_case "replay determinism" `Quick test_storm_replay_determinism;
         ]
         @ qcheck [ prop_storm_tick_matches_reference ] );
+      ("export", [ Alcotest.test_case "unwritable path raises" `Quick test_export_unwritable_raises ]);
     ]

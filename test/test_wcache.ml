@@ -216,30 +216,46 @@ let test_audit_flags_barrier_free_dependency () =
   ok "w0'" (Kblock.Wcache.write wc3 0 (blk 'b'));
   check int "overwrite exempt" 0 (Kblock.Wcache.ordering_violations wc3)
 
+(* Run [f] with the runtime export on (records kept) or off, whatever
+   the environment says, then restore it.  Switching it on keeps the
+   file the environment named, if any. *)
+let with_export on f =
+  let saved = Ksim.Export.target () in
+  Ksim.Export.set_target (if on then Some (Option.value saved ~default:Filename.null) else None);
+  Fun.protect ~finally:(fun () -> Ksim.Export.set_target saved) f
+
+let wcache_records () = List.filter (fun (kind, _) -> kind = "wcache") (Ksim.Export.records ())
+
 (* Drive the rawlog exhibit over a cache named after its file — the
-   dependent-write specimen must trip the runtime audit, and the export
-   must round-trip through klint's reconciliation reader.  Running this
-   under `dune runtest` with KSIM_WCACHE_EXPORT set (as ci.sh does) also
-   seeds the violations dump, making the ci reconciliation stage
-   non-vacuous. *)
+   dependent-write specimen must trip the runtime audit, and its export
+   records must round-trip through klint's reconciliation reader.
+   Running this under `dune runtest` with KSIM_EXPORT set (as ci.sh
+   does) also seeds the export's wcache records, making the ci
+   reconciliation non-vacuous. *)
 let test_rawlog_reconciliation_fixture () =
   let dev = mk_dev () in
   let wc = Kblock.Wcache.create ~name:"rawlog_unsafe" (Kblock.Blockdev.io dev) in
   let log = Kfs.Rawlog_unsafe.attach (Kblock.Wcache.io wc) in
-  ok "chained" (Kfs.Rawlog_unsafe.append_chained log (blk 'a') (blk 'b'));
-  check int "two records" 2 (Kfs.Rawlog_unsafe.records log);
-  check bool "the specimen trips the runtime audit" true
-    (Kblock.Wcache.ordering_violations wc > 0);
-  ok "commit (volatile ack)" (Kfs.Rawlog_unsafe.commit log);
+  with_export true (fun () ->
+      ok "chained" (Kfs.Rawlog_unsafe.append_chained log (blk 'a') (blk 'b'));
+      check int "two records" 2 (Kfs.Rawlog_unsafe.records log);
+      check bool "the specimen trips the runtime audit" true
+        (Kblock.Wcache.ordering_violations wc > 0);
+      ok "commit (volatile ack)" (Kfs.Rawlog_unsafe.commit log));
   (match Kblock.Wcache.audit wc with
   | v :: _ ->
       check int "read-back block" 1 v.Kblock.Wcache.v_blkno;
       check int "dependent write block" 2 v.Kblock.Wcache.v_write_blkno
   | [] -> Alcotest.fail "audit empty");
-  (* wire format: what the at_exit export writes, klint's reader parses *)
-  let path = Filename.temp_file "wcache_viol" ".txt" in
-  Kblock.Wcache.append_violations_to_file wc ~path;
-  (match Klint.Kparse.read_export Klint.Kdur.wcache_violations path with
+  (* wire format: what the exit hook writes, klint's reader parses *)
+  let path = Filename.temp_file "export" ".txt" in
+  Ksim.Export.write path
+    (List.filter (fun (_, fields) -> List.hd fields = "rawlog_unsafe") (wcache_records ()));
+  let kind = Klint.Kdur.wcache_violation in
+  (match
+     Result.bind (Klint.Kparse.read_export ~kinds:[ kind.Klint.Kparse.kind ] path)
+       (Klint.Kparse.decode kind)
+   with
   | Ok (v :: _ as vs) ->
       check int "every audit entry exported"
         (List.length (Kblock.Wcache.audit wc))
@@ -251,31 +267,46 @@ let test_rawlog_reconciliation_fixture () =
   | Error msg -> Alcotest.fail msg);
   Sys.remove path
 
+(* One cache, one barrier-discipline violation: block 0 read back
+   unflushed, then block 1 written. *)
+let provoke_violation dev =
+  let wc = Kblock.Wcache.create (Kblock.Blockdev.io dev) in
+  ok "w0" (Kblock.Wcache.write wc 0 (blk 'a'));
+  ignore (Kblock.Wcache.read wc 0);
+  ok "w1" (Kblock.Wcache.write wc 1 (blk 'b'));
+  check int "violation recorded" 1 (Kblock.Wcache.ordering_violations wc)
+
 (* The export keeps violation records, never caches: a cache pins its
    base device, and a crash sweep builds a cache per image.  Every cache
-   here records a violation, yet once dropped, every device must be
-   collectable. *)
+   here records a violation the export keeps, yet once dropped, every
+   device must be collectable. *)
 let test_export_pins_nothing () =
   let n = 100 in
   let devs = Weak.create n in
+  let before = List.length (wcache_records ()) in
   let provoke i =
     let dev = mk_dev () in
-    let wc = Kblock.Wcache.create (Kblock.Blockdev.io dev) in
-    ok "w0" (Kblock.Wcache.write wc 0 (blk 'a'));
-    ignore (Kblock.Wcache.read wc 0);
-    ok "w1" (Kblock.Wcache.write wc 1 (blk 'b'));
-    check int "violation recorded" 1 (Kblock.Wcache.ordering_violations wc);
+    provoke_violation dev;
     Weak.set devs i (Some dev)
   in
-  for i = 0 to n - 1 do
-    provoke i
-  done;
+  with_export true (fun () ->
+      for i = 0 to n - 1 do
+        provoke i
+      done);
+  check int "the export kept every violation" (before + n) (List.length (wcache_records ()));
   Gc.full_major ();
   let live = ref 0 in
   for i = 0 to n - 1 do
     if Weak.check devs i then incr live
   done;
   check int "no dropped device stays reachable" 0 !live
+
+(* With the export off, a violation is audited on its cache and nowhere
+   else: nothing is left for the exit hook to write. *)
+let test_export_off_keeps_nothing () =
+  let before = wcache_records () in
+  with_export false (fun () -> provoke_violation (mk_dev ()));
+  check int "no record kept" (List.length before) (List.length (wcache_records ()))
 
 (* -- failpoints --------------------------------------------------------- *)
 
@@ -568,6 +599,7 @@ let () =
           Alcotest.test_case "barrier-free dependency flagged" `Quick
             test_audit_flags_barrier_free_dependency;
           Alcotest.test_case "export pins no cache" `Quick test_export_pins_nothing;
+          Alcotest.test_case "export off keeps nothing" `Quick test_export_off_keeps_nothing;
         ] );
       ( "failpoints",
         [
