@@ -80,12 +80,14 @@ let run root_opt report_opt update_baseline verbose runtime_export lock_graph_do
   in
   (* The same registry the kernel boots with, sized from the tree. *)
   let registry = Safeos_core.Boot.registry ~loc_of:(fun name -> registry_loc ~root name) () in
+  let t0 = Unix.gettimeofday () in
   let tree =
     try Engine.lint_tree ~root
-    with Fixpoint.Diverged { pass; rounds } ->
-      fail "the %s fixpoint did not converge in %d rounds; its findings would be partial" pass
-        rounds
+    with Fixpoint.Diverged { pass; evaluations } ->
+      fail "the %s fixpoint did not converge in %d evaluations; its findings would be partial"
+        pass evaluations
   in
+  let lint_wall = Unix.gettimeofday () -. t0 in
   List.iter
     (fun (file, msg) -> Fmt.epr "klint: parse error in %s:@.%s@." file msg)
     tree.Engine.parse_errors;
@@ -338,12 +340,13 @@ let run root_opt report_opt update_baseline verbose runtime_export lock_graph_do
           regressions;
         if diverged <> [] || regressions <> [] then 1 else 0
   in
-  Fmt.pr "klint: fixpoint rounds (of bound) — %s@."
+  Fmt.pr "klint: fixpoint evaluations (of items) — %s@."
     (String.concat ", "
        (List.map
           (fun (f : Fixpoint.stats) ->
-            Fmt.str "%s %d/%d" f.Fixpoint.pass f.Fixpoint.rounds f.Fixpoint.bound)
+            Fmt.str "%s %d/%d" f.Fixpoint.pass f.Fixpoint.evaluations f.Fixpoint.items)
           (Engine.fixpoints tree)));
+  Fmt.pr "wall: %.3f s@." lint_wall;
   List.iter
     (fun (a : Engine.attributed) ->
       Fmt.epr "klint: VIOLATION %a — subsystem %s claims %s@." Finding.pp a.Engine.finding

@@ -465,21 +465,33 @@ let free_ino t =
   in
   go 0
 
-(* Commit a set of mirror changes: stage every touched inode, then apply
-   the batch atomically.  If any staging step hits ENOSPC the mirror is
-   *not* rolled back — callers must stage additions last and check.  A
-   persistent EIO aborts the transaction (journal head rolled back, home
-   area untouched) and degrades the FS to read-only; the mirror may now
-   be ahead of the disk, which is safe precisely because nothing further
+(* Commit one op's mirror edits, [(ino, new node)] in staging order: apply
+   them, stage every edited inode, then apply the batch atomically.  When
+   staging runs out of data blocks, the op changes nothing: the edited
+   inodes get back their nodes, their blocks and those blocks' bitmap
+   bits, and the blocks staging allocated are free again.  A persistent
+   EIO aborts the transaction (journal head rolled back, home area
+   untouched) and degrades the FS to read-only; the mirror may now be
+   ahead of the disk, which is safe precisely because nothing further
    will be written. *)
-let commit_inodes t inos =
+let commit_inodes t edits =
+  let saved = List.map (fun (ino, _) -> (ino, t.nodes.(ino), t.blocks_of.(ino))) edits in
+  List.iter (fun (ino, node) -> t.nodes.(ino) <- node) edits;
   let b = batch_create () in
-  let ok = List.for_all (fun ino -> stage_inode t b ino) inos in
-  if ok then
+  if List.for_all (fun (ino, _) -> stage_inode t b ino) edits then
     match absorb t "commit" (batch_apply t b) with
     | Ok () -> Ok Fs_spec.Unit
     | Error e -> Error e
-  else Error Ksim.Errno.ENOSPC
+  else begin
+    List.iter (fun (ino, _, _) -> free_blocks t t.blocks_of.(ino)) saved;
+    List.iter
+      (fun (ino, node, blocks) ->
+        t.nodes.(ino) <- node;
+        t.blocks_of.(ino) <- blocks;
+        List.iter (fun blkno -> Bytes.set t.bitmap (blkno - data_start t.geo) '\001') blocks)
+      saved;
+    Error Ksim.Errno.ENOSPC
+  end
 
 (* Operations ------------------------------------------------------------------ *)
 
@@ -493,9 +505,11 @@ let add_node t path make_node =
         match free_ino t with
         | None -> Error Ksim.Errno.ENOSPC
         | Some ino ->
-            t.nodes.(ino) <- Some (make_node ());
-            t.nodes.(parent_ino) <- Some (MDir (assoc_set base ino entries));
-            commit_inodes t [ ino; parent_ino ])
+            commit_inodes t
+              [
+                (ino, Some (make_node ()));
+                (parent_ino, Some (MDir (assoc_set base ino entries)));
+              ])
 
 let update_file t path f =
   match lookup t path with
@@ -504,10 +518,7 @@ let update_file t path f =
       | Some (MFile content) ->
           let content' = f content in
           if String.length content' > max_file_size t.mode t.geo then Error Ksim.Errno.ENOSPC
-          else begin
-            t.nodes.(ino) <- Some (MFile content');
-            commit_inodes t [ ino ]
-          end
+          else commit_inodes t [ (ino, Some (MFile content')) ]
       | Some (MDir _) -> Error Ksim.Errno.EISDIR
       | None -> Error Ksim.Errno.ENOENT)
   | None -> if is_dir t path then Error Ksim.Errno.EISDIR else Error Ksim.Errno.ENOENT
@@ -553,9 +564,11 @@ let apply t (op : Fs_spec.op) : Fs_spec.result =
             | Error e -> Error e
             | Ok (parent_ino, entries) ->
                 let ino = match lookup t path with Some i -> i | None -> assert false in
-                t.nodes.(ino) <- None;
-                t.nodes.(parent_ino) <- Some (MDir (assoc_remove (basename_exn path) entries));
-                commit_inodes t [ ino; parent_ino ])
+                commit_inodes t
+                  [
+                    (ino, None);
+                    (parent_ino, Some (MDir (assoc_remove (basename_exn path) entries)));
+                  ])
         | Some (MDir _) -> Error Ksim.Errno.EISDIR
         | None -> if path = [] then Error Ksim.Errno.EISDIR else Error Ksim.Errno.ENOENT)
     | Rmdir [] -> Error Ksim.Errno.EBUSY
@@ -568,10 +581,11 @@ let apply t (op : Fs_spec.op) : Fs_spec.result =
               | Error e -> Error e
               | Ok (parent_ino, pentries) ->
                   let ino = match lookup t path with Some i -> i | None -> assert false in
-                  t.nodes.(ino) <- None;
-                  t.nodes.(parent_ino) <-
-                    Some (MDir (assoc_remove (basename_exn path) pentries));
-                  commit_inodes t [ ino; parent_ino ])
+                  commit_inodes t
+                    [
+                      (ino, None);
+                      (parent_ino, Some (MDir (assoc_remove (basename_exn path) pentries)));
+                    ])
         | Some (MFile _) -> Error Ksim.Errno.ENOTDIR
         | None -> Error Ksim.Errno.ENOENT)
     | Rename ([], _) -> Error Ksim.Errno.ENOENT
@@ -584,7 +598,7 @@ let apply t (op : Fs_spec.op) : Fs_spec.result =
             else
               match parent_dir t dst with
               | Error e -> Error e
-              | Ok (dst_parent, _) -> (
+              | Ok (dst_parent, dst_entries) -> (
                   let clash =
                     match (node t src_ino, lookup_node t dst) with
                     | _, None -> Ok ()
@@ -599,31 +613,34 @@ let apply t (op : Fs_spec.op) : Fs_spec.result =
                   | Error e -> Error e
                   | Ok () ->
                       if src = dst then Ok Fs_spec.Unit
-                      else begin
-                        let dropped =
-                          match lookup t dst with
-                          | Some old_ino when old_ino <> src_ino ->
-                              let doomed = collect_subtree t old_ino [] in
-                              List.iter (fun i -> t.nodes.(i) <- None) doomed;
-                              doomed
-                          | Some _ | None -> []
-                        in
-                        let touched = ref (dropped @ [ dst_parent ]) in
-                        (match parent_dir t src with
+                      else
+                        match parent_dir t src with
+                        | Error e -> Error e
                         | Ok (src_parent, src_entries) ->
-                            t.nodes.(src_parent) <-
-                              Some (MDir (assoc_remove (basename_exn src) src_entries));
-                            touched := src_parent :: !touched
-                        | Error _ -> ());
-                        (* Re-read the destination directory: it may be the
-                           same inode we just updated as the source parent. *)
-                        (match node t dst_parent with
-                        | Some (MDir entries) ->
-                            t.nodes.(dst_parent) <-
-                              Some (MDir (assoc_set (basename_exn dst) src_ino entries))
-                        | Some (MFile _) | None -> ());
-                        commit_inodes t (List.sort_uniq compare !touched)
-                      end)))
+                            let dropped =
+                              match lookup t dst with
+                              | Some old_ino when old_ino <> src_ino ->
+                                  collect_subtree t old_ino []
+                              | Some _ | None -> []
+                            in
+                            let src_entries = assoc_remove (basename_exn src) src_entries in
+                            (* One edit for a parent that is both source and
+                               destination, carrying both changes. *)
+                            let dst_entries =
+                              if src_parent = dst_parent then src_entries else dst_entries
+                            in
+                            let dst_edit =
+                              ( dst_parent,
+                                Some (MDir (assoc_set (basename_exn dst) src_ino dst_entries)) )
+                            in
+                            let edits =
+                              List.map (fun i -> (i, None)) dropped
+                              @
+                              if src_parent = dst_parent then [ dst_edit ]
+                              else [ (src_parent, Some (MDir src_entries)); dst_edit ]
+                            in
+                            commit_inodes t
+                              (List.sort (fun (a, _) (b, _) -> compare a b) edits))))
     | Readdir path -> (
         match lookup_node t path with
         | Some (MDir entries) -> Ok (Fs_spec.Names (List.map fst entries))

@@ -126,11 +126,11 @@ type state = {
 let clean_state =
   { volatile = false; dirty_out = true; vkeys = SS.empty; obligation = None }
 
-(* [summarize cg lookup func] walks [func] under the interprocedural
-   summaries [lookup] and returns the function's own transfer.  [emit]
-   receives findings — the fixpoint passes [ignore], the final reporting
-   pass collects. *)
-let summarize ?(emit = fun (_ : Finding.t) -> ()) (cg : Callgraph.t)
+(* [summarize ~emit cg lookup func] walks [func] under the
+   interprocedural summaries [lookup] and returns the function's own
+   transfer.  [emit] receives findings; {!Fixpoint.solve} keeps those of
+   each function's last walk. *)
+let summarize ~(emit : Finding.t -> unit) (cg : Callgraph.t)
     (lookup : string -> summary) (func : Callgraph.func) : summary =
   let fname = Callgraph.name func in
   let finding rule loc msg =

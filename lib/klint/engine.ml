@@ -105,7 +105,7 @@ let lint_tree ~root =
     kdur;
   }
 
-(* Every pass's fixpoint rounds, in the order [lint_tree] runs them. *)
+(* Every pass's fixpoint stats, in the order [lint_tree] runs them. *)
 let fixpoints tree =
   tree.kracer.Kracer.fixpoint @ tree.kown.Kown.fixpoint @ tree.ktcb.Ktcb.fixpoint
   @ tree.kdur.Kdur.fixpoint

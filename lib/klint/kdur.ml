@@ -50,21 +50,15 @@ let excluded rel =
 
 let of_callgraph cg =
   let cg = Callgraph.restrict cg ~keep:(fun rel -> not (excluded rel)) in
-  (* Bottom-up transfer fixpoint, kown's pattern.  Not monotone in every
-     field: [out_dirty] starts true and may turn off as callee summaries
-     arrive. *)
-  let lookup, summaries, stats =
+  (* Bottom-up transfer fixpoint, kown's pattern, reporting from each
+     function's last walk.  Not monotone in every field: [out_dirty]
+     starts true and may turn off as callee summaries arrive. *)
+  let _, summaries, findings, stats =
     Fixpoint.solve ~pass:"kdur" ~equal:Durset.summary_equal ~default:Durset.empty_summary
-      ~key:Callgraph.name ~step:(Durset.summarize cg) cg.Callgraph.funcs
+      ~key:Callgraph.name
+      ~step:(fun ~emit -> Durset.summarize ~emit cg)
+      cg.Callgraph.funcs
   in
-  (* Final pass under the stable summaries is the one that reports. *)
-  let findings = ref [] in
-  List.iter
-    (fun f ->
-      ignore
-        (Durset.summarize ~emit:(fun x -> findings := x :: !findings) cg lookup f
-          : Durset.summary))
-    cg.Callgraph.funcs;
   let writing_funcs, flushing_funcs =
     List.fold_left
       (fun (w, fl) (_, (s : Durset.summary)) ->
@@ -80,7 +74,7 @@ let of_callgraph cg =
       (0, 0) cg.Callgraph.funcs
   in
   {
-    findings = Finding.sort !findings;
+    findings = Finding.sort findings;
     funcs = List.length cg.Callgraph.funcs;
     durable_funcs;
     ordering_funcs;

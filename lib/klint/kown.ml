@@ -35,19 +35,15 @@ let excluded rel =
 
 let of_callgraph cg =
   let cg = Callgraph.restrict cg ~keep:(fun rel -> not (excluded rel)) in
-  (* Bottom-up summary fixpoint, kracer's may_acquire pattern. *)
-  let lookup, summaries, stats =
+  (* Bottom-up summary fixpoint, kracer's may_acquire pattern.  Each
+     function's findings come from its last walk, which read only the
+     settled summaries. *)
+  let _, summaries, findings, stats =
     Fixpoint.solve ~pass:"kown" ~equal:Ownset.summary_equal ~default:Ownset.empty_summary
-      ~key:Callgraph.name ~step:(Ownset.summarize cg) cg.Callgraph.funcs
+      ~key:Callgraph.name
+      ~step:(fun ~emit -> Ownset.summarize ~emit cg)
+      cg.Callgraph.funcs
   in
-  (* Final pass under the stable summaries is the one that reports. *)
-  let findings = ref [] in
-  List.iter
-    (fun f ->
-      ignore
-        (Ownset.summarize ~emit:(fun x -> findings := x :: !findings) cg lookup f
-          : Ownset.summary))
-    cg.Callgraph.funcs;
   let consuming, returning_owned =
     List.fold_left
       (fun (c, r) (_, (s : Ownset.summary)) ->
@@ -56,7 +52,7 @@ let of_callgraph cg =
       (0, 0) summaries
   in
   {
-    findings = Finding.sort !findings;
+    findings = Finding.sort findings;
     funcs = List.length cg.Callgraph.funcs;
     consuming;
     returning_owned;

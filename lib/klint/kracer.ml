@@ -57,11 +57,11 @@ let may_acquire summaries =
     List.fold_left (fun acc l -> SS.add l acc) own
       s.Lockset.func.Callgraph.annot.Annot.acquires
   in
-  let get, _, stats =
+  let get, _, _, stats =
     Fixpoint.solve ~pass:"may_acquire" ~equal:SS.equal ~default:SS.empty
       ~seed:(List.map (fun s -> (name_of s, own s)) summaries)
       ~key:name_of
-      ~step:(fun get (s : Lockset.summary) ->
+      ~step:(fun ~emit:_ get (s : Lockset.summary) ->
         List.fold_left
           (fun acc (callee, _) -> SS.union acc (get (Callgraph.name callee)))
           (get (name_of s)) s.Lockset.calls)
@@ -112,11 +112,11 @@ let guaranteed_entry summaries =
       if Hashtbl.mem sites name then universe
       else Hashtbl.find annot_of name (* uncalled: only the contract holds *) )
   in
-  let get, _, stats =
+  let get, _, _, stats =
     Fixpoint.solve ~pass:"guaranteed_entry" ~equal:SS.equal ~default:SS.empty
       ~seed:(List.map init summaries)
       ~key:name_of
-      ~step:(fun get s ->
+      ~step:(fun ~emit:_ get s ->
         let name = name_of s in
         match Hashtbl.find_opt sites name with
         | None -> get name

@@ -191,7 +191,7 @@ let of_callgraph ~root parsed ~summaries cg =
     if Frame.in_frame g.Callgraph.file then not (Frame.blessed_symbol g)
     else tainted (fkey g)
   in
-  let tainted, _, stats =
+  let tainted, _, _, stats =
     Fixpoint.solve ~pass:"ktcb" ~equal:Bool.equal ~default:false
       ~seed:
         (List.filter_map
@@ -200,7 +200,8 @@ let of_callgraph ~root parsed ~summaries cg =
              else None)
            cg.Callgraph.funcs)
       ~key:(fun (f, _, _) -> fkey f)
-      ~step:(fun tainted (f, _, g) -> tainted (fkey f) || (edge_carries f g && taints tainted g))
+      ~step:(fun ~emit:_ tainted (f, _, g) ->
+        tainted (fkey f) || (edge_carries f g && taints tainted g))
       edges
   in
   (* R13 at the laundering call sites. *)

@@ -271,11 +271,11 @@ let frees_and_drops resolve_consumes e =
 
 (* The walk -------------------------------------------------------------- *)
 
-(* [summarize cg lookup func] walks [func] under the interprocedural
-   summaries [lookup] and returns the function's own summary.  [emit]
-   receives findings — the fixpoint passes [ignore], the final reporting
-   pass collects. *)
-let summarize ?(emit = fun (_ : Finding.t) -> ()) (cg : Callgraph.t)
+(* [summarize ~emit cg lookup func] walks [func] under the
+   interprocedural summaries [lookup] and returns the function's own
+   summary.  [emit] receives findings; {!Fixpoint.solve} keeps those of
+   each function's last walk. *)
+let summarize ~(emit : Finding.t -> unit) (cg : Callgraph.t)
     (lookup : string -> summary) (func : Callgraph.func) : summary =
   let fname = Callgraph.name func in
   let finding rule loc msg =

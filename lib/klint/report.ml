@@ -307,7 +307,13 @@ let to_json ?registry ?refine (tree : Engine.tree_result) (r : Engine.reconcilia
       ( "fixpoint",
         json_obj
           (List.map
-             (fun (f : Fixpoint.stats) -> (f.Fixpoint.pass, string_of_int f.Fixpoint.rounds))
+             (fun (f : Fixpoint.stats) ->
+               ( f.Fixpoint.pass,
+                 json_obj
+                   [
+                     ("items", string_of_int f.Fixpoint.items);
+                     ("evaluations", string_of_int f.Fixpoint.evaluations);
+                   ] ))
              (Engine.fixpoints tree)) );
     ]
 

@@ -166,7 +166,9 @@ echo "== ci: klint ratchets and reconciliation (static vs runtime) =="
 #   in klint's static findings, or the analysis has a hole.
 # An export that lacks records of any kind fails too (exit 2): the
 # capture is broken, and a reconciliation that checked nothing must not
-# pass.  The binary runs directly, like the heap stages above.
+# pass.  The binary runs directly, like the heap stages above; its
+# `wall:` line, the whole-tree lint time, is echoed like the refine
+# sweep's.
 set -- --root . --refine-coverage "$REFINE_COVERAGE" --runtime-export "$RUNTIME_EXPORT"
 if git rev-parse --verify -q HEAD >/dev/null 2>&1 \
    && git cat-file -e HEAD:klint.baseline 2>/dev/null; then
@@ -178,6 +180,13 @@ fi
 if [ "${ALLOW_BASELINE_GROWTH:-0}" = "1" ]; then
   set -- "$@" --allow-baseline-growth
 fi
-_build/default/bin/klint/main.exe "$@"
+klint_rc=0
+_build/default/bin/klint/main.exe "$@" > _build/klint-final.txt || klint_rc=$?
+cat _build/klint-final.txt
+echo "ci: klint $(grep '^wall:' _build/klint-final.txt)"
+if [ "$klint_rc" -ne 0 ]; then
+  echo "ci: FAIL — klint exited $klint_rc" >&2
+  exit "$klint_rc"
+fi
 
 echo "== ci: ok =="

@@ -312,6 +312,61 @@ let test_journalfs_oversized_write_changes_nothing () =
   check result_t "limit survives remount" (size limit)
     (Kfs.Journalfs.apply remounted (Fs_spec.Stat (p "/f")))
 
+(* An op refused for lack of data blocks changes nothing.  This geometry
+   leaves 54 data blocks; the root directory takes one of them. *)
+let small_journalfs () =
+  let geometry =
+    { Kfs.Journalfs.nblocks = 160; block_size = 512; jblocks = 96; ninodes = 8 }
+  in
+  let dev = Kblock.Blockdev.create ~nblocks:160 ~block_size:512 in
+  (geometry, dev, Kfs.Journalfs.mkfs_on ~geometry Kfs.Journalfs.Journaled dev)
+
+let ok what r = check result_t what (Ok Fs_spec.Unit) r
+
+let test_journalfs_enospc_write_changes_nothing () =
+  let geometry, dev, fs = small_journalfs () in
+  let apply = Kfs.Journalfs.apply fs in
+  let write file c len =
+    apply (Fs_spec.Write { file = p file; off = 0; data = String.make len c })
+  in
+  ok "create /a" (apply (Fs_spec.Create (p "/a")));
+  ok "10 blocks of a" (write "/a" 'a' 5_120);
+  ok "create /b" (apply (Fs_spec.Create (p "/b")));
+  ok "40 blocks of b" (write "/b" 'b' 20_480);
+  (* 3 blocks are free, and /a would need 20 *)
+  check result_t "growing /a is refused" (Error Ksim.Errno.ENOSPC) (write "/a" 'x' 10_240);
+  check result_t "/a keeps its size"
+    (Ok (Fs_spec.Attr { kind = `File; size = 5_120 }))
+    (apply (Fs_spec.Stat (p "/a")));
+  (* 43 blocks: /b's own 40 and the 3 free ones, unless the refused
+     write left /a's blocks marked free *)
+  ok "43 blocks of c into /b" (write "/b" 'c' 22_016);
+  ok "fsync" (apply Fs_spec.Fsync);
+  let read fs = Kfs.Journalfs.apply fs (Fs_spec.Read { file = p "/a"; off = 0; len = 10_240 }) in
+  let want = Ok (Fs_spec.Data (String.make 5_120 'a')) in
+  check result_t "/a reads back its own bytes" want (read fs);
+  check result_t "and does after a remount" want
+    (read (Kfs.Journalfs.mount ~geometry Kfs.Journalfs.Journaled dev))
+
+let test_journalfs_enospc_mkdir_changes_nothing () =
+  let geometry, dev, fs = small_journalfs () in
+  let apply = Kfs.Journalfs.apply fs in
+  ok "create /f" (apply (Fs_spec.Create (p "/f")));
+  ok "fill the data area"
+    (apply (Fs_spec.Write { file = p "/f"; off = 0; data = String.make (53 * 512) 'f' }));
+  (* an empty directory still takes a block for its entry count *)
+  check result_t "mkdir is refused" (Error Ksim.Errno.ENOSPC) (apply (Fs_spec.Mkdir (p "/d")));
+  check result_t "no /d" (Error Ksim.Errno.ENOENT) (apply (Fs_spec.Stat (p "/d")));
+  check result_t "the root lists only f" (Ok (Fs_spec.Names [ "f" ]))
+    (apply (Fs_spec.Readdir (p "/")));
+  ok "fsync" (apply Fs_spec.Fsync);
+  let remounted = Kfs.Journalfs.mount ~geometry Kfs.Journalfs.Journaled dev in
+  check result_t "a remount agrees" (Ok (Fs_spec.Names [ "f" ]))
+    (Kfs.Journalfs.apply remounted (Fs_spec.Readdir (p "/")));
+  (* the refused mkdir left the bitmap as it was: freeing /f makes room *)
+  ok "unlink /f" (apply (Fs_spec.Unlink (p "/f")));
+  ok "mkdir now fits" (apply (Fs_spec.Mkdir (p "/d")))
+
 let test_journalfs_large_file_multiblock () =
   let fs = Kfs.Journalfs.Journaled_fs.mkfs () in
   let data = String.init 2_000 (fun i -> Char.chr (Char.code 'a' + (i mod 26))) in
@@ -582,6 +637,10 @@ let () =
           Alcotest.test_case "enospc paths" `Quick test_journalfs_enospc;
           Alcotest.test_case "oversized write changes nothing" `Quick
             test_journalfs_oversized_write_changes_nothing;
+          Alcotest.test_case "write refused for data blocks changes nothing" `Quick
+            test_journalfs_enospc_write_changes_nothing;
+          Alcotest.test_case "mkdir refused for data blocks changes nothing" `Quick
+            test_journalfs_enospc_mkdir_changes_nothing;
           Alcotest.test_case "multi-block files" `Quick test_journalfs_large_file_multiblock;
           Alcotest.test_case "direct mode loses unflushed" `Quick
             test_journalfs_direct_mode_loses_unflushed;
