@@ -56,18 +56,8 @@ let crash_test mode ops images =
            | Kspec.Fs_spec.Write { data; _ } -> String.length data <= 512
            | _ -> true)
   in
-  (* A crash point at every op, no frontier bound, every divergence kept. *)
-  let config =
-    {
-      Kspec.Krefine.default_config with
-      images_per_op = images;
-      frontier_limit = max_int;
-      shrink = false;
-      max_divergences = max_int;
-    }
-  in
-  let check name (Kharness.Packed (module M)) =
-    let cov = Kspec.Krefine.run ~config (module M) trace in
+  let check name machine =
+    let cov = Kharness.crash_check ~images machine trace in
     let safe = Kspec.Krefine.is_clean cov in
     Fmt.pr "%-10s ops=%d crash-points=%d images=%d failures=%d -> %s@." name cov.ops
       cov.crash_points cov.crash_images (List.length cov.divergences)
@@ -83,10 +73,10 @@ let crash_test mode ops images =
   in
   let direct () = check "direct" (Kharness.journalfs_machine Kfs.Journalfs.Direct) in
   match mode with
-  | "journaled" -> if journaled () then 0 else 1
-  | "group" -> if group () then 0 else 1
-  | "direct" -> if direct () then 0 else 1
-  | _ ->
+  | `Journaled -> if journaled () then 0 else 1
+  | `Group -> if group () then 0 else 1
+  | `Direct -> if direct () then 0 else 1
+  | `All ->
       let a = journaled () in
       let g = group () in
       let b = direct () in
@@ -467,7 +457,8 @@ let migrate_cmd =
 
 let crash_cmd =
   let mode =
-    Arg.(value & opt string "both" & info [ "mode" ] ~docv:"MODE" ~doc:"journaled, group, direct, or all")
+    let modes = [ ("journaled", `Journaled); ("group", `Group); ("direct", `Direct); ("all", `All) ] in
+    Arg.(value & opt (enum modes) `All & info [ "mode" ] ~docv:"MODE" ~doc:"journaled, group, direct, or all")
   in
   let ops = Arg.(value & opt int 25 & info [ "ops" ] ~docv:"N" ~doc:"trace length") in
   let images =

@@ -1,22 +1,16 @@
-(* Simulated block device with a volatile write cache.
+(* Simulated block device: the media, and nothing volatile.
 
-   Writes land in a cache and reach the media only on [flush]; [crash]
-   loses every cached write.  Crash images that keep some cached writes
-   and lose others come from [Wcache], whose residues are patched over
-   this device's media [image].
+   A write lands on the media at once and [flush] only counts, so the one
+   place a crash can lose a write is a [Wcache] above the device, whose
+   residues are patched over this device's media [image].
 
    The media is a two-level table of immutable blocks: a top table of
-   chunks, each holding [chunk_len] block pointers.  [flush] swaps a
+   chunks, each holding [chunk_len] block pointers.  A write swaps a
    block's pointer instead of blitting into it, so a crash image shares
    every block it did not change.  Both levels are copy-on-write: [image]
-   and [of_image] share the table, and landing writes while an image may
-   hold it copies the top table once and each touched chunk once — never
-   the whole device's pointers. *)
-
-type pending = {
-  blkno : int;
-  data : string;
-}
+   and [of_image] share the table, and a write while an image may hold
+   it copies the top table once and each touched chunk once — never the
+   whole device's pointers. *)
 
 (* A power of two, so a block's chunk and slot are a shift and a mask;
    64 pointers keep both levels of a 4096-block device minor-heap
@@ -34,7 +28,6 @@ type t = {
       (* the table last handed out by [image] or mounted by [of_image]:
          [media] owns a top table or chunk only when it is not
          physically the one in [base] *)
-  mutable cache : pending list; (* newest first *)
   mutable reads : int;
   mutable writes : int;
   mutable flushes : int;
@@ -63,7 +56,6 @@ let of_image ~block_size img =
     block_size;
     media = img;
     base = img;
-    cache = [];
     reads = 0;
     writes = 0;
     flushes = 0;
@@ -78,7 +70,6 @@ let block_size dev = dev.block_size
 let reads dev = dev.reads
 let writes dev = dev.writes
 let flushes dev = dev.flushes
-let pending_writes dev = List.length dev.cache
 
 let in_range dev blkno = blkno >= 0 && blkno < dev.nblocks
 
@@ -86,30 +77,22 @@ let read dev blkno =
   if not (in_range dev blkno) then Error Ksim.Errno.EIO
   else begin
     dev.reads <- dev.reads + 1;
-    (* The device serves reads from its cache: latest write wins. *)
-    match List.find_opt (fun p -> p.blkno = blkno) dev.cache with
-    | Some p -> Ok (Bytes.of_string p.data)
-    | None -> Ok (Bytes.of_string (get dev.media blkno))
+    Ok (Bytes.of_string (get dev.media blkno))
   end
 
+(* A whole-block write is a pointer swap; the first since [image] copies
+   the top table. *)
 let write dev blkno data =
   if not (in_range dev blkno) then Error Ksim.Errno.EIO
   else if Bytes.length data <> dev.block_size then Error Ksim.Errno.EINVAL
   else begin
     dev.writes <- dev.writes + 1;
-    dev.cache <- { blkno; data = Bytes.to_string data } :: dev.cache;
+    if dev.media == dev.base then dev.media <- Array.copy dev.base;
+    set ~base:dev.base dev.media blkno (Bytes.to_string data);
     Ok ()
   end
 
-(* [write] only caches whole blocks, so landing one is a pointer swap.
-   Oldest first so that last-write-wins per block. *)
-let flush dev =
-  dev.flushes <- dev.flushes + 1;
-  if dev.cache <> [] then begin
-    if dev.media == dev.base then dev.media <- Array.copy dev.base;
-    List.iter (fun p -> set ~base:dev.base dev.media p.blkno p.data) (List.rev dev.cache);
-    dev.cache <- []
-  end
+let flush dev = dev.flushes <- dev.flushes + 1
 
 let image dev =
   dev.base <- dev.media;
@@ -130,9 +113,6 @@ let snapshot_media dev = to_media dev.media
 let of_media ~block_size media =
   of_image ~block_size (init_image (Array.length media) (fun b -> Bytes.to_string media.(b)))
 
-(* Lose all cached writes: the canonical single crash. *)
-let crash dev = dev.cache <- []
-
 let io dev : Io.t =
   {
     Io.nblocks = dev.nblocks;
@@ -144,14 +124,8 @@ let io dev : Io.t =
         flush dev;
         Ok ());
     write_fua =
-      (* The raw device flushes infallibly, so FUA is write + drain. *)
-      Some
-        (fun blkno data ->
-          match write dev blkno data with
-          | Ok () ->
-              flush dev;
-              Ok ()
-          | Error _ as e -> e);
+      (* A write is durable as it lands, so FUA is write + flush. *)
+      Some (fun blkno data -> Result.map (fun () -> flush dev) (write dev blkno data));
   }
 
 let to_ops dev : Kspec.Axiom.block_ops =

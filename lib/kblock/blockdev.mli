@@ -1,9 +1,10 @@
-(** Simulated block device with a volatile write cache.
+(** Simulated block device: the media, and nothing volatile.
 
-    Writes land in a cache and reach the media only on {!flush}; {!crash}
-    loses every cached write.  Crash images that keep an arbitrary subset
-    of writes, in arbitrary order, are {!Wcache} residues patched over
-    this device's media {!image} ({!Wcache.crash_devices}).
+    A {!write} lands on the media at once and {!flush} only counts, so
+    the one place a crash can lose a write is a {!Wcache} above the
+    device.  Crash images that keep an arbitrary subset of the cache's
+    unflushed writes, in arbitrary order, are {!Wcache} residues patched
+    over this device's media {!image} ({!Wcache.crash_devices}).
 
     The media is a two-level table of immutable blocks — a top table of
     chunks of 64 block pointers, the last chunk partial when [nblocks]
@@ -25,32 +26,30 @@ val nblocks : t -> int
 val block_size : t -> int
 
 val read : t -> int -> bytes Ksim.Errno.r
-(** Serve from the cache (latest write wins) or the media, as a fresh
-    [bytes].  [EIO] out of range. *)
-
-val write : t -> int -> bytes -> unit Ksim.Errno.r
-(** Buffer a whole-block write.  [EINVAL] on wrong size, [EIO] out of
+(** The block's media content, as a fresh [bytes].  [EIO] out of
     range. *)
 
-val flush : t -> unit
-(** Durability barrier: apply all cached writes to the media in order. *)
+val write : t -> int -> bytes -> unit Ksim.Errno.r
+(** Land a whole-block write on the media (last write wins).  [EINVAL]
+    on wrong size, [EIO] out of range. *)
 
-val crash : t -> unit
-(** Drop every cached write (the canonical single crash). *)
+val flush : t -> unit
+(** A no-op barrier, counted in {!flushes}: every write is already on
+    the media. *)
 
 (** {1 Media images} *)
 
 type image
-(** The media at one instant: an immutable table of [nblocks] blocks.
-    Cached (unflushed) writes are not part of it. *)
+(** The media at one instant: an immutable table of [nblocks] blocks,
+    every write landed before it included. *)
 
 val image : t -> image
 (** The device's media now, in O(1).  Later writes and flushes on the
     device do not change it. *)
 
 val of_image : block_size:int -> image -> t
-(** A fresh device (empty cache, zero counters) whose media is the image,
-    in O(1).  Writes and flushes on it leave the image unchanged. *)
+(** A fresh device (zero counters) whose media is the image, in O(1).
+    Writes and flushes on it leave the image unchanged. *)
 
 val patch : image -> (int * string) list -> image
 (** [patch img writes] is [img] with each [(blkno, data)] landed in list
@@ -69,7 +68,6 @@ val of_media : block_size:int -> bytes array -> t
 val reads : t -> int
 val writes : t -> int
 val flushes : t -> int
-val pending_writes : t -> int
 
 val io : t -> Io.t
 (** The raw device as a layerable {!Io.t}: reads/writes as above, [flush]

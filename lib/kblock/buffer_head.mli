@@ -76,7 +76,7 @@ val set_data : t -> bh -> bytes -> unit
 
 val mark_dirty : t -> bh -> unit
 val submit_write : t -> bh -> unit Ksim.Errno.r
-(** Write one dirty buffer back (device cache; durable after flush). *)
+(** Write one dirty buffer back to the device. *)
 
 val sync : t -> unit
 (** Write back every dirty buffer in block order, then flush the device. *)

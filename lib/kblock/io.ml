@@ -7,15 +7,16 @@
    can fail a flush (e.g. while the device is down).
 
    Durability contract: an acknowledged [write] is VOLATILE.  It may sit
-   in a device write-back cache (Wcache) or in the raw device's pending
-   set and be lost — or land out of order with respect to other
-   unflushed writes — at a crash.  [flush] is a full barrier: when it
-   returns [Ok ()], every write acknowledged before the flush is durable
-   and ordered before every write issued after it.  [write_fua], when a
-   layer provides it, is a forced-unit-access write: durable on ack, but
-   ordered only with respect to itself — it does not flush other pending
-   writes.  [fua] is the compat shim: layers that do not implement FUA
-   natively get write + full flush, which is strictly stronger. *)
+   in a write-back cache (Wcache, the one volatile layer; the raw device
+   keeps every write it is given) and be lost — or land out of order
+   with respect to other unflushed writes — at a crash.  [flush] is a
+   full barrier: when it returns [Ok ()], every write acknowledged before
+   the flush is durable and ordered before every write issued after it.
+   [write_fua], when a layer provides it, is a forced-unit-access write:
+   durable on ack, but ordered only with respect to itself — it does not
+   flush other pending writes.  [fua] is the compat shim: layers that do
+   not implement FUA natively get write + full flush, which is strictly
+   stronger. *)
 
 type t = {
   nblocks : int;

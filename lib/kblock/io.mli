@@ -9,8 +9,8 @@
 
     {1 Durability contract}
 
-    An acknowledged [write] is {b volatile}: it may sit in a write-back
-    cache (the device's own pending set, or a [Wcache] layer) and be
+    An acknowledged [write] is {b volatile}: it may sit in a [Wcache]
+    write-back layer, the one place a write can be volatile, and be
     lost — or land {e out of order} with respect to other unflushed
     writes — if the system crashes.  Nothing about a successful [write]
     return implies the data reached stable media.

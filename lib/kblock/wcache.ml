@@ -2,10 +2,11 @@
 
    [write] acknowledges into a bounded in-cache dirty set without
    touching the base; when the set overflows, a seeded writeback evicts a
-   victim to the base (still volatile there — the base has its own
-   pending set).  [flush] is the full barrier: it drains the dirty set
-   oldest-first, flushes the base, and only then is everything written
-   before the flush durable.
+   victim to the base, where it lands on the media.  [flush] is the full
+   barrier: it drains the dirty set oldest-first, flushes the base, and
+   only then is everything written before the flush durable.  The cache
+   is the one volatile layer: a [Blockdev] under it keeps every write it
+   is given.
 
    Crash surface.  The cache keeps an ordered log of every write since
    the last *completed* flush (the open "barrier epoch").  Once a crash
@@ -156,10 +157,11 @@ let fires t site =
 
 let in_range t blkno = blkno >= 0 && blkno < t.base.Io.nblocks
 
-(* One capacity eviction: write the victim back to the base (where it is
-   still volatile — the barrier has not happened).  Under the
-   writeback-reorder failpoint the victim is a seeded random dirty entry
-   rather than the oldest, modelling a cache that destages out of order. *)
+(* One capacity eviction: write the victim back to the base.  It stays in
+   the open epoch — the barrier has not happened — so crash residues may
+   still drop it.  Under the writeback-reorder failpoint the victim is a
+   seeded random dirty entry rather than the oldest, modelling a cache
+   that destages out of order. *)
 let evict_one t =
   match t.dirty with
   | [] -> ()
@@ -310,8 +312,8 @@ let flush t =
             Ok ())
   end
 
-(* The canonical single crash: every unflushed write is gone.  The base
-   keeps its own pending set; pair with [Blockdev.crash] for full loss. *)
+(* The canonical single crash: every write still in the dirty set is
+   gone; what writeback already handed to the base stays there. *)
 let crash t =
   t.dirty <- [];
   t.epoch <- [];

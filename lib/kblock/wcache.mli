@@ -62,9 +62,9 @@ val write_fua : t -> int -> bytes -> unit Ksim.Errno.r
 val flush : t -> unit Ksim.Errno.r
 
 val crash : t -> unit
-(** The canonical single crash: every unflushed write is gone.  The base
-    device keeps its own pending set — pair with [Blockdev.crash] for
-    total loss of everything unflushed. *)
+(** The canonical single crash: every write still in the dirty set is
+    gone.  Writes already written back stay on the base device, which
+    keeps every write it is given. *)
 
 (** {1 Crash-surface enumeration}
 

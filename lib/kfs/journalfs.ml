@@ -701,13 +701,3 @@ module Journaled_group_fs = struct
   let apply = apply
   let interpret = interpret
 end
-
-module Direct_fs = struct
-  type nonrec fs = t
-
-  let fs_name = "directfs"
-  let stage = 2
-  let mkfs () = mkfs_on Direct (Kblock.Blockdev.create ~nblocks:default_geometry.nblocks ~block_size:default_geometry.block_size)
-  let apply = apply
-  let interpret = interpret
-end

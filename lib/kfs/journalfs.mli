@@ -87,5 +87,3 @@ val max_file_size : mode -> geometry -> int
 module Journaled_fs : Kvfs.Iface.FS_OPS with type fs = t
 
 module Journaled_group_fs : Kvfs.Iface.FS_OPS with type fs = t
-
-module Direct_fs : Kvfs.Iface.FS_OPS with type fs = t

@@ -116,6 +116,18 @@ let journalfs_machine ?(group_commit = false) ?(barriers = true) mode =
   end in
   Packed (module Krefine.Io_system (P))
 
+let crash_check ~images (Packed (module M)) trace =
+  let config =
+    {
+      Krefine.default_config with
+      images_per_op = images;
+      frontier_limit = max_int;
+      shrink = false;
+      max_divergences = max_int;
+    }
+  in
+  Krefine.run ~config (module M) trace
+
 (* Cowfs ----------------------------------------------------------------- *)
 
 module Cowfs_machine = struct

@@ -88,6 +88,12 @@ val journalfs_machine :
     Direct mode convicted, and tests can prove the crash enumerator
     convicts the mutant with a shrunk counterexample. *)
 
+val crash_check : images:int -> packed -> Kspec.Fs_spec.op list -> Kspec.Krefine.coverage
+(** The crash-safety experiment's check (EXP-CRASH): {!Kspec.Krefine.run}
+    with a crash point at every op and [images] crash images at each, no
+    frontier bound (so no image is skipped), no shrinking, and every
+    divergence kept. *)
+
 val microreboot_sabotaged : ?panic_every:int -> unit -> packed
 (** The {!microreboot} machine with a seeded replay-skip fault: the
     remount-on-restart first zeroes the journal record blocks, so

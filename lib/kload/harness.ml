@@ -513,20 +513,7 @@ let run ?(spec = Spec.default) ?(storm = Mixed) ?admission ?sink ~seed () =
       if acked_v > 0 then
         match read_version k with
         | Some v when v >= acked_v -> ()
-        | bad ->
-            (if Sys.getenv_opt "KLOAD_DEBUG_AUDIT" <> None then
-               let detail =
-                 match Kvfs.File_ops.openf audit_fops (dur_file k) with
-                 | Error e -> "open: " ^ Ksim.Errno.to_string e
-                 | Ok fd -> (
-                     match Kvfs.File_ops.read audit_fops fd ~len:24 with
-                     | Error e -> "read: " ^ Ksim.Errno.to_string e
-                     | Ok s -> Printf.sprintf "content %S" s)
-               in
-               Printf.eprintf "AUDIT-LOSS key=%d acked=%d read=%s [%s]\n%!" k acked_v
-                 (match bad with Some v -> string_of_int v | None -> "none")
-                 detail);
-            incr lost)
+        | _ -> incr lost)
     acked;
 
   let counters =

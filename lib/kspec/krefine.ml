@@ -121,7 +121,6 @@ type config = {
   images_per_op : int;
   crash_every : int;
   frontier_limit : int;
-  lockstep : bool;
   shrink : bool;
   max_divergences : int;
 }
@@ -132,7 +131,6 @@ let default_config =
     images_per_op = 8;
     crash_every = 1;
     frontier_limit = 64;
-    lockstep = true;
     shrink = true;
     max_divergences = 16;
   }
@@ -232,12 +230,11 @@ let run_raw (type a) ~config (module M : MACHINE with type vars = a) ops =
     let v', got = M.step !v op in
     incr states;
     incr executed;
-    (if config.lockstep then
-       match step_mismatch (module M) ~expected ~got spec' v' with
-       | Some mismatch ->
-           record { step_index = !i; op; mismatch; counterexample = [] };
-           stop := true
-       | None -> ());
+    (match step_mismatch (module M) ~expected ~got spec' v' with
+    | Some mismatch ->
+        record { step_index = !i; op; mismatch; counterexample = [] };
+        stop := true
+    | None -> ());
     if not !stop then begin
       let before = !frontier and before_overflowed = !overflowed in
       (* Advance the crash-safe frontier: reset at Fsync, else admit the

@@ -149,14 +149,13 @@ type config = {
           window in which the fsync had not yet returned; an image there
           that only the pre-fsync frontier could allow is skipped (and
           counted) when that frontier had overflowed *)
-  lockstep : bool;  (** check the commuting square at every step *)
   shrink : bool;  (** delta-debug the first divergence to a minimal trace *)
   max_divergences : int;  (** stop collecting crash divergences after this many *)
 }
 
 val default_config : config
-(** seed 0, 8 images/op, crash every op, frontier 64, lockstep, shrink,
-    at most 16 divergences. *)
+(** seed 0, 8 images/op, crash every op, frontier 64, shrink, at most 16
+    divergences. *)
 
 type coverage = {
   harness : string;  (** machine name *)

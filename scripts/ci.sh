@@ -1,11 +1,12 @@
 #!/bin/sh
 # Tier-1 gate: build, static lint with its count ratchets, full test
-# suite with runtime lock-order/heap/barrier capture, a seeded
-# fault-injection torture smoke run, the refine sweep, and finally one
-# klint run that takes every ratchet and static/runtime reconciliation
-# input. The torture suite drives the journalfs stack through Flakydev
-# faults under fixed seeds and checks that every crash/recovery lands in
-# a spec-allowed state — it must stay green before any merge.
+# suite with runtime lock-order/heap/barrier capture, the seeded
+# fault-injection torture suite again under extra seeds, the refine
+# sweep, and finally one klint run that takes every ratchet and
+# static/runtime reconciliation input. The torture suite drives the
+# journalfs stack through Flakydev faults under fixed seeds and checks
+# that every crash/recovery lands in a spec-allowed state — it must stay
+# green before any merge.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -33,13 +34,11 @@ export KSIM_EXPORT="$RUNTIME_EXPORT"
 echo "== ci: dune runtest =="
 dune runtest --force
 
-echo "== ci: torture smoke (seeded fault schedules) =="
-dune exec test/test_torture.exe
-
 echo "== ci: torture extra seeds (supervision escalation gate) =="
-# Three extra seeds beyond the checked-in ones.  The supervised torture
-# scenarios fail the whole run if any seed drives the mount supervisor
-# into an unexpected Failed escalation instead of a clean microreboot.
+# The checked-in seeds (runtest above ran them too) plus three more.
+# The supervised torture scenarios fail the whole run if any seed drives
+# the mount supervisor into an unexpected Failed escalation instead of a
+# clean microreboot.
 KSIM_TORTURE_SEEDS="101,202,303" dune exec test/test_torture.exe
 
 # The memory gate: every stage that builds crash images runs under a

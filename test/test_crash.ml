@@ -31,19 +31,8 @@ let generated_trace seed ops =
          | Fs_spec.Write { data; _ } -> String.length data <= 256
          | _ -> true)
 
-(* A crash point at every op, every divergence kept, no frontier bound. *)
 let crash_check ?group_commit ?(mode = Kfs.Journalfs.Journaled) ~images trace =
-  let (Kharness.Packed (module M)) = Kharness.journalfs_machine ?group_commit mode in
-  let config =
-    {
-      Krefine.default_config with
-      images_per_op = images;
-      frontier_limit = max_int;
-      shrink = false;
-      max_divergences = max_int;
-    }
-  in
-  Krefine.run ~config (module M) trace
+  Kharness.crash_check ~images (Kharness.journalfs_machine ?group_commit mode) trace
 
 let test_journaled_safe_fixed_trace () =
   let cov = crash_check ~images:16 trace_with_fsync in
@@ -97,6 +86,9 @@ let test_direct_mode_convicted () =
     [ 1; 2; 3 ];
   check Alcotest.bool "unjournaled FS violates crash safety" true (!violations > 0)
 
+(* The FS below writes straight to the device, which keeps every write:
+   a crash loses the mounted instance's memory, so each test remounts the
+   device as the FS left it. *)
 let test_group_commit_crash_loses_whole_batch () =
   (* Without an fsync, a crash may erase the entire uncommitted batch —
      and must erase it atomically (a legal prefix), never partially. *)
@@ -104,7 +96,6 @@ let test_group_commit_crash_loses_whole_batch () =
              (Kblock.Blockdev.create ~nblocks:1024 ~block_size:512) in
   ignore (Kfs.Journalfs.apply fs (Fs_spec.Create (p "/a")));
   ignore (Kfs.Journalfs.apply fs (Fs_spec.Create (p "/b")));
-  Kblock.Blockdev.crash (Kfs.Journalfs.device fs);
   let fs2 =
     Kfs.Journalfs.mount ~group_commit:true Kfs.Journalfs.Journaled (Kfs.Journalfs.device fs)
   in
@@ -118,7 +109,6 @@ let test_group_commit_crash_loses_whole_batch () =
               (Kblock.Blockdev.create ~nblocks:1024 ~block_size:512) in
   ignore (Kfs.Journalfs.apply fs3 (Fs_spec.Create (p "/a")));
   ignore (Kfs.Journalfs.apply fs3 Fs_spec.Fsync);
-  Kblock.Blockdev.crash (Kfs.Journalfs.device fs3);
   let fs4 =
     Kfs.Journalfs.mount ~group_commit:true Kfs.Journalfs.Journaled (Kfs.Journalfs.device fs3)
   in
@@ -131,7 +121,6 @@ let test_journal_replay_counted () =
   let fs = Kfs.Journalfs.Journaled_fs.mkfs () in
   ignore (Kfs.Journalfs.apply fs (Fs_spec.Create (p "/a")));
   ignore (Kfs.Journalfs.apply fs (Fs_spec.Create (p "/b")));
-  Kblock.Blockdev.crash (Kfs.Journalfs.device fs);
   let fs2 = Kfs.Journalfs.mount Kfs.Journalfs.Journaled (Kfs.Journalfs.device fs) in
   match Kfs.Journalfs.journal_stats fs2 with
   | Some stats ->
@@ -142,7 +131,6 @@ let test_fsync_checkpoint_makes_replay_unnecessary () =
   let fs = Kfs.Journalfs.Journaled_fs.mkfs () in
   ignore (Kfs.Journalfs.apply fs (Fs_spec.Create (p "/a")));
   ignore (Kfs.Journalfs.apply fs Fs_spec.Fsync);
-  Kblock.Blockdev.crash (Kfs.Journalfs.device fs);
   let fs2 = Kfs.Journalfs.mount Kfs.Journalfs.Journaled (Kfs.Journalfs.device fs) in
   (match Kfs.Journalfs.journal_stats fs2 with
   | Some stats -> check Alcotest.int "nothing to replay" 0 stats.Kblock.Journal.replayed_txs

@@ -1,4 +1,4 @@
-(* Tests for the block layer: the crash-semantics device, the buffer_head
+(* Tests for the block layer: the media-only device, the buffer_head
    state machine, and the write-ahead journal. *)
 
 let check = Alcotest.check
@@ -21,9 +21,7 @@ let test_dev_read_write () =
   let dev = Kblock.Blockdev.create ~nblocks:8 ~block_size:16 in
   check Alcotest.string "zeroed" (String.make 16 '\000') (Bytes.to_string (read_ok dev 0));
   write_ok dev 3 (block dev 'x');
-  check Alcotest.string "cached read sees write" (String.make 16 'x')
-    (Bytes.to_string (read_ok dev 3));
-  check Alcotest.int "pending" 1 (Kblock.Blockdev.pending_writes dev)
+  check Alcotest.string "read sees write" (String.make 16 'x') (Bytes.to_string (read_ok dev 3))
 
 let test_dev_errors () =
   let dev = Kblock.Blockdev.create ~nblocks:4 ~block_size:8 in
@@ -35,31 +33,66 @@ let test_dev_errors () =
     (Kblock.Blockdev.write dev 4 (Bytes.make 8 'a') = Error Ksim.Errno.EIO);
   check Alcotest.bool "write negative" true
     (Kblock.Blockdev.write dev (-1) (Bytes.make 8 'a') = Error Ksim.Errno.EIO);
-  (* Failed ops leave no trace: nothing cached, nothing counted pending. *)
-  check Alcotest.int "no pending after errors" 0 (Kblock.Blockdev.pending_writes dev)
+  (* Failed ops leave no trace: nothing landed, nothing counted. *)
+  check Alcotest.int "no write after errors" 0 (Kblock.Blockdev.writes dev);
+  check Alcotest.string "media untouched" (String.make 8 '\000') (Bytes.to_string (read_ok dev 0))
+
+(* The device is the media and nothing else: a write is in [image] as
+   soon as it returns, the last write to a block wins, and [flush] only
+   counts. *)
+let test_dev_last_write_wins () =
+  let dev = Kblock.Blockdev.create ~nblocks:4 ~block_size:8 in
+  let media () =
+    let img = Kblock.Blockdev.of_image ~block_size:8 (Kblock.Blockdev.image dev) in
+    List.map (fun b -> Bytes.to_string (read_ok img b)) [ 0; 1; 2; 3 ]
+  in
+  let zero = String.make 8 '\000' in
+  write_ok dev 1 (block dev 'a');
+  check Alcotest.(list string) "in the image at once" [ zero; String.make 8 'a'; zero; zero ]
+    (media ());
+  write_ok dev 1 (block dev 'b');
+  write_ok dev 3 (block dev 'c');
+  write_ok dev 1 (block dev 'd');
+  check Alcotest.(list string) "last write wins"
+    [ zero; String.make 8 'd'; zero; String.make 8 'c' ]
+    (media ());
+  check Alcotest.int "no flush yet" 0 (Kblock.Blockdev.flushes dev);
+  Kblock.Blockdev.flush dev;
+  Kblock.Blockdev.flush dev;
+  check Alcotest.int "flushes counted" 2 (Kblock.Blockdev.flushes dev);
+  check Alcotest.int "writes counted" 4 (Kblock.Blockdev.writes dev)
+
+(* A crash acts on the one volatile layer, a Wcache over the device:
+   what it held dirty is lost, what it flushed is on the media. *)
+let cache_over dev = Kblock.Wcache.create (Kblock.Blockdev.io dev)
+
+let cache_write wc i data =
+  match Kblock.Wcache.write wc i data with
+  | Ok () -> ()
+  | Error e -> fail ("cache write: " ^ Ksim.Errno.to_string e)
+
+let cache_flush wc =
+  match Kblock.Wcache.flush wc with
+  | Ok () -> ()
+  | Error e -> fail ("cache flush: " ^ Ksim.Errno.to_string e)
 
 let test_dev_crash_loses_cache () =
   let dev = Kblock.Blockdev.create ~nblocks:4 ~block_size:8 in
-  write_ok dev 1 (block dev 'a');
-  Kblock.Blockdev.crash dev;
-  check Alcotest.string "lost" (String.make 8 '\000') (Bytes.to_string (read_ok dev 1))
+  let wc = cache_over dev in
+  cache_write wc 1 (block dev 'a');
+  check Alcotest.int "one write to lose" 1 (Kblock.Wcache.dirty_blocks wc);
+  Kblock.Wcache.crash wc;
+  check Alcotest.string "lost" (String.make 8 '\000') (Bytes.to_string (read_ok dev 1));
+  check Alcotest.int "never reached the device" 0 (Kblock.Blockdev.writes dev)
 
 let test_dev_flush_is_durable () =
   let dev = Kblock.Blockdev.create ~nblocks:4 ~block_size:8 in
-  write_ok dev 1 (block dev 'a');
-  Kblock.Blockdev.flush dev;
-  Kblock.Blockdev.crash dev;
+  let wc = cache_over dev in
+  cache_write wc 1 (block dev 'a');
+  cache_flush wc;
+  Kblock.Wcache.crash wc;
   check Alcotest.string "survives" (String.make 8 'a') (Bytes.to_string (read_ok dev 1));
-  check Alcotest.int "no pending" 0 (Kblock.Blockdev.pending_writes dev)
-
-let test_dev_last_write_wins () =
-  let dev = Kblock.Blockdev.create ~nblocks:4 ~block_size:8 in
-  write_ok dev 0 (block dev 'a');
-  write_ok dev 0 (block dev 'b');
-  check Alcotest.string "cache last" (String.make 8 'b') (Bytes.to_string (read_ok dev 0));
-  Kblock.Blockdev.flush dev;
-  Kblock.Blockdev.crash dev;
-  check Alcotest.string "media last" (String.make 8 'b') (Bytes.to_string (read_ok dev 0))
+  check Alcotest.int "device flushed" 1 (Kblock.Blockdev.flushes dev)
 
 let test_dev_snapshot_of_media () =
   let dev = Kblock.Blockdev.create ~nblocks:2 ~block_size:4 in
@@ -145,15 +178,18 @@ let test_dev_snapshot_of_media () =
     [ dev; dev3; of_img patched ]
 
 let prop_flush_then_crash_preserves_all =
+  (* Capacity 4 under up to 20 writes: some land by writeback, the rest
+     only by the flush; either way the crash after it loses none. *)
   QCheck2.Test.make ~name:"flush makes all writes durable" ~count:100
     QCheck2.Gen.(list_size (int_range 1 20) (pair (int_range 0 7) (char_range 'a' 'z')))
     (fun writes ->
       let dev = Kblock.Blockdev.create ~nblocks:8 ~block_size:4 in
-      List.iter (fun (i, c) -> write_ok dev i (Bytes.make 4 c)) writes;
+      let wc = Kblock.Wcache.create ~capacity:4 (Kblock.Blockdev.io dev) in
+      List.iter (fun (i, c) -> cache_write wc i (Bytes.make 4 c)) writes;
       let expected = Array.make 8 '\000' in
       List.iter (fun (i, c) -> expected.(i) <- c) writes;
-      Kblock.Blockdev.flush dev;
-      Kblock.Blockdev.crash dev;
+      cache_flush wc;
+      Kblock.Wcache.crash wc;
       List.for_all
         (fun i -> Bytes.to_string (read_ok dev i) = String.make 4 expected.(i))
         [ 0; 1; 2; 3; 4; 5; 6; 7 ])
@@ -248,7 +284,6 @@ let test_bh_cache_lifecycle () =
   check Alcotest.int "one dirty" 1 (dirty_count cache);
   sync cache;
   check Alcotest.int "clean after sync" 0 (dirty_count cache);
-  Kblock.Blockdev.crash dev;
   check Alcotest.string "synced to media" (String.make 16 'w') (Bytes.to_string (read_ok dev 2))
 
 let test_bh_mark_dirty_on_stale_buffer_caught () =
@@ -290,7 +325,7 @@ let test_bh_submit_clean_is_noop () =
   let cache = create dev in
   let bh = bread cache 0 in
   (match submit_write cache bh with Ok () -> () | Error _ -> fail "clean submit");
-  check Alcotest.int "no device write" 0 (Kblock.Blockdev.pending_writes dev)
+  check Alcotest.int "no device write" 0 (Kblock.Blockdev.writes dev)
 
 let prop_random_flagsets_validate_consistently =
   QCheck2.Test.make ~name:"validate agrees with is_valid" ~count:300
@@ -342,8 +377,8 @@ let test_journal_recovery_replays_committed () =
   ignore (Kblock.Journal.tx_write j tx ~blkno:home (Bytes.make 64 'b'));
   ignore (Kblock.Journal.tx_write j tx ~blkno:(home + 1) (Bytes.make 64 'c'));
   (match Kblock.Journal.commit j tx with Ok () -> () | Error e -> fail (Ksim.Errno.to_string e));
-  (* Crash before checkpoint: home writes never issued, journal durable. *)
-  Kblock.Blockdev.crash dev;
+  (* Crash before checkpoint: home writes never issued, journal durable;
+     recovery starts from the device alone. *)
   let j2 = Kblock.Journal.recover (Kblock.Blockdev.io dev) ~jblocks:16 in
   check Alcotest.int "one tx replayed" 1 (Kblock.Journal.stats j2).Kblock.Journal.replayed_txs;
   check Alcotest.string "home 0" (String.make 64 'b') (Bytes.to_string (read_ok dev home));
@@ -357,7 +392,6 @@ let test_journal_recovery_ignores_uncommitted () =
   let tx = Kblock.Journal.tx_begin j in
   ignore (Kblock.Journal.tx_write j tx ~blkno:home (Bytes.make 64 'z'));
   (* Don't commit; instead crash with nothing journaled. *)
-  Kblock.Blockdev.crash dev;
   let j2 = Kblock.Journal.recover (Kblock.Blockdev.io dev) ~jblocks:16 in
   check Alcotest.int "nothing replayed" 0 (Kblock.Journal.stats j2).Kblock.Journal.replayed_txs;
   check Alcotest.string "home untouched" (String.make 64 '\000')
@@ -369,7 +403,6 @@ let test_journal_recovery_idempotent () =
   let tx = Kblock.Journal.tx_begin j in
   ignore (Kblock.Journal.tx_write j tx ~blkno:home (Bytes.make 64 'q'));
   ignore (Kblock.Journal.commit j tx);
-  Kblock.Blockdev.crash dev;
   let _ = Kblock.Journal.recover (Kblock.Blockdev.io dev) ~jblocks:16 in
   let j3 = Kblock.Journal.recover (Kblock.Blockdev.io dev) ~jblocks:16 in
   (* Second recovery: the tx is already checkpointed, nothing replays. *)
@@ -449,7 +482,6 @@ let prop_journal_crash_recovery_consistent =
           | Ok () -> List.iter (fun (i, c) -> Hashtbl.replace expected i c) writes
           | Error _ -> ())
         txs;
-      Kblock.Blockdev.crash dev;
       let _ = Kblock.Journal.recover (Kblock.Blockdev.io dev) ~jblocks:32 in
       Hashtbl.fold
         (fun i c acc ->

@@ -244,8 +244,8 @@ let test_journalfs_remount_preserves_state () =
 let test_journalfs_crash_without_fsync_recovers_committed () =
   let fs = Kfs.Journalfs.Journaled_fs.mkfs () in
   ignore (Kfs.Journalfs.apply fs (Fs_spec.Create (p "/f")));
-  (* No fsync; the journal committed the op anyway. *)
-  Kblock.Blockdev.crash (Kfs.Journalfs.device fs);
+  (* No fsync; the journal committed the op anyway, so a crash that
+     keeps only the device recovers it. *)
   let fs2 = Kfs.Journalfs.mount Kfs.Journalfs.Journaled (Kfs.Journalfs.device fs) in
   check result_t "create survived via journal replay"
     (Ok (Fs_spec.Attr { kind = `File; size = 0 }))
@@ -382,10 +382,14 @@ let test_journalfs_large_file_multiblock () =
     (Kfs.Journalfs.apply fs2 (Fs_spec.Read { file = p "/big"; off = 0; len = 2_000 }))
 
 let test_journalfs_direct_mode_loses_unflushed () =
-  let fs = Kfs.Journalfs.Direct_fs.mkfs () in
+  let g = Kfs.Journalfs.default_geometry in
+  let dev = Kblock.Blockdev.create ~nblocks:g.nblocks ~block_size:g.block_size in
+  let wc = Kblock.Wcache.create (Kblock.Blockdev.io dev) in
+  let fs = Kfs.Journalfs.mkfs_on ~io:(Kblock.Wcache.io wc) Kfs.Journalfs.Direct dev in
   ignore (Kfs.Journalfs.apply fs (Fs_spec.Create (p "/f")));
-  Kblock.Blockdev.crash (Kfs.Journalfs.device fs);
-  let fs2 = Kfs.Journalfs.mount Kfs.Journalfs.Direct (Kfs.Journalfs.device fs) in
+  check Alcotest.bool "the create is still in the cache" true (Kblock.Wcache.dirty_blocks wc > 0);
+  Kblock.Wcache.crash wc;
+  let fs2 = Kfs.Journalfs.mount Kfs.Journalfs.Direct dev in
   (* Without a journal, the unflushed create is simply gone (mkfs state). *)
   check result_t "create lost" (Error Ksim.Errno.ENOENT)
     (Kfs.Journalfs.apply fs2 (Fs_spec.Stat (p "/f")))

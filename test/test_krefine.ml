@@ -115,28 +115,6 @@ let test_pinned_fingerprints () =
       ("journalfs.microreboot", "a7d964ba8360cfdffe5ea0c4257cf5f3");
     ]
 
-let test_at_scale () =
-  (* The acceptance-scale sweep: every registered harness over a >=10k-op
-     recorded trace with crash-point enumeration at every op.  It only
-     runs when asked for — KSIM_REFINE_FULL=1 — because CI already runs
-     the same configuration through the `safeos refine` defaults. *)
-  if Sys.getenv_opt "KSIM_REFINE_FULL" <> Some "1" then ()
-  else begin
-    let t = trace ~target_ops:10_000 ~seed:11 in
-    check Alcotest.bool ">=10k ops recorded" true (List.length t >= 10_000);
-    let config = { Krefine.default_config with Krefine.images_per_op = 6; crash_every = 1 } in
-    List.iter
-      (fun (e : Kharness.entry) ->
-        let cov = Kharness.run ~config e t in
-        if not (Krefine.is_clean cov) then
-          Alcotest.failf "%s diverged at scale: %a" e.Kharness.hname Krefine.pp_coverage cov;
-        check Alcotest.int (e.Kharness.hname ^ ": every op checked") (List.length t)
-          cov.Krefine.ops;
-        check Alcotest.int (e.Kharness.hname ^ ": a crash point at every op")
-          (List.length t) cov.Krefine.crash_points)
-      (Kharness.all ())
-  end
-
 (* Divergence reporting -------------------------------------------------- *)
 
 module Lost_rename = struct
@@ -389,7 +367,6 @@ let () =
           Alcotest.test_case "verdict deterministic" `Quick test_verdict_deterministic;
           Alcotest.test_case "pinned fingerprints" `Quick test_pinned_fingerprints;
           Alcotest.test_case "registry" `Quick test_registry;
-          Alcotest.test_case "at scale (KSIM_REFINE_FULL=1)" `Slow test_at_scale;
         ] );
       ( "divergence",
         [

@@ -6,7 +6,8 @@
      Journalfs (Journaled)  — aborts + errors=remount-ro on permanent EIO
        Resilient            — bounded retries, deterministic backoff
          Flakydev           — failpoint-driven EIO / torn writes
-           Blockdev         — volatile write cache, crash = cache drop
+           Blockdev         — the media; a crash keeps every write it got,
+                              and loses the FS's in-memory state
 
    Everything is driven by one integer seed: the workload, the fault
    schedule (via [Ksim.Failpoint]) and the tear offsets are all derived
@@ -86,9 +87,9 @@ let run_torture ~seed =
   arm_faults fp;
   let ops = gen_ops (Ksim.Rng.of_int seed) 40 in
   let executed = run_workload fs ops in
-  (* Crash: the volatile cache is gone; mount replays the journal over a
-     now-reliable device (the fault window is over). *)
-  Kblock.Blockdev.crash dev;
+  (* Crash: the mounted FS and its in-memory state are gone; mount
+     replays the journal over a now-reliable device (the fault window is
+     over). *)
   let healed = Kfs.Journalfs.mount ~geometry Kfs.Journalfs.Journaled dev in
   if Kfs.Journalfs.is_corrupt healed then fail (Printf.sprintf "seed %d: corrupt after recovery" seed);
   {
@@ -157,7 +158,6 @@ let test_post_recovery_crash_spec_recheck () =
       arm_faults fp;
       let executed = run_workload fs (gen_ops (Ksim.Rng.of_int seed) 40) in
       check Alcotest.bool "same executed history" true (executed = o.executed);
-      Kblock.Blockdev.crash dev;
       (* The healed FS runs over a write-back cache on the same device, so
          every later crash image is a cache-loss residue. *)
       let wc = Kblock.Wcache.create (Kblock.Blockdev.io dev) in
@@ -240,7 +240,6 @@ let test_permanent_failure_remounts_readonly () =
   check Alcotest.bool "fsync is a quiet no-op" true
     (Kfs.Journalfs.apply fs Fs_spec.Fsync = Ok Fs_spec.Unit);
   (* Crash-safety held through the abort: recovery sees the synced state. *)
-  Kblock.Blockdev.crash dev;
   let healed = Kfs.Journalfs.mount ~geometry Kfs.Journalfs.Journaled dev in
   check Alcotest.bool "not corrupt" false (Kfs.Journalfs.is_corrupt healed);
   let executed =
@@ -407,7 +406,6 @@ let test_supervised_panic_recovers () =
         true
         (Fs_spec.Crash_safe.is_allowed_recovery o.s_executed o.s_recovered);
       (* And a real crash on top of the microreboot is still legal. *)
-      Kblock.Blockdev.crash dev;
       let healed = Kfs.Journalfs.mount ~geometry Kfs.Journalfs.Journaled dev in
       if Kfs.Journalfs.is_corrupt healed then
         fail (Printf.sprintf "seed %d: corrupt after post-reboot crash" seed);

@@ -72,6 +72,24 @@ let test_crash_drops_unflushed () =
   check int "nothing unflushed" 0 (Kblock.Wcache.unflushed_writes wc);
   check bytes "flushed content survives" (blk 'a') (ok "read" (Kblock.Wcache.read wc 0))
 
+(* The cache is the one volatile layer: a crash keeps on the media what
+   writeback already handed to the device, and loses only the dirty
+   set. *)
+let test_crash_keeps_written_back () =
+  let dev = mk_dev () in
+  let wc = Kblock.Wcache.create ~capacity:1 (Kblock.Blockdev.io dev) in
+  ok "w0" (Kblock.Wcache.write wc 0 (blk 'a'));
+  ok "w1" (Kblock.Wcache.write wc 1 (blk 'b'));
+  ok "w2" (Kblock.Wcache.write wc 2 (blk 'c'));
+  check int "two written back" 2 (Kblock.Wcache.writebacks wc);
+  check int "one still dirty" 1 (Kblock.Wcache.dirty_blocks wc);
+  Kblock.Wcache.crash wc;
+  let media = Kblock.Blockdev.of_image ~block_size (Kblock.Blockdev.image dev) in
+  let on_media b = ok "read" (Kblock.Blockdev.read media b) in
+  check bytes "written back, kept" (blk 'a') (on_media 0);
+  check bytes "written back, kept" (blk 'b') (on_media 1);
+  check bytes "dirty, lost" (blk '\000') (on_media 2)
+
 (* -- crash-surface enumeration ---------------------------------------- *)
 
 (* Three unflushed writes, one an overwrite: subsets in any order reach
@@ -581,6 +599,8 @@ let () =
           Alcotest.test_case "ack is volatile until flush" `Quick test_ack_is_volatile;
           Alcotest.test_case "capacity eviction" `Quick test_capacity_eviction;
           Alcotest.test_case "crash drops unflushed" `Quick test_crash_drops_unflushed;
+          Alcotest.test_case "crash keeps written-back blocks" `Quick
+            test_crash_keeps_written_back;
         ] );
       ( "residues",
         [
