@@ -794,7 +794,7 @@ let refine_cmd =
              ~doc:"Seed for trace recording and crash-image enumeration")
   in
   let images =
-    Arg.(value & opt int 6
+    Arg.(value & opt int 7
          & info [ "images" ] ~docv:"N" ~doc:"Crash images enumerated per crash point")
   in
   let ops =

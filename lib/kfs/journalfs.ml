@@ -9,11 +9,17 @@
      jblocks+ninodes+1           data-area allocation bitmap
      everything after            data blocks
 
-   Every operation mutates an in-memory mirror and stages the changed
-   blocks (data, inode table, bitmap) into one journal transaction, so a
-   crash either sees the whole operation or none of it.  [mode = Direct]
-   is the ablation: the same block writes issued in place with no journal
-   and no ordering, i.e. the classic non-journaled Unix FS that the crash
+   Every operation mutates an in-memory mirror and stages only the blocks
+   it changed into one journal transaction, so a crash either sees the
+   whole operation or none of it.  An inode keeps its data blocks from op
+   to op: growth is allocated and shrink is freed.  A file write or
+   truncate stages the data blocks its changed bytes overlap; a directory
+   edit or a new inode stages all of its content.  The inode block goes
+   in only when the inode appears, disappears, or changes size or block
+   list, and the bitmap block only when the allocation changed.  An op
+   that changes no block does no I/O.  [mode = Direct] is the ablation:
+   the same block writes issued in place with no journal and no
+   ordering, i.e. the classic non-journaled Unix FS that the crash
    checker duly convicts.
 
    All media traffic goes through a [Kblock.Io.t] (by default the raw
@@ -55,7 +61,7 @@ type t = {
   mutable open_tx : Kblock.Journal.tx option;
   nodes : mnode option array; (* the mirror; index = ino *)
   bitmap : Bytes.t; (* one byte per data block: 0 free, 1 used *)
-  blocks_of : int list array; (* data blocks backing each inode *)
+  blocks_of : int array array; (* data blocks backing each inode, in order *)
   mutable corrupt : bool; (* set when mount could not parse the disk *)
   mutable readonly : bool; (* errors=remount-ro tripped *)
 }
@@ -131,17 +137,21 @@ let content_of_node = function
   | MFile content -> content
   | MDir entries -> encode_dir entries
 
-let encode_inode geo node blocks =
+(* [String.length (content_of_node n)], without encoding a directory. *)
+let content_size = function
+  | MFile content -> String.length content
+  | MDir entries -> List.fold_left (fun len (name, _) -> len + 6 + String.length name) 2 entries
+
+let encode_inode geo node ~size blocks =
   let buf = Bytes.make geo.block_size '\000' in
   (match node with
   | None -> ()
   | Some n ->
       Bytes.set buf 0 '\001';
       Bytes.set buf 1 (match n with MFile _ -> '\000' | MDir _ -> '\001');
-      let content = content_of_node n in
-      Kblock.Codec.put_u32 buf 2 (String.length content);
-      Kblock.Codec.put_u16 buf 6 (List.length blocks);
-      List.iteri (fun i blkno -> Kblock.Codec.put_u32 buf (8 + (4 * i)) blkno) blocks);
+      Kblock.Codec.put_u32 buf 2 size;
+      Kblock.Codec.put_u16 buf 6 (Array.length blocks);
+      Array.iteri (fun i blkno -> Kblock.Codec.put_u32 buf (8 + (4 * i)) blkno) blocks);
   buf
 
 let max_direct geo = (geo.block_size - 8) / 4
@@ -198,6 +208,7 @@ let batch_apply t (b : batch) =
   let blocks = Hashtbl.fold (fun blkno data acc -> (blkno, data) :: acc) b [] in
   let blocks = List.sort (fun (a, _) (b, _) -> compare a b) blocks in
   match t.journal with
+  | _ when Hashtbl.length b = 0 -> Ok () (* an op that changed no block does no I/O *)
   | Some j when t.group_commit ->
       (* Accumulate into the open transaction; commit early only when the
          next batch would overflow the per-transaction capacity. *)
@@ -255,48 +266,59 @@ let alloc_blocks t n =
   | None -> None
   | Some rel ->
       List.iter (fun i -> Bytes.set t.bitmap i '\001') rel;
-      Some (List.map (fun i -> data_start t.geo + i) rel)
+      Some (Array.of_list (List.map (fun i -> data_start t.geo + i) rel))
 
 let free_blocks t blocks =
-  List.iter (fun blkno -> Bytes.set t.bitmap (blkno - data_start t.geo) '\000') blocks
+  Array.iter (fun blkno -> Bytes.set t.bitmap (blkno - data_start t.geo) '\000') blocks
 
-(* Re-serialize one inode: free its old data blocks, allocate fresh ones,
-   stage data + inode-table + bitmap blocks.  Returns false on ENOSPC (and
-   rolls the allocation back). *)
-let stage_inode t (b : batch) ino =
-  free_blocks t t.blocks_of.(ino);
-  t.blocks_of.(ino) <- [];
-  let ok =
-    match t.nodes.(ino) with
-    | None -> true
-    | Some node -> (
-        let content = content_of_node node in
-        let bs = t.geo.block_size in
-        let nblocks = (String.length content + bs - 1) / bs in
-        if nblocks > max_direct t.geo then false
-        else
-          match alloc_blocks t nblocks with
-          | None -> false
-          | Some blocks ->
-              t.blocks_of.(ino) <- blocks;
-              List.iteri
-                (fun i blkno ->
-                  let chunk = Bytes.make bs '\000' in
-                  let off = i * bs in
-                  let len = min bs (String.length content - off) in
-                  Bytes.blit_string content off chunk 0 len;
-                  batch_put b blkno chunk)
-                blocks;
-              true)
+(* The changed bytes of a directory, a new inode or a removed one: all. *)
+let whole = (0, max_int)
+
+(* Stage inode [ino] once an op has set its mirror node, given its node
+   before the op ([old]) and the range [lo, hi) of the new content's bytes
+   that may differ from the disk.  The inode keeps its block numbers:
+   only growth is allocated (first fit) and only shrink is freed.  Staged
+   are the data blocks that overlap [lo, hi); the inode block when the
+   inode appeared, disappeared, or changed size or block count; and the
+   bitmap block when the allocation changed.  Returns false, having
+   allocated nothing, when the content needs more blocks than an inode
+   points to or than are free. *)
+let stage_inode t (b : batch) ino ~old (lo, hi) =
+  let bs = t.geo.block_size in
+  let content = Option.map content_of_node t.nodes.(ino) in
+  let size = match content with Some c -> String.length c | None -> 0 in
+  let had = t.blocks_of.(ino) in
+  let nhad = Array.length had and need = (size + bs - 1) / bs in
+  let kept =
+    if need = nhad then Some had
+    else if need < nhad then begin
+      free_blocks t (Array.sub had need (nhad - need));
+      Some (Array.sub had 0 need)
+    end
+    else if need > max_direct t.geo then None
+    else Option.map (Array.append had) (alloc_blocks t (need - nhad))
   in
-  if ok then begin
-    batch_put b (inode_block t.geo ino) (encode_inode t.geo t.nodes.(ino) t.blocks_of.(ino));
-    let bm = Bytes.make t.geo.block_size '\000' in
-    Bytes.blit t.bitmap 0 bm 0 (min (Bytes.length t.bitmap) t.geo.block_size);
-    batch_put b (bitmap_block t.geo) bm;
-    true
-  end
-  else false
+  match kept with
+  | None -> false
+  | Some blocks ->
+      t.blocks_of.(ino) <- blocks;
+      (match content with
+      | Some content when lo < hi ->
+          for i = lo / bs to min (need - 1) ((hi - 1) / bs) do
+            let chunk = Bytes.make bs '\000' in
+            Bytes.blit_string content (i * bs) chunk 0 (min bs (size - (i * bs)));
+            batch_put b blocks.(i) chunk
+          done
+      | Some _ | None -> ());
+      let old_size = match old with Some n -> content_size n | None -> 0 in
+      if Option.is_some old <> Option.is_some content || old_size <> size || need <> nhad then
+        batch_put b (inode_block t.geo ino) (encode_inode t.geo t.nodes.(ino) ~size blocks);
+      if need <> nhad then begin
+        let bm = Bytes.make bs '\000' in
+        Bytes.blit t.bitmap 0 bm 0 (min (Bytes.length t.bitmap) bs);
+        batch_put b (bitmap_block t.geo) bm
+      end;
+      true
 
 (* mkfs / mount --------------------------------------------------------------- *)
 
@@ -328,7 +350,7 @@ let mkfs_on ?(geometry = default_geometry) ?(group_commit = false) ?(barriers = 
       open_tx = None;
       nodes = Array.make geometry.ninodes None;
       bitmap = Bytes.make (data_blocks geometry) '\000';
-      blocks_of = Array.make geometry.ninodes [];
+      blocks_of = Array.make geometry.ninodes [||];
       corrupt = false;
       readonly = false;
     }
@@ -338,7 +360,8 @@ let mkfs_on ?(geometry = default_geometry) ?(group_commit = false) ?(barriers = 
   write_sb t b;
   (* The device is freshly zeroed, so only the root inode (and the blocks
      it owns) needs to reach the disk. *)
-  if not (stage_inode t b root_ino) then invalid_arg "Journalfs.mkfs_on: no space for root";
+  if not (stage_inode t b root_ino ~old:None whole) then
+    invalid_arg "Journalfs.mkfs_on: no space for root";
   let fatal what = function
     | Ok () -> ()
     | Error e -> invalid_arg ("Journalfs.mkfs_on: " ^ what ^ ": " ^ Ksim.Errno.to_string e)
@@ -376,7 +399,7 @@ let mount ?(geometry = default_geometry) ?(group_commit = false) ?(barriers = tr
       open_tx = None;
       nodes = Array.make geometry.ninodes None;
       bitmap = Bytes.make (data_blocks geometry) '\000';
-      blocks_of = Array.make geometry.ninodes [];
+      blocks_of = Array.make geometry.ninodes [||];
       corrupt = false;
       readonly = false;
     }
@@ -391,18 +414,18 @@ let mount ?(geometry = default_geometry) ?(group_commit = false) ?(barriers = tr
          let size = Kblock.Codec.get_u32 buf 2 in
          let nblk = Kblock.Codec.get_u16 buf 6 in
          if nblk > max_direct geometry then raise (Corrupt "inode block count");
-         let blocks = List.init nblk (fun i -> Kblock.Codec.get_u32 buf (8 + (4 * i))) in
-         List.iter
+         let blocks = Array.init nblk (fun i -> Kblock.Codec.get_u32 buf (8 + (4 * i))) in
+         Array.iter
            (fun blkno ->
              if blkno < data_start geometry || blkno >= geometry.nblocks then
                raise (Corrupt "block pointer out of range"))
            blocks;
          let content = Buffer.create size in
-         List.iter (fun blkno -> Buffer.add_bytes content (read_block dev blkno)) blocks;
+         Array.iter (fun blkno -> Buffer.add_bytes content (read_block dev blkno)) blocks;
          if size > Buffer.length content then raise (Corrupt "inode size beyond blocks");
          let content = String.sub (Buffer.contents content) 0 size in
          t.blocks_of.(ino) <- blocks;
-         List.iter
+         Array.iter
            (fun blkno -> Bytes.set t.bitmap (blkno - data_start geometry) '\001')
            blocks;
          t.nodes.(ino) <-
@@ -419,12 +442,18 @@ let mount ?(geometry = default_geometry) ?(group_commit = false) ?(barriers = tr
 
 let node t ino = if ino >= 0 && ino < t.geo.ninodes then t.nodes.(ino) else None
 
+(* A directory entry's inode, by a [String.equal] scan rather than
+   polymorphic compare. *)
+let rec find_entry name = function
+  | [] -> None
+  | (n, ino) :: rest -> if String.equal n name then Some ino else find_entry name rest
+
 let rec walk t ino = function
   | [] -> Some ino
   | comp :: rest -> (
       match node t ino with
-      | Some (MDir entries) ->
-          Option.bind (List.assoc_opt comp entries) (fun child -> walk t child rest)
+      | Some (MDir entries) -> (
+          match find_entry comp entries with Some child -> walk t child rest | None -> None)
       | Some (MFile _) | None -> None)
 
 let lookup t path = walk t root_ino path
@@ -465,20 +494,32 @@ let free_ino t =
   in
   go 0
 
-(* Commit one op's mirror edits, [(ino, new node)] in staging order: apply
-   them, stage every edited inode, then apply the batch atomically.  When
-   staging runs out of data blocks, the op changes nothing: the edited
-   inodes get back their nodes, their blocks and those blocks' bitmap
-   bits, and the blocks staging allocated are free again.  A persistent
-   EIO aborts the transaction (journal head rolled back, home area
-   untouched) and degrades the FS to read-only; the mirror may now be
-   ahead of the disk, which is safe precisely because nothing further
-   will be written. *)
+(* Commit one op's mirror edits, [(ino, new node, changed bytes)] in
+   staging order: apply them, stage what each changed (see
+   [stage_inode]), then apply the batch atomically.  When staging runs
+   out of data blocks, or in Journaled mode the batch is larger than one
+   transaction may be, the op changes nothing and fails ENOSPC before any
+   I/O: the edited inodes get back their nodes, their blocks and those
+   blocks' bitmap bits, and the blocks staging allocated are free again.
+   A persistent EIO aborts the transaction (journal head rolled back,
+   home area untouched) and degrades the FS to read-only; the mirror may
+   now be ahead of the disk, which is safe precisely because nothing
+   further will be written. *)
 let commit_inodes t edits =
-  let saved = List.map (fun (ino, _) -> (ino, t.nodes.(ino), t.blocks_of.(ino))) edits in
-  List.iter (fun (ino, node) -> t.nodes.(ino) <- node) edits;
+  let saved = List.map (fun (ino, _, _) -> (ino, t.nodes.(ino), t.blocks_of.(ino))) edits in
+  List.iter (fun (ino, node, _) -> t.nodes.(ino) <- node) edits;
   let b = batch_create () in
-  if List.for_all (fun (ino, _) -> stage_inode t b ino) edits then
+  let staged =
+    List.for_all2
+      (fun (ino, _, changed) (_, old, _) -> stage_inode t b ino ~old changed)
+      edits saved
+  in
+  let fits =
+    match t.journal with
+    | Some j -> Hashtbl.length b <= Kblock.Journal.max_tx_writes j
+    | None -> true
+  in
+  if staged && fits then
     match absorb t "commit" (batch_apply t b) with
     | Ok () -> Ok Fs_spec.Unit
     | Error e -> Error e
@@ -488,7 +529,7 @@ let commit_inodes t edits =
       (fun (ino, node, blocks) ->
         t.nodes.(ino) <- node;
         t.blocks_of.(ino) <- blocks;
-        List.iter (fun blkno -> Bytes.set t.bitmap (blkno - data_start t.geo) '\001') blocks)
+        Array.iter (fun blkno -> Bytes.set t.bitmap (blkno - data_start t.geo) '\001') blocks)
       saved;
     Error Ksim.Errno.ENOSPC
   end
@@ -500,25 +541,27 @@ let add_node t path make_node =
   | Error e -> Error e
   | Ok (parent_ino, entries) -> (
       let base = basename_exn path in
-      if List.mem_assoc base entries then Error Ksim.Errno.EEXIST
+      if Option.is_some (find_entry base entries) then Error Ksim.Errno.EEXIST
       else
         match free_ino t with
         | None -> Error Ksim.Errno.ENOSPC
         | Some ino ->
             commit_inodes t
               [
-                (ino, Some (make_node ()));
-                (parent_ino, Some (MDir (assoc_set base ino entries)));
+                (ino, Some (make_node ()), whole);
+                (parent_ino, Some (MDir (assoc_set base ino entries)), whole);
               ])
 
+(* [f content] is the file's new content and the range [lo, hi) of its
+   bytes that may differ from [content]. *)
 let update_file t path f =
   match lookup t path with
   | Some ino -> (
       match node t ino with
       | Some (MFile content) ->
-          let content' = f content in
+          let content', lo, hi = f content in
           if String.length content' > max_file_size t.mode t.geo then Error Ksim.Errno.ENOSPC
-          else commit_inodes t [ (ino, Some (MFile content')) ]
+          else commit_inodes t [ (ino, Some (MFile content'), (lo, hi)) ]
       | Some (MDir _) -> Error Ksim.Errno.EISDIR
       | None -> Error Ksim.Errno.ENOENT)
   | None -> if is_dir t path then Error Ksim.Errno.EISDIR else Error Ksim.Errno.ENOENT
@@ -543,7 +586,11 @@ let apply t (op : Fs_spec.op) : Fs_spec.result =
     | Mkdir path -> add_node t path (fun () -> MDir [])
     | Write { file; off; data } ->
         if off < 0 then Error Ksim.Errno.EINVAL
-        else update_file t file (fun content -> Fs_spec.write_at content ~off ~data)
+        else
+          update_file t file (fun content ->
+              ( Fs_spec.write_at content ~off ~data,
+                min off (String.length content),
+                off + String.length data ))
     | Read { file; off; len } -> (
         if off < 0 || len < 0 then Error Ksim.Errno.EINVAL
         else
@@ -555,8 +602,11 @@ let apply t (op : Fs_spec.op) : Fs_spec.result =
         if size < 0 then Error Ksim.Errno.EINVAL
         else
           update_file t path (fun content ->
-              if String.length content >= size then String.sub content 0 size
-              else content ^ String.make (size - String.length content) '\000')
+              let len = String.length content in
+              ( (if len >= size then String.sub content 0 size
+                 else content ^ String.make (size - len) '\000'),
+                min len size,
+                max len size ))
     | Unlink path -> (
         match lookup_node t path with
         | Some (MFile _) -> (
@@ -566,8 +616,8 @@ let apply t (op : Fs_spec.op) : Fs_spec.result =
                 let ino = match lookup t path with Some i -> i | None -> assert false in
                 commit_inodes t
                   [
-                    (ino, None);
-                    (parent_ino, Some (MDir (assoc_remove (basename_exn path) entries)));
+                    (ino, None, whole);
+                    (parent_ino, Some (MDir (assoc_remove (basename_exn path) entries)), whole);
                   ])
         | Some (MDir _) -> Error Ksim.Errno.EISDIR
         | None -> if path = [] then Error Ksim.Errno.EISDIR else Error Ksim.Errno.ENOENT)
@@ -583,8 +633,10 @@ let apply t (op : Fs_spec.op) : Fs_spec.result =
                   let ino = match lookup t path with Some i -> i | None -> assert false in
                   commit_inodes t
                     [
-                      (ino, None);
-                      (parent_ino, Some (MDir (assoc_remove (basename_exn path) pentries)));
+                      (ino, None, whole);
+                      ( parent_ino,
+                        Some (MDir (assoc_remove (basename_exn path) pentries)),
+                        whole );
                     ])
         | Some (MFile _) -> Error Ksim.Errno.ENOTDIR
         | None -> Error Ksim.Errno.ENOENT)
@@ -631,16 +683,17 @@ let apply t (op : Fs_spec.op) : Fs_spec.result =
                             in
                             let dst_edit =
                               ( dst_parent,
-                                Some (MDir (assoc_set (basename_exn dst) src_ino dst_entries)) )
+                                Some (MDir (assoc_set (basename_exn dst) src_ino dst_entries)),
+                                whole )
                             in
                             let edits =
-                              List.map (fun i -> (i, None)) dropped
+                              List.map (fun i -> (i, None, whole)) dropped
                               @
                               if src_parent = dst_parent then [ dst_edit ]
-                              else [ (src_parent, Some (MDir src_entries)); dst_edit ]
+                              else [ (src_parent, Some (MDir src_entries), whole); dst_edit ]
                             in
                             commit_inodes t
-                              (List.sort (fun (a, _) (b, _) -> compare a b) edits))))
+                              (List.sort (fun (a, _, _) (b, _, _) -> compare a b) edits))))
     | Readdir path -> (
         match lookup_node t path with
         | Some (MDir entries) -> Ok (Fs_spec.Names (List.map fst entries))

@@ -1,11 +1,15 @@
 (** Block-based file system with a write-ahead journal — the ext4-shaped
     subject of the crash-safety experiment (EXP-CRASH, BENCH-JOURNAL).
 
-    Every operation stages its changed blocks (data, inode table, bitmap)
-    into one journal transaction, so a crash observes all of an operation
-    or none of it.  [Direct] mode is the ablation: identical block writes
-    issued in place with no journal — the classic non-journaled FS the
-    crash checker convicts.
+    Every operation stages only the blocks it changed into one journal
+    transaction, so a crash observes all of an operation or none of it:
+    the data blocks a write or truncate's changed bytes overlap (all of a
+    directory's or a new inode's content), the inode block when the
+    inode appears, disappears, or changes size or block list, and the
+    bitmap block when the allocation changed.  An inode keeps its block
+    numbers; an op that changes no block does no I/O.  [Direct] mode is
+    the ablation: identical block writes issued in place with no journal
+    — the classic non-journaled FS the crash checker convicts.
 
     Media traffic goes through a {!Kblock.Io.t} (default: the raw
     device), so the FS can run over a {!Kblock.Flakydev} /

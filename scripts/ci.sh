@@ -114,7 +114,7 @@ KSIM_KLOAD_SEEDS="${KSIM_KLOAD_SEEDS:-7,101}" dune exec test/test_kload.exe -- t
 echo "== ci: refine sweep (krefine harnesses vs Fs_spec, memory cap) =="
 # Every registered kharness machine (journalfs, cowfs, the supervised
 # microreboot path) replays a kload-recorded trace in lockstep with
-# Fs_spec at the `safeos refine` defaults — a >=10k-op trace with 6
+# Fs_spec at the `safeos refine` defaults — a >=10k-op trace with 7
 # crash images at every op.  Any divergence, or running out of the
 # memory cap, fails the run; its `wall:` line shows what the stage
 # costs.  The coverage the pass produced is ratcheted against

@@ -367,6 +367,66 @@ let test_journalfs_enospc_mkdir_changes_nothing () =
   ok "unlink /f" (apply (Fs_spec.Unlink (p "/f")));
   ok "mkdir now fits" (apply (Fs_spec.Mkdir (p "/d")))
 
+(* The kload geometry: a 4 KiB file is 8 data blocks.  An op stages
+   only the blocks it changed: a rewrite inside the file journals one
+   data block between the descriptor and the commit record, and its
+   fsync checkpoints that one home block plus the journal superblock;
+   a write that grows the file also stages its inode and the bitmap. *)
+let test_journalfs_write_pattern () =
+  let geometry =
+    { Kfs.Journalfs.nblocks = 4096; block_size = 512; jblocks = 96; ninodes = 128 }
+  in
+  let dev = Kblock.Blockdev.create ~nblocks:4096 ~block_size:512 in
+  let fs = Kfs.Journalfs.mkfs_on ~geometry Kfs.Journalfs.Journaled dev in
+  let apply = Kfs.Journalfs.apply fs in
+  let journaled () =
+    match Kfs.Journalfs.journal_stats fs with
+    | Some s -> s.Kblock.Journal.journal_block_writes
+    | None -> fail "no journal"
+  in
+  (* the journal blocks and the device writes an op makes *)
+  let writes what op =
+    let j0 = journaled () and d0 = Kblock.Blockdev.writes dev in
+    ok what (apply op);
+    (journaled () - j0, Kblock.Blockdev.writes dev - d0)
+  in
+  let write off len = Fs_spec.Write { file = p "/k"; off; data = String.make len 'w' } in
+  ok "create /k" (apply (Fs_spec.Create (p "/k")));
+  ok "4 KiB" (apply (write 0 4096));
+  ok "fsync" (apply Fs_spec.Fsync);
+  check Alcotest.(pair int int) "40-byte rewrite: descriptor, one data block, commit" (3, 3)
+    (writes "rewrite" (write 0 40));
+  check Alcotest.(pair int int) "its fsync: one home block and the journal superblock" (0, 2)
+    (writes "fsync" Fs_spec.Fsync);
+  check Alcotest.(pair int int) "growing write: data, inode and bitmap blocks" (5, 5)
+    (writes "append" (write 4096 40));
+  check Alcotest.(pair int int) "its fsync: three home blocks and the journal superblock" (0, 4)
+    (writes "fsync" Fs_spec.Fsync);
+  check Alcotest.(pair int int) "a write that changes no byte does no I/O" (0, 0)
+    (writes "empty write" (write 100 0))
+
+(* A directory too big for one journal transaction is refused before any
+   I/O, in both commit modes: the mirror stays equal to the disk and the
+   directory keeps working. *)
+let test_journalfs_oversized_directory_changes_nothing () =
+  List.iter
+    (fun group_commit ->
+      let mode = if group_commit then "group commit: " else "per-op commit: " in
+      let dev = Kblock.Blockdev.create ~nblocks:1024 ~block_size:512 in
+      let fs = Kfs.Journalfs.mkfs_on ~group_commit Kfs.Journalfs.Journaled dev in
+      let apply = Kfs.Journalfs.apply fs in
+      let long = String.make 50_000 'n' in
+      check result_t (mode ^ "long create refused") (Error Ksim.Errno.ENOSPC)
+        (apply (Fs_spec.Create [ long ]));
+      check result_t (mode ^ "no long file") (Error Ksim.Errno.ENOENT)
+        (apply (Fs_spec.Stat [ long ]));
+      ok (mode ^ "create /b") (apply (Fs_spec.Create (p "/b")));
+      ok (mode ^ "fsync") (apply Fs_spec.Fsync);
+      let remounted = Kfs.Journalfs.mount Kfs.Journalfs.Journaled dev in
+      check result_t (mode ^ "a remount sees /b alone") (Ok (Fs_spec.Names [ "b" ]))
+        (Kfs.Journalfs.apply remounted (Fs_spec.Readdir (p "/"))))
+    [ false; true ]
+
 let test_journalfs_large_file_multiblock () =
   let fs = Kfs.Journalfs.Journaled_fs.mkfs () in
   let data = String.init 2_000 (fun i -> Char.chr (Char.code 'a' + (i mod 26))) in
@@ -393,6 +453,50 @@ let test_journalfs_direct_mode_loses_unflushed () =
   (* Without a journal, the unflushed create is simply gone (mkfs state). *)
   check result_t "create lost" (Error Ksim.Errno.ENOENT)
     (Kfs.Journalfs.apply fs2 (Fs_spec.Stat (p "/f")))
+
+(* Range staging, checked on the disk: after each write or truncate and
+   an Fsync, a mount of the device's image holds what the mirror does.
+   64-byte blocks, so writes of up to 150 B at offsets up to 400 and
+   truncates that shrink and grow cross block edges and change block
+   counts. *)
+let range_geometry =
+  { Kfs.Journalfs.nblocks = 256; block_size = 64; jblocks = 24; ninodes = 16 }
+
+let gen_range_op =
+  let open QCheck2.Gen in
+  let file = oneofl [ p "/a"; p "/b" ] in
+  oneof
+    [
+      map3
+        (fun file off data -> Fs_spec.Write { file; off; data })
+        file (int_range 0 400)
+        (string_size ~gen:(char_range 'a' 'z') (int_range 0 150));
+      map2 (fun file size -> Fs_spec.Truncate (file, size)) file (int_range 0 600);
+    ]
+
+let remount_equals_mirror ~group_commit =
+  let name = if group_commit then "journalfs(group-commit)" else "journalfs" in
+  QCheck2.Test.make ~name:(name ^ ": a remount equals the mirror") ~count:60
+    QCheck2.Gen.(list_size (int_range 1 30) gen_range_op)
+    (fun ops ->
+      let geometry = range_geometry in
+      let dev = Kblock.Blockdev.create ~nblocks:geometry.nblocks ~block_size:geometry.block_size in
+      let fs = Kfs.Journalfs.mkfs_on ~geometry ~group_commit Kfs.Journalfs.Journaled dev in
+      let applied op = Fs_spec.equal_result (Ok Fs_spec.Unit) (Kfs.Journalfs.apply fs op) in
+      let remount () =
+        Kfs.Journalfs.mount ~geometry Kfs.Journalfs.Journaled
+          (Kblock.Blockdev.of_image ~block_size:geometry.block_size (Kblock.Blockdev.image dev))
+      in
+      applied (Fs_spec.Create (p "/a"))
+      && applied (Fs_spec.Create (p "/b"))
+      && List.for_all
+           (fun op ->
+             applied op && applied Fs_spec.Fsync
+             &&
+             let disk = remount () in
+             (not (Kfs.Journalfs.is_corrupt disk))
+             && Fs_spec.equal (Kfs.Journalfs.interpret fs) (Kfs.Journalfs.interpret disk))
+           ops)
 
 let journalfs_differential =
   QCheck2.Test.make ~name:"journalfs agrees with Fs_spec on random traces" ~count:60 gen_trace
@@ -600,6 +704,8 @@ let () =
             differential "cowfs" (module Kfs.Cowfs);
             journalfs_differential;
             journalfs_group_differential;
+            remount_equals_mirror ~group_commit:false;
+            remount_equals_mirror ~group_commit:true;
             owned_no_violations;
             union_differential;
           ] );
@@ -645,6 +751,10 @@ let () =
             test_journalfs_enospc_write_changes_nothing;
           Alcotest.test_case "mkdir refused for data blocks changes nothing" `Quick
             test_journalfs_enospc_mkdir_changes_nothing;
+          Alcotest.test_case "an op writes only the blocks it changed" `Quick
+            test_journalfs_write_pattern;
+          Alcotest.test_case "directory too big for a transaction changes nothing" `Quick
+            test_journalfs_oversized_directory_changes_nothing;
           Alcotest.test_case "multi-block files" `Quick test_journalfs_large_file_multiblock;
           Alcotest.test_case "direct mode loses unflushed" `Quick
             test_journalfs_direct_mode_loses_unflushed;
