@@ -28,9 +28,9 @@ let attach_filter ?(default_accept = false) prog =
 
 let filter_packet f packet =
   let verdict =
-    match Vm.exec f.prog ~ctx:packet with
-    | Ok v -> v <> 0
-    | Error _ ->
+    match Vm.run f.prog ~ctx:packet with
+    | v -> v <> 0
+    | exception Vm.Trap _ ->
         f.traps <- f.traps + 1;
         f.default_accept
   in
@@ -96,12 +96,12 @@ let attach_tracer ?(buckets = 16) prog =
     (Vm.load prog)
 
 let trace_op tracer op =
-  match Vm.exec tracer.tprog ~ctx:(encode_op op) with
-  | Ok bucket ->
+  match Vm.run tracer.tprog ~ctx:(encode_op op) with
+  | bucket ->
       let b = ((bucket mod Array.length tracer.buckets) + Array.length tracer.buckets)
               mod Array.length tracer.buckets in
       tracer.buckets.(b) <- tracer.buckets.(b) + 1
-  | Error _ -> tracer.ttraps <- tracer.ttraps + 1
+  | exception Vm.Trap _ -> tracer.ttraps <- tracer.ttraps + 1
 
 let bucket_counts tracer = Array.copy tracer.buckets
 let tracer_traps tracer = tracer.ttraps
@@ -126,12 +126,12 @@ let attach_probe ?(buckets = 16) prog =
     (Vm.load prog)
 
 let probe_event probe ctx =
-  match Vm.exec probe.pprog ~ctx with
-  | Ok bucket ->
+  match Vm.run probe.pprog ~ctx with
+  | bucket ->
       let n = Array.length probe.pbuckets in
       let b = ((bucket mod n) + n) mod n in
       probe.pbuckets.(b) <- probe.pbuckets.(b) + 1
-  | Error _ -> probe.ptraps <- probe.ptraps + 1
+  | exception Vm.Trap _ -> probe.ptraps <- probe.ptraps + 1
 
 let probe_counts probe = Array.copy probe.pbuckets
 let probe_traps probe = probe.ptraps

@@ -7,20 +7,21 @@
     standard storage/tenant-workload shapes (cf. YCSB's zipfian request
     distribution). *)
 
-val pareto : Ksim.Rng.t -> alpha:float -> xmin:float -> float
-(** One draw from a Pareto distribution with shape [alpha] and scale
-    [xmin] (so every draw is [>= xmin]).  Smaller [alpha] = heavier
-    tail; [alpha <= 1] has infinite mean.
-    @raise Invalid_argument on non-positive [alpha] or [xmin]. *)
-
-val bounded_pareto : Ksim.Rng.t -> alpha:float -> xmin:float -> xmax:float -> float
-(** Pareto truncated to [\[xmin, xmax\]] by inverse-CDF (not by
+(** Pareto truncated to [\[xmin, xmax\]] by inverse CDF (not by
     rejection), so one RNG draw per sample and the tail mass folds into
     the bound deterministically. *)
+module Bounded_pareto : sig
+  type t
 
-val pareto_int : Ksim.Rng.t -> alpha:float -> xmin:int -> xmax:int -> int
-(** {!bounded_pareto} rounded down to an integer — think times in
-    simulated ns, payload sizes in bytes. *)
+  val create : alpha:float -> xmin:int -> xmax:int -> t
+  (** Shape [alpha] (smaller = heavier tail) over [\[xmin, xmax\]].
+      @raise Invalid_argument on non-positive [alpha] or [xmin], or
+      [xmax < xmin]. *)
+
+  val draw : t -> Ksim.Rng.t -> int
+  (** One draw, rounded down to an integer — think times in simulated
+      ns, payload sizes in bytes. *)
+end
 
 (** Zipfian ranks over a finite key space, by precomputed inverse CDF. *)
 module Zipf : sig

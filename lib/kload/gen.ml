@@ -12,11 +12,36 @@ type tenant = {
   rng : Ksim.Rng.t;
 }
 
+(* A weighted choice, as arrays: one [Rng.int] over the total weight,
+   then a scan of the cumulative weights. *)
+type 'a weighted = {
+  items : 'a array;
+  weights : int array;
+  total : int;
+}
+
+let weighted pairs =
+  let weights = Array.of_list (List.map snd pairs) in
+  { items = Array.of_list (List.map fst pairs); weights; total = Array.fold_left ( + ) 0 weights }
+
+let pick rng w =
+  let r = Ksim.Rng.int rng w.total in
+  let i = ref 0 and acc = ref w.weights.(0) in
+  while r >= !acc do
+    incr i;
+    acc := !acc + w.weights.(!i)
+  done;
+  w.items.(!i)
+
 type t = {
   spec : Spec.t;
   tenants : tenant array;
+  mixes : Spec.kind weighted array; (* by class index *)
   zipf : Dist.Zipf.t;
+  size : Dist.Bounded_pareto.t;
 }
+
+let think = Dist.Bounded_pareto.create ~alpha:1.3 ~xmin:200 ~xmax:200_000
 
 (* Per-tenant stream: the registry seed scrambled with the tenant id.
    SplitMix64 decorrelates nearby seeds, so consecutive ids give
@@ -26,24 +51,22 @@ let tenant_rng ~seed id =
   Ksim.Rng.create
     Int64.(add (mul (of_int seed) 0x9E3779B97F4A7C15L) (of_int (id + 1)))
 
-let pick_weighted rng weighted =
-  let total = List.fold_left (fun acc (_, w) -> acc + w) 0 weighted in
-  let r = Ksim.Rng.int rng total in
-  let rec go acc = function
-    | [] -> assert false
-    | (x, w) :: rest -> if r < acc + w then x else go (acc + w) rest
-  in
-  go 0 weighted
-
 let plan spec ~seed =
-  let classes = List.mapi (fun i c -> ((i, c), c.Spec.weight)) spec.Spec.classes in
+  let classes = weighted (List.mapi (fun i c -> ((i, c), c.Spec.weight)) spec.Spec.classes) in
   let tenants =
     Array.init spec.Spec.tenants (fun id ->
         let rng = tenant_rng ~seed id in
-        let class_ix, cls = pick_weighted rng classes in
+        let class_ix, cls = pick rng classes in
         { id; class_ix; cls; rng })
   in
-  { spec; tenants; zipf = Dist.Zipf.create ~n:spec.Spec.keyspace () }
+  {
+    spec;
+    tenants;
+    mixes = Array.of_list (List.map (fun c -> weighted c.Spec.mix) spec.Spec.classes);
+    zipf = Dist.Zipf.create ~n:spec.Spec.keyspace ();
+    size =
+      Dist.Bounded_pareto.create ~alpha:1.2 ~xmin:Spec.min_payload ~xmax:spec.Spec.payload;
+  }
 
 let spec t = t.spec
 let tenants t = t.tenants
@@ -51,10 +74,10 @@ let tenants t = t.tenants
 (* Fixed draw count per op — kind, key, size, think — so a tenant's
    stream position depends only on how many ops it has generated. *)
 let next_op t tenant =
-  let kind = pick_weighted tenant.rng (List.map (fun (k, w) -> (k, w)) tenant.cls.Spec.mix) in
+  let kind = pick tenant.rng t.mixes.(tenant.class_ix) in
   let key = Dist.Zipf.draw t.zipf tenant.rng in
-  let size = Dist.pareto_int tenant.rng ~alpha:1.2 ~xmin:32 ~xmax:t.spec.Spec.payload in
-  let think_ns = Dist.pareto_int tenant.rng ~alpha:1.3 ~xmin:200 ~xmax:200_000 in
+  let size = Dist.Bounded_pareto.draw t.size tenant.rng in
+  let think_ns = Dist.Bounded_pareto.draw think tenant.rng in
   { kind; key; size; think_ns }
 
 let class_histogram t =

@@ -117,6 +117,20 @@ let eintr_penalty = 300
 let estale_penalty = 500
 let version_prefix_len = 10 (* "v%08d:" *)
 
+(* A durable write's content, "v%08d:" then 'x' padding up to [size],
+   built in one allocation (versions stay below 10^8: the audit parses
+   eight digits). *)
+let versioned v size =
+  let b = Bytes.make (version_prefix_len + max 6 (size - version_prefix_len)) 'x' in
+  Bytes.set b 0 'v';
+  let v = ref v in
+  for i = 8 downto 1 do
+    Bytes.set b i (Char.chr (Char.code '0' + (!v mod 10)));
+    v := !v / 10
+  done;
+  Bytes.set b 9 ':';
+  Ksim.Frame.Buf.freeze b
+
 let run ?(spec = Spec.default) ?(storm = Mixed) ?admission ?sink ~seed () =
   (match Spec.validate spec with
   | Ok _ -> ()
@@ -124,11 +138,25 @@ let run ?(spec = Spec.default) ?(storm = Mixed) ?admission ?sink ~seed () =
   (* Trace recording: every admitted FS-level operation is also announced
      to [sink] as the abstract [Fs_spec] op it intends (full VFS paths;
      [Trace.record] filters and rebases).  Emission happens once per op,
-     before the retry loop, so a recorded trace is retry-free. *)
-  let emit = match sink with None -> fun (_ : Kspec.Fs_spec.op) -> () | Some f -> f in
+     before the retry loop, so a recorded trace is retry-free; with no
+     sink, no op is built. *)
+  let tracing = Option.is_some sink and emit = Option.value sink ~default:ignore in
   let fsp = Kspec.Fs_spec.path_of_string in
   let total = Spec.total_ops spec in
   let stats = Ksim.Kstats.create () in
+  let counter name = Ksim.Kstats.counter stats ("kload." ^ name) in
+  let contended = counter "write_contended" and acked_writes = counter "acked_writes" in
+  let unacked_writes = counter "unacked_writes" and shed = counter "shed" in
+  let latency =
+    (* by [Spec.kind_id] *)
+    Array.of_list
+      (List.map
+         (fun k -> Ksim.Kstats.histogram stats ("kload.lat." ^ Spec.kind_name k))
+         Spec.all_kinds)
+  in
+  let errno_counters =
+    List.map (fun e -> (e, counter ("err." ^ Ksim.Errno.to_string e))) Ksim.Errno.all
+  in
   let fp = Ksim.Failpoint.create ~trace:(Ksim.Ktrace.create ()) ~seed () in
 
   (* Block stack under /dur: journalfs over retries over fault injection
@@ -264,35 +292,39 @@ let run ?(spec = Spec.default) ?(storm = Mixed) ?admission ?sink ~seed () =
 
   let ( let* ) = Ksim.Errno.( let* ) in
 
+  (* Every path an op names, formatted once per key. *)
+  let paths n fmt = Array.init n (Printf.sprintf fmt) in
+  let meta_dirs = paths 16 "/meta/d%d" and meta_files = paths spec.Spec.keyspace "/meta/f%d" in
+  let dur_files = paths spec.Spec.keyspace "/dur/k%d" and svc_files = paths 32 "/svc/c%d" in
+
   let meta_op (sys : Kproc.Kernel.sys) (op : Gen.op) =
-    let d = op.key mod 16 in
-    let dir = Printf.sprintf "/meta/d%d" d in
-    let file = Printf.sprintf "/meta/f%d" op.key in
+    let dir = meta_dirs.(op.key mod 16) and file = meta_files.(op.key) in
     match op.key land 3 with
     | 0 -> (
-        emit (Kspec.Fs_spec.Mkdir (fsp dir));
-        emit (Kspec.Fs_spec.Readdir (fsp "/meta"));
+        if tracing then begin
+          emit (Kspec.Fs_spec.Mkdir (fsp dir));
+          emit (Kspec.Fs_spec.Readdir (fsp "/meta"))
+        end;
         match sys.mkdir dir with
         | Ok () | Error Ksim.Errno.EEXIST -> Result.map (fun _ -> ()) (sys.readdir "/meta")
         | Error e -> Error e)
     | 1 ->
-        emit (Kspec.Fs_spec.Create (fsp file));
+        if tracing then emit (Kspec.Fs_spec.Create (fsp file));
         let* fd = sys.openf ~flags:[ Kvfs.File_ops.O_CREAT; Kvfs.File_ops.O_WRONLY ] file in
         sys.close fd
     | 2 ->
-        emit (Kspec.Fs_spec.Readdir (fsp "/meta"));
+        if tracing then emit (Kspec.Fs_spec.Readdir (fsp "/meta"));
         Result.map (fun _ -> ()) (sys.readdir "/meta")
     | _ -> (
-        emit (Kspec.Fs_spec.Unlink (fsp file));
+        if tracing then emit (Kspec.Fs_spec.Unlink (fsp file));
         match sys.unlink file with Ok () | Error Ksim.Errno.ENOENT -> Ok () | Error e -> Error e)
   in
 
-  let dur_file k = Printf.sprintf "/dur/k%d" k in
-
   let dread_op tn (sys : Kproc.Kernel.sys) (op : Gen.op) cost =
-    emit (Kspec.Fs_spec.Read { file = fsp (dur_file op.key); off = 0; len = op.size });
+    let file = dur_files.(op.key) in
+    if tracing then emit (Kspec.Fs_spec.Read { file = fsp file; off = 0; len = op.size });
     let attempt () =
-      match sys.openf (dur_file op.key) with
+      match sys.openf file with
       | Error Ksim.Errno.ENOENT -> Ok ()
       | Error e -> Error e
       | Ok fd ->
@@ -315,23 +347,22 @@ let run ?(spec = Spec.default) ?(storm = Mixed) ?admission ?sink ~seed () =
   let dwrite_op tn (sys : Kproc.Kernel.sys) (op : Gen.op) cost =
     let k = op.key in
     if winflight.(k) > 0 then begin
-      Ksim.Kstats.incr stats "kload.write_contended";
+      Ksim.Kstats.bump contended;
       dread_op tn sys op cost
     end
     else begin
       winflight.(k) <- 1;
       versions.(k) <- versions.(k) + 1;
-      let v = versions.(k) in
-      let payload = String.make (max 6 (op.size - version_prefix_len)) 'x' in
-      let content = Printf.sprintf "v%08d:%s" v payload in
-      emit (Kspec.Fs_spec.Create (fsp (dur_file k)));
-      emit (Kspec.Fs_spec.Write { file = fsp (dur_file k); off = 0; data = content });
-      emit Kspec.Fs_spec.Fsync;
+      let v = versions.(k) and file = dur_files.(k) in
+      let content = versioned v op.size in
+      if tracing then begin
+        emit (Kspec.Fs_spec.Create (fsp file));
+        emit (Kspec.Fs_spec.Write { file = fsp file; off = 0; data = content });
+        emit Kspec.Fs_spec.Fsync
+      end;
       let epoch0 = Kvfs.Vfs.epoch_at vfs dur_path in
       let attempt () =
-        let* fd =
-          sys.openf ~flags:[ Kvfs.File_ops.O_CREAT; Kvfs.File_ops.O_WRONLY ] (dur_file k)
-        in
+        let* fd = sys.openf ~flags:[ Kvfs.File_ops.O_CREAT; Kvfs.File_ops.O_WRONLY ] file in
         let res =
           let* _n = sys.write fd content in
           sys.fsync ()
@@ -345,11 +376,11 @@ let run ?(spec = Spec.default) ?(storm = Mixed) ?admission ?sink ~seed () =
       | Ok () when Kvfs.Vfs.epoch_at vfs dur_path = epoch0 ->
           acked.(k) <- max acked.(k) v;
           acked_by.(tn) <- acked_by.(tn) + 1;
-          Ksim.Kstats.incr stats "kload.acked_writes";
+          Ksim.Kstats.bump acked_writes;
           Ok ()
       | Ok () ->
           (* Committed into an unknown generation: completed, not acked. *)
-          Ksim.Kstats.incr stats "kload.unacked_writes";
+          Ksim.Kstats.bump unacked_writes;
           Ok ()
       | Error e -> Error e
     end
@@ -382,12 +413,14 @@ let run ?(spec = Spec.default) ?(storm = Mixed) ?admission ?sink ~seed () =
   in
 
   let churn_op tn (sys : Kproc.Kernel.sys) (op : Gen.op) cost =
-    let file = Printf.sprintf "/svc/c%d" (op.key mod 32) in
-    (match op.key land 1 with
-    | 0 ->
-        emit (Kspec.Fs_spec.Create (fsp file));
-        emit (Kspec.Fs_spec.Write { file = fsp file; off = 0; data = "churn" })
-    | _ -> emit (Kspec.Fs_spec.Unlink (fsp file)));
+    let file = svc_files.(op.key mod 32) in
+    if tracing then begin
+      match op.key land 1 with
+      | 0 ->
+          emit (Kspec.Fs_spec.Create (fsp file));
+          emit (Kspec.Fs_spec.Write { file = fsp file; off = 0; data = "churn" })
+      | _ -> emit (Kspec.Fs_spec.Unlink (fsp file))
+    end;
     let attempt () =
       match op.key land 1 with
       | 0 ->
@@ -416,7 +449,7 @@ let run ?(spec = Spec.default) ?(storm = Mixed) ?admission ?sink ~seed () =
       | Admission.Shed ->
           (* Refused with EAGAIN before touching the kernel: the bounded
              queue or the degraded mode said no. *)
-          Ksim.Kstats.incr stats "kload.shed";
+          Ksim.Kstats.bump shed;
           clock := !clock + 100
       | Admission.Admit ->
           executed.(tn.id) <- executed.(tn.id) + 1;
@@ -436,7 +469,7 @@ let run ?(spec = Spec.default) ?(storm = Mixed) ?admission ?sink ~seed () =
             | Spec.Churn -> churn_op tn.id sys op cost
           in
           clock := !clock + !cost;
-          Ksim.Kstats.observe stats ("kload.lat." ^ Spec.kind_name op.kind) !cost;
+          Ksim.Kstats.record latency.(Spec.kind_id op.kind) !cost;
           (match res with
           | Ok () ->
               ok.(tn.id) <- ok.(tn.id) + 1;
@@ -446,7 +479,7 @@ let run ?(spec = Spec.default) ?(storm = Mixed) ?admission ?sink ~seed () =
               streak.(tn.id) <- streak.(tn.id) + 1;
               if streak.(tn.id) > max_streak.(tn.id) then
                 max_streak.(tn.id) <- streak.(tn.id);
-              Ksim.Kstats.incr stats ("kload.err." ^ Ksim.Errno.to_string e))
+              Ksim.Kstats.bump (List.assq e errno_counters))
     done;
     0
   in
@@ -496,7 +529,7 @@ let run ?(spec = Spec.default) ?(storm = Mixed) ?admission ?sink ~seed () =
   let audit_fops = Kvfs.File_ops.create vfs in
   let lost = ref 0 in
   let read_version k =
-    match Kvfs.File_ops.openf audit_fops (dur_file k) with
+    match Kvfs.File_ops.openf audit_fops dur_files.(k) with
     | Error _ -> None
     | Ok fd -> (
         let res = Kvfs.File_ops.read audit_fops fd ~len:version_prefix_len in

@@ -64,11 +64,16 @@ let default =
 
 let total_ops t = t.tenants * t.ops_per_tenant
 
+(* The floor of the generator's payload sizes (a bounded Pareto), so the
+   smallest ceiling a spec may set. *)
+let min_payload = 32
+
 let validate t =
   if t.tenants <= 0 then Error "tenants must be positive"
   else if t.ops_per_tenant <= 0 then Error "ops must be positive"
   else if t.keyspace <= 0 then Error "keyspace must be positive"
-  else if t.payload < 16 then Error "payload must be at least 16 bytes"
+  else if t.payload < min_payload then
+    Error (Printf.sprintf "payload must be at least %d bytes" min_payload)
   else if t.classes = [] then Error "at least one tenant class required"
   else if List.exists (fun c -> c.weight <= 0) t.classes then
     Error "class weights must be positive"

@@ -31,7 +31,9 @@ val kind_id : kind -> int
 (** Stable small integer for kebpf context encoding (0..4). *)
 
 val kind_name : kind -> string
+
 val all_kinds : kind list
+(** Every kind, in {!kind_id} order. *)
 
 type tenant_class = {
   cname : string;
@@ -55,8 +57,13 @@ val default : t
 val total_ops : t -> int
 (** [tenants * ops_per_tenant] — the tick space storms are scaled to. *)
 
+val min_payload : int
+(** The smallest payload size the generator draws (32 bytes), and so the
+    smallest [payload] ceiling {!validate} accepts. *)
+
 val validate : t -> (t, string) result
-(** Reject empty populations, empty classes, non-positive weights. *)
+(** Reject empty populations, empty classes, non-positive weights and
+    payload ceilings below {!min_payload}. *)
 
 val of_string : string -> (t, string) result
 (** Parse the DSL over {!default} (unmentioned fields keep defaults). *)

@@ -4,11 +4,12 @@
 type t = {
   counters : (string, int ref) Hashtbl.t;
   hists : (string, Hist.t) Hashtbl.t;
+  mutable generation : int; (* bumped by [reset]: handles re-resolve *)
 }
 
-let create () : t = { counters = Hashtbl.create 16; hists = Hashtbl.create 4 }
+let create () : t = { counters = Hashtbl.create 16; hists = Hashtbl.create 4; generation = 0 }
 
-let counter t name =
+let find_counter t name =
   match Hashtbl.find_opt t.counters name with
   | Some r -> r
   | None ->
@@ -17,7 +18,7 @@ let counter t name =
       r
 
 let incr ?(by = 1) t name =
-  let r = counter t name in
+  let r = find_counter t name in
   r := !r + by
 
 let get t name = match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
@@ -31,6 +32,39 @@ let hist t name =
       h
 
 let observe t name v = Hist.record (hist t name) v
+
+(* Handles: the name is hashed once, at the handle's first bump in each
+   generation of the table (creation does not register it, so a handle
+   never bumped leaves the table as it was). *)
+type 'a handle = {
+  stats : t;
+  name : string;
+  find : t -> string -> 'a;
+  mutable cell : 'a option;
+  mutable gen : int;
+}
+
+type counter = int ref handle
+type histogram = Hist.t handle
+
+let handle stats name find = { stats; name; find; cell = None; gen = -1 }
+let counter t name = handle t name find_counter
+let histogram t name = handle t name hist
+
+let resolve h =
+  match h.cell with
+  | Some c when h.gen = h.stats.generation -> c
+  | _ ->
+      let c = h.find h.stats h.name in
+      h.cell <- Some c;
+      h.gen <- h.stats.generation;
+      c
+
+let bump ?(by = 1) h =
+  let r = resolve h in
+  r := !r + by
+
+let record h v = Hist.record (resolve h) v
 
 let hists t =
   Hashtbl.fold (fun name h acc -> (name, h) :: acc) t.hists []
@@ -79,7 +113,8 @@ let delta ~before ~after name =
 
 let reset t =
   Hashtbl.reset t.counters;
-  Hashtbl.reset t.hists
+  Hashtbl.reset t.hists;
+  t.generation <- t.generation + 1
 
 let pp ppf t =
   List.iter (fun (name, v) -> Fmt.pf ppf "%-32s %d@." name v) (to_list t)

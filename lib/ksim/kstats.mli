@@ -14,6 +14,22 @@ val hist : t -> string -> Hist.t
 val observe : t -> string -> int -> unit
 (** Record one value into the named histogram. *)
 
+(** {1 Handles}
+
+    A hot path resolves a name once and bumps the handle: no string is
+    built or hashed per event.  A handle joins the table at its first
+    bump (and again at its first bump after {!reset}), so a handle that
+    is never bumped leaves {!snapshot} unchanged, and bumping it reads
+    exactly like {!incr} / {!observe} by name. *)
+
+type counter
+type histogram
+
+val counter : t -> string -> counter
+val bump : ?by:int -> counter -> unit
+val histogram : t -> string -> histogram
+val record : histogram -> int -> unit
+
 val hists : t -> (string * Hist.t) list
 (** All histograms, sorted by name. *)
 

@@ -39,11 +39,34 @@ type policy = {
 let default_policy =
   { restart_budget = 3; backoff_base = 200; backoff_cap = 5_000; op_cost = 100 }
 
+(* The live counters in the optional stats table, resolved once. *)
+type live = {
+  l_oopses : Kstats.counter;
+  l_escalations : Kstats.counter;
+  l_restarts : Kstats.counter;
+  l_degraded : Kstats.counter;
+  l_eintr : Kstats.counter;
+  l_stale : Kstats.counter;
+  l_recovery : Kstats.histogram;
+}
+
+let live_of stats =
+  let c name = Kstats.counter stats ("supervisor." ^ name) in
+  {
+    l_oopses = c "oopses";
+    l_escalations = c "escalations";
+    l_restarts = c "restarts";
+    l_degraded = c "degraded_calls";
+    l_eintr = c "eintr_aborted";
+    l_stale = c "stale_handles";
+    l_recovery = Kstats.histogram stats "supervisor.recovery_ns";
+  }
+
 type t = {
   name : string;
   policy : policy;
   trace : Ktrace.t;
-  stats : Kstats.t option;
+  live : live option;
   mutable restart_fn : (unit -> (unit, string) result) option;
   mutable observer : (state -> state -> unit) option;
   mutable state : state;
@@ -70,7 +93,7 @@ let create ?(policy = default_policy) ?(trace = Ktrace.global) ?stats ?restart ~
     name;
     policy;
     trace;
-    stats;
+    live = Option.map live_of stats;
     restart_fn = restart;
     observer = None;
     state = Healthy;
@@ -106,7 +129,7 @@ let total_recovery_ns t = t.total_recovery_ns
 let recovery t = Hist.summarize t.recovery
 let recovery_hist t = t.recovery
 
-let bump t counter = Option.iter (fun s -> Kstats.incr s counter) t.stats
+let bump t counter = match t.live with Some l -> Kstats.bump (counter l) | None -> ()
 
 let transition t to_state =
   let from = t.state in
@@ -129,7 +152,7 @@ let oops t ~label exn =
   t.oopses <- t.oopses + 1;
   t.oops_time <- t.clock;
   t.restart_at <- t.clock + backoff t t.restarts;
-  bump t "supervisor.oopses";
+  bump t (fun l -> l.l_oopses);
   Ktrace.emitf t.trace ~category:"supervisor" "%s: oops in %s (%s); restart at +%d ns" t.name
     label (exn_label exn) (t.restart_at - t.clock);
   Ktrace.emitf Ktrace.global ~category:"incident" "supervisor: %s oopsed in %s (%s)" t.name
@@ -138,7 +161,7 @@ let oops t ~label exn =
 
 let escalate t reason =
   t.escalations <- t.escalations + 1;
-  bump t "supervisor.escalations";
+  bump t (fun l -> l.l_escalations);
   Ktrace.emitf Ktrace.global ~category:"incident"
     "supervisor: %s escalated to failed after %d restarts (%s)" t.name t.restarts reason;
   transition t Failed
@@ -163,8 +186,8 @@ let try_restart t =
             t.last_recovery_ns <- latency;
             t.total_recovery_ns <- t.total_recovery_ns + latency;
             Hist.record t.recovery latency;
-            Option.iter (fun s -> Kstats.observe s "supervisor.recovery_ns" latency) t.stats;
-            bump t "supervisor.restarts";
+            (match t.live with Some l -> Kstats.record l.l_recovery latency | None -> ());
+            bump t (fun l -> l.l_restarts);
             Ktrace.emitf t.trace ~category:"supervisor"
               "%s: microreboot complete (restart %d, epoch %d, recovery %d ns)" t.name
               t.restarts t.epoch latency;
@@ -191,17 +214,17 @@ let call ?(label = "op") t f =
   match t.state with
   | Failed ->
       t.degraded_calls <- t.degraded_calls + 1;
-      bump t "supervisor.degraded_calls";
+      bump t (fun l -> l.l_degraded);
       Error Errno.EIO
   | Restarting ->
       (* A reentrant call from inside the restart function: refuse it,
          the instance is not up yet. *)
       t.eintr_aborted <- t.eintr_aborted + 1;
-      bump t "supervisor.eintr_aborted";
+      bump t (fun l -> l.l_eintr);
       Error Errno.EINTR
   | Oopsed when t.clock < t.restart_at ->
       t.eintr_aborted <- t.eintr_aborted + 1;
-      bump t "supervisor.eintr_aborted";
+      bump t (fun l -> l.l_eintr);
       Error Errno.EINTR
   | Oopsed -> (
       try_restart t;
@@ -209,11 +232,11 @@ let call ?(label = "op") t f =
       | Healthy -> run t ~label f
       | Failed ->
           t.degraded_calls <- t.degraded_calls + 1;
-          bump t "supervisor.degraded_calls";
+          bump t (fun l -> l.l_degraded);
           Error Errno.EIO
       | Oopsed | Restarting ->
           t.eintr_aborted <- t.eintr_aborted + 1;
-          bump t "supervisor.eintr_aborted";
+          bump t (fun l -> l.l_eintr);
           Error Errno.EINTR)
   | Healthy -> run t ~label f
 
@@ -221,7 +244,7 @@ let validate t handle_epoch =
   if handle_epoch = t.epoch then Ok ()
   else begin
     t.stale_rejected <- t.stale_rejected + 1;
-    bump t "supervisor.stale_handles";
+    bump t (fun l -> l.l_stale);
     Ktrace.emitf t.trace ~category:"supervisor" "%s: stale handle (epoch %d, live %d) -> ESTALE"
       t.name handle_epoch t.epoch;
     Error Errno.ESTALE

@@ -83,8 +83,10 @@ echo "== ci: kload smoke (multi-tenant storm, recovery-SLO gate) =="
 # ~500 tenants of mixed traffic with a mid-run panic storm.  The SLO
 # gate is the exit code: p99 oops->healthy within bound, bounded error
 # streaks, zero lost acknowledged writes, no uncontained tenant crash.
-dune exec bin/safeos.exe -- load --tenants 500 --storm mixed --seed 42 > /dev/null \
+# Its `wall:` line shows what the per-op path costs.
+dune exec bin/safeos.exe -- load --tenants 500 --storm mixed --seed 42 > _build/kload-smoke.txt \
   || { echo "ci: FAIL — kload smoke violated the recovery SLO" >&2; exit 1; }
+echo "ci: kload smoke $(grep '^wall:' _build/kload-smoke.txt)"
 
 echo "== ci: kload heap growth (memory bounded in trace length, memory cap) =="
 # Durable kload traffic (fsynced journal commits through the write-back

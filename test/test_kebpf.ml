@@ -324,19 +324,122 @@ let gen_insn =
 
 let gen_program = QCheck2.Gen.(map Array.of_list (list_size (int_range 1 24) gen_insn))
 
+(* Programs the verifier mostly accepts (few of [gen_program]'s do):
+   every register but r1 set first, jumps pointed forward inside the
+   program, and a final [Exit]. *)
+let gen_runnable =
+  QCheck2.Gen.(
+    map
+      (fun body ->
+        let init =
+          List.filter_map
+            (fun r -> if r = Kebpf.Insn.R1 then None else Some (Kebpf.Insn.Mov_imm (r, 5)))
+            Kebpf.Insn.all_regs
+        in
+        let prog = Array.of_list (init @ body @ [ Kebpf.Insn.Exit ]) in
+        let last = Array.length prog - 1 in
+        Array.mapi
+          (fun i insn ->
+            let fwd off = min (abs off) (last - i - 1) in
+            match insn with
+            | Kebpf.Insn.Jmp off -> Kebpf.Insn.Jmp (fwd off)
+            | Kebpf.Insn.Jcond (c, r, imm, off) -> Kebpf.Insn.Jcond (c, r, imm, fwd off)
+            | insn -> insn)
+          prog)
+      (list_size (int_range 0 24) gen_insn))
+
+(* The VM as it was before its loop stopped allocating: a fresh
+   register array, closures and an [Ok] box per ALU instruction.  It
+   returns the result and the instructions it counted. *)
+let reference_exec prog ~ctx =
+  let module I = Kebpf.Insn in
+  let n = Array.length prog and len = String.length ctx in
+  let regs = Array.make 8 0 in
+  regs.(I.reg_index I.R1) <- len;
+  let insns = ref 0 in
+  let get r = regs.(I.reg_index r) and set r v = regs.(I.reg_index r) <- v in
+  let alu op a b ~pc =
+    match op with
+    | I.Add -> Ok (a + b)
+    | I.Sub -> Ok (a - b)
+    | I.Mul -> Ok (a * b)
+    | I.Div -> if b = 0 then Error (Kebpf.Vm.Division_by_zero { pc }) else Ok (a / b)
+    | I.And -> Ok (a land b)
+    | I.Or -> Ok (a lor b)
+    | I.Xor -> Ok (a lxor b)
+    | I.Lsh -> Ok (a lsl (b land 62))
+    | I.Rsh -> Ok (a lsr (b land 62))
+  in
+  let cond c a b =
+    match c with
+    | I.Eq -> a = b
+    | I.Ne -> a <> b
+    | I.Lt -> a < b
+    | I.Gt -> a > b
+    | I.Le -> a <= b
+    | I.Ge -> a >= b
+  in
+  let rec step pc fuel =
+    if fuel = 0 || pc >= n then Error Kebpf.Vm.Fuel_exhausted
+    else begin
+      incr insns;
+      match prog.(pc) with
+      | I.Mov_imm (d, imm) ->
+          set d imm;
+          step (pc + 1) (fuel - 1)
+      | I.Mov_reg (d, s) ->
+          set d (get s);
+          step (pc + 1) (fuel - 1)
+      | I.Alu_imm (op, d, imm) -> (
+          match alu op (get d) imm ~pc with
+          | Ok v ->
+              set d v;
+              step (pc + 1) (fuel - 1)
+          | Error trap -> Error trap)
+      | I.Alu_reg (op, d, s) -> (
+          match alu op (get d) (get s) ~pc with
+          | Ok v ->
+              set d v;
+              step (pc + 1) (fuel - 1)
+          | Error trap -> Error trap)
+      | I.Ld_ctx (d, s, imm) ->
+          let offset = get s + imm in
+          if offset < 0 || offset >= len then
+            Error (Kebpf.Vm.Ctx_out_of_bounds { pc; offset; len })
+          else begin
+            set d (Char.code ctx.[offset]);
+            step (pc + 1) (fuel - 1)
+          end
+      | I.Jmp off -> step (pc + 1 + off) (fuel - 1)
+      | I.Jcond (c, r, imm, off) ->
+          if cond c (get r) imm then step (pc + 1 + off) (fuel - 1)
+          else step (pc + 1) (fuel - 1)
+      | I.Exit -> Ok (get I.R0)
+    end
+  in
+  let result = step 0 (n + 1) in
+  (result, !insns)
+
 let prop_verified_programs_never_harm_kernel =
   QCheck2.Test.make ~name:"verified programs terminate without exceptions" ~count:1000
-    QCheck2.Gen.(pair gen_program (string_size ~gen:printable (int_range 0 16)))
+    QCheck2.Gen.(
+      pair (oneof [ gen_program; gen_runnable ]) (string_size ~gen:printable (int_range 0 16)))
     (fun (prog, ctx) ->
       match Kebpf.Vm.load prog with
       | Error _ -> true (* rejected up front: kernel never runs it *)
-      | Ok loaded -> (
-          (* Accepted: execution must finish without OCaml exceptions and
-             within the static trip bound. *)
-          match Kebpf.Vm.exec loaded ~ctx with
-          | Ok _ | Error _ ->
-              let _, insns = Kebpf.Vm.stats loaded in
-              insns <= Kebpf.Verifier.max_trip_count prog))
+      | Ok loaded ->
+          (* Accepted: execution must finish without OCaml exceptions,
+             within the static trip bound, and exactly as the reference
+             does — result, trap and [Vm.stats] — on every run (the
+             second run starts from the registers the first left). *)
+          let want, want_insns = reference_exec prog ~ctx in
+          List.for_all
+            (fun run ->
+              let got = Kebpf.Vm.exec loaded ~ctx in
+              got = want
+              && Kebpf.Vm.stats loaded = (run, run * want_insns)
+              && want_insns <= Kebpf.Verifier.max_trip_count prog)
+            [ 1; 2 ])
 
 let prop_verifier_deterministic =
   QCheck2.Test.make ~name:"verifier is deterministic" ~count:300 gen_program (fun prog ->

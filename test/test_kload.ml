@@ -51,15 +51,53 @@ let test_spec_rejects () =
   bad "classes=solo:1:frobnicate=3";
   bad "classes=solo:0:meta=1";
   bad "classes=";
-  bad "unknown=1"
+  bad "unknown=1";
+  (* Below the generator's size floor: every tenant would die drawing. *)
+  bad "payload=20"
+
+let test_payload_floor_runs () =
+  match Kload.Spec.of_string "tenants=4;ops=2;payload=32" with
+  | Error e -> fail e
+  | Ok spec ->
+      let r = Kload.Harness.run ~spec ~storm:Kload.Harness.No_storm ~seed:42 () in
+      check Alcotest.int "no crashed tenant" 0 r.Kload.Harness.crashed_tenants;
+      check Alcotest.int "every op executed" 8 r.Kload.Harness.report.Kload.Report.executed
 
 (* Distributions ----------------------------------------------------------- *)
 
+(* The per-call form the precomputed bounded Pareto replaced: every
+   draw recomputed [xmin ** alpha] and [xmax ** alpha]. *)
+let reference_pareto rng ~alpha ~xmin ~xmax =
+  let u = Ksim.Rng.float rng in
+  let fmin = float_of_int xmin and fmax = float_of_int xmax in
+  let l = fmin ** alpha and h = fmax ** alpha in
+  let x = (-.((u *. h) -. u *. l -. h) /. (h *. l)) ** (-1.0 /. alpha) in
+  min xmax (max xmin (int_of_float (Float.min fmax (Float.max fmin x))))
+
 let test_dist_shapes () =
   let rng = Ksim.Rng.of_int 9 in
+  let think = Kload.Dist.Bounded_pareto.create ~alpha:1.3 ~xmin:200 ~xmax:200_000 in
   for _ = 1 to 2000 do
-    let x = Kload.Dist.pareto_int rng ~alpha:1.3 ~xmin:200 ~xmax:200_000 in
+    let x = Kload.Dist.Bounded_pareto.draw think rng in
     if x < 200 || x > 200_000 then fail "pareto out of bounds"
+  done;
+  (* Int for int equal to the per-call formula, over random shapes,
+     bounds and streams. *)
+  let params = Ksim.Rng.of_int 31 in
+  for _ = 1 to 300 do
+    let alpha = 0.2 +. (3.0 *. Ksim.Rng.float params) in
+    let xmin = 1 + Ksim.Rng.int params 5_000 in
+    let xmax = xmin + Ksim.Rng.int params (if Ksim.Rng.bool params then 300_000 else 1 lsl 40) in
+    let seed = Ksim.Rng.int params 1_000_000 in
+    let d = Kload.Dist.Bounded_pareto.create ~alpha ~xmin ~xmax in
+    let a = Ksim.Rng.of_int seed and b = Ksim.Rng.of_int seed in
+    for _ = 1 to 50 do
+      let got = Kload.Dist.Bounded_pareto.draw d a
+      and want = reference_pareto b ~alpha ~xmin ~xmax in
+      if got <> want then
+        fail (Printf.sprintf "alpha %g [%d, %d] seed %d: %d, formula %d" alpha xmin xmax seed
+                got want)
+    done
   done;
   let z = Kload.Dist.Zipf.create ~n:16 () in
   let counts = Array.make 16 0 in
@@ -253,6 +291,27 @@ let test_overload_backpressure_run () =
   check Alcotest.int "shed + executed = planned" rep.Kload.Report.planned
     (rep.Kload.Report.shed + rep.Kload.Report.executed)
 
+(* Outputs pinned across commits: a change that moves one draw, one
+   schedule step or one fault moves a per-tenant counter or the
+   simulated clock. *)
+let test_pinned_outputs () =
+  let pinned name ~spec ~storm ~fingerprint ~sim_ns =
+    let rep = (Kload.Harness.run ~spec ~storm ~seed:42 ()).Kload.Harness.report in
+    check Alcotest.string (name ^ " fingerprint") fingerprint rep.Kload.Report.fingerprint;
+    check Alcotest.int (name ^ " simulated ns") sim_ns rep.Kload.Report.sim_ns
+  in
+  pinned "mixed storm"
+    ~spec:{ Kload.Spec.default with Kload.Spec.tenants = 200 }
+    ~storm:Kload.Harness.Mixed ~fingerprint:"ce3ca55b217f76e2e0a2f0ae4a501f9a" ~sim_ns:2248122;
+  match
+    Kload.Spec.of_string
+      "tenants=16;ops=50;keyspace=96;payload=4096;classes=bulk:1:dwrite=8,dread=2"
+  with
+  | Error e -> fail e
+  | Ok spec ->
+      pinned "durable" ~spec ~storm:Kload.Harness.No_storm
+        ~fingerprint:"6089a1eb34724a0e6477ed3ae86f50d6" ~sim_ns:1300827
+
 let test_extra_seeds () =
   List.iter
     (fun seed ->
@@ -269,6 +328,7 @@ let () =
         [
           Alcotest.test_case "dsl round-trip" `Quick test_spec_roundtrip;
           Alcotest.test_case "dsl rejects nonsense" `Quick test_spec_rejects;
+          Alcotest.test_case "smallest payload runs" `Quick test_payload_floor_runs;
         ] );
       ("dist", [ Alcotest.test_case "heavy-tail shapes" `Quick test_dist_shapes ]);
       ( "admission",
@@ -284,5 +344,6 @@ let () =
           Alcotest.test_case "replay determinism" `Quick test_replay_determinism;
           Alcotest.test_case "overload backpressure" `Quick test_overload_backpressure_run;
           Alcotest.test_case "extra seeds (KSIM_KLOAD_SEEDS)" `Quick test_extra_seeds;
+          Alcotest.test_case "outputs pinned across commits" `Quick test_pinned_outputs;
         ] );
     ]

@@ -756,6 +756,38 @@ let test_kstats_snapshot_diff () =
   check Alcotest.int "delta kept" 0 (Ksim.Kstats.delta ~before ~after "kept");
   check Alcotest.int "delta missing" 0 (Ksim.Kstats.delta ~before ~after "nope")
 
+(* A handle reads like the name it stands for, registers only when
+   bumped, and keeps counting across [reset]. *)
+let test_kstats_handles () =
+  let by_name = Ksim.Kstats.create () and by_handle = Ksim.Kstats.create () in
+  let c = Ksim.Kstats.counter by_handle "c" and h = Ksim.Kstats.histogram by_handle "h" in
+  let _never_bumped =
+    (Ksim.Kstats.counter by_handle "idle", Ksim.Kstats.histogram by_handle "idle_h")
+  in
+  check Alcotest.(list (pair string int)) "created handles register nothing" []
+    (Ksim.Kstats.snapshot by_handle);
+  List.iter
+    (fun v ->
+      Ksim.Kstats.incr ~by:v by_name "c";
+      Ksim.Kstats.observe by_name "h" (v * 100);
+      Ksim.Kstats.bump ~by:v c;
+      Ksim.Kstats.record h (v * 100))
+    [ 1; 4; 2 ];
+  Ksim.Kstats.incr by_name "c";
+  Ksim.Kstats.bump c;
+  check Alcotest.(list (pair string int)) "handle reads as name"
+    (Ksim.Kstats.snapshot by_name) (Ksim.Kstats.snapshot by_handle);
+  (* A name bumped both ways shares one counter. *)
+  Ksim.Kstats.incr by_handle "c";
+  check Alcotest.int "shared counter" 9 (Ksim.Kstats.get by_handle "c");
+  Ksim.Kstats.reset by_handle;
+  check Alcotest.(list (pair string int)) "reset empties" [] (Ksim.Kstats.snapshot by_handle);
+  Ksim.Kstats.bump c;
+  Ksim.Kstats.record h 7;
+  check Alcotest.int "bumps after reset count" 1 (Ksim.Kstats.get by_handle "c");
+  check Alcotest.int "records after reset count" 1
+    (Ksim.Hist.count (Ksim.Kstats.hist by_handle "h"))
+
 (* Supervisor ------------------------------------------------------------------ *)
 
 (* A supervised module that panics on demand: [bad] arms the next call. *)
@@ -1290,6 +1322,7 @@ let () =
         [
           Alcotest.test_case "counters" `Quick test_kstats;
           Alcotest.test_case "snapshot diff" `Quick test_kstats_snapshot_diff;
+          Alcotest.test_case "handles" `Quick test_kstats_handles;
         ] );
       ( "supervisor",
         [
