@@ -208,7 +208,7 @@ let bench_resilience () =
   in
   let bare _dev = (None, fun () -> ()) in
   let stack ?(faults = false) dev =
-    let fp = Ksim.Failpoint.create ~trace:(Ksim.Ktrace.create ()) ~seed:1 () in
+    let fp = Ksim.Failpoint.create ~seed:1 () in
     let flaky = Kblock.Flakydev.create ~fp (Kblock.Blockdev.io dev) in
     let io = Kblock.Resilient.io (Kblock.Resilient.create ~max_attempts:6 (Kblock.Flakydev.io flaky)) in
     let arm () =
@@ -250,7 +250,7 @@ let bench_supervision () =
      schedule is exact: panic -> EIO, drain -> EINTR, reboot -> op runs
      against the new generation. *)
   let reboot_cycle () =
-    let fp = Ksim.Failpoint.create ~trace:(Ksim.Ktrace.create ()) ~seed:1 () in
+    let fp = Ksim.Failpoint.create ~seed:1 () in
     let make () = Kvfs.Iface.panicky ~fp (Kvfs.Iface.make (module Kfs.Memfs_typed) ()) in
     let vfs = Kvfs.Vfs.create () in
     (match Kvfs.Vfs.mount vfs ~at:[] ~remake:make (make ()) with

@@ -261,7 +261,12 @@ let supervise () =
   List.iter
     (fun (k, v) -> Fmt.pr "  %-32s %d@." k v)
     (List.sort compare (Ksim.Kstats.snapshot stats));
-  Fmt.pr "@.incidents audited: %d@." (List.length (Safeos_core.Audit.incidents ()));
+  let incidents =
+    List.fold_left
+      (fun n (_, sup) -> n + Ksim.Supervisor.oopses sup + Ksim.Supervisor.escalations sup)
+      0 (Kvfs.Vfs.supervisors vfs)
+  in
+  Fmt.pr "@.incidents audited: %d@." incidents;
   if recovered && stale && failed then 0 else 1
 
 (* load --------------------------------------------------------------------- *)

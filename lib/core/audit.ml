@@ -80,31 +80,3 @@ let render_progress ppf p =
       let pct = if p.total_loc = 0 then 0. else 100. *. float_of_int loc /. float_of_int p.total_loc in
       Fmt.pf ppf "  %-16s %6d LoC  %5.1f%%@." (Level.to_string level) loc pct)
     p.at_or_above
-
-(* Reliability incidents -----------------------------------------------------
-
-   Components below this library (e.g. Journalfs degrading to read-only)
-   cannot call into safeos_core without a dependency cycle, so the
-   contract is the ["incident"] category on the global trace: they emit,
-   we collect.  This is the audit trail the operator reads after a fault
-   campaign. *)
-
-type incident = {
-  iseq : int;
-  what : string;
-}
-
-let incident_category = "incident"
-
-let record_incident what = Ksim.Ktrace.emit Ksim.Ktrace.global ~category:incident_category what
-
-let incidents ?(trace = Ksim.Ktrace.global) () =
-  Ksim.Ktrace.events trace
-  |> List.filter_map (fun (e : Ksim.Ktrace.event) ->
-         if String.equal e.category incident_category then
-           Some { iseq = e.seq; what = e.message }
-         else None)
-
-let render_incidents ppf is =
-  Fmt.pf ppf "reliability incidents: %d@." (List.length is);
-  List.iter (fun i -> Fmt.pf ppf "  [%06d] %s@." i.iseq i.what) is

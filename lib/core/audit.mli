@@ -25,23 +25,3 @@ type progress = {
 
 val progress : Registry.t -> progress
 val render_progress : Format.formatter -> progress -> unit
-
-(** {1 Reliability incidents}
-
-    Lower layers (e.g. {!Kfs.Journalfs} remounting read-only after a
-    persistent I/O failure) report operational incidents by emitting an
-    ["incident"]-category event on {!Ksim.Ktrace.global}; this is the
-    query surface over that audit trail. *)
-
-type incident = {
-  iseq : int;  (** trace sequence number — global ordering *)
-  what : string;
-}
-
-val record_incident : string -> unit
-(** Emit an ["incident"] event on the global trace. *)
-
-val incidents : ?trace:Ksim.Ktrace.t -> unit -> incident list
-(** All retained incidents, oldest first (default: the global trace). *)
-
-val render_incidents : Format.formatter -> incident list -> unit

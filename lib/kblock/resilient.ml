@@ -6,10 +6,9 @@
    nanoseconds (capped) between attempts; the clock is a plain counter so
    runs are exactly reproducible.  Non-transient errors (EINVAL, ...)
    fail immediately without burning budget.  When the budget is exhausted
-   the op gets a *permanent* verdict: the error propagates to the caller,
-   [permanent_failures] increments, and an event lands on the trace —
-   that verdict is what flips the file system above us into read-only
-   degraded mode.
+   the op gets a *permanent* verdict: the error propagates to the caller
+   and [permanent_failures] increments.  The file system above reacts to
+   the error itself (Journalfs latches read-only on a persistent EIO).
 
    [jitter] decorrelates concurrent retriers: each backoff sleep is
    stretched by a draw from the instance's own SplitMix64 stream
@@ -25,7 +24,6 @@ type t = {
   backoff_cap : int;
   jitter : float;
   rng : Ksim.Rng.t;
-  trace : Ksim.Ktrace.t;
   mutable clock : int; (* simulated ns slept in backoff *)
   mutable ops : int;
   mutable retries : int;
@@ -34,7 +32,7 @@ type t = {
 }
 
 let create ?(max_attempts = 4) ?(backoff_base = 100) ?(backoff_cap = 10_000) ?(jitter = 0.0)
-    ?(seed = 0) ?(trace = Ksim.Ktrace.global) base =
+    ?(seed = 0) base =
   if max_attempts < 1 then invalid_arg "Resilient.create: max_attempts";
   if jitter < 0.0 || jitter > 1.0 then invalid_arg "Resilient.create: jitter";
   {
@@ -44,7 +42,6 @@ let create ?(max_attempts = 4) ?(backoff_base = 100) ?(backoff_cap = 10_000) ?(j
     backoff_cap;
     jitter;
     rng = Ksim.Rng.of_int seed;
-    trace;
     clock = 0;
     ops = 0;
     retries = 0;
@@ -64,44 +61,27 @@ let backoff t attempt =
   let spread = int_of_float (t.jitter *. float_of_int base) in
   if spread > 0 then base + Ksim.Rng.int t.rng (spread + 1) else base
 
-(* [label] is a thunk: the trace text is built only on the recovered and
-   permanent-failure paths that print it, never on a first-try success. *)
-let run t label f =
+let run t f =
   t.ops <- t.ops + 1;
   let rec go attempt =
     match f () with
     | Ok v ->
-        if attempt > 1 then begin
-          t.recovered_ops <- t.recovered_ops + 1;
-          Ksim.Ktrace.emitf t.trace ~category:"resilient" "%s: recovered on attempt %d"
-            (label ()) attempt
-        end;
+        if attempt > 1 then t.recovered_ops <- t.recovered_ops + 1;
         Ok v
     | Error e when transient e && attempt < t.max_attempts ->
         t.retries <- t.retries + 1;
         t.clock <- t.clock + backoff t attempt;
         go (attempt + 1)
     | Error e ->
-        if transient e then begin
-          t.permanent_failures <- t.permanent_failures + 1;
-          Ksim.Ktrace.emitf t.trace ~category:"resilient"
-            "%s: permanent failure (%s) after %d attempts" (label ())
-            (Ksim.Errno.to_string e) attempt
-        end;
+        if transient e then t.permanent_failures <- t.permanent_failures + 1;
         Error e
   in
   go 1
 
-let read t blkno =
-  run t (fun () -> Printf.sprintf "read %d" blkno) (fun () -> t.base.Io.read blkno)
-
-let write t blkno data =
-  run t (fun () -> Printf.sprintf "write %d" blkno) (fun () -> t.base.Io.write blkno data)
-
-let flush t = run t (fun () -> "flush") (fun () -> t.base.Io.flush ())
-
-let write_fua t blkno data =
-  run t (fun () -> Printf.sprintf "write-fua %d" blkno) (fun () -> Io.fua t.base blkno data)
+let read t blkno = run t (fun () -> t.base.Io.read blkno)
+let write t blkno data = run t (fun () -> t.base.Io.write blkno data)
+let flush t = run t (fun () -> t.base.Io.flush ())
+let write_fua t blkno data = run t (fun () -> Io.fua t.base blkno data)
 
 let io t : Io.t =
   {

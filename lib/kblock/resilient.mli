@@ -6,9 +6,7 @@
     [max_attempts] total attempts, sleeping
     [backoff_base * 2^(attempt-1)] simulated ns (capped at [backoff_cap])
     between attempts.  Non-transient errors fail immediately.  Exhausting
-    the budget propagates the error, bumps {!permanent_failures}, and
-    emits a ["resilient"] trace event — the signal the file system uses to
-    remount read-only. *)
+    the budget propagates the error and bumps {!permanent_failures}. *)
 
 type t
 
@@ -18,15 +16,14 @@ val create :
   ?backoff_cap:int ->
   ?jitter:float ->
   ?seed:int ->
-  ?trace:Ksim.Ktrace.t ->
   Io.t ->
   t
-(** Defaults: 4 attempts, 100 ns base, 10_000 ns cap, no jitter,
-    {!Ksim.Ktrace.global}.  [jitter] (in [0,1]) stretches each backoff
-    sleep by up to [jitter * backoff] extra ns drawn from a per-instance
-    SplitMix64 stream seeded with [seed] (default 0), so concurrent
-    retriers with distinct seeds do not retry in lockstep while
-    {!simulated_ns} stays exactly replayable.
+(** Defaults: 4 attempts, 100 ns base, 10_000 ns cap, no jitter.
+    [jitter] (in [0,1]) stretches each backoff sleep by up to
+    [jitter * backoff] extra ns drawn from a per-instance SplitMix64
+    stream seeded with [seed] (default 0), so concurrent retriers with
+    distinct seeds do not retry in lockstep while {!simulated_ns} stays
+    exactly replayable.
     @raise Invalid_argument on [max_attempts < 1] or jitter outside
     [0,1]. *)
 

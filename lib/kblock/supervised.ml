@@ -17,9 +17,9 @@ type t = {
   mutable base : Io.t;
 }
 
-let create ?policy ?trace ?stats ~name ~remake () =
+let create ?policy ?stats ~name ~remake () =
   let base = remake () in
-  let t = { sup = Ksim.Supervisor.create ?policy ?trace ?stats ~name (); base } in
+  let t = { sup = Ksim.Supervisor.create ?policy ?stats ~name (); base } in
   Ksim.Supervisor.set_restart t.sup (fun () ->
       match remake () with
       | fresh ->
@@ -35,8 +35,8 @@ let epoch t = Ksim.Supervisor.epoch t.sup
    may perform the deferred microreboot at the top of [call], and a
    client minted before the oops must not reach the rebuilt stack — not
    even on the very call that triggered the reboot. *)
-let guarded t ~minted ~label f =
-  Ksim.Supervisor.call ~label t.sup (fun () ->
+let guarded t ~minted f =
+  Ksim.Supervisor.call t.sup (fun () ->
       let ( let* ) = Ksim.Errno.( let* ) in
       let* () = Ksim.Supervisor.validate t.sup minted in
       f ())
@@ -48,19 +48,15 @@ let guarded t ~minted ~label f =
    the stack's barrier, and [write_fua] alone may promise durability.
    kdur (R18) convicts wrappers like these when the contract is dropped. *)
 
-let read t ~minted blkno =
-  guarded t ~minted ~label:"read" (fun () -> t.base.Io.read blkno)
+let read t ~minted blkno = guarded t ~minted (fun () -> t.base.Io.read blkno)
 
-let write t ~minted blkno data =
-  guarded t ~minted ~label:"write" (fun () -> t.base.Io.write blkno data)
+let write t ~minted blkno data = guarded t ~minted (fun () -> t.base.Io.write blkno data)
 [@@orders_after "t"]
 
-let flush t ~minted () =
-  guarded t ~minted ~label:"flush" (fun () -> t.base.Io.flush ())
+let flush t ~minted () = guarded t ~minted (fun () -> t.base.Io.flush ())
 [@@flushes "t"]
 
-let write_fua t ~minted blkno data =
-  guarded t ~minted ~label:"write-fua" (fun () -> Io.fua t.base blkno data)
+let write_fua t ~minted blkno data = guarded t ~minted (fun () -> Io.fua t.base blkno data)
 [@@durable]
 
 let io t : Io.t =

@@ -12,7 +12,6 @@ type t
 
 val create :
   ?policy:Ksim.Supervisor.policy ->
-  ?trace:Ksim.Ktrace.t ->
   ?stats:Ksim.Kstats.t ->
   name:string ->
   remake:(unit -> Io.t) ->

@@ -35,8 +35,9 @@
    newest content is still unflushed taints it; issuing a write to a
    different block while taints are outstanding — i.e. deriving new
    content from data that might not survive a crash, without an
-   intervening barrier — records an ordering violation and emits an
-   "incident" trace event, feeding the Audit/UNSOUND reconciliation.
+   intervening barrier — records an ordering violation ([audit]) and,
+   while the runtime export is on, a "wcache" record for klint's
+   static/runtime reconciliation.
 
    Failpoints (registered disabled when a registry is supplied):
      <name>.flush-dropped      flush lies: returns Ok without draining
@@ -76,7 +77,6 @@ type t = {
   failpoints : failpoints option;
   rng : Ksim.Rng.t; (* writeback victim selection *)
   seed : int;
-  trace : Ksim.Ktrace.t;
   mutable dirty : entry list; (* oldest first, at most one per blkno *)
   mutable epoch : entry list; (* newest first; the open barrier epoch *)
   mutable windowed : bool; (* a [disk] is attached: [flush] keeps closed epochs *)
@@ -110,8 +110,7 @@ let () =
           :: List.map string_of_int [ v.v_blkno; v.v_read_seq; v.v_write_blkno; v.v_write_seq ])
         !exported)
 
-let create ?(name = "wcache") ?(capacity = 32) ?fp ?(seed = 0)
-    ?(trace = Ksim.Ktrace.global) base =
+let create ?(name = "wcache") ?(capacity = 32) ?fp ?(seed = 0) base =
   if capacity < 1 then invalid_arg "Wcache.create: capacity";
   let failpoints =
     Option.map
@@ -128,7 +127,6 @@ let create ?(name = "wcache") ?(capacity = 32) ?fp ?(seed = 0)
     failpoints;
     rng = Ksim.Rng.of_int (seed + Hashtbl.hash name);
     seed;
-    trace;
     dirty = [];
     epoch = [];
     windowed = false;
@@ -188,12 +186,7 @@ let record_violation t ~v_blkno ~v_read_seq ~v_write_blkno ~v_write_seq =
     let v = { v_blkno; v_read_seq; v_write_blkno; v_write_seq } in
     t.violations <- v :: t.violations;
     if Ksim.Export.on () then exported := (t.name, v) :: !exported
-  end;
-  if t.nviolations <= 8 then
-    Ksim.Ktrace.emitf t.trace ~category:"incident"
-      "wcache %s: barrier-discipline violation: block %d read back unflushed \
-       (wseq %d), then block %d written (wseq %d) without an intervening flush"
-      t.name v_blkno v_read_seq v_write_blkno v_write_seq
+  end
 
 (* A write while tainted reads are outstanding: the new content may
    depend on data that a crash can still lose — ALICE's ordering bug.

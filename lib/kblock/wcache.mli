@@ -43,11 +43,10 @@ val create :
   ?capacity:int ->
   ?fp:Ksim.Failpoint.t ->
   ?seed:int ->
-  ?trace:Ksim.Ktrace.t ->
   Io.t ->
   t
 (** Defaults: name ["wcache"], capacity 32 dirty blocks, no failpoints,
-    seed 0, {!Ksim.Ktrace.global}.
+    seed 0.
     @raise Invalid_argument on [capacity < 1]. *)
 
 val io : t -> Io.t
@@ -136,9 +135,8 @@ val crash_devices : disk -> limit:int -> Blockdev.t list
 
 val audit : t -> violation list
 (** Ordering violations observed so far, oldest first (bounded at 64;
-    {!ordering_violations} has the true count).  Each also emitted an
-    ["incident"] trace event, feeding the Audit/UNSOUND reconciliation.
-    While the {!Ksim.Export} is on, each is also kept as a ["wcache"]
+    {!ordering_violations} has the true count).  While the
+    {!Ksim.Export} is on, each is also kept as a ["wcache"]
     record (fields: cache name, blkno, read_seq, write_blkno,
     write_seq) — a record, never the cache, so a dropped cache and its
     base device stay collectable.  kdur reconciles them with its static

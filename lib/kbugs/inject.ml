@@ -207,16 +207,14 @@ let trigger_race () =
   faults.skip_i_lock <- true;
   let fs = Kfs.Memfs_unsafe.mkfs_with_faults faults in
   let module L = Kfs.Memfs_unsafe.Legacy in
-  let before = Ksim.Ktrace.count Ksim.Ktrace.global ~category:"race" in
   ignore (L.create fs "/r" ~kind:Kvfs.Vtypes.Regular);
   (match L.write_begin fs "/r" ~off:0 with
   | Ksim.Dyn.Errptr.Ptr private_data -> ignore (L.write_end fs private_data ~data:"data")
   | Ksim.Dyn.Errptr.Err _ -> ());
   ignore (L.truncate fs "/r" 2);
-  let after = Ksim.Ktrace.count Ksim.Ktrace.global ~category:"race" in
-  if after > before then
-    Exhibited (Printf.sprintf "%d unlocked i_size accesses" (after - before))
-  else Not_triggered
+  match Kfs.Memfs_unsafe.races fs with
+  | 0 -> Not_triggered
+  | n -> Exhibited (Printf.sprintf "%d unlocked i_size accesses" n)
 
 (* The step-4 story for semantic bugs: a buggy implementation under the
    refinement monitor is caught on the first diverging operation. *)

@@ -27,9 +27,8 @@
    an EIO survives to this layer — i.e. the retry budget below us is
    exhausted, a *persistent* failure — the op aborts (the journal rolls
    the partial transaction back) and the FS degrades ext4-style to
-   errors=remount-ro: every subsequent mutation fails EROFS, reads keep
-   working from the mirror, and the incident lands on the global trace
-   for [Safeos_core.Audit] to pick up. *)
+   errors=remount-ro: every subsequent mutation fails EROFS, and reads
+   keep working from the mirror. *)
 
 open Kspec
 
@@ -85,18 +84,9 @@ let is_readonly t = t.readonly
    retry budget below us (if any) is exhausted — a persistent media
    failure.  The op already aborted cleanly (journal head rolled back),
    so we pin the FS read-only rather than risk corrupting the disk with
-   further writes, and leave an incident on the global trace for
-   [Safeos_core.Audit]. *)
-let degrade t reason =
-  if not t.readonly then begin
-    t.readonly <- true;
-    Ksim.Ktrace.emitf Ksim.Ktrace.global ~category:"incident" "journalfs: remount-ro: %s" reason
-  end
-
-let absorb t what (r : 'a Ksim.Errno.r) : 'a Ksim.Errno.r =
-  (match r with
-  | Error Ksim.Errno.EIO -> degrade t (what ^ ": persistent EIO")
-  | Ok _ | Error _ -> ());
+   further writes. *)
+let absorb t (r : 'a Ksim.Errno.r) : 'a Ksim.Errno.r =
+  (match r with Error Ksim.Errno.EIO -> t.readonly <- true | Ok _ | Error _ -> ());
   r
 
 (* Encoding ---------------------------------------------------------------- *)
@@ -520,7 +510,7 @@ let commit_inodes t edits =
     | None -> true
   in
   if staged && fits then
-    match absorb t "commit" (batch_apply t b) with
+    match absorb t (batch_apply t b) with
     | Ok () -> Ok Fs_spec.Unit
     | Error e -> Error e
   else begin
@@ -707,7 +697,7 @@ let apply t (op : Fs_spec.op) : Fs_spec.result =
     | Fsync ->
         if t.readonly then Ok Fs_spec.Unit (* nothing dirty will ever flush *)
         else (
-          match absorb t "fsync commit" (commit_open_tx t) with
+          match absorb t (commit_open_tx t) with
           | Error e -> Error e
           | Ok () -> (
               let r =
@@ -715,7 +705,7 @@ let apply t (op : Fs_spec.op) : Fs_spec.result =
                 | Some j -> Kblock.Journal.checkpoint j
                 | None -> t.io.Kblock.Io.flush ()
               in
-              match absorb t "fsync" r with Ok () -> Ok Fs_spec.Unit | Error e -> Error e))
+              match absorb t r with Ok () -> Ok Fs_spec.Unit | Error e -> Error e))
 
 let interpret t : Fs_spec.state =
   let rec go ino rel acc =

@@ -16,8 +16,7 @@
     {!Kblock.Resilient} stack.  A persistent [EIO] (one that survives the
     retry layer) aborts the operation cleanly and degrades the FS
     ext4-style to errors=remount-ro: {!is_readonly} flips, subsequent
-    mutations fail [EROFS], reads keep working, and an ["incident"] event
-    is emitted on {!Ksim.Ktrace.global} for [Safeos_core.Audit]. *)
+    mutations fail [EROFS], and reads keep working. *)
 
 type mode =
   | Journaled

@@ -415,3 +415,11 @@ module Legacy = struct
 end
 
 module Modular = Kvfs.Iface.Of_legacy (Legacy)
+
+(* Unlocked i_size accesses so far, summed over the live files: the
+   runtime count of the race [skip_i_lock] plants. *)
+let races fs =
+  Hashtbl.fold
+    (fun _ n acc ->
+      match n with File f -> acc + Ksim.Klock.Guarded.races f.vnode.i_size | Dir _ -> acc)
+    fs.inodes 0

@@ -32,6 +32,10 @@ val mkfs_with_faults : faults -> fs
 val heap : fs -> Ksim.Kmem.t
 (** The allocator, for observing UAF / double-free / leak events. *)
 
+val races : fs -> int
+(** Unlocked [i_size] accesses recorded so far, summed over the live
+    files (the [skip_i_lock] fault's races). *)
+
 val faults : fs -> faults
 
 (** The step-0 calling convention (error pointers, void*, int returns). *)

@@ -180,7 +180,7 @@ module Microreboot_base = struct
     let io = Kblock.Wcache.io wc in
     let fs0 = Kfs.Journalfs.mkfs_on ~geometry ~io Kfs.Journalfs.Journaled dev in
     let disk = disk_of dev wc in
-    let fp = Ksim.Failpoint.create ~trace:(Ksim.Ktrace.create ()) ~seed:1 () in
+    let fp = Ksim.Failpoint.create ~seed:1 () in
     let vfs = Kvfs.Vfs.create () in
     let wrap fs =
       Kvfs.Iface.panicky ~site:"dur.panic" ~fp
@@ -263,7 +263,7 @@ module Microreboot_base = struct
      is journal replay. *)
   let remount_over disk =
     let io = Kblock.Wcache.io disk.wc in
-    let fp = Ksim.Failpoint.create ~trace:(Ksim.Ktrace.create ()) ~seed:1 () in
+    let fp = Ksim.Failpoint.create ~seed:1 () in
     let vfs = Kvfs.Vfs.create () in
     let wrap fs =
       Kvfs.Iface.panicky ~site:"dur.panic" ~fp

@@ -157,7 +157,7 @@ let run ?(spec = Spec.default) ?(storm = Mixed) ?admission ?sink ~seed () =
   let errno_counters =
     List.map (fun e -> (e, counter ("err." ^ Ksim.Errno.to_string e))) Ksim.Errno.all
   in
-  let fp = Ksim.Failpoint.create ~trace:(Ksim.Ktrace.create ()) ~seed () in
+  let fp = Ksim.Failpoint.create ~seed () in
 
   (* Block stack under /dur: journalfs over retries over fault injection
      over the volatile write-back cache over the raw device — the cache

@@ -231,8 +231,8 @@ module Supervised = struct
     panic : (Ksim.Failpoint.t * Ksim.Failpoint.site) option;
   }
 
-  let create ?policy ?trace ?stats ?fp ~name () =
-    let sup = Ksim.Supervisor.create ?policy ?trace ?stats ~name () in
+  let create ?policy ?stats ?fp ~name () =
+    let sup = Ksim.Supervisor.create ?policy ?stats ~name () in
     Ksim.Supervisor.set_restart sup (fun () -> Ok ());
     { sup; panic = Option.map (fun fp -> (fp, Ksim.Failpoint.register fp panic_site)) fp }
 
@@ -246,7 +246,7 @@ module Supervised = struct
     | _ -> ()
 
   let socket_pair t proto =
-    Ksim.Supervisor.call ~label:("socket_pair " ^ proto) t.sup (fun () ->
+    Ksim.Supervisor.call t.sup (fun () ->
         maybe_panic t;
         match Typed.socket_pair proto with
         | Ok pair -> Ok { pair; minted = Ksim.Supervisor.epoch t.sup }
@@ -256,23 +256,22 @@ module Supervised = struct
      may microreboot at the top of [call], and a handle minted before
      the oops must not reach the new generation — not even on the call
      that triggers the reboot. *)
-  let guarded t h ~label f =
-    Ksim.Supervisor.call ~label t.sup (fun () ->
+  let guarded t h f =
+    Ksim.Supervisor.call t.sup (fun () ->
         let ( let* ) = Ksim.Errno.( let* ) in
         let* () = Ksim.Supervisor.validate t.sup h.minted in
         maybe_panic t;
         f h.pair)
 
-  let connect t h = guarded t h ~label:"connect" Typed.connect
-  let send t h data = guarded t h ~label:"send" (fun pair -> Typed.send pair data)
+  let connect t h = guarded t h Typed.connect
+  let send t h data = guarded t h (fun pair -> Typed.send pair data)
 
   let deliver t h =
-    guarded t h ~label:"deliver" (fun pair ->
+    guarded t h (fun pair ->
         Typed.deliver pair;
         Ok ())
 
-  let received_at_peer t h =
-    guarded t h ~label:"received" (fun pair -> Ok (Typed.received_at_peer pair))
+  let received_at_peer t h = guarded t h (fun pair -> Ok (Typed.received_at_peer pair))
 
   (* One request/response round trip as a single supervised operation:
      the shape a load-generating tenant drives in a tight loop.  Running
@@ -280,12 +279,11 @@ module Supervised = struct
      anywhere in the exchange is one EIO (and one epoch check), not
      three. *)
   let rpc t h data =
-    guarded t h ~label:"rpc" (fun pair ->
+    guarded t h (fun pair ->
         let ( let* ) = Ksim.Errno.( let* ) in
         let* _sent = Typed.send pair data in
         Typed.deliver pair;
         Ok (Typed.received_at_peer pair))
 
-  let is_connected t h =
-    guarded t h ~label:"is_connected" (fun pair -> Ok (Typed.is_connected pair))
+  let is_connected t h = guarded t h (fun pair -> Ok (Typed.is_connected pair))
 end

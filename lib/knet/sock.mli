@@ -80,7 +80,6 @@ module Supervised : sig
 
   val create :
     ?policy:Ksim.Supervisor.policy ->
-    ?trace:Ksim.Ktrace.t ->
     ?stats:Ksim.Kstats.t ->
     ?fp:Ksim.Failpoint.t ->
     name:string ->

@@ -6,10 +6,10 @@
    returned instead, skipping the name lookup) and get a replayable
    answer: every site draws from its own SplitMix64 stream derived from
    (registry seed, site name), so a given seed always produces the
-   identical fault schedule, independent of registration order.
-   Injections are announced on the registry's [Ktrace] (category
-   ["failpoint"]) and per-site hit/injected counters can be published
-   into a [Kstats] table. *)
+   identical fault schedule, independent of registration order.  A
+   registry given a [Ktrace] ring records one [injection] per injection,
+   and per-site hit/injected counters can be published into a [Kstats]
+   table. *)
 
 type site = {
   name : string;
@@ -22,10 +22,16 @@ type site = {
   rng : Rng.t;
 }
 
+type injection = {
+  site : string;
+  hit : int;
+  injection : int;
+}
+
 type t = {
   seed : int;
   sites : (string, site) Hashtbl.t;
-  trace : Ktrace.t;
+  trace : injection Ktrace.t option;
 }
 
 (* Stable per-site stream: seed folded with the site name so two
@@ -37,8 +43,7 @@ let site_seed seed name =
     name;
   !h
 
-let create ?(trace = Ktrace.global) ~seed () =
-  { seed; sites = Hashtbl.create 16; trace }
+let create ?trace ~seed () = { seed; sites = Hashtbl.create 16; trace }
 
 let seed t = t.seed
 
@@ -87,8 +92,9 @@ let fire t s =
   else begin
     s.injected <- s.injected + 1;
     if s.times > 0 then s.times <- s.times - 1;
-    Ktrace.emitf t.trace ~category:"failpoint" "%s: injected (hit %d, injection %d)" s.name
-      s.hits s.injected;
+    (match t.trace with
+    | Some trace -> Ktrace.emit trace { site = s.name; hit = s.hits; injection = s.injected }
+    | None -> ());
     true
   end
 
@@ -118,13 +124,9 @@ let publish t stats =
     (sites t)
 
 (* The fault schedule as observed so far: one entry per injection, in
-   order, taken from the registry trace.  Two runs from the same seed that
-   execute the same I/O sequence produce the identical schedule. *)
-let schedule t =
-  List.filter_map
-    (fun (e : Ktrace.event) ->
-      if String.equal e.category "failpoint" then Some e.message else None)
-    (Ktrace.events t.trace)
+   order, read from the registry's ring.  Two runs from the same seed
+   that execute the same I/O sequence produce the identical schedule. *)
+let schedule t = match t.trace with Some trace -> Ktrace.events trace | None -> []
 
 let pp_site ppf s =
   Fmt.pf ppf "%-28s %s p=%.2f interval=%d times=%d hits=%d injected=%d" s.name

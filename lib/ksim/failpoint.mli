@@ -6,8 +6,7 @@
     strike; answers come from a per-site SplitMix64 stream derived from
     (registry seed, site name), so the fault schedule is exactly
     replayable from the seed and independent of registration order.
-    Injections are announced on the registry's {!Ktrace} (category
-    ["failpoint"]). *)
+    A registry given a {!Ktrace} ring records every injection in it. *)
 
 type site = {
   name : string;
@@ -20,11 +19,18 @@ type site = {
   rng : Rng.t;
 }
 
+type injection = {
+  site : string;  (** the site's name *)
+  hit : int;  (** the site's hit count at this injection *)
+  injection : int;  (** the site's injection count, this one included *)
+}
+(** One injection, as {!schedule} reports it. *)
+
 type t
 
-val create : ?trace:Ktrace.t -> seed:int -> unit -> t
-(** Fresh registry.  [trace] (default {!Ktrace.global}) receives one
-    ["failpoint"] event per injection. *)
+val create : ?trace:injection Ktrace.t -> seed:int -> unit -> t
+(** Fresh registry.  [trace] receives one {!injection} per injection;
+    without one the registry records none. *)
 
 val seed : t -> int
 
@@ -57,7 +63,7 @@ val should_fail : t -> string -> bool
 val fire : t -> site -> bool
 (** One hit at a site handle {!register} returned for this registry:
     {!should_fail} without the name lookup, sharing the site's counters,
-    RNG stream and trace events with every by-name hit. *)
+    RNG stream and recorded injections with every by-name hit. *)
 
 val hits : t -> string -> int
 val injected : t -> string -> int
@@ -72,9 +78,9 @@ val publish : t -> Kstats.t -> unit
 (** Add every site's [hits]/[injected] counters into a {!Kstats} table as
     ["<site>.hits"] / ["<site>.injected"]. *)
 
-val schedule : t -> string list
-(** The observed fault schedule: one entry per injection, in order, read
-    back from the registry trace.  Same seed + same I/O sequence =
-    identical schedule (replayability). *)
+val schedule : t -> injection list
+(** The observed fault schedule: the injections retained in the
+    registry's ring, in order ([[]] without a ring).  Same seed + same
+    I/O sequence = identical schedule (replayability). *)
 
 val pp_site : Format.formatter -> site -> unit

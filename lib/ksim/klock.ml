@@ -16,12 +16,10 @@ type t = {
   mutable holder : int option;
   mutable acquisitions : int;
   mutable contentions : int;
-  trace : Ktrace.t;
   lockdep : Lockdep.t option;
 }
 
-let create ?(trace = Ktrace.global) ?lockdep ~name () =
-  { name; holder = None; acquisitions = 0; contentions = 0; trace; lockdep }
+let create ?lockdep ~name () = { name; holder = None; acquisitions = 0; contentions = 0; lockdep }
 
 let name lock = lock.name
 
@@ -59,10 +57,7 @@ let release lock =
       (match lock.lockdep with
       | Some dep -> Lockdep.lock_released dep ~name:lock.name
       | None -> ())
-  | Some _ | None ->
-      Ktrace.emitf lock.trace ~category:"lock" "release of %s by non-holder tid %d"
-        lock.name tid;
-      raise (Not_holder lock.name)
+  | Some _ | None -> raise (Not_holder lock.name)
 
 let held_by_self lock =
   match lock.holder with Some holder -> holder = Kthread.self () | None -> false
@@ -95,8 +90,6 @@ module Guarded = struct
 
   let record_race cell =
     cell.races <- cell.races + 1;
-    Ktrace.emitf cell.lock.trace ~category:"race" "unlocked access to %s (guard %s) tid %d"
-      cell.cell_name cell.lock.name (Kthread.self ());
     if cell.strict then raise (Data_race { cell = cell.cell_name; lock = cell.lock.name })
 
   let check cell = if not (held_by_self cell.lock) then record_race cell

@@ -18,7 +18,7 @@ exception Data_race of { cell : string; lock : string }
 
 type t
 
-val create : ?trace:Ktrace.t -> ?lockdep:Lockdep.t -> name:string -> unit -> t
+val create : ?lockdep:Lockdep.t -> name:string -> unit -> t
 (** With [lockdep], every acquisition/release is reported to the
     lock-order validator. *)
 
@@ -49,8 +49,8 @@ module Guarded : sig
 
   val create : ?strict:bool -> lock:t -> name:string -> 'a -> 'a cell
   (** With [strict] (default [false]) unlocked accesses raise {!Data_race};
-      otherwise they are counted and traced, like a real race that testing
-      may or may not catch. *)
+      otherwise they are counted ({!races}), like a real race that
+      testing may or may not catch. *)
 
   val get : 'a cell -> 'a
   val set : 'a cell -> 'a -> unit

@@ -1,39 +1,23 @@
-(* Bounded in-memory event trace, the simulator's dmesg.  Checkers record
-   violations here so tests can assert on them without exceptions. *)
+(* Bounded in-memory ring of typed events.  A producer records values;
+   nothing is formatted on the way in, and a reader gets the values
+   back. *)
 
-type event = {
-  seq : int;
-  category : string;
-  message : string;
-}
-
-type t = {
+type 'a t = {
   capacity : int;
-  buf : event Queue.t;
-  mutable next_seq : int;
+  buf : 'a Queue.t;
+  mutable total : int;
 }
 
-let create ?(capacity = 4096) () = { capacity; buf = Queue.create (); next_seq = 0 }
+let create ?(capacity = 4096) () = { capacity; buf = Queue.create (); total = 0 }
 
-let emit t ~category message =
-  let seq = t.next_seq in
-  t.next_seq <- t.next_seq + 1;
-  Queue.push { seq; category; message } t.buf;
+let emit t event =
+  t.total <- t.total + 1;
+  Queue.push event t.buf;
   if Queue.length t.buf > t.capacity then ignore (Queue.pop t.buf)
 
-let emitf t ~category fmt = Fmt.kstr (fun msg -> emit t ~category msg) fmt
-
 let events t = List.of_seq (Queue.to_seq t.buf)
-
-let count t ~category =
-  Queue.fold (fun n e -> if String.equal e.category category then n + 1 else n) 0 t.buf
-
-let total t = t.next_seq
+let total t = t.total
 
 let clear t =
   Queue.clear t.buf;
-  t.next_seq <- 0
-
-let pp_event ppf e = Fmt.pf ppf "[%6d] %-12s %s" e.seq e.category e.message
-
-let global = create ~capacity:16384 ()
+  t.total <- 0

@@ -1,33 +1,20 @@
-(** Bounded in-memory event trace — the simulator's [dmesg].
+(** Bounded in-memory ring of typed events.
 
-    Safety checkers record violations here so that tests and the analysis
-    harness can observe them without relying on exceptions. *)
+    A component that is given a ring records each event as a value of
+    its own event type; readers get the values back, oldest first.
+    Nothing is formatted on the way in. *)
 
-type event = {
-  seq : int;  (** monotonically increasing sequence number *)
-  category : string;  (** e.g. ["race"], ["uaf"], ["journal"] *)
-  message : string;
-}
+type 'a t
 
-type t
-
-val create : ?capacity:int -> unit -> t
+val create : ?capacity:int -> unit -> 'a t
 (** Ring of at most [capacity] (default 4096) most recent events. *)
 
-val emit : t -> category:string -> string -> unit
-val emitf : t -> category:string -> ('a, Format.formatter, unit, unit) format4 -> 'a
+val emit : 'a t -> 'a -> unit
 
-val events : t -> event list
+val events : 'a t -> 'a list
 (** Retained events, oldest first. *)
 
-val count : t -> category:string -> int
-(** Number of retained events in [category]. *)
-
-val total : t -> int
+val total : 'a t -> int
 (** Number of events ever emitted (including evicted ones). *)
 
-val clear : t -> unit
-val pp_event : Format.formatter -> event -> unit
-
-val global : t
-(** Shared default trace used when a component is not given its own. *)
+val clear : 'a t -> unit

@@ -13,21 +13,14 @@ type warning = {
   cycle : string list; (* acquiring :: path back to acquiring *)
 }
 
-let pp_warning ppf w =
-  Fmt.pf ppf "potential deadlock (tid %d): acquiring %s closes cycle %a" w.tid w.acquiring
-    (Fmt.list ~sep:(Fmt.any " -> ") Fmt.string)
-    w.cycle
-
 type t = {
   (* edge A -> B: some thread acquired B while holding A *)
   edges : (string, (string, unit) Hashtbl.t) Hashtbl.t;
   held : (int, string list ref) Hashtbl.t; (* per-tid held stack, innermost first *)
   mutable warnings : warning list;
-  trace : Ktrace.t;
 }
 
-let create ?(trace = Ktrace.global) () =
-  { edges = Hashtbl.create 16; held = Hashtbl.create 8; warnings = []; trace }
+let create () = { edges = Hashtbl.create 16; held = Hashtbl.create 8; warnings = [] }
 
 let successors t a =
   match Hashtbl.find_opt t.edges a with
@@ -76,9 +69,7 @@ let lock_acquired t ~name =
            held: if so this acquisition inverts an established order. *)
         (match find_path t ~src:name ~dst:held_name with
         | Some path ->
-            let w = { tid; acquiring = name; cycle = path @ [ name ] } in
-            t.warnings <- w :: t.warnings;
-            Ktrace.emitf t.trace ~category:"lockdep" "%a" pp_warning w
+            t.warnings <- { tid; acquiring = name; cycle = path @ [ name ] } :: t.warnings
         | None -> ());
         add_edge t held_name name
       end)

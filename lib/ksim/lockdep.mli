@@ -11,11 +11,9 @@ type warning = {
   cycle : string list;  (** the inverted order, ending back at [acquiring] *)
 }
 
-val pp_warning : Format.formatter -> warning -> unit
-
 type t
 
-val create : ?trace:Ktrace.t -> unit -> t
+val create : unit -> t
 
 val lock_acquired : t -> name:string -> unit
 (** Called by {!Klock.acquire} after taking the lock: records edges from

@@ -2,15 +2,15 @@
    shadow-driver-style microreboot.
 
    [call] is the boundary.  An exception escaping the supervised module
-   is a simulated oops: it is converted to an [EIO] result, recorded as
-   an incident on the global trace, and the module enters recovery
-   instead of unwinding the kernel.  Recovery is deferred and paid for
-   on the supervisor's simulated clock — the clock advances [op_cost]
-   ns per call, an oops arms a deadline [backoff_base * 2^n] ns out
-   (capped), calls before the deadline drain with [EINTR], and the
-   first call past it runs the restart function.  A successful restart
-   bumps the epoch, which is what invalidates pre-oops handles: [validate]
-   answers [ESTALE] for any handle minted by a dead generation.
+   is a simulated oops: it is converted to an [EIO] result, counted, and
+   the module enters recovery instead of unwinding the kernel.  Recovery
+   is deferred and paid for on the supervisor's simulated clock — the
+   clock advances [op_cost] ns per call, an oops arms a deadline
+   [backoff_base * 2^n] ns out (capped), calls before the deadline drain
+   with [EINTR], and the first call past it runs the restart function.
+   A successful restart bumps the epoch, which is what invalidates
+   pre-oops handles: [validate] answers [ESTALE] for any handle minted
+   by a dead generation.
 
    Everything is a function of the call sequence, so runs replay
    bit-identically: no wall clock, no randomness. *)
@@ -65,7 +65,6 @@ let live_of stats =
 type t = {
   name : string;
   policy : policy;
-  trace : Ktrace.t;
   live : live option;
   mutable restart_fn : (unit -> (unit, string) result) option;
   mutable observer : (state -> state -> unit) option;
@@ -85,14 +84,13 @@ type t = {
   recovery : Hist.t; (* oops -> healthy latency of every completed microreboot *)
 }
 
-let create ?(policy = default_policy) ?(trace = Ktrace.global) ?stats ?restart ~name () =
+let create ?(policy = default_policy) ?stats ?restart ~name () =
   if policy.restart_budget < 0 then invalid_arg "Supervisor.create: restart_budget";
   if policy.backoff_base < 1 || policy.op_cost < 1 then
     invalid_arg "Supervisor.create: backoff/op_cost must be positive";
   {
     name;
     policy;
-    trace;
     live = Option.map live_of stats;
     restart_fn = restart;
     observer = None;
@@ -135,8 +133,6 @@ let transition t to_state =
   let from = t.state in
   if from <> to_state then begin
     t.state <- to_state;
-    Ktrace.emitf t.trace ~category:"supervisor" "%s: %s -> %s (epoch %d)" t.name
-      (state_to_string from) (state_to_string to_state) t.epoch;
     Option.iter (fun f -> f from to_state) t.observer
   end
 
@@ -144,72 +140,56 @@ let transition t to_state =
 let backoff t n =
   min t.policy.backoff_cap (t.policy.backoff_base * (1 lsl min n 20))
 
-let exn_label = function
-  | Module_panic site -> "module panic at " ^ site
-  | exn -> Printexc.to_string exn
-
-let oops t ~label exn =
+let oops t =
   t.oopses <- t.oopses + 1;
   t.oops_time <- t.clock;
   t.restart_at <- t.clock + backoff t t.restarts;
   bump t (fun l -> l.l_oopses);
-  Ktrace.emitf t.trace ~category:"supervisor" "%s: oops in %s (%s); restart at +%d ns" t.name
-    label (exn_label exn) (t.restart_at - t.clock);
-  Ktrace.emitf Ktrace.global ~category:"incident" "supervisor: %s oopsed in %s (%s)" t.name
-    label (exn_label exn);
   transition t Oopsed
 
-let escalate t reason =
+let escalate t =
   t.escalations <- t.escalations + 1;
   bump t (fun l -> l.l_escalations);
-  Ktrace.emitf Ktrace.global ~category:"incident"
-    "supervisor: %s escalated to failed after %d restarts (%s)" t.name t.restarts reason;
   transition t Failed
 
 (* The microreboot: runs at the first call past the backoff deadline.
    Budget is checked first so a module with no headroom left escalates
    instead of thrashing; a restart function that itself fails re-arms
-   the backoff and burns budget like a normal restart. *)
+   the backoff and burns budget like a normal restart.  [restarts] and
+   its live counter count attempts, failed ones included. *)
 let try_restart t =
-  if t.restarts >= t.policy.restart_budget then escalate t "restart budget exhausted"
+  if t.restarts >= t.policy.restart_budget then escalate t
   else
     match t.restart_fn with
-    | None -> escalate t "no restart function registered"
+    | None -> escalate t
     | Some f ->
         transition t Restarting;
         t.restarts <- t.restarts + 1;
-        let outcome = try f () with exn -> Error (exn_label exn) in
-        (match outcome with
-        | Ok () ->
-            t.epoch <- t.epoch + 1;
-            let latency = t.clock - t.oops_time in
-            t.last_recovery_ns <- latency;
-            t.total_recovery_ns <- t.total_recovery_ns + latency;
-            Hist.record t.recovery latency;
-            (match t.live with Some l -> Kstats.record l.l_recovery latency | None -> ());
-            bump t (fun l -> l.l_restarts);
-            Ktrace.emitf t.trace ~category:"supervisor"
-              "%s: microreboot complete (restart %d, epoch %d, recovery %d ns)" t.name
-              t.restarts t.epoch latency;
-            transition t Healthy
-        | Error msg ->
-            Ktrace.emitf t.trace ~category:"supervisor" "%s: restart %d failed (%s)" t.name
-              t.restarts msg;
-            if t.restarts >= t.policy.restart_budget then
-              escalate t ("restart failed: " ^ msg)
-            else begin
-              t.restart_at <- t.clock + backoff t t.restarts;
-              transition t Oopsed
-            end)
+        bump t (fun l -> l.l_restarts);
+        let restarted = match f () with Ok () -> true | Error _ -> false | exception _ -> false in
+        if restarted then begin
+          t.epoch <- t.epoch + 1;
+          let latency = t.clock - t.oops_time in
+          t.last_recovery_ns <- latency;
+          t.total_recovery_ns <- t.total_recovery_ns + latency;
+          Hist.record t.recovery latency;
+          (match t.live with Some l -> Kstats.record l.l_recovery latency | None -> ());
+          transition t Healthy
+        end
+        else if t.restarts >= t.policy.restart_budget then escalate t
+        else begin
+          t.restart_at <- t.clock + backoff t t.restarts;
+          transition t Oopsed
+        end
 
-let run t ~label f =
+let run t f =
   match f () with
   | result -> result
-  | exception exn ->
-      oops t ~label exn;
+  | exception _ ->
+      oops t;
       Error Errno.EIO
 
-let call ?(label = "op") t f =
+let call t f =
   t.clock <- t.clock + t.policy.op_cost;
   match t.state with
   | Failed ->
@@ -229,7 +209,7 @@ let call ?(label = "op") t f =
   | Oopsed -> (
       try_restart t;
       match t.state with
-      | Healthy -> run t ~label f
+      | Healthy -> run t f
       | Failed ->
           t.degraded_calls <- t.degraded_calls + 1;
           bump t (fun l -> l.l_degraded);
@@ -238,15 +218,13 @@ let call ?(label = "op") t f =
           t.eintr_aborted <- t.eintr_aborted + 1;
           bump t (fun l -> l.l_eintr);
           Error Errno.EINTR)
-  | Healthy -> run t ~label f
+  | Healthy -> run t f
 
 let validate t handle_epoch =
   if handle_epoch = t.epoch then Ok ()
   else begin
     t.stale_rejected <- t.stale_rejected + 1;
     bump t (fun l -> l.l_stale);
-    Ktrace.emitf t.trace ~category:"supervisor" "%s: stale handle (epoch %d, live %d) -> ESTALE"
-      t.name handle_epoch t.epoch;
     Error Errno.ESTALE
   end
 

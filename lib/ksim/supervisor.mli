@@ -23,12 +23,12 @@
     and {!validate} rejects stale-epoch handles with [ESTALE]
     deterministically rather than letting them touch rebuilt state.
 
-    Oopses and escalations are recorded as ["incident"] events on
-    {!Ktrace.global} (the [Safeos_core.Audit] feed) and the lifecycle is
-    announced on the supervisor's own trace (category ["supervisor"]).
-    Counters ([supervisor.oopses], [.restarts], [.stale_handles],
-    [.escalations], [.eintr_aborted], [.degraded_calls]) land in the
-    optional [stats] table as they happen. *)
+    Oopses, restarts and escalations are counted ({!oopses},
+    {!restarts}, {!escalations}), and lifecycle transitions go to the
+    {!set_observer} callback.  Live counters ([supervisor.oopses],
+    [.restarts], [.stale_handles], [.escalations], [.eintr_aborted],
+    [.degraded_calls]) land in the optional [stats] table as they
+    happen. *)
 
 exception Module_panic of string
 (** The simulated oops a fault-injected module raises through its entry
@@ -56,7 +56,6 @@ type t
 
 val create :
   ?policy:policy ->
-  ?trace:Ktrace.t ->
   ?stats:Kstats.t ->
   ?restart:(unit -> (unit, string) result) ->
   name:string ->
@@ -64,7 +63,7 @@ val create :
   t
 (** A healthy supervisor at epoch 0.  [restart] rebuilds the module's
     instance state (remount, reset); without one every oops escalates
-    straight to [Failed].  [trace] defaults to {!Ktrace.global}. *)
+    straight to [Failed]. *)
 
 val set_restart : t -> (unit -> (unit, string) result) -> unit
 (** Install or replace the restart function (needed when the supervised
@@ -80,7 +79,7 @@ val epoch : t -> int
 (** Generation of the live instance; bumped by every successful
     restart. *)
 
-val call : ?label:string -> t -> (unit -> 'a Errno.r) -> 'a Errno.r
+val call : t -> (unit -> 'a Errno.r) -> 'a Errno.r
 (** Run one supervised operation.  Advances the simulated clock by
     [op_cost]; then:
     - [Failed]: [EIO] (degraded mode) without running [f];
@@ -88,7 +87,7 @@ val call : ?label:string -> t -> (unit -> 'a Errno.r) -> 'a Errno.r
     - [Oopsed] past the deadline: microreboot first, then run [f] if it
       succeeded;
     - [Healthy]: run [f]; an escaping exception is contained to [EIO],
-      audited, and trips the state machine to [Oopsed]. *)
+      counted as an oops, and trips the state machine to [Oopsed]. *)
 
 val validate : t -> int -> unit Errno.r
 (** [validate t handle_epoch] is [Ok ()] iff the handle was minted by
@@ -98,6 +97,10 @@ val validate : t -> int -> unit Errno.r
 
 val oopses : t -> int
 val restarts : t -> int
+(** Restart attempts, failed ones included; the live
+    [supervisor.restarts] counter counts the same.  Completed
+    microreboots are [supervisor.recovery_ns#count]. *)
+
 val escalations : t -> int
 val stale_rejected : t -> int
 val eintr_aborted : t -> int

@@ -120,7 +120,7 @@ let dispatch_mount ?handle_epoch m (op : Kspec.Fs_spec.op) : Kspec.Fs_spec.resul
         let* () = validate_handle () in
         (try Iface.instance_apply m.fs op with _ -> Error Ksim.Errno.EIO)
       else
-        Ksim.Supervisor.call ~label:(Iface.instance_name m.fs) sup (fun () ->
+        Ksim.Supervisor.call sup (fun () ->
             let* () = validate_handle () in
             Iface.instance_apply m.fs op)
 

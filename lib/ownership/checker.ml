@@ -71,16 +71,14 @@ type t = {
   mutable next_rid : int;
   mutable violations : violation list;
   strict : bool;
-  trace : Ksim.Ktrace.t;
 }
 
-let create ?(strict = true) ?(trace = Ksim.Ktrace.global) () =
-  { regions = Hashtbl.create 64; next_rid = 0; violations = []; strict; trace }
+let create ?(strict = true) () =
+  { regions = Hashtbl.create 64; next_rid = 0; violations = []; strict }
 
 let report ck ~kind ~region ~culprit detail =
   let v = { kind; region; culprit; detail } in
   ck.violations <- v :: ck.violations;
-  Ksim.Ktrace.emitf ck.trace ~category:"ownership" "%a" pp_violation v;
   if ck.strict then raise (Violation v)
 
 let violations ck = List.rev ck.violations

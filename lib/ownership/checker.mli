@@ -43,9 +43,9 @@ val pp_violation : Format.formatter -> violation -> unit
 
 type t
 
-val create : ?strict:bool -> ?trace:Ksim.Ktrace.t -> unit -> t
+val create : ?strict:bool -> unit -> t
 (** [strict] (default [true]): raise {!Violation} on breach; otherwise only
-    record, modelling latent bugs. *)
+    record ({!violations}), modelling latent bugs. *)
 
 val alloc : t -> holder:string -> size:int -> Cap.t
 (** Allocate a region of [size] bytes; returns the owner capability. *)

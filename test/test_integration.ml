@@ -179,8 +179,7 @@ let test_snapshot_survives_mounted_traffic () =
   check result_t "rollback restores" (Ok (Fs_spec.Data "golden"))
     (Kfs.Cowfs.apply concrete (Read { file = p "/cfg"; off = 0; len = 6 }))
 
-let test_trace_global_collects_kernel_events () =
-  Ksim.Ktrace.clear Ksim.Ktrace.global;
+let test_unsafe_fs_counts_races () =
   (* Provoke a lock-discipline event through the unsafe FS. *)
   let faults = Kfs.Memfs_unsafe.no_faults () in
   faults.Kfs.Memfs_unsafe.skip_i_lock <- true;
@@ -190,8 +189,7 @@ let test_trace_global_collects_kernel_events () =
   (match L.write_begin fs "/r" ~off:0 with
   | Ksim.Dyn.Errptr.Ptr pd -> ignore (L.write_end fs pd ~data:"x")
   | Ksim.Dyn.Errptr.Err _ -> fail "write_begin");
-  check Alcotest.bool "race event traced" true
-    (Ksim.Ktrace.count Ksim.Ktrace.global ~category:"race" >= 1)
+  check Alcotest.bool "race counted" true (Kfs.Memfs_unsafe.races fs >= 1)
 
 let () =
   Alcotest.run "integration"
@@ -204,7 +202,6 @@ let () =
           Alcotest.test_case "migration under load" `Quick test_migration_under_mounted_kernel;
           Alcotest.test_case "stages agree on results" `Quick test_consistent_stages_same_results;
           Alcotest.test_case "snapshot + rollback" `Quick test_snapshot_survives_mounted_traffic;
-          Alcotest.test_case "global trace collects events" `Quick
-            test_trace_global_collects_kernel_events;
+          Alcotest.test_case "unsafe fs counts races" `Quick test_unsafe_fs_counts_races;
         ] );
     ]

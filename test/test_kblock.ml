@@ -680,9 +680,7 @@ let test_supervised_microreboot_and_stale_client () =
           else base.Kblock.Io.read blkno);
     }
   in
-  let s =
-    Kblock.Supervised.create ~trace:(Ksim.Ktrace.create ()) ~name:"blk" ~remake ()
-  in
+  let s = Kblock.Supervised.create ~name:"blk" ~remake () in
   let client = Kblock.Supervised.io s in
   check Alcotest.bool "healthy read" true (Result.is_ok (client.Kblock.Io.read 0));
   boom := true;

@@ -123,6 +123,16 @@ let test_transient_io_absorbed_when_protected () =
       check Alcotest.bool "mentions retries" true (String.length how > 0)
   | d -> fail ("protected: " ^ Kbugs.Inject.detection_to_string d)
 
+(* Each call's verdict comes from its own file system, so it cannot go
+   stale however many calls (or other race events) came before it in the
+   process. *)
+let test_race_verdict_per_call () =
+  for i = 1 to 9_000 do
+    match Kbugs.Inject.trigger_race () with
+    | Kbugs.Inject.Exhibited "2 unlocked i_size accesses" -> ()
+    | d -> fail (Printf.sprintf "call %d: %s" i (Kbugs.Inject.detection_to_string d))
+  done
+
 let test_claims_upheld () =
   let c = Kbugs.Analysis.check_claims () in
   check Alcotest.bool "some claims" true (c.Kbugs.Analysis.claims_checked > 0);
@@ -170,6 +180,7 @@ let () =
           Alcotest.test_case "matrix shape" `Quick test_matrix_shape;
           Alcotest.test_case "transient io absorbed when protected" `Quick
             test_transient_io_absorbed_when_protected;
+          Alcotest.test_case "race verdict holds on every call" `Quick test_race_verdict_per_call;
         ] );
       ( "analysis",
         [

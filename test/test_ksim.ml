@@ -497,16 +497,17 @@ let test_lost_update_race () =
 
 let test_trace_basic () =
   let tr = Ksim.Ktrace.create ~capacity:3 () in
-  Ksim.Ktrace.emit tr ~category:"a" "one";
-  Ksim.Ktrace.emitf tr ~category:"b" "two %d" 2;
-  check Alcotest.int "count a" 1 (Ksim.Ktrace.count tr ~category:"a");
+  Ksim.Ktrace.emit tr 1;
+  Ksim.Ktrace.emit tr 2;
+  check Alcotest.(list int) "events oldest first" [ 1; 2 ] (Ksim.Ktrace.events tr);
   check Alcotest.int "total" 2 (Ksim.Ktrace.total tr);
-  Ksim.Ktrace.emit tr ~category:"a" "three";
-  Ksim.Ktrace.emit tr ~category:"a" "four" (* evicts "one" *);
-  check Alcotest.int "ring keeps 3" 3 (List.length (Ksim.Ktrace.events tr));
+  Ksim.Ktrace.emit tr 3;
+  Ksim.Ktrace.emit tr 4 (* evicts 1 *);
+  check Alcotest.(list int) "ring keeps the last 3" [ 2; 3; 4 ] (Ksim.Ktrace.events tr);
   check Alcotest.int "total still counts" 4 (Ksim.Ktrace.total tr);
   Ksim.Ktrace.clear tr;
-  check Alcotest.int "cleared" 0 (Ksim.Ktrace.total tr)
+  check Alcotest.int "cleared" 0 (Ksim.Ktrace.total tr);
+  check Alcotest.(list int) "emptied" [] (Ksim.Ktrace.events tr)
 
 (* Rng ----------------------------------------------------------------------- *)
 
@@ -554,8 +555,12 @@ let rng_pick_member =
 
 (* Failpoint ------------------------------------------------------------------ *)
 
+let injection =
+  Alcotest.of_pp (fun ppf (i : Ksim.Failpoint.injection) ->
+      Fmt.pf ppf "%s: injected (hit %d, injection %d)" i.site i.hit i.injection)
+
 let test_failpoint_interval_and_times () =
-  let fp = Ksim.Failpoint.create ~trace:(Ksim.Ktrace.create ()) ~seed:1 () in
+  let fp = Ksim.Failpoint.create ~seed:1 () in
   Ksim.Failpoint.configure fp "site" ~enabled:true ~interval:3 ~times:2 ();
   let fired = List.init 12 (fun _ -> Ksim.Failpoint.should_fail fp "site") in
   (* Hits 3 and 6 inject; then the times budget is gone. *)
@@ -567,7 +572,7 @@ let test_failpoint_interval_and_times () =
   check Alcotest.int "total" 2 (Ksim.Failpoint.total_injected fp)
 
 let test_failpoint_disabled_and_heal () =
-  let fp = Ksim.Failpoint.create ~trace:(Ksim.Ktrace.create ()) ~seed:1 () in
+  let fp = Ksim.Failpoint.create ~seed:1 () in
   (* Registered but never enabled: zero cost path, never fires. *)
   check Alcotest.bool "disabled never fires" false (Ksim.Failpoint.should_fail fp "quiet");
   Ksim.Failpoint.configure fp "loud" ~enabled:true ();
@@ -590,12 +595,15 @@ let test_failpoint_probability_replayable () =
   let fired_a, sched_a = run () in
   let fired_b, sched_b = run () in
   check Alcotest.(list bool) "same seed, same draws" fired_a fired_b;
-  check Alcotest.(list string) "same schedule fingerprint" sched_a sched_b;
+  check Alcotest.(list injection) "same schedule fingerprint" sched_a sched_b;
   let hits = List.length (List.filter Fun.id fired_a) in
   check Alcotest.bool "probability gate actually gates" true (hits > 0 && hits < 64);
+  check Alcotest.(list int) "one entry per injection, numbered in order"
+    (List.init hits succ)
+    (List.map (fun (i : Ksim.Failpoint.injection) -> i.injection) sched_a);
   (* The per-site stream comes from (seed, name): registration order of
      other sites must not perturb it. *)
-  let fp2 = Ksim.Failpoint.create ~trace:(Ksim.Ktrace.create ()) ~seed:77 () in
+  let fp2 = Ksim.Failpoint.create ~seed:77 () in
   ignore (Ksim.Failpoint.register fp2 "aardvark");
   ignore (Ksim.Failpoint.register fp2 "zebra");
   Ksim.Failpoint.configure fp2 "p" ~enabled:true ~probability:0.4 ();
@@ -606,7 +614,7 @@ let test_failpoint_probability_replayable () =
    budgets the injections, and exhaustion is observable and reversible by
    re-configuring. *)
 let test_failpoint_interval_times_exhaustion () =
-  let fp = Ksim.Failpoint.create ~trace:(Ksim.Ktrace.create ()) ~seed:9 () in
+  let fp = Ksim.Failpoint.create ~seed:9 () in
   Ksim.Failpoint.configure fp "s" ~enabled:true ~interval:2 ~times:3 ();
   let fired = List.init 10 (fun _ -> Ksim.Failpoint.should_fail fp "s") in
   (* Eligible hits are 2, 4, 6, 8, 10; the times budget stops after three. *)
@@ -622,7 +630,7 @@ let test_failpoint_interval_times_exhaustion () =
   check Alcotest.int "budget spent again" 4 (Ksim.Failpoint.injected fp "s")
 
 let test_failpoint_reconfigure_after_disable_all () =
-  let fp = Ksim.Failpoint.create ~trace:(Ksim.Ktrace.create ()) ~seed:9 () in
+  let fp = Ksim.Failpoint.create ~seed:9 () in
   Ksim.Failpoint.configure fp "s" ~enabled:true ();
   check Alcotest.bool "fires" true (Ksim.Failpoint.should_fail fp "s");
   Ksim.Failpoint.disable_all fp;
@@ -641,12 +649,12 @@ let test_failpoint_streams_per_site () =
      two registries with the same seed but opposite registration orders
      agree draw-for-draw on every site. *)
   let draws fp name = List.init 32 (fun _ -> Ksim.Failpoint.should_fail fp name) in
-  let fp_ab = Ksim.Failpoint.create ~trace:(Ksim.Ktrace.create ()) ~seed:21 () in
+  let fp_ab = Ksim.Failpoint.create ~seed:21 () in
   Ksim.Failpoint.configure fp_ab "alpha" ~enabled:true ~probability:0.5 ();
   Ksim.Failpoint.configure fp_ab "beta" ~enabled:true ~probability:0.5 ();
   let alpha_1 = draws fp_ab "alpha" in
   let beta_1 = draws fp_ab "beta" in
-  let fp_ba = Ksim.Failpoint.create ~trace:(Ksim.Ktrace.create ()) ~seed:21 () in
+  let fp_ba = Ksim.Failpoint.create ~seed:21 () in
   Ksim.Failpoint.configure fp_ba "beta" ~enabled:true ~probability:0.5 ();
   Ksim.Failpoint.configure fp_ba "alpha" ~enabled:true ~probability:0.5 ();
   (* Interleave in the other order too: draws must not depend on it. *)
@@ -657,7 +665,7 @@ let test_failpoint_streams_per_site () =
   check Alcotest.bool "sites differ from each other" true (alpha_1 <> beta_1)
 
 let test_failpoint_publish () =
-  let fp = Ksim.Failpoint.create ~trace:(Ksim.Ktrace.create ()) ~seed:3 () in
+  let fp = Ksim.Failpoint.create ~seed:3 () in
   Ksim.Failpoint.configure fp "s" ~enabled:true ();
   ignore (Ksim.Failpoint.should_fail fp "s");
   let stats = Ksim.Kstats.create () in
@@ -804,10 +812,7 @@ let sup_module () =
 
 let test_supervisor_contains_and_reboots () =
   let bad, f = sup_module () in
-  let trace = Ksim.Ktrace.create () in
-  let sup =
-    Ksim.Supervisor.create ~trace ~restart:(fun () -> Ok ()) ~name:"mod" ()
-  in
+  let sup = Ksim.Supervisor.create ~restart:(fun () -> Ok ()) ~name:"mod" () in
   check Alcotest.string "healthy call passes" "ok"
     (Result.get_ok (Ksim.Supervisor.call sup f));
   bad := true;
@@ -828,10 +833,7 @@ let test_supervisor_contains_and_reboots () =
 
 let test_supervisor_stale_epochs () =
   let _, f = sup_module () in
-  let sup =
-    Ksim.Supervisor.create ~trace:(Ksim.Ktrace.create ()) ~restart:(fun () -> Ok ())
-      ~name:"mod" ()
-  in
+  let sup = Ksim.Supervisor.create ~restart:(fun () -> Ok ()) ~name:"mod" () in
   let handle = Ksim.Supervisor.epoch sup in
   check Alcotest.bool "fresh handle valid" true (Ksim.Supervisor.validate sup handle = Ok ());
   (* Oops and recover. *)
@@ -850,9 +852,7 @@ let test_supervisor_escalates_to_failed () =
   let policy =
     { Ksim.Supervisor.restart_budget = 2; backoff_base = 100; backoff_cap = 100; op_cost = 100 }
   in
-  let trace = Ksim.Ktrace.create () in
-  let sup = Ksim.Supervisor.create ~policy ~trace ~restart:(fun () -> Ok ()) ~name:"mod" () in
-  let incidents_before = Ksim.Ktrace.count Ksim.Ktrace.global ~category:"incident" in
+  let sup = Ksim.Supervisor.create ~policy ~restart:(fun () -> Ok ()) ~name:"mod" () in
   let transitions = ref [] in
   Ksim.Supervisor.set_observer sup (fun _ to_ -> transitions := to_ :: !transitions);
   let always_panics () = raise (Ksim.Supervisor.Module_panic "test.site") in
@@ -869,8 +869,6 @@ let test_supervisor_escalates_to_failed () =
     (List.for_all
        (fun r -> r = Error Ksim.Errno.EIO || r = Error Ksim.Errno.EINTR)
        results);
-  check Alcotest.bool "escalation hit the audit trail" true
-    (Ksim.Ktrace.count Ksim.Ktrace.global ~category:"incident" > incidents_before);
   check Alcotest.bool "observer saw Failed" true
     (List.mem Ksim.Supervisor.Failed !transitions)
 
@@ -879,8 +877,7 @@ let test_supervisor_failed_restart_burns_budget () =
     { Ksim.Supervisor.restart_budget = 1; backoff_base = 100; backoff_cap = 100; op_cost = 100 }
   in
   let sup =
-    Ksim.Supervisor.create ~policy ~trace:(Ksim.Ktrace.create ())
-      ~restart:(fun () -> Error "device gone") ~name:"mod" ()
+    Ksim.Supervisor.create ~policy ~restart:(fun () -> Error "device gone") ~name:"mod" ()
   in
   check Alcotest.bool "oops" true
     (Ksim.Supervisor.call sup (fun () -> raise Exit) = Error Ksim.Errno.EIO);
@@ -895,10 +892,7 @@ let test_supervisor_replayable () =
      supervisors driven identically agree on every observable. *)
   let drive () =
     let bad, f = sup_module () in
-    let sup =
-      Ksim.Supervisor.create ~trace:(Ksim.Ktrace.create ()) ~restart:(fun () -> Ok ())
-        ~name:"mod" ()
-    in
+    let sup = Ksim.Supervisor.create ~restart:(fun () -> Ok ()) ~name:"mod" () in
     let results =
       List.init 12 (fun i ->
           if i = 2 || i = 7 then bad := true;
@@ -914,12 +908,62 @@ let test_supervisor_replayable () =
   let b = drive () in
   check Alcotest.bool "bit-identical replay" true (a = b)
 
+(* A restart that fails once and then succeeds is two attempts: the live
+   counter, [restarts] and the published counter agree, and the one
+   completed microreboot is the recovery histogram's count. *)
+let test_supervisor_restarts_counted_one_way () =
+  let stats = Ksim.Kstats.create () in
+  let refusals = ref 1 in
+  let restart () =
+    if !refusals > 0 then begin
+      decr refusals;
+      Error "not yet"
+    end
+    else Ok ()
+  in
+  let sup = Ksim.Supervisor.create ~stats ~restart ~name:"fs" () in
+  check Alcotest.bool "oops" true
+    (Ksim.Supervisor.call sup (fun () -> raise Exit) = Error Ksim.Errno.EIO);
+  let rec drain n =
+    if n > 200 then fail "never recovered";
+    match Ksim.Supervisor.call sup (fun () -> Ok ()) with Ok () -> () | Error _ -> drain (n + 1)
+  in
+  drain 0;
+  check Alcotest.int "two attempts" 2 (Ksim.Supervisor.restarts sup);
+  check Alcotest.int "live counter agrees" 2 (Ksim.Kstats.get stats "supervisor.restarts");
+  Ksim.Supervisor.publish sup stats;
+  check Alcotest.int "published counter agrees" 2 (Ksim.Kstats.get stats "supervisor.fs.restarts");
+  check Alcotest.int "one completed microreboot" 1
+    (List.assoc "supervisor.recovery_ns#count" (Ksim.Kstats.to_list stats))
+
+(* Without a ring nothing is recorded or formatted: an injecting [fire]
+   and a stale-epoch [validate] allocate under one minor word per call. *)
+let test_untraced_paths_allocate_nothing () =
+  let words_per_call f =
+    let n = 10_000 in
+    let before = Gc.minor_words () in
+    for _ = 1 to n do
+      f ()
+    done;
+    (Gc.minor_words () -. before) /. float_of_int n
+  in
+  let fp = Ksim.Failpoint.create ~seed:1 () in
+  let site = Ksim.Failpoint.register fp "s" in
+  Ksim.Failpoint.configure fp "s" ~enabled:true ();
+  let fire = words_per_call (fun () -> ignore (Ksim.Failpoint.fire fp site)) in
+  check Alcotest.int "every fire injected" 10_000 (Ksim.Failpoint.injected fp "s");
+  check Alcotest.bool (Printf.sprintf "fire: %.1f words per call" fire) true (fire < 1.0);
+  check Alcotest.(list injection) "no schedule kept" [] (Ksim.Failpoint.schedule fp);
+  let sup = Ksim.Supervisor.create ~name:"s" () in
+  let validate = words_per_call (fun () -> ignore (Ksim.Supervisor.validate sup 1)) in
+  check Alcotest.int "every handle stale" 10_000 (Ksim.Supervisor.stale_rejected sup);
+  check Alcotest.bool
+    (Printf.sprintf "stale validate: %.1f words per call" validate)
+    true (validate < 1.0)
+
 let test_supervisor_publish () =
   let stats = Ksim.Kstats.create () in
-  let sup =
-    Ksim.Supervisor.create ~trace:(Ksim.Ktrace.create ()) ~stats
-      ~restart:(fun () -> Ok ()) ~name:"fs" ()
-  in
+  let sup = Ksim.Supervisor.create ~stats ~restart:(fun () -> Ok ()) ~name:"fs" () in
   check Alcotest.bool "oops" true
     (Ksim.Supervisor.call sup (fun () -> raise Exit) = Error Ksim.Errno.EIO);
   check Alcotest.int "live counter" 1 (Ksim.Kstats.get stats "supervisor.oopses");
@@ -1006,10 +1050,7 @@ let test_kstats_hist_snapshot () =
 let test_supervisor_recovery_aggregation () =
   let bad, f = sup_module () in
   let stats = Ksim.Kstats.create () in
-  let sup =
-    Ksim.Supervisor.create ~trace:(Ksim.Ktrace.create ()) ~stats
-      ~restart:(fun () -> Ok ()) ~name:"mod" ()
-  in
+  let sup = Ksim.Supervisor.create ~stats ~restart:(fun () -> Ok ()) ~name:"mod" () in
   (* Three oops/recover cycles; each recovery waits out a longer backoff,
      so the histogram sees three distinct latencies. *)
   for _ = 1 to 3 do
@@ -1038,7 +1079,7 @@ let test_supervisor_recovery_aggregation () =
 (* Storm composition (satellite: composed failpoint schedules) ------------ *)
 
 let test_storm_overlap_composition () =
-  let fp = Ksim.Failpoint.create ~trace:(Ksim.Ktrace.create ()) ~seed:1 () in
+  let fp = Ksim.Failpoint.create ~seed:1 () in
   let storm = Ksim.Storm.create ~fp () in
   Ksim.Storm.add storm
     [ { Ksim.Storm.site = "s"; start = 0; stop = 10; probability = 0.5; times = 3 } ];
@@ -1074,7 +1115,7 @@ let test_storm_overlap_composition () =
   | _ -> fail "unlimited compose"
 
 let test_storm_disable_mid_burst () =
-  let fp = Ksim.Failpoint.create ~trace:(Ksim.Ktrace.create ()) ~seed:2 () in
+  let fp = Ksim.Failpoint.create ~seed:2 () in
   let storm = Ksim.Storm.create ~fp () in
   Ksim.Storm.add storm
     [ { Ksim.Storm.site = "s"; start = 0; stop = 100; probability = 1.0; times = -1 } ];
@@ -1208,7 +1249,7 @@ let prop_storm_tick_matches_reference =
     ~print:(fun ops -> String.concat "; " (List.map pp_storm_op ops))
     QCheck2.Gen.(list_size (int_range 1 80) storm_op_gen)
     (fun ops ->
-      let registry () = Ksim.Failpoint.create ~trace:(Ksim.Ktrace.create ()) ~seed:9 () in
+      let registry () = Ksim.Failpoint.create ~seed:9 () in
       let fp = registry () and ref_fp = registry () in
       let storm = Ksim.Storm.create ~fp () and reference = Ref_storm.create ref_fp in
       let knobs fp =
@@ -1316,6 +1357,7 @@ let () =
           Alcotest.test_case "per-site streams vs registration order" `Quick
             test_failpoint_streams_per_site;
           Alcotest.test_case "publish counters" `Quick test_failpoint_publish;
+          Alcotest.test_case "no ring, no allocation" `Quick test_untraced_paths_allocate_nothing;
         ]
         @ qcheck [ prop_failpoint_fire_is_should_fail ] );
       ( "kstats",
@@ -1334,6 +1376,8 @@ let () =
             test_supervisor_failed_restart_burns_budget;
           Alcotest.test_case "replayable" `Quick test_supervisor_replayable;
           Alcotest.test_case "publish counters" `Quick test_supervisor_publish;
+          Alcotest.test_case "restarts counted one way" `Quick
+            test_supervisor_restarts_counted_one_way;
           Alcotest.test_case "recovery aggregation over all reboots" `Quick
             test_supervisor_recovery_aggregation;
         ] );

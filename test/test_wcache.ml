@@ -163,7 +163,7 @@ let test_bare_cache_window_bounded () =
       write_fua = None;
     }
   in
-  let wc = Kblock.Wcache.create ~capacity:4 ~trace:(Ksim.Ktrace.create ()) sink in
+  let wc = Kblock.Wcache.create ~capacity:4 sink in
   let cycle i =
     ok "w" (Kblock.Wcache.write wc (i mod nblocks) (blk (Char.chr (32 + (i mod 90)))));
     ok "flush" (Kblock.Wcache.flush wc)
@@ -330,7 +330,7 @@ let test_export_off_keeps_nothing () =
 
 let test_flush_dropped_failpoint () =
   let dev = mk_dev () in
-  let fp = Ksim.Failpoint.create ~trace:(Ksim.Ktrace.create ()) ~seed:7 () in
+  let fp = Ksim.Failpoint.create ~seed:7 () in
   let wc = Kblock.Wcache.create ~name:"wc" ~fp (Kblock.Blockdev.io dev) in
   Ksim.Failpoint.configure fp "wc.flush-dropped" ~enabled:true ~probability:1.0 ();
   ok "w" (Kblock.Wcache.write wc 0 (blk 'a'));
@@ -345,7 +345,7 @@ let test_flush_dropped_failpoint () =
 
 let test_writeback_reorder_failpoint () =
   let dev = mk_dev () in
-  let fp = Ksim.Failpoint.create ~trace:(Ksim.Ktrace.create ()) ~seed:7 () in
+  let fp = Ksim.Failpoint.create ~seed:7 () in
   let wc = Kblock.Wcache.create ~name:"wc" ~capacity:2 ~fp ~seed:5 (Kblock.Blockdev.io dev) in
   Ksim.Failpoint.configure fp "wc.writeback-reorder" ~enabled:true ~probability:1.0 ();
   for i = 0 to 7 do
@@ -368,7 +368,7 @@ let refusing_io =
   }
 
 let test_torn_skipped_on_refusing_base () =
-  let fp = Ksim.Failpoint.create ~trace:(Ksim.Ktrace.create ()) ~seed:3 () in
+  let fp = Ksim.Failpoint.create ~seed:3 () in
   let flaky = Kblock.Flakydev.create ~fp refusing_io in
   Ksim.Failpoint.configure fp "flaky.torn-write" ~enabled:true ~probability:1.0 ();
   (match (Kblock.Flakydev.io flaky).Kblock.Io.write 0 (blk 'a') with
@@ -378,7 +378,7 @@ let test_torn_skipped_on_refusing_base () =
   check int "counted separately" 1 (Kblock.Flakydev.torn_skipped flaky);
   check int "still an injected fault" 1 (Kblock.Flakydev.injected flaky);
   (* Same draw over a working base is a real torn write. *)
-  let fp2 = Ksim.Failpoint.create ~trace:(Ksim.Ktrace.create ()) ~seed:3 () in
+  let fp2 = Ksim.Failpoint.create ~seed:3 () in
   let flaky2 = Kblock.Flakydev.create ~fp:fp2 (Kblock.Blockdev.io (mk_dev ())) in
   Ksim.Failpoint.configure fp2 "flaky.torn-write" ~enabled:true ~probability:1.0 ();
   (match (Kblock.Flakydev.io flaky2).Kblock.Io.write 0 (blk 'a') with
@@ -388,7 +388,7 @@ let test_torn_skipped_on_refusing_base () =
   check int "not skipped" 0 (Kblock.Flakydev.torn_skipped flaky2)
 
 let test_torn_skipped_in_nested_down_window () =
-  let fp = Ksim.Failpoint.create ~trace:(Ksim.Ktrace.create ()) ~seed:3 () in
+  let fp = Ksim.Failpoint.create ~seed:3 () in
   let dev = mk_dev () in
   let inner = Kblock.Flakydev.create ~name:"inner" ~fp (Kblock.Blockdev.io dev) in
   (* One inner op up (the torn branch's old-content read), then down: the
@@ -504,7 +504,7 @@ let torture_geometry =
 let cache_loss_torture seed =
   let g = torture_geometry in
   let dev = Kblock.Blockdev.create ~nblocks:g.nblocks ~block_size:g.block_size in
-  let fp = Ksim.Failpoint.create ~trace:(Ksim.Ktrace.create ()) ~seed () in
+  let fp = Ksim.Failpoint.create ~seed () in
   let wc = Kblock.Wcache.create ~name:"wc" ~capacity:8 ~fp ~seed (Kblock.Blockdev.io dev) in
   Ksim.Failpoint.configure fp "wc.writeback-reorder" ~enabled:true ~probability:1.0 ();
   let fs = Kfs.Journalfs.mkfs_on ~geometry:g ~io:(Kblock.Wcache.io wc) Kfs.Journalfs.Journaled dev in
