@@ -7,10 +7,11 @@
    The media is a two-level table of immutable blocks: a top table of
    chunks, each holding [chunk_len] block pointers.  A write swaps a
    block's pointer instead of blitting into it, so a crash image shares
-   every block it did not change.  Both levels are copy-on-write: [image]
-   and [of_image] share the table, and a write while an image may hold
-   it copies the top table once and each touched chunk once — never the
-   whole device's pointers. *)
+   every block it did not change, and a read hands out the block itself,
+   so a mount reads an image in place.  Both levels are copy-on-write:
+   [image] and [of_image] share the table, and a write while an image
+   may hold it copies the top table once and each touched chunk once —
+   never the whole device's pointers. *)
 
 (* A power of two, so a block's chunk and slot are a shift and a mask;
    64 pointers keep both levels of a 4096-block device minor-heap
@@ -73,12 +74,16 @@ let flushes dev = dev.flushes
 
 let in_range dev blkno = blkno >= 0 && blkno < dev.nblocks
 
+(* The media's own immutable block: a read copies nothing. *)
 let read dev blkno =
   if not (in_range dev blkno) then Error Ksim.Errno.EIO
   else begin
     dev.reads <- dev.reads + 1;
-    Ok (Bytes.of_string (get dev.media blkno))
+    Ok (get dev.media blkno)
   end
+
+(* For the readers that may mutate what they get: a fresh [bytes]. *)
+let read_copy dev blkno = Result.map Bytes.of_string (read dev blkno)
 
 (* A whole-block write is a pointer swap; the first since [image] copies
    the top table. *)
@@ -117,7 +122,7 @@ let io dev : Io.t =
   {
     Io.nblocks = dev.nblocks;
     block_size = dev.block_size;
-    read = read dev;
+    read = read_copy dev;
     write = write dev;
     flush =
       (fun () ->
@@ -136,7 +141,7 @@ let to_ops dev : Kspec.Axiom.block_ops =
   {
     nblocks = dev.nblocks;
     block_size = dev.block_size;
-    read = (fun blkno -> fail_to_exn (read dev blkno));
+    read = (fun blkno -> fail_to_exn (read_copy dev blkno));
     write = (fun blkno data -> fail_to_exn (write dev blkno data));
     flush = (fun () -> flush dev);
   }

@@ -15,7 +15,8 @@
     table: the top table once, then each chunk it writes into once
     (pointers, never block data), so the cost follows the writes, not
     the device size.  A crash image is therefore an immutable block
-    table plus the chunks its residue touched. *)
+    table plus the chunks its residue touched, and {!read} hands out its
+    blocks themselves, so a mount parses the image in place. *)
 
 type t
 
@@ -25,9 +26,9 @@ val create : nblocks:int -> block_size:int -> t
 val nblocks : t -> int
 val block_size : t -> int
 
-val read : t -> int -> bytes Ksim.Errno.r
-(** The block's media content, as a fresh [bytes].  [EIO] out of
-    range. *)
+val read : t -> int -> string Ksim.Errno.r
+(** The block's media content: the media's own block, no copy.  [EIO]
+    out of range.  {!io} and {!to_ops} read a fresh [bytes] instead. *)
 
 val write : t -> int -> bytes -> unit Ksim.Errno.r
 (** Land a whole-block write on the media (last write wins).  [EINVAL]
@@ -70,8 +71,8 @@ val writes : t -> int
 val flushes : t -> int
 
 val io : t -> Io.t
-(** The raw device as a layerable {!Io.t}: reads/writes as above, [flush]
-    never fails. *)
+(** The raw device as a layerable {!Io.t}: writes as above, each read a
+    fresh copy of the block, [flush] never fails. *)
 
 val to_ops : t -> Kspec.Axiom.block_ops
 (** View as the byte-level interface the §4.4 axioms talk about. *)

@@ -177,7 +177,7 @@ let bread cache blkno =
   if not (Flags.mem Uptodate bh.flags) then begin
     match Blockdev.read cache.dev blkno with
     | Ok data ->
-        bh.data <- data;
+        bh.data <- Bytes.of_string data;
         bh.flags <- Flags.add Uptodate bh.flags;
         check cache bh
     | Error _ ->

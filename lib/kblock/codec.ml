@@ -1,6 +1,5 @@
-(* Little helpers for serializing fixed-width integers and strings into
-   block-sized byte buffers.  Used by the journal and the on-disk file
-   systems. *)
+(* Little helpers for serializing fixed-width integers into block-sized
+   byte buffers.  Used by the journal and the on-disk file systems. *)
 
 let put_u32 buf off v =
   if v < 0 then invalid_arg "Codec.put_u32: negative";
@@ -19,20 +18,6 @@ let put_u16 buf off v =
   if v < 0 || v > 0xffff then invalid_arg "Codec.put_u16";
   Bytes.set buf off (Char.chr (v land 0xff));
   Bytes.set buf (off + 1) (Char.chr ((v lsr 8) land 0xff))
-
-let get_u16 buf off =
-  Char.code (Bytes.get buf off) lor (Char.code (Bytes.get buf (off + 1)) lsl 8)
-
-(* Length-prefixed short string (u16 length). *)
-let put_string buf off s =
-  let len = String.length s in
-  put_u16 buf off len;
-  Bytes.blit_string s 0 buf (off + 2) len;
-  off + 2 + len
-
-let get_string buf off =
-  let len = get_u16 buf off in
-  (Bytes.sub_string buf (off + 2) len, off + 2 + len)
 
 (* Order-independent additive checksum, enough to detect torn journal
    records in the simulator: the sum of (byte + 1) over the block, mod

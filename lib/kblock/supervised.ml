@@ -20,12 +20,7 @@ type t = {
 let create ?policy ?stats ~name ~remake () =
   let base = remake () in
   let t = { sup = Ksim.Supervisor.create ?policy ?stats ~name (); base } in
-  Ksim.Supervisor.set_restart t.sup (fun () ->
-      match remake () with
-      | fresh ->
-          t.base <- fresh;
-          Ok ()
-      | exception exn -> Error (Printexc.to_string exn));
+  Ksim.Supervisor.set_restart t.sup (fun () -> t.base <- remake ());
   t
 
 let supervisor t = t.sup

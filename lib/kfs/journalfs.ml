@@ -104,10 +104,13 @@ let encode_dir entries =
 
 exception Corrupt of string
 
+(* An unsigned little-endian u32 of a media block, read in place. *)
+let get_u32 s off = Int32.to_int (String.get_int32_le s off) land 0xffff_ffff
+
 let decode_dir s =
   let get_u16 off =
     if off + 2 > String.length s then raise (Corrupt "dir: truncated u16")
-    else Char.code s.[off] lor (Char.code s.[off + 1] lsl 8)
+    else String.get_uint16_le s off
   in
   let count = if String.length s < 2 then raise (Corrupt "dir: no count") else get_u16 0 in
   let rec go i off acc =
@@ -116,8 +119,7 @@ let decode_dir s =
       let len = get_u16 off in
       if off + 2 + len + 4 > String.length s then raise (Corrupt "dir: truncated entry");
       let name = String.sub s (off + 2) len in
-      let b k = Char.code s.[off + 2 + len + k] in
-      let ino = b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24) in
+      let ino = get_u32 s (off + 2 + len) in
       go (i + 1) (off + 2 + len + 4) ((name, ino) :: acc)
     end
   in
@@ -364,6 +366,8 @@ let mkfs_on ?(geometry = default_geometry) ?(group_commit = false) ?(barriers = 
   fatal "flush" (t.io.Kblock.Io.flush ());
   t
 
+(* The media's own block: mount parses it in place and copies only what
+   it keeps. *)
 let read_block dev blkno =
   match Kblock.Blockdev.read dev blkno with
   | Ok data -> data
@@ -396,24 +400,32 @@ let mount ?(geometry = default_geometry) ?(group_commit = false) ?(barriers = tr
   in
   (try
      let sb = read_block dev (sb_block geometry) in
-     if Kblock.Codec.get_u32 sb 0 <> fs_magic then raise (Corrupt "bad fs magic");
+     if get_u32 sb 0 <> fs_magic then raise (Corrupt "bad fs magic");
+     let bs = geometry.block_size in
      for ino = 0 to geometry.ninodes - 1 do
        let buf = read_block dev (inode_block geometry ino) in
-       if Bytes.get buf 0 = '\001' then begin
-         let kind = Bytes.get buf 1 in
-         let size = Kblock.Codec.get_u32 buf 2 in
-         let nblk = Kblock.Codec.get_u16 buf 6 in
+       if buf.[0] = '\001' then begin
+         let kind = buf.[1] in
+         let size = get_u32 buf 2 in
+         let nblk = String.get_uint16_le buf 6 in
          if nblk > max_direct geometry then raise (Corrupt "inode block count");
-         let blocks = Array.init nblk (fun i -> Kblock.Codec.get_u32 buf (8 + (4 * i))) in
+         let blocks = Array.init nblk (fun i -> get_u32 buf (8 + (4 * i))) in
          Array.iter
            (fun blkno ->
              if blkno < data_start geometry || blkno >= geometry.nblocks then
                raise (Corrupt "block pointer out of range"))
            blocks;
-         let content = Buffer.create size in
-         Array.iter (fun blkno -> Buffer.add_bytes content (read_block dev blkno)) blocks;
-         if size > Buffer.length content then raise (Corrupt "inode size beyond blocks");
-         let content = String.sub (Buffer.contents content) 0 size in
+         if size > nblk * bs then raise (Corrupt "inode size beyond blocks");
+         (* One buffer of the file's size, each block's bytes below it
+            blitted straight from the media. *)
+         let content = Bytes.create size in
+         Array.iteri
+           (fun i blkno ->
+             let data = read_block dev blkno in
+             let off = i * bs in
+             if off < size then Bytes.blit_string data 0 content off (min bs (size - off)))
+           blocks;
+         let content = Ksim.Frame.Buf.freeze content in
          t.blocks_of.(ino) <- blocks;
          Array.iter
            (fun blkno -> Bytes.set t.bitmap (blkno - data_start geometry) '\001')

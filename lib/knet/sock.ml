@@ -233,7 +233,7 @@ module Supervised = struct
 
   let create ?policy ?stats ?fp ~name () =
     let sup = Ksim.Supervisor.create ?policy ?stats ~name () in
-    Ksim.Supervisor.set_restart sup (fun () -> Ok ());
+    Ksim.Supervisor.set_restart sup Fun.id;
     { sup; panic = Option.map (fun fp -> (fp, Ksim.Failpoint.register fp panic_site)) fp }
 
   let supervisor t = t.sup

@@ -1,17 +1,25 @@
 (* SplitMix64: tiny, deterministic, splittable PRNG.  Every randomized
    component of the simulator takes an explicit [Rng.t] so that runs are
-   reproducible from a seed. *)
+   reproducible from a seed.
 
-type t = { mutable state : int64 }
+   The 64-bit state lives unboxed in an 8-byte buffer and [next] is
+   inlined, so a draw's arithmetic stays in registers: [int] and [bool]
+   allocate nothing, [float] only its boxed result. *)
 
-let create seed = { state = seed }
+type t = Bytes.t
+
+let create seed =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_le t 0 seed;
+  t
+
 let of_int seed = create (Int64.of_int seed)
 
 let golden = 0x9E3779B97F4A7C15L
 
-let next t =
-  t.state <- Int64.add t.state golden;
-  let z = t.state in
+let[@inline] next t =
+  let z = Int64.add (Bytes.get_int64_le t 0) golden in
+  Bytes.set_int64_le t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
@@ -45,9 +53,4 @@ let shuffle t xs =
   done;
   Array.to_list arr
 
-let bytes t n =
-  let b = Bytes.create n in
-  for i = 0 to n - 1 do
-    Bytes.set b i (Char.chr (int t 256))
-  done;
-  b
+let bytes t n = Bytes.init n (fun _ -> Char.chr (int t 256))

@@ -66,7 +66,7 @@ type t = {
   name : string;
   policy : policy;
   live : live option;
-  mutable restart_fn : (unit -> (unit, string) result) option;
+  mutable restart_fn : (unit -> unit) option; (* raises when the restart fails *)
   mutable observer : (state -> state -> unit) option;
   mutable state : state;
   mutable epoch : int;
@@ -166,7 +166,7 @@ let try_restart t =
         transition t Restarting;
         t.restarts <- t.restarts + 1;
         bump t (fun l -> l.l_restarts);
-        let restarted = match f () with Ok () -> true | Error _ -> false | exception _ -> false in
+        let restarted = match f () with () -> true | exception _ -> false in
         if restarted then begin
           t.epoch <- t.epoch + 1;
           let latency = t.clock - t.oops_time in

@@ -57,15 +57,16 @@ type t
 val create :
   ?policy:policy ->
   ?stats:Kstats.t ->
-  ?restart:(unit -> (unit, string) result) ->
+  ?restart:(unit -> unit) ->
   name:string ->
   unit ->
   t
 (** A healthy supervisor at epoch 0.  [restart] rebuilds the module's
-    instance state (remount, reset); without one every oops escalates
+    instance state (remount, reset) and raises if it cannot; a raise
+    counts as a failed restart.  Without one every oops escalates
     straight to [Failed]. *)
 
-val set_restart : t -> (unit -> (unit, string) result) -> unit
+val set_restart : t -> (unit -> unit) -> unit
 (** Install or replace the restart function (needed when the supervised
     wrapper can only be built after the supervisor exists). *)
 

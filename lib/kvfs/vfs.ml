@@ -45,12 +45,7 @@ let mount t ~at ?remake ?policy ?stats fs =
        factory for block-backed file systems). *)
     (match (sup, remake) with
     | Some s, Some factory ->
-        Ksim.Supervisor.set_restart s (fun () ->
-            match factory () with
-            | fresh ->
-                m.fs <- fresh;
-                Ok ()
-            | exception exn -> Error (Printexc.to_string exn))
+        Ksim.Supervisor.set_restart s (fun () -> m.fs <- factory ())
     | _ -> ());
     t.mounts <-
       List.sort

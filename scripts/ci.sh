@@ -26,9 +26,12 @@ dune build @lint
 # double-free, leak sites) and Wcache barrier-discipline violations.
 # The final klint call checks each against the static findings.
 # test_wcache's rawlog_unsafe fixture guarantees a wcache record lands
-# here.  --force so cached (skipped) tests cannot leave holes.
-RUNTIME_EXPORT="$(pwd)/_build/runtime-export.txt"
-rm -f "$RUNTIME_EXPORT"
+# here.  --force so cached (skipped) tests cannot leave holes.  dune
+# reruns the cram test (test/cli.t) only when its binaries or the value
+# of KSIM_EXPORT change, so each run exports to a file of its own, named
+# by this shell's pid, after removing older runs' files.
+rm -f _build/runtime-export*.txt
+RUNTIME_EXPORT="$(pwd)/_build/runtime-export.$$.txt"
 export KSIM_EXPORT="$RUNTIME_EXPORT"
 
 echo "== ci: dune runtest =="

@@ -19,9 +19,9 @@ let read_ok dev i =
 
 let test_dev_read_write () =
   let dev = Kblock.Blockdev.create ~nblocks:8 ~block_size:16 in
-  check Alcotest.string "zeroed" (String.make 16 '\000') (Bytes.to_string (read_ok dev 0));
+  check Alcotest.string "zeroed" (String.make 16 '\000') (read_ok dev 0);
   write_ok dev 3 (block dev 'x');
-  check Alcotest.string "read sees write" (String.make 16 'x') (Bytes.to_string (read_ok dev 3))
+  check Alcotest.string "read sees write" (String.make 16 'x') (read_ok dev 3)
 
 let test_dev_errors () =
   let dev = Kblock.Blockdev.create ~nblocks:4 ~block_size:8 in
@@ -35,7 +35,7 @@ let test_dev_errors () =
     (Kblock.Blockdev.write dev (-1) (Bytes.make 8 'a') = Error Ksim.Errno.EIO);
   (* Failed ops leave no trace: nothing landed, nothing counted. *)
   check Alcotest.int "no write after errors" 0 (Kblock.Blockdev.writes dev);
-  check Alcotest.string "media untouched" (String.make 8 '\000') (Bytes.to_string (read_ok dev 0))
+  check Alcotest.string "media untouched" (String.make 8 '\000') (read_ok dev 0)
 
 (* The device is the media and nothing else: a write is in [image] as
    soon as it returns, the last write to a block wins, and [flush] only
@@ -44,7 +44,7 @@ let test_dev_last_write_wins () =
   let dev = Kblock.Blockdev.create ~nblocks:4 ~block_size:8 in
   let media () =
     let img = Kblock.Blockdev.of_image ~block_size:8 (Kblock.Blockdev.image dev) in
-    List.map (fun b -> Bytes.to_string (read_ok img b)) [ 0; 1; 2; 3 ]
+    List.map (read_ok img) [ 0; 1; 2; 3 ]
   in
   let zero = String.make 8 '\000' in
   write_ok dev 1 (block dev 'a');
@@ -82,7 +82,7 @@ let test_dev_crash_loses_cache () =
   cache_write wc 1 (block dev 'a');
   check Alcotest.int "one write to lose" 1 (Kblock.Wcache.dirty_blocks wc);
   Kblock.Wcache.crash wc;
-  check Alcotest.string "lost" (String.make 8 '\000') (Bytes.to_string (read_ok dev 1));
+  check Alcotest.string "lost" (String.make 8 '\000') (read_ok dev 1);
   check Alcotest.int "never reached the device" 0 (Kblock.Blockdev.writes dev)
 
 let test_dev_flush_is_durable () =
@@ -91,7 +91,7 @@ let test_dev_flush_is_durable () =
   cache_write wc 1 (block dev 'a');
   cache_flush wc;
   Kblock.Wcache.crash wc;
-  check Alcotest.string "survives" (String.make 8 'a') (Bytes.to_string (read_ok dev 1));
+  check Alcotest.string "survives" (String.make 8 'a') (read_ok dev 1);
   check Alcotest.int "device flushed" 1 (Kblock.Blockdev.flushes dev)
 
 let test_dev_snapshot_of_media () =
@@ -99,11 +99,11 @@ let test_dev_snapshot_of_media () =
   write_ok dev 0 (Bytes.of_string "abcd");
   Kblock.Blockdev.flush dev;
   let dev2 = Kblock.Blockdev.of_media ~block_size:4 (Kblock.Blockdev.snapshot_media dev) in
-  check Alcotest.string "copied" "abcd" (Bytes.to_string (read_ok dev2 0));
+  check Alcotest.string "copied" "abcd" (read_ok dev2 0);
   (* Deep copy: mutating the clone does not touch the original. *)
   write_ok dev2 0 (Bytes.of_string "WXYZ");
   Kblock.Blockdev.flush dev2;
-  check Alcotest.string "original intact" "abcd" (Bytes.to_string (read_ok dev 0));
+  check Alcotest.string "original intact" "abcd" (read_ok dev 0);
   (* Images are values: writes and flushes after [image] on the source
      device, or on a device built from it, change neither the image nor
      the other device, and [patch] returns a new image. *)
@@ -116,18 +116,26 @@ let test_dev_snapshot_of_media () =
   let patched = Kblock.Blockdev.patch img [ (1, "pat1"); (1, "pat2") ] in
   let contents img =
     let d = Kblock.Blockdev.of_image ~block_size:4 img in
-    List.map (fun b -> Bytes.to_string (read_ok d b)) [ 0; 1 ]
+    List.map (read_ok d) [ 0; 1 ]
   in
   let strings = Alcotest.(list string) in
   check strings "image unchanged" [ "abcd"; "\000\000\000\000" ] (contents img);
   check strings "patch lands in order" [ "abcd"; "pat2" ] (contents patched);
   check strings "source sees only its own write" [ "srcw"; "\000\000\000\000" ]
-    (List.map (fun b -> Bytes.to_string (read_ok dev b)) [ 0; 1 ]);
+    (List.map (read_ok dev) [ 0; 1 ]);
   check strings "of_image device sees only its own write" [ "abcd"; "cpyw" ]
-    (List.map (fun b -> Bytes.to_string (read_ok dev3 b)) [ 0; 1 ]);
-  (* A read hands out a fresh buffer: scribbling on it is not a write. *)
-  Bytes.fill (read_ok dev3 1) 0 4 '!';
-  check Alcotest.string "read is a copy" "cpyw" (Bytes.to_string (read_ok dev3 1));
+    (List.map (read_ok dev3) [ 0; 1 ]);
+  (* A read hands out the media's own block, the same string each time;
+     the raw Io.t read hands out a fresh buffer, and scribbling on it is
+     not a write. *)
+  check Alcotest.bool "read shares the block" true (read_ok dev3 1 == read_ok dev3 1);
+  check Alcotest.string "shared block is the write" "cpyw" (read_ok dev3 1);
+  (match (Kblock.Blockdev.io dev3).Kblock.Io.read 1 with
+  | Ok buf ->
+      check Alcotest.string "io read is the block" "cpyw" (Bytes.to_string buf);
+      Bytes.fill buf 0 4 '!'
+  | Error e -> fail ("io read: " ^ Ksim.Errno.to_string e));
+  check Alcotest.string "io read is a copy" "cpyw" (read_ok dev3 1);
   (* The same across the two-level table: 194 blocks are four 64-block
      chunks, the last one partial (blocks 192-193).  The first image's
      writes touch chunks 0-2; the second round writes into those and
@@ -141,7 +149,7 @@ let test_dev_snapshot_of_media () =
   let blocks dev =
     List.filter_map
       (fun b ->
-        match Bytes.get (read_ok dev b) 0 with '\000' -> None | c -> Some (b, c))
+        match (read_ok dev b).[0] with '\000' -> None | c -> Some (b, c))
       (List.init nblocks Fun.id)
   in
   let of_img img = Kblock.Blockdev.of_image ~block_size:4 img in
@@ -191,7 +199,7 @@ let prop_flush_then_crash_preserves_all =
       cache_flush wc;
       Kblock.Wcache.crash wc;
       List.for_all
-        (fun i -> Bytes.to_string (read_ok dev i) = String.make 4 expected.(i))
+        (fun i -> read_ok dev i = String.make 4 expected.(i))
         [ 0; 1; 2; 3; 4; 5; 6; 7 ])
 
 let prop_blockdev_satisfies_axioms =
@@ -284,7 +292,7 @@ let test_bh_cache_lifecycle () =
   check Alcotest.int "one dirty" 1 (dirty_count cache);
   sync cache;
   check Alcotest.int "clean after sync" 0 (dirty_count cache);
-  check Alcotest.string "synced to media" (String.make 16 'w') (Bytes.to_string (read_ok dev 2))
+  check Alcotest.string "synced to media" (String.make 16 'w') (read_ok dev 2)
 
 let test_bh_mark_dirty_on_stale_buffer_caught () =
   let open Kblock.Buffer_head in
@@ -360,7 +368,7 @@ let test_journal_commit_checkpoint_read () =
   check Alcotest.int "one pending tx" 1 (Kblock.Journal.pending_txs j);
   checkpoint_ok j;
   check Alcotest.int "checkpointed" 0 (Kblock.Journal.pending_txs j);
-  check Alcotest.string "home updated" (String.make 64 'a') (Bytes.to_string (read_ok dev home))
+  check Alcotest.string "home updated" (String.make 64 'a') (read_ok dev home)
 
 let test_journal_tx_rejects_journal_area () =
   let _, j = mk_journal () in
@@ -381,8 +389,8 @@ let test_journal_recovery_replays_committed () =
      recovery starts from the device alone. *)
   let j2 = Kblock.Journal.recover (Kblock.Blockdev.io dev) ~jblocks:16 in
   check Alcotest.int "one tx replayed" 1 (Kblock.Journal.stats j2).Kblock.Journal.replayed_txs;
-  check Alcotest.string "home 0" (String.make 64 'b') (Bytes.to_string (read_ok dev home));
-  check Alcotest.string "home 1" (String.make 64 'c') (Bytes.to_string (read_ok dev (home + 1)))
+  check Alcotest.string "home 0" (String.make 64 'b') (read_ok dev home);
+  check Alcotest.string "home 1" (String.make 64 'c') (read_ok dev (home + 1))
 
 let test_journal_recovery_ignores_uncommitted () =
   let dev, j = mk_journal () in
@@ -395,7 +403,7 @@ let test_journal_recovery_ignores_uncommitted () =
   let j2 = Kblock.Journal.recover (Kblock.Blockdev.io dev) ~jblocks:16 in
   check Alcotest.int "nothing replayed" 0 (Kblock.Journal.stats j2).Kblock.Journal.replayed_txs;
   check Alcotest.string "home untouched" (String.make 64 '\000')
-    (Bytes.to_string (read_ok dev home))
+    (read_ok dev home)
 
 let test_journal_recovery_idempotent () =
   let dev, j = mk_journal () in
@@ -408,7 +416,7 @@ let test_journal_recovery_idempotent () =
   (* Second recovery: the tx is already checkpointed, nothing replays. *)
   check Alcotest.int "idempotent" 0 (Kblock.Journal.stats j3).Kblock.Journal.replayed_txs;
   check Alcotest.string "content stable" (String.make 64 'q')
-    (Bytes.to_string (read_ok dev home))
+    (read_ok dev home)
 
 let test_journal_coalesces_same_block () =
   let dev, j = mk_journal () in
@@ -419,7 +427,7 @@ let test_journal_coalesces_same_block () =
   ignore (Kblock.Journal.commit j tx);
   checkpoint_ok j;
   check Alcotest.string "last write wins" (String.make 64 'b')
-    (Bytes.to_string (read_ok dev home))
+    (read_ok dev home)
 
 let test_journal_auto_checkpoint_on_full () =
   let dev, j = mk_journal () in
@@ -438,7 +446,7 @@ let test_journal_auto_checkpoint_on_full () =
   checkpoint_ok j;
   for i = 0 to 7 do
     check Alcotest.string "all landed" (String.make 64 'k')
-      (Bytes.to_string (read_ok dev (home + i)))
+      (read_ok dev (home + i))
   done
 
 let test_journal_oversized_tx_rejected () =
@@ -485,7 +493,7 @@ let prop_journal_crash_recovery_consistent =
       let _ = Kblock.Journal.recover (Kblock.Blockdev.io dev) ~jblocks:32 in
       Hashtbl.fold
         (fun i c acc ->
-          acc && Bytes.to_string (read_ok dev (home + i)) = String.make 64 c)
+          acc && read_ok dev (home + i) = String.make 64 c)
         expected true)
 
 (* Flakydev / Resilient -------------------------------------------------------- *)
@@ -515,7 +523,7 @@ let test_flaky_torn_write () =
   check Alcotest.bool "write fails" true (io.Kblock.Io.write 0 (Bytes.of_string "newnewne") = Error Ksim.Errno.EIO);
   check Alcotest.int "one torn write" 1 (Kblock.Flakydev.torn_writes flaky);
   (* A proper tear: some prefix of the new data over the old content. *)
-  let landed = Bytes.to_string (read_ok dev 0) in
+  let landed = read_ok dev 0 in
   check Alcotest.bool "not the full new data" true (landed <> "newnewne");
   check Alcotest.bool "not the old data either" true (landed <> "OLDOLDOL");
   let tear = ref 0 in
@@ -529,7 +537,7 @@ let test_flaky_torn_write () =
   Kblock.Blockdev.flush dev2;
   Ksim.Failpoint.configure fp2 "flaky.torn-write" ~enabled:true ~times:1 ();
   ignore ((Kblock.Flakydev.io flaky2).Kblock.Io.write 0 (Bytes.of_string "newnewne"));
-  check Alcotest.string "replayable tear" landed (Bytes.to_string (read_ok dev2 0))
+  check Alcotest.string "replayable tear" landed (read_ok dev2 0)
 
 let test_flaky_availability_window () =
   let dev, _, flaky = mk_flaky () in
@@ -612,7 +620,7 @@ let test_resilient_recovers_transient () =
   check Alcotest.int "no permanent failure" 0 (Kblock.Resilient.permanent_failures r);
   (* Deterministic backoff: 100 + 200 simulated ns for attempts 1 and 2. *)
   check Alcotest.int "simulated backoff" 300 (Kblock.Resilient.simulated_ns r);
-  check Alcotest.string "write landed" (String.make 8 'w') (Bytes.to_string (read_ok dev 0))
+  check Alcotest.string "write landed" (String.make 8 'w') (read_ok dev 0)
 
 let test_resilient_permanent_verdict () =
   let dev = Kblock.Blockdev.create ~nblocks:8 ~block_size:8 in

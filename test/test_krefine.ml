@@ -343,6 +343,48 @@ let test_orphan_in_monitor () =
   | () -> Alcotest.fail "the monitor let an orphaned path through"
   | exception Krefine.Refinement_failure d -> check_invariant_violation "monitor" ~step_index:2 d
 
+(* A crash image's replay mount parses the media's blocks in place: over
+   crash images built as the journalfs harness builds them (a cold
+   write-back cache on a residue-patched device), each mount allocates
+   fewer minor words than one copy of a 512-byte block (65 words) per
+   device read it made.  A mount that copied every block it read would
+   not fit. *)
+let test_crash_mount_in_place () =
+  let geometry = Kfs.Journalfs.default_geometry in
+  let wcache_over dev =
+    Kblock.Wcache.create ~name:"wcache" ~capacity:Kharness.wcache_capacity ~seed:1
+      (Kblock.Blockdev.io dev)
+  in
+  let dev =
+    Kblock.Blockdev.create ~nblocks:geometry.nblocks ~block_size:geometry.block_size
+  in
+  let wc = wcache_over dev in
+  let fs =
+    Kfs.Journalfs.mkfs_on ~geometry ~io:(Kblock.Wcache.io wc) Kfs.Journalfs.Journaled dev
+  in
+  let disk = Kblock.Wcache.disk dev wc in
+  let copy_words = 1 + (geometry.block_size / (Sys.word_size / 8)) in
+  let mounts = ref 0 in
+  List.iteri
+    (fun i op ->
+      if op = Fs_spec.Fsync then Kblock.Wcache.settle disk;
+      ignore (Kfs.Journalfs.apply fs op);
+      if i mod 16 = 0 then
+        List.iter
+          (fun image ->
+            let io = Kblock.Wcache.io (wcache_over image) in
+            let before = Gc.minor_words () in
+            let mounted = Kfs.Journalfs.mount ~geometry ~io Kfs.Journalfs.Journaled image in
+            let words = Gc.minor_words () -. before in
+            let reads = Kblock.Blockdev.reads image in
+            check Alcotest.bool "image mounts" false (Kfs.Journalfs.is_corrupt mounted);
+            if words >= float_of_int (copy_words * reads) then
+              Alcotest.failf "a mount of %d reads allocated %.0f minor words" reads words;
+            incr mounts)
+          (Kblock.Wcache.crash_devices disk ~limit:2))
+    (trace ~target_ops:800 ~seed:11);
+  check Alcotest.bool "mounted crash images" true (!mounts > 50)
+
 let test_registry () =
   let names = List.map (fun e -> e.Kharness.hname) (Kharness.all ()) in
   List.iter
@@ -367,6 +409,8 @@ let () =
           Alcotest.test_case "verdict deterministic" `Quick test_verdict_deterministic;
           Alcotest.test_case "pinned fingerprints" `Quick test_pinned_fingerprints;
           Alcotest.test_case "registry" `Quick test_registry;
+          Alcotest.test_case "crash-image mount reads in place" `Quick
+            test_crash_mount_in_place;
         ] );
       ( "divergence",
         [

@@ -525,6 +525,71 @@ let test_rng_split_independent () =
   let ys = List.init 10 (fun _ -> Ksim.Rng.int c 1_000_000) in
   check Alcotest.bool "streams differ" true (xs <> ys)
 
+(* The reference SplitMix64, state in a boxed [int64]: [Ksim.Rng] keeps
+   its state unboxed and must draw exactly the same values. *)
+module Boxed_rng = struct
+  type t = { mutable state : int64 }
+
+  let next t =
+    t.state <- Int64.add t.state 0x9E3779B97F4A7C15L;
+    let z = t.state in
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
+    Int64.logxor z (Int64.shift_right_logical z 31)
+
+  let int t bound = Int64.to_int (Int64.shift_right_logical (next t) 2) mod bound
+  let bool t = Int64.logand (next t) 1L = 1L
+  let float t = Int64.to_float (Int64.shift_right_logical (next t) 11) /. 9007199254740992.0
+  let split t = { state = next t }
+
+  let shuffle t xs =
+    let arr = Array.of_list xs in
+    for i = Array.length arr - 1 downto 1 do
+      let j = int t (i + 1) in
+      let tmp = arr.(i) in
+      arr.(i) <- arr.(j);
+      arr.(j) <- tmp
+    done;
+    Array.to_list arr
+
+  let bytes t n = Bytes.init n (fun _ -> Char.chr (int t 256))
+end
+
+let rng_matches_boxed_reference =
+  QCheck2.Test.make ~name:"rng draws equal the boxed reference" ~count:200 QCheck2.Gen.int
+    (fun seed ->
+      let r = Ksim.Rng.of_int seed and b = { Boxed_rng.state = Int64.of_int seed } in
+      let same = ref true in
+      let agree x y = same := !same && x = y in
+      for i = 1 to 20 do
+        agree (Ksim.Rng.next r) (Boxed_rng.next b);
+        agree (Ksim.Rng.int r i) (Boxed_rng.int b i);
+        agree (Ksim.Rng.int r max_int) (Boxed_rng.int b max_int);
+        agree (Ksim.Rng.bool r) (Boxed_rng.bool b);
+        agree (Ksim.Rng.float r) (Boxed_rng.float b)
+      done;
+      let rs = Ksim.Rng.split r and bs = Boxed_rng.split b in
+      agree (Ksim.Rng.int rs 1_000_000) (Boxed_rng.int bs 1_000_000);
+      let xs = List.init 17 Fun.id in
+      agree (Ksim.Rng.shuffle r xs) (Boxed_rng.shuffle b xs);
+      agree (Ksim.Rng.bytes r 33) (Boxed_rng.bytes b 33);
+      agree (Ksim.Rng.int r 1000) (Boxed_rng.int b 1000);
+      !same)
+
+let test_rng_draws_allocate_nothing () =
+  let rng = Ksim.Rng.of_int 42 in
+  let acc = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    acc := !acc + Ksim.Rng.int rng 1000;
+    if Ksim.Rng.bool rng then incr acc
+  done;
+  let words = Gc.minor_words () -. before in
+  check Alcotest.bool "drew something" true (!acc > 0);
+  (* [Gc.minor_words] boxes its own float result. *)
+  check Alcotest.bool (Printf.sprintf "1000 int + bool draws allocated %.0f words" words) true
+    (words < 10.)
+
 let rng_int_in_bounds =
   QCheck2.Test.make ~name:"rng.int always within bounds" ~count:500
     QCheck2.Gen.(pair int (int_range 1 10_000))
@@ -812,7 +877,7 @@ let sup_module () =
 
 let test_supervisor_contains_and_reboots () =
   let bad, f = sup_module () in
-  let sup = Ksim.Supervisor.create ~restart:(fun () -> Ok ()) ~name:"mod" () in
+  let sup = Ksim.Supervisor.create ~restart:Fun.id ~name:"mod" () in
   check Alcotest.string "healthy call passes" "ok"
     (Result.get_ok (Ksim.Supervisor.call sup f));
   bad := true;
@@ -833,7 +898,7 @@ let test_supervisor_contains_and_reboots () =
 
 let test_supervisor_stale_epochs () =
   let _, f = sup_module () in
-  let sup = Ksim.Supervisor.create ~restart:(fun () -> Ok ()) ~name:"mod" () in
+  let sup = Ksim.Supervisor.create ~restart:Fun.id ~name:"mod" () in
   let handle = Ksim.Supervisor.epoch sup in
   check Alcotest.bool "fresh handle valid" true (Ksim.Supervisor.validate sup handle = Ok ());
   (* Oops and recover. *)
@@ -852,7 +917,7 @@ let test_supervisor_escalates_to_failed () =
   let policy =
     { Ksim.Supervisor.restart_budget = 2; backoff_base = 100; backoff_cap = 100; op_cost = 100 }
   in
-  let sup = Ksim.Supervisor.create ~policy ~restart:(fun () -> Ok ()) ~name:"mod" () in
+  let sup = Ksim.Supervisor.create ~policy ~restart:Fun.id ~name:"mod" () in
   let transitions = ref [] in
   Ksim.Supervisor.set_observer sup (fun _ to_ -> transitions := to_ :: !transitions);
   let always_panics () = raise (Ksim.Supervisor.Module_panic "test.site") in
@@ -877,7 +942,7 @@ let test_supervisor_failed_restart_burns_budget () =
     { Ksim.Supervisor.restart_budget = 1; backoff_base = 100; backoff_cap = 100; op_cost = 100 }
   in
   let sup =
-    Ksim.Supervisor.create ~policy ~restart:(fun () -> Error "device gone") ~name:"mod" ()
+    Ksim.Supervisor.create ~policy ~restart:(fun () -> failwith "device gone") ~name:"mod" ()
   in
   check Alcotest.bool "oops" true
     (Ksim.Supervisor.call sup (fun () -> raise Exit) = Error Ksim.Errno.EIO);
@@ -892,7 +957,7 @@ let test_supervisor_replayable () =
      supervisors driven identically agree on every observable. *)
   let drive () =
     let bad, f = sup_module () in
-    let sup = Ksim.Supervisor.create ~restart:(fun () -> Ok ()) ~name:"mod" () in
+    let sup = Ksim.Supervisor.create ~restart:Fun.id ~name:"mod" () in
     let results =
       List.init 12 (fun i ->
           if i = 2 || i = 7 then bad := true;
@@ -917,9 +982,8 @@ let test_supervisor_restarts_counted_one_way () =
   let restart () =
     if !refusals > 0 then begin
       decr refusals;
-      Error "not yet"
+      failwith "not yet"
     end
-    else Ok ()
   in
   let sup = Ksim.Supervisor.create ~stats ~restart ~name:"fs" () in
   check Alcotest.bool "oops" true
@@ -963,7 +1027,7 @@ let test_untraced_paths_allocate_nothing () =
 
 let test_supervisor_publish () =
   let stats = Ksim.Kstats.create () in
-  let sup = Ksim.Supervisor.create ~stats ~restart:(fun () -> Ok ()) ~name:"fs" () in
+  let sup = Ksim.Supervisor.create ~stats ~restart:Fun.id ~name:"fs" () in
   check Alcotest.bool "oops" true
     (Ksim.Supervisor.call sup (fun () -> raise Exit) = Error Ksim.Errno.EIO);
   check Alcotest.int "live counter" 1 (Ksim.Kstats.get stats "supervisor.oopses");
@@ -1050,7 +1114,7 @@ let test_kstats_hist_snapshot () =
 let test_supervisor_recovery_aggregation () =
   let bad, f = sup_module () in
   let stats = Ksim.Kstats.create () in
-  let sup = Ksim.Supervisor.create ~stats ~restart:(fun () -> Ok ()) ~name:"mod" () in
+  let sup = Ksim.Supervisor.create ~stats ~restart:Fun.id ~name:"mod" () in
   (* Three oops/recover cycles; each recovery waits out a longer backoff,
      so the histogram sees three distinct latencies. *)
   for _ = 1 to 3 do
@@ -1343,7 +1407,15 @@ let () =
       ( "rng",
         Alcotest.test_case "deterministic" `Quick test_rng_deterministic
         :: Alcotest.test_case "split independence" `Quick test_rng_split_independent
-        :: qcheck [ rng_int_in_bounds; rng_float_in_unit; rng_shuffle_permutation; rng_pick_member ]
+        :: Alcotest.test_case "draws allocate nothing" `Quick test_rng_draws_allocate_nothing
+        :: qcheck
+             [
+               rng_matches_boxed_reference;
+               rng_int_in_bounds;
+               rng_float_in_unit;
+               rng_shuffle_permutation;
+               rng_pick_member;
+             ]
       );
       ( "failpoint",
         [

@@ -11,6 +11,7 @@ let check = Alcotest.check
 let int = Alcotest.int
 let bool = Alcotest.bool
 let bytes = Alcotest.bytes
+let string = Alcotest.string
 
 (* Base seeds, plus any extras from the environment: CI runs the torture
    again under KSIM_WCACHE_SEEDS="5,17" style hooks, mirroring
@@ -25,6 +26,7 @@ let seeds =
 let block_size = 64
 let nblocks = 64
 let blk c = Bytes.make block_size c
+let str c = String.make block_size c
 
 let ok what = function
   | Ok v -> v
@@ -46,7 +48,7 @@ let test_ack_is_volatile () =
   check int "dirty drained" 0 (Kblock.Wcache.dirty_blocks wc);
   check int "unflushed drained" 0 (Kblock.Wcache.unflushed_writes wc);
   check int "base write landed" 1 (Kblock.Blockdev.writes dev);
-  check bytes "durable" (blk 'a') (ok "read" (Kblock.Blockdev.read dev 0))
+  check string "durable" (str 'a') (ok "read" (Kblock.Blockdev.read dev 0))
 
 let test_capacity_eviction () =
   let dev = mk_dev () in
@@ -86,9 +88,9 @@ let test_crash_keeps_written_back () =
   Kblock.Wcache.crash wc;
   let media = Kblock.Blockdev.of_image ~block_size (Kblock.Blockdev.image dev) in
   let on_media b = ok "read" (Kblock.Blockdev.read media b) in
-  check bytes "written back, kept" (blk 'a') (on_media 0);
-  check bytes "written back, kept" (blk 'b') (on_media 1);
-  check bytes "dirty, lost" (blk '\000') (on_media 2)
+  check string "written back, kept" (str 'a') (on_media 0);
+  check string "written back, kept" (str 'b') (on_media 1);
+  check string "dirty, lost" (str '\000') (on_media 2)
 
 (* -- crash-surface enumeration ---------------------------------------- *)
 
@@ -341,7 +343,7 @@ let test_flush_dropped_failpoint () =
   Ksim.Failpoint.configure fp "wc.flush-dropped" ~enabled:false ();
   ok "honest flush" (Kblock.Wcache.flush wc);
   check int "drained" 0 (Kblock.Wcache.unflushed_writes wc);
-  check bytes "durable now" (blk 'a') (ok "read" (Kblock.Blockdev.read dev 0))
+  check string "durable now" (str 'a') (ok "read" (Kblock.Blockdev.read dev 0))
 
 let test_writeback_reorder_failpoint () =
   let dev = mk_dev () in
