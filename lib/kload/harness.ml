@@ -273,22 +273,25 @@ let run ?(spec = Spec.default) ?(storm = Mixed) ?admission ?sink ~seed () =
      quiescing) retries a few times — each retry advances the
      supervisor's clock towards its backoff deadline — and ESTALE (the
      handle died with the old generation) reopens once.  [attempt] mints
-     fresh handles on every call, so a plain re-call is the reopen. *)
-  let drive tn ~cost attempt =
-    let rec go eintr_left estale_left =
-      match attempt () with
-      | Error Ksim.Errno.EINTR when eintr_left > 0 ->
-          eintr.(tn) <- eintr.(tn) + 1;
-          cost := !cost + eintr_penalty;
-          go (eintr_left - 1) estale_left
-      | Error Ksim.Errno.ESTALE when estale_left > 0 ->
-          estale.(tn) <- estale.(tn) + 1;
-          cost := !cost + estale_penalty;
-          go eintr_left (estale_left - 1)
-      | r -> r
-    in
-    go 4 1
+     fresh handles on every call, so a plain re-call is the reopen.  One
+     loop serves every op: it takes the attempt and its arguments (the
+     tenant, the syscalls, the op and the bytes it sends), so an op
+     builds no closure, and retries add their penalties to the tenant's
+     [cost] slot. *)
+  let cost = Array.make n 0 in
+  let rec retry attempt tn sys op data eintr_left estale_left =
+    match attempt tn sys op data with
+    | Error Ksim.Errno.EINTR when eintr_left > 0 ->
+        eintr.(tn) <- eintr.(tn) + 1;
+        cost.(tn) <- cost.(tn) + eintr_penalty;
+        retry attempt tn sys op data (eintr_left - 1) estale_left
+    | Error Ksim.Errno.ESTALE when estale_left > 0 ->
+        estale.(tn) <- estale.(tn) + 1;
+        cost.(tn) <- cost.(tn) + estale_penalty;
+        retry attempt tn sys op data eintr_left (estale_left - 1)
+    | r -> r
   in
+  let drive attempt tn sys op data = retry attempt tn sys op data 4 1 in
 
   let ( let* ) = Ksim.Errno.( let* ) in
 
@@ -297,7 +300,7 @@ let run ?(spec = Spec.default) ?(storm = Mixed) ?admission ?sink ~seed () =
   let meta_dirs = paths 16 "/meta/d%d" and meta_files = paths spec.Spec.keyspace "/meta/f%d" in
   let dur_files = paths spec.Spec.keyspace "/dur/k%d" and svc_files = paths 32 "/svc/c%d" in
 
-  let meta_op (sys : Kproc.Kernel.sys) (op : Gen.op) =
+  let meta_op _tn (sys : Kproc.Kernel.sys) (op : Gen.op) _data =
     let dir = meta_dirs.(op.key mod 16) and file = meta_files.(op.key) in
     match op.key land 3 with
     | 0 -> (
@@ -320,19 +323,19 @@ let run ?(spec = Spec.default) ?(storm = Mixed) ?admission ?sink ~seed () =
         match sys.unlink file with Ok () | Error Ksim.Errno.ENOENT -> Ok () | Error e -> Error e)
   in
 
-  let dread_op tn (sys : Kproc.Kernel.sys) (op : Gen.op) cost =
-    let file = dur_files.(op.key) in
-    if tracing then emit (Kspec.Fs_spec.Read { file = fsp file; off = 0; len = op.size });
-    let attempt () =
-      match sys.openf file with
-      | Error Ksim.Errno.ENOENT -> Ok ()
-      | Error e -> Error e
-      | Ok fd ->
-          let res = Result.map (fun (_ : string) -> ()) (sys.read fd ~len:op.size) in
-          let (_ : unit Ksim.Errno.r) = sys.close fd in
-          res
-    in
-    drive tn ~cost attempt
+  let dread_attempt _tn (sys : Kproc.Kernel.sys) (op : Gen.op) _data =
+    match sys.openf dur_files.(op.key) with
+    | Error Ksim.Errno.ENOENT -> Ok ()
+    | Error e -> Error e
+    | Ok fd ->
+        let res = Result.map (fun (_ : string) -> ()) (sys.read fd ~len:op.size) in
+        let (_ : unit Ksim.Errno.r) = sys.close fd in
+        res
+  in
+  let dread_op tn sys (op : Gen.op) =
+    if tracing then
+      emit (Kspec.Fs_spec.Read { file = fsp dur_files.(op.key); off = 0; len = op.size });
+    drive dread_attempt tn sys op ""
   in
 
   (* A durable write: take the key's writer lock, bump its global
@@ -344,11 +347,22 @@ let run ?(spec = Spec.default) ?(storm = Mixed) ?admission ?sink ~seed () =
      writers would leave the final value schedule-dependent, unackable
      — so a contended writer degrades to a read of the key instead
      (optimistic-concurrency backoff, counted as [write_contended]). *)
-  let dwrite_op tn (sys : Kproc.Kernel.sys) (op : Gen.op) cost =
+  let dwrite_attempt _tn (sys : Kproc.Kernel.sys) (op : Gen.op) content =
+    let* fd =
+      sys.openf ~flags:[ Kvfs.File_ops.O_CREAT; Kvfs.File_ops.O_WRONLY ] dur_files.(op.key)
+    in
+    let res =
+      let* _n = sys.write fd content in
+      sys.fsync ()
+    in
+    let (_ : unit Ksim.Errno.r) = sys.close fd in
+    res
+  in
+  let dwrite_op tn sys (op : Gen.op) =
     let k = op.key in
     if winflight.(k) > 0 then begin
       Ksim.Kstats.bump contended;
-      dread_op tn sys op cost
+      dread_op tn sys op
     end
     else begin
       winflight.(k) <- 1;
@@ -361,16 +375,7 @@ let run ?(spec = Spec.default) ?(storm = Mixed) ?admission ?sink ~seed () =
         emit Kspec.Fs_spec.Fsync
       end;
       let epoch0 = Kvfs.Vfs.epoch_at vfs dur_path in
-      let attempt () =
-        let* fd = sys.openf ~flags:[ Kvfs.File_ops.O_CREAT; Kvfs.File_ops.O_WRONLY ] file in
-        let res =
-          let* _n = sys.write fd content in
-          sys.fsync ()
-        in
-        let (_ : unit Ksim.Errno.r) = sys.close fd in
-        res
-      in
-      let r = drive tn ~cost attempt in
+      let r = drive dwrite_attempt tn sys op content in
       winflight.(k) <- 0;
       match r with
       | Ok () when Kvfs.Vfs.epoch_at vfs dur_path = epoch0 ->
@@ -386,33 +391,40 @@ let run ?(spec = Spec.default) ?(storm = Mixed) ?admission ?sink ~seed () =
     end
   in
 
-  let net_op tn (_sys : Kproc.Kernel.sys) (op : Gen.op) cost =
-    let request = String.make (min 512 op.size) 'r' in
-    let attempt () =
-      let* h =
-        match sock_handles.(tn) with
-        | Some h -> Ok h
-        | None ->
-            let* h = Knet.Sock.Supervised.socket_pair sock "dgram" in
-            let* () = Knet.Sock.Supervised.connect sock h in
-            sock_handles.(tn) <- Some h;
-            Ok h
-      in
-      match Knet.Sock.Supervised.rpc sock h request with
-      | Ok response ->
-          net_bytes.(tn) <- net_bytes.(tn) + String.length response;
-          Ok ()
-      | Error Ksim.Errno.ESTALE ->
-          (* Dead-generation handle: drop it so the retry mints a fresh
-             one from the rebooted layer. *)
-          sock_handles.(tn) <- None;
-          Error Ksim.Errno.ESTALE
-      | Error e -> Error e
+  let net_attempt tn _sys _op request =
+    let* h =
+      match sock_handles.(tn) with
+      | Some h -> Ok h
+      | None ->
+          let* h = Knet.Sock.Supervised.socket_pair sock "dgram" in
+          let* () = Knet.Sock.Supervised.connect sock h in
+          sock_handles.(tn) <- Some h;
+          Ok h
     in
-    drive tn ~cost attempt
+    match Knet.Sock.Supervised.rpc sock h request with
+    | Ok response ->
+        net_bytes.(tn) <- net_bytes.(tn) + String.length response;
+        Ok ()
+    | Error Ksim.Errno.ESTALE ->
+        (* Dead-generation handle: drop it so the retry mints a fresh
+           one from the rebooted layer. *)
+        sock_handles.(tn) <- None;
+        Error Ksim.Errno.ESTALE
+    | Error e -> Error e
   in
 
-  let churn_op tn (sys : Kproc.Kernel.sys) (op : Gen.op) cost =
+  let churn_attempt _tn (sys : Kproc.Kernel.sys) (op : Gen.op) data =
+    let file = svc_files.(op.key mod 32) in
+    match op.key land 1 with
+    | 0 ->
+        let* fd = sys.openf ~flags:[ Kvfs.File_ops.O_CREAT; Kvfs.File_ops.O_WRONLY ] file in
+        let res = Result.map (fun (_ : int) -> ()) (sys.write fd data) in
+        let (_ : unit Ksim.Errno.r) = sys.close fd in
+        res
+    | _ -> (
+        match sys.unlink file with Ok () | Error Ksim.Errno.ENOENT -> Ok () | Error e -> Error e)
+  in
+  let churn_op tn sys (op : Gen.op) =
     let file = svc_files.(op.key mod 32) in
     if tracing then begin
       match op.key land 1 with
@@ -421,21 +433,7 @@ let run ?(spec = Spec.default) ?(storm = Mixed) ?admission ?sink ~seed () =
           emit (Kspec.Fs_spec.Write { file = fsp file; off = 0; data = "churn" })
       | _ -> emit (Kspec.Fs_spec.Unlink (fsp file))
     end;
-    let attempt () =
-      match op.key land 1 with
-      | 0 ->
-          let* fd =
-            sys.openf ~flags:[ Kvfs.File_ops.O_CREAT; Kvfs.File_ops.O_WRONLY ] file
-          in
-          let res = Result.map (fun (_ : int) -> ()) (sys.write fd "churn") in
-          let (_ : unit Ksim.Errno.r) = sys.close fd in
-          res
-      | _ -> (
-          match sys.unlink file with
-          | Ok () | Error Ksim.Errno.ENOENT -> Ok ()
-          | Error e -> Error e)
-    in
-    drive tn ~cost attempt
+    drive churn_attempt tn sys op "churn"
   in
 
   let tenant_prog (tn : Gen.tenant) (sys : Kproc.Kernel.sys) =
@@ -459,17 +457,17 @@ let run ?(spec = Spec.default) ?(storm = Mixed) ?admission ?sink ~seed () =
           in
           Kebpf.Attach.probe_event tprobe ev;
           Kebpf.Attach.probe_event ckprobe ev;
-          let cost = ref (base_cost op) in
+          cost.(tn.id) <- base_cost op;
           let res =
             match op.kind with
-            | Spec.Meta -> drive tn.id ~cost (fun () -> meta_op sys op)
-            | Spec.Data_write -> dwrite_op tn.id sys op cost
-            | Spec.Data_read -> dread_op tn.id sys op cost
-            | Spec.Net -> net_op tn.id sys op cost
-            | Spec.Churn -> churn_op tn.id sys op cost
+            | Spec.Meta -> drive meta_op tn.id sys op ""
+            | Spec.Data_write -> dwrite_op tn.id sys op
+            | Spec.Data_read -> dread_op tn.id sys op
+            | Spec.Net -> drive net_attempt tn.id sys op (String.make (min 512 op.size) 'r')
+            | Spec.Churn -> churn_op tn.id sys op
           in
-          clock := !clock + !cost;
-          Ksim.Kstats.record latency.(Spec.kind_id op.kind) !cost;
+          clock := !clock + cost.(tn.id);
+          Ksim.Kstats.record latency.(Spec.kind_id op.kind) cost.(tn.id);
           (match res with
           | Ok () ->
               ok.(tn.id) <- ok.(tn.id) + 1;
@@ -488,7 +486,7 @@ let run ?(spec = Spec.default) ?(storm = Mixed) ?admission ?sink ~seed () =
     (fun tn ->
       let (_ : int) =
         Kproc.Kernel.spawn kernel
-          ~name:(Printf.sprintf "tenant%d" tn.Gen.id)
+          ~name:("tenant" ^ string_of_int tn.Gen.id)
           (tenant_prog tn)
       in
       ())

@@ -39,17 +39,39 @@ type t = {
   fingerprint : string;
 }
 
+(* [n] as [%d] prints it, digit by digit into [buf].  The digits come
+   from [-|n|], which exists for every int, [min_int] included. *)
+let rec add_digits buf m (* m <= 0 *) =
+  if m <= -10 then add_digits buf (m / 10);
+  Buffer.add_char buf (Char.chr (Char.code '0' - (m mod 10)))
+
+let add_int buf n =
+  if n < 0 then Buffer.add_char buf '-';
+  add_digits buf (if n < 0 then n else -n)
+
 (* The replay witness: every counter of every tenant, in tenant order,
-   digested.  Any divergence between two same-seed runs — one op more,
-   one error elsewhere, one byte of response — changes it. *)
+   as "%d,...,%d;" tuples, digested.  Any divergence between two
+   same-seed runs — one op more, one error elsewhere, one byte of
+   response — changes it. *)
 let fingerprint_of counters =
   let buf = Buffer.create (Array.length counters * 24) in
+  let field n sep =
+    add_int buf n;
+    Buffer.add_char buf sep
+  in
   Array.iter
     (fun c ->
-      Buffer.add_string buf
-        (Printf.sprintf "%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d;" c.t_class c.t_planned
-           c.t_executed c.t_ok c.t_errors c.t_shed c.t_acked c.t_estale c.t_eintr
-           c.t_max_streak c.t_net_bytes))
+      field c.t_class ',';
+      field c.t_planned ',';
+      field c.t_executed ',';
+      field c.t_ok ',';
+      field c.t_errors ',';
+      field c.t_shed ',';
+      field c.t_acked ',';
+      field c.t_estale ',';
+      field c.t_eintr ',';
+      field c.t_max_streak ',';
+      field c.t_net_bytes ';')
     counters;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 

@@ -2,10 +2,12 @@
 
    A process owns an address space (from [Kmm]) and a file-descriptor
    table (over the shared VFS); user programs are OCaml functions that
-   receive only the [syscalls] record — they cannot reach kernel
-   internals, so the syscall boundary really is the interface, exactly
-   the modularity discipline the roadmap asks of kernel-internal
-   components, applied at the top.
+   receive only the [sys] record — they cannot reach kernel internals,
+   so the syscall boundary really is the interface, exactly the
+   modularity discipline the roadmap asks of kernel-internal components,
+   applied at the top.  The kernel builds one [sys] record; a call acts
+   on the process whose thread makes it, found by its tid (Linux's
+   [current]).
 
    Scheduling is the deterministic cooperative scheduler: every syscall
    is a scheduling point, so multi-process interactions are reproducible
@@ -23,29 +25,25 @@ type pipe_end =
   | Read_end of pipe
   | Write_end of pipe
 
+exception Exited of int
+
 type t = {
   vfs : Kvfs.Vfs.t;
   phys : Kmm.Phys.t;
   sched : Ksim.Kthread.t;
-  procs : (int, proc) Hashtbl.t;
+  procs : (int, proc) Hashtbl.t; (* by pid, which is the process's scheduler tid *)
   pipe_fds : (int, pipe_end) Hashtbl.t; (* pipe descriptors, shared kernel-wide *)
   mutable next_pipe_fd : int;
-  mutable next_pid : int;
+  sys : sys Lazy.t;
 }
 
 and proc = {
-  pid : int;
-  parent : int option;
-  name : string;
-  space : Kmm.Addr_space.t;
+  mutable space : Kmm.Addr_space.t option; (* built at the first memory syscall or fork *)
   fds : Kvfs.File_ops.t;
   mutable exit_code : int option;
 }
 
-exception Exited of int
-
-type sys = {
-  pid : int;
+and sys = {
   (* files *)
   openf : ?flags:Kvfs.File_ops.flag list -> string -> int Ksim.Errno.r;
   read : int -> len:int -> string Ksim.Errno.r;
@@ -73,74 +71,48 @@ type sys = {
   exit : int -> unit; (* raises Exited *)
 }
 
-(* Boot the kernel.  [root_fp] wraps the root file system in a panicky
-   shell consulting failpoint site "module.panic" — without supervision
-   the panic escapes through the syscall and the calling process
-   segfaults (exit 139), the monolithic baseline.  [supervise_root]
-   mounts the root behind a [Ksim.Supervisor] firewall instead: the same
-   panic is contained to an errno, the fs microreboots (a root memfs
-   comes back empty — it is RAM), and fds minted before the reboot
-   answer [ESTALE]. *)
-let boot ?(frames = 1024) ?(page_size = 256) ?max_steps ?root_fp ?root_policy ?stats
-    ?(supervise_root = false) () =
-  let vfs = Kvfs.Vfs.create () in
-  let make_root () =
-    let fs = Kvfs.Iface.make (module Kfs.Memfs_typed) () in
-    match root_fp with Some fp -> Kvfs.Iface.panicky ~fp fs | None -> fs
-  in
-  let mounted =
-    if supervise_root then
-      Kvfs.Vfs.mount vfs ~at:[] ~remake:make_root ?policy:root_policy ?stats (make_root ())
-    else Kvfs.Vfs.mount vfs ~at:[] (make_root ())
-  in
-  (match mounted with
-  | Ok () -> ()
-  | Error e -> failwith ("Kernel.boot: " ^ Ksim.Errno.to_string e));
-  {
-    vfs;
-    phys = Kmm.Phys.create ~nframes:frames ~page_size;
-    sched = Ksim.Kthread.create ?max_steps ();
-    procs = Hashtbl.create 8;
-    pipe_fds = Hashtbl.create 8;
-    next_pipe_fd = 10_000;
-    next_pid = 1;
-  }
+(* The calling process: the one whose thread the scheduler is running. *)
+let current t =
+  match Hashtbl.find t.procs (Ksim.Kthread.self ()) with
+  | p -> p
+  | exception Not_found -> raise Ksim.Kthread.Not_in_scheduler
 
-let vfs t = t.vfs
+let space t p =
+  match p.space with
+  | Some s -> s
+  | None ->
+      let s = Kmm.Addr_space.create t.phys in
+      p.space <- Some s;
+      s
 
-let find t pid = Hashtbl.find_opt t.procs pid
-
-let exit_code t pid =
-  match find t pid with Some p -> p.exit_code | None -> None
-
-let running t =
-  Hashtbl.fold (fun _ p acc -> if p.exit_code = None then acc + 1 else acc) t.procs 0
-
-(* Build the syscall surface for one process.  Every call yields first:
-   syscalls are the scheduling points. *)
-let rec make_sys t (proc : proc) : sys =
-  let gate f =
+(* The one syscall surface: a call acts on the process that made it. *)
+let rec make_sys t : sys =
+  (* Every call yields first: syscalls are the scheduling points. *)
+  let fds () =
     Ksim.Kthread.yield ();
-    f ()
+    (current t).fds
+  in
+  let mem () =
+    Ksim.Kthread.yield ();
+    space t (current t)
   in
   {
-    pid = proc.pid;
-    openf = (fun ?flags path -> gate (fun () -> Kvfs.File_ops.openf proc.fds ?flags path));
-    read = (fun fd ~len -> gate (fun () -> Kvfs.File_ops.read proc.fds fd ~len));
-    write = (fun fd data -> gate (fun () -> Kvfs.File_ops.write proc.fds fd data));
-    close = (fun fd -> gate (fun () -> Kvfs.File_ops.close proc.fds fd));
-    lseek = (fun fd off whence -> gate (fun () -> Kvfs.File_ops.lseek proc.fds fd off whence));
-    mkdir = (fun path -> gate (fun () -> Kvfs.File_ops.mkdir proc.fds path));
-    unlink = (fun path -> gate (fun () -> Kvfs.File_ops.unlink proc.fds path));
-    readdir = (fun path -> gate (fun () -> Kvfs.File_ops.readdir proc.fds path));
-    fsync = (fun () -> gate (fun () -> Kvfs.File_ops.fsync proc.fds));
-    mmap =
-      (fun ~len ~prot ->
-        gate (fun () -> Kmm.Addr_space.mmap proc.space ~len ~prot Kmm.Addr_space.Anon));
-    munmap = (fun ~addr -> gate (fun () -> Kmm.Addr_space.munmap proc.space ~addr));
-    mread = (fun ~addr ~len -> gate (fun () -> Kmm.Addr_space.read proc.space ~addr ~len));
-    mwrite = (fun ~addr data -> gate (fun () -> Kmm.Addr_space.write proc.space ~addr data));
-    spawn_child = (fun ~name main -> spawn_proc t ~parent:(Some proc) ~name main);
+    openf = (fun ?flags path -> Kvfs.File_ops.openf (fds ()) ?flags path);
+    read = (fun fd ~len -> Kvfs.File_ops.read (fds ()) fd ~len);
+    write = (fun fd data -> Kvfs.File_ops.write (fds ()) fd data);
+    close = (fun fd -> Kvfs.File_ops.close (fds ()) fd);
+    lseek = (fun fd off whence -> Kvfs.File_ops.lseek (fds ()) fd off whence);
+    mkdir = (fun path -> Kvfs.File_ops.mkdir (fds ()) path);
+    unlink = (fun path -> Kvfs.File_ops.unlink (fds ()) path);
+    readdir = (fun path -> Kvfs.File_ops.readdir (fds ()) path);
+    fsync = (fun () -> Kvfs.File_ops.fsync (fds ()));
+    mmap = (fun ~len ~prot -> Kmm.Addr_space.mmap (mem ()) ~len ~prot Kmm.Addr_space.Anon);
+    munmap = (fun ~addr -> Kmm.Addr_space.munmap (mem ()) ~addr);
+    mread = (fun ~addr ~len -> Kmm.Addr_space.read (mem ()) ~addr ~len);
+    mwrite = (fun ~addr data -> Kmm.Addr_space.write (mem ()) ~addr data);
+    spawn_child =
+      (fun ~name main ->
+        spawn_proc t ~space:(Kmm.Addr_space.fork (space t (current t))) ~name main);
     wait =
       (fun pid ->
         match Hashtbl.find_opt t.procs pid with
@@ -209,37 +181,65 @@ let rec make_sys t (proc : proc) : sys =
             Hashtbl.remove t.pipe_fds fd;
             Ok ()
         | None -> Error Ksim.Errno.EBADF);
-    yield = (fun () -> Ksim.Kthread.yield ());
+    yield = Ksim.Kthread.yield;
     exit = (fun code -> raise (Exited code));
   }
 
-and spawn_proc t ~parent ~name main =
-  let pid = t.next_pid in
-  t.next_pid <- pid + 1;
-  let space =
-    match parent with
-    | Some (p : proc) -> Kmm.Addr_space.fork p.space (* COW clone of the parent *)
-    | None -> Kmm.Addr_space.create t.phys
+(* A process's pid is its thread's tid, so [current] needs one table. *)
+and spawn_proc t ?space ~name main =
+  let pid =
+    Ksim.Kthread.spawn t.sched ~name (fun () ->
+        let proc = current t in
+        let code = try main (Lazy.force t.sys) with Exited code -> code in
+        proc.exit_code <- Some code;
+        Option.iter Kmm.Addr_space.destroy proc.space)
   in
-  let proc =
-    {
-      pid;
-      parent = Option.map (fun (p : proc) -> p.pid) parent;
-      name;
-      space;
-      fds = Kvfs.File_ops.create t.vfs; (* fresh table; the VFS is shared *)
-      exit_code = None;
-    }
-  in
-  Hashtbl.replace t.procs pid proc;
-  ignore
-    (Ksim.Kthread.spawn t.sched ~name (fun () ->
-         let code = try main (make_sys t proc) with Exited code -> code in
-         proc.exit_code <- Some code;
-         Kmm.Addr_space.destroy proc.space));
+  let fds = Kvfs.File_ops.create t.vfs (* fresh table; the VFS is shared *) in
+  Hashtbl.replace t.procs pid { space; fds; exit_code = None };
   pid
 
-let spawn t ~name main = spawn_proc t ~parent:None ~name main
+(* Boot the kernel.  [root_fp] wraps the root file system in a panicky
+   shell consulting failpoint site "module.panic" — without supervision
+   the panic escapes through the syscall and the calling process
+   segfaults (exit 139), the monolithic baseline.  [supervise_root]
+   mounts the root behind a [Ksim.Supervisor] firewall instead: the same
+   panic is contained to an errno, the fs microreboots (a root memfs
+   comes back empty — it is RAM), and fds minted before the reboot
+   answer [ESTALE]. *)
+let boot ?(frames = 1024) ?(page_size = 256) ?max_steps ?root_fp ?root_policy ?stats
+    ?(supervise_root = false) () =
+  let vfs = Kvfs.Vfs.create () in
+  let make_root () =
+    let fs = Kvfs.Iface.make (module Kfs.Memfs_typed) () in
+    match root_fp with Some fp -> Kvfs.Iface.panicky ~fp fs | None -> fs
+  in
+  let mounted =
+    if supervise_root then
+      Kvfs.Vfs.mount vfs ~at:[] ~remake:make_root ?policy:root_policy ?stats (make_root ())
+    else Kvfs.Vfs.mount vfs ~at:[] (make_root ())
+  in
+  (match mounted with
+  | Ok () -> ()
+  | Error e -> failwith ("Kernel.boot: " ^ Ksim.Errno.to_string e));
+  let phys = Kmm.Phys.create ~nframes:frames ~page_size in
+  let sched = Ksim.Kthread.create ?max_steps () in
+  let procs = Hashtbl.create 8 and pipe_fds = Hashtbl.create 8 in
+  let rec t =
+    { vfs; phys; sched; procs; pipe_fds; next_pipe_fd = 10_000; sys = lazy (make_sys t) }
+  in
+  t
+
+let vfs t = t.vfs
+
+let find t pid = Hashtbl.find_opt t.procs pid
+
+let exit_code t pid =
+  match find t pid with Some p -> p.exit_code | None -> None
+
+let running t =
+  Hashtbl.fold (fun _ p acc -> if p.exit_code = None then acc + 1 else acc) t.procs 0
+
+let spawn t ~name main = spawn_proc t ~name main
 
 let run t =
   Ksim.Kthread.run t.sched;
@@ -247,12 +247,11 @@ let run t =
      the simulated segfault. *)
   List.iter
     (fun (f : Ksim.Kthread.failure) ->
-      Hashtbl.iter
-        (fun _ p -> if p.name = f.Ksim.Kthread.failed_name && p.exit_code = None then begin
-             p.exit_code <- Some 139;
-             Kmm.Addr_space.destroy p.space
-           end)
-        t.procs)
+      match Hashtbl.find_opt t.procs f.Ksim.Kthread.failed_tid with
+      | Some p when p.exit_code = None ->
+          p.exit_code <- Some 139;
+          Option.iter Kmm.Addr_space.destroy p.space
+      | _ -> ())
     (Ksim.Kthread.failures t.sched)
 
 let crashed t =

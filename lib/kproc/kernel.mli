@@ -3,20 +3,23 @@
 
     User programs are functions that receive only the {!sys} record —
     the syscall boundary is the interface; kernel internals are
-    unreachable.  Every syscall is a scheduling point of the
-    deterministic cooperative scheduler, so multi-process interactions
-    replay exactly.  {!sys.spawn_child} clones the parent's address space
-    copy-on-write (posix_spawn-with-COW; true fork of an OCaml closure is
-    impossible — see DESIGN.md). *)
+    unreachable.  A kernel has one {!sys} record, handed to every
+    program: a call acts on the process that makes it (the one whose
+    thread is running, like Linux's [current]).  Every syscall is a
+    scheduling point of the deterministic cooperative scheduler, so
+    multi-process interactions replay exactly.  {!sys.spawn_child}
+    clones the parent's address space copy-on-write
+    (posix_spawn-with-COW; true fork of an OCaml closure is impossible —
+    see DESIGN.md). *)
 
 type t
 (** A booted kernel. *)
 
 exception Exited of int
 
-(** The syscall surface handed to user programs. *)
+(** The syscall surface handed to user programs, one per kernel.  A
+    call made outside {!run} raises {!Ksim.Kthread.Not_in_scheduler}. *)
 type sys = {
-  pid : int;
   openf : ?flags:Kvfs.File_ops.flag list -> string -> int Ksim.Errno.r;
   read : int -> len:int -> string Ksim.Errno.r;
   write : int -> string -> int Ksim.Errno.r;
@@ -69,8 +72,10 @@ val boot :
     [ESTALE] until reopened. *)
 
 val spawn : t -> name:string -> (sys -> int) -> int
-(** Register a user program with a fresh address space; returns its pid.
-    Programs run inside {!run}. *)
+(** Register a user program; returns its pid.  Its address space is
+    built at its first memory syscall or [spawn_child], so a program
+    that makes only file syscalls never has one.  Programs run inside
+    {!run}. *)
 
 val run : t -> unit
 (** Drive every process to completion.  A program that dies on an

@@ -22,15 +22,29 @@ type job =
   | Start of (unit -> unit)
   | Resume of (unit, unit) Effect.Deep.continuation
 
+type thread = {
+  tid : int;
+  name : string;
+  mutable job : job;
+}
+
 type failure = {
   failed_tid : int;
   failed_name : string;
   exn : exn;
 }
 
+(* The runnable threads, FIFO from [head]: a ring of [len] entries whose
+   capacity is a power of two.  A thread record lives as long as its
+   thread, so a yield stores its continuation in it and pushes the
+   record back, allocating no queue cell.  (A linked queue's cell, once
+   promoted, kept every cell pushed after it alive through the next
+   minor collection.) *)
 type t = {
   rng : Rng.t option;
-  queue : (int * string * job) Queue.t; (* runnable, FIFO order *)
+  mutable ring : thread array;
+  mutable head : int;
+  mutable len : int;
   mutable next_tid : int;
   mutable failures : failure list;
   mutable steps : int;
@@ -41,69 +55,75 @@ exception Livelock of { steps : int }
 
 let create ?seed ?(max_steps = 1_000_000) () =
   let rng = Option.map Rng.of_int seed in
-  { rng; queue = Queue.create (); next_tid = 0; failures = []; steps = 0; max_steps }
+  { rng; ring = [||]; head = 0; len = 0; next_tid = 0; failures = []; steps = 0; max_steps }
+
+let slot t j = (t.head + j) land (Array.length t.ring - 1)
+
+let push t th =
+  if t.len = Array.length t.ring then begin
+    let ring = Array.make (max 16 (2 * t.len)) th in
+    for j = 0 to t.len - 1 do
+      ring.(j) <- t.ring.(slot t j)
+    done;
+    t.ring <- ring;
+    t.head <- 0
+  end;
+  t.ring.(slot t t.len) <- th;
+  t.len <- t.len + 1
+
+(* Remove the [i]-th runnable thread, keeping the rest in order: the
+   [i] entries before it each move up one slot.  Round-robin always
+   takes [i = 0]; the seeded scheduler picks [i] at random. *)
+let take t i =
+  let th = t.ring.(slot t i) in
+  for j = i downto 1 do
+    t.ring.(slot t j) <- t.ring.(slot t (j - 1))
+  done;
+  t.head <- slot t 1;
+  t.len <- t.len - 1;
+  th
 
 let spawn t ~name f =
   t.next_tid <- t.next_tid + 1;
-  let tid = t.next_tid in
-  Queue.push (tid, name, Start f) t.queue;
-  tid
-
-let enqueue t entry = Queue.push entry t.queue
-
-(* Round-robin is the hot path (the load harness runs tens of thousands
-   of tenant threads): O(1) pop, no list rebuilding.  The seeded-random
-   scheduler used by interleaving exploration removes the i-th runnable
-   entry while preserving the relative order of the rest — identical
-   semantics (and pick sequence) to the original list implementation. *)
-let dequeue t =
-  if Queue.is_empty t.queue then None
-  else
-    match t.rng with
-    | None -> Some (Queue.pop t.queue)
-    | Some rng ->
-        let n = Queue.length t.queue in
-        let i = Rng.int rng n in
-        let picked = ref None in
-        let rest = Queue.create () in
-        for j = 0 to n - 1 do
-          let e = Queue.pop t.queue in
-          if j = i then picked := Some e else Queue.push e rest
-        done;
-        Queue.transfer rest t.queue;
-        !picked
+  push t { tid = t.next_tid; name; job = Start f };
+  t.next_tid
 
 let run t =
   let outer = !current in
   let rec schedule () =
     t.steps <- t.steps + 1;
     if t.steps > t.max_steps then raise (Livelock { steps = t.steps });
-    match dequeue t with
-    | None -> current := outer
-    | Some (tid, name, job) -> (
-        current := tid;
-        match job with
-        | Start f -> Effect.Deep.match_with f () (handler tid name)
-        | Resume k -> Effect.Deep.continue k ())
-  and handler tid name =
+    if t.len > 0 then begin
+      let th = take t (match t.rng with None -> 0 | Some rng -> Rng.int rng t.len) in
+      current := th.tid;
+      match th.job with
+      | Start f -> Effect.Deep.match_with f () (handler th)
+      | Resume k -> Effect.Deep.continue k ()
+    end
+  (* Built once per thread: a yield allocates only its continuation and
+     the [Resume] holding it. *)
+  and handler th =
+    let yielded =
+      Some
+        (fun k ->
+          th.job <- Resume k;
+          push t th;
+          schedule ())
+    in
     {
-      Effect.Deep.retc = (fun () -> schedule ());
+      Effect.Deep.retc = schedule;
       exnc =
         (fun exn ->
-          t.failures <- { failed_tid = tid; failed_name = name; exn } :: t.failures;
+          t.failures <- { failed_tid = th.tid; failed_name = th.name; exn } :: t.failures;
           schedule ());
       effc =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
-          | Yield ->
-              Some
-                (fun (k : (a, _) Effect.Deep.continuation) ->
-                  enqueue t (tid, name, Resume k);
-                  schedule ())
+          | Yield -> (yielded : ((a, unit) Effect.Deep.continuation -> unit) option)
           | _ -> None);
     }
   in
-  schedule ()
+  Fun.protect ~finally:(fun () -> current := outer) schedule
 
 let failures t = List.rev t.failures
 let steps t = t.steps

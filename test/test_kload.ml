@@ -303,6 +303,11 @@ let test_pinned_outputs () =
   pinned "mixed storm"
     ~spec:{ Kload.Spec.default with Kload.Spec.tenants = 200 }
     ~storm:Kload.Harness.Mixed ~fingerprint:"ce3ca55b217f76e2e0a2f0ae4a501f9a" ~sim_ns:2248122;
+  (* More tenants than the scheduler's first run-queue capacities: the
+     queue grows while every tenant is runnable. *)
+  pinned "mixed storm, 4000 tenants"
+    ~spec:{ Kload.Spec.default with Kload.Spec.tenants = 4000; ops_per_tenant = 2 }
+    ~storm:Kload.Harness.Mixed ~fingerprint:"bdb4f0dc8f41bbaf6e3b1cbf9954f451" ~sim_ns:11732370;
   match
     Kload.Spec.of_string
       "tenants=16;ops=50;keyspace=96;payload=4096;classes=bulk:1:dwrite=8,dread=2"
@@ -311,6 +316,49 @@ let test_pinned_outputs () =
   | Ok spec ->
       pinned "durable" ~spec ~storm:Kload.Harness.No_storm
         ~fingerprint:"6089a1eb34724a0e6477ed3ae86f50d6" ~sim_ns:1300827
+
+(* The fingerprint's bytes as [Printf] formats them, the way
+   [Report.fingerprint_of] built them before it wrote digits itself. *)
+let sprintf_fingerprint counters =
+  let buf = Buffer.create 64 in
+  Array.iter
+    (fun (c : Kload.Report.per_tenant) ->
+      Buffer.add_string buf
+        (Printf.sprintf "%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d;" c.t_class c.t_planned c.t_executed
+           c.t_ok c.t_errors c.t_shed c.t_acked c.t_estale c.t_eintr c.t_max_streak
+           c.t_net_bytes))
+    counters;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let fingerprint_matches_sprintf =
+  let counter =
+    QCheck2.Gen.(oneof [ int; int_range 0 100; pure 0; pure max_int; pure min_int ])
+  in
+  let per_tenant =
+    QCheck2.Gen.(
+      map
+        (fun l ->
+          match Array.of_list l with
+          | [| a; b; c; d; e; f; g; h; i; j; k |] ->
+              {
+                Kload.Report.t_class = a;
+                t_planned = b;
+                t_executed = c;
+                t_ok = d;
+                t_errors = e;
+                t_shed = f;
+                t_acked = g;
+                t_estale = h;
+                t_eintr = i;
+                t_max_streak = j;
+                t_net_bytes = k;
+              }
+          | _ -> assert false)
+        (list_repeat 11 counter))
+  in
+  QCheck2.Test.make ~name:"fingerprint_of = the sprintf fingerprint" ~count:300
+    QCheck2.Gen.(array_size (int_range 0 20) per_tenant)
+    (fun counters -> Kload.Report.fingerprint_of counters = sprintf_fingerprint counters)
 
 let test_extra_seeds () =
   List.iter
@@ -346,4 +394,5 @@ let () =
           Alcotest.test_case "extra seeds (KSIM_KLOAD_SEEDS)" `Quick test_extra_seeds;
           Alcotest.test_case "outputs pinned across commits" `Quick test_pinned_outputs;
         ] );
+      ("report", [ QCheck_alcotest.to_alcotest fingerprint_matches_sprintf ]);
     ]

@@ -264,6 +264,61 @@ let test_wait_unknown_pid () =
   Kproc.Kernel.run k;
   check Alcotest.(list int) "clean" [] (Kproc.Kernel.crashed k)
 
+(* A kernel hands every program the same [sys] record; a call acts on
+   the process that makes it.  Both processes get fd 3, the first of
+   their own tables, and each write lands in its own file. *)
+let test_one_sys_per_kernel () =
+  let k = Kproc.Kernel.boot () in
+  let handed = ref [] in
+  let prog path data (sys : Kproc.Kernel.sys) =
+    handed := sys :: !handed;
+    let fd = ok (sys.openf ~flags:[ Kvfs.File_ops.O_RDWR; Kvfs.File_ops.O_CREAT ] path) in
+    ignore (ok (sys.write fd data));
+    ignore (ok (sys.close fd));
+    fd
+  in
+  let a = Kproc.Kernel.spawn k ~name:"a" (prog "/a" "from a") in
+  let b = Kproc.Kernel.spawn k ~name:"b" (prog "/b" "from b") in
+  Kproc.Kernel.run k;
+  (match !handed with
+  | [ sb; sa ] -> check Alcotest.bool "one sys record" true (sa == sb)
+  | l -> fail (Printf.sprintf "%d programs ran" (List.length l)));
+  check (Alcotest.option Alcotest.int) "a's own first fd" (Some 3) (Kproc.Kernel.exit_code k a);
+  check (Alcotest.option Alcotest.int) "b's own first fd" (Some 3) (Kproc.Kernel.exit_code k b);
+  List.iter
+    (fun (path, want) ->
+      match
+        Kvfs.Vfs.apply (Kproc.Kernel.vfs k)
+          (Kspec.Fs_spec.Read { file = Kspec.Fs_spec.path_of_string path; off = 0; len = 64 })
+      with
+      | Ok (Kspec.Fs_spec.Data data) -> check Alcotest.string path want data
+      | _ -> fail (path ^ " missing"))
+    [ ("/a", "from a"); ("/b", "from b") ];
+  (* With no process running there is no caller to act on. *)
+  match (List.hd !handed).openf "/a" with
+  | exception Ksim.Kthread.Not_in_scheduler -> ()
+  | _ -> fail "a syscall outside run acted on some process"
+
+(* What a process costs before it runs: no address space until its
+   first memory syscall, and no syscall record of its own. *)
+let test_spawn_allocates_little () =
+  let k = Kproc.Kernel.boot () in
+  let prog (sys : Kproc.Kernel.sys) =
+    match sys.readdir "/" with Ok _ -> 0 | Error _ -> 1
+  in
+  let n = 4_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Kproc.Kernel.spawn k ~name:"tenant" prog)
+  done;
+  let per_proc = (Gc.minor_words () -. before) /. float_of_int n in
+  Kproc.Kernel.run k;
+  check Alcotest.int "all exited" 0 (Kproc.Kernel.running k);
+  check Alcotest.(list int) "none crashed" [] (Kproc.Kernel.crashed k);
+  check Alcotest.bool
+    (Printf.sprintf "%.1f minor words per spawned process" per_proc)
+    true (per_proc < 80.)
+
 let () =
   Alcotest.run "kproc"
     [
@@ -277,6 +332,8 @@ let () =
           Alcotest.test_case "exit codes" `Quick test_exit_code_plumbing;
           Alcotest.test_case "deterministic schedule" `Quick test_many_processes_deterministic;
           Alcotest.test_case "frames reclaimed" `Quick test_frames_reclaimed_after_exit;
+          Alcotest.test_case "one sys per kernel" `Quick test_one_sys_per_kernel;
+          Alcotest.test_case "spawn allocates little" `Quick test_spawn_allocates_little;
         ] );
       ( "ipc",
         [

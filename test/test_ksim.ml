@@ -474,9 +474,186 @@ let test_scheduler_livelock_detected () =
          while true do
            Ksim.Kthread.yield ()
          done));
-  match Ksim.Kthread.run sched with
+  (match Ksim.Kthread.run sched with
   | _ -> fail "expected Livelock"
-  | exception Ksim.Kthread.Livelock _ -> ()
+  | exception Ksim.Kthread.Livelock _ -> ());
+  (* The aborted run leaves no thread current: outside any scheduler
+     again, [yield] is the documented no-op. *)
+  check Alcotest.int "self after Livelock" 0 (Ksim.Kthread.self ());
+  Ksim.Kthread.yield ();
+  Ksim.Kthread.run (Ksim.Kthread.create ());
+  check Alcotest.int "self after a later run" 0 (Ksim.Kthread.self ())
+
+(* The run queue as it was before the ring: a [Stdlib.Queue] of
+   (tid, name, job) entries, the seeded pick rebuilding the queue
+   without its i-th entry.  The ring must run the same threads in the
+   same order. *)
+module Queue_sched = struct
+  type _ Effect.t += Yield : unit Effect.t
+
+  let current = ref 0
+  let self () = !current
+  let yield () = if !current = 0 then () else Effect.perform Yield
+
+  type job =
+    | Start of (unit -> unit)
+    | Resume of (unit, unit) Effect.Deep.continuation
+
+  type t = {
+    rng : Ksim.Rng.t option;
+    queue : (int * string * job) Queue.t;
+    mutable next_tid : int;
+    mutable failures : int list;
+  }
+
+  let create ?seed () =
+    { rng = Option.map Ksim.Rng.of_int seed; queue = Queue.create (); next_tid = 0; failures = [] }
+
+  let spawn t ~name f =
+    t.next_tid <- t.next_tid + 1;
+    Queue.push (t.next_tid, name, Start f) t.queue;
+    t.next_tid
+
+  let dequeue t =
+    if Queue.is_empty t.queue then None
+    else
+      match t.rng with
+      | None -> Some (Queue.pop t.queue)
+      | Some rng ->
+          let n = Queue.length t.queue in
+          let i = Ksim.Rng.int rng n in
+          let picked = ref None in
+          let rest = Queue.create () in
+          for j = 0 to n - 1 do
+            let e = Queue.pop t.queue in
+            if j = i then picked := Some e else Queue.push e rest
+          done;
+          Queue.transfer rest t.queue;
+          !picked
+
+  let run t =
+    let outer = !current in
+    let rec schedule () =
+      match dequeue t with
+      | None -> current := outer
+      | Some (tid, name, job) -> (
+          current := tid;
+          match job with
+          | Start f -> Effect.Deep.match_with f () (handler tid name)
+          | Resume k -> Effect.Deep.continue k ())
+    and handler tid name =
+      {
+        Effect.Deep.retc = (fun () -> schedule ());
+        exnc =
+          (fun _ ->
+            t.failures <- tid :: t.failures;
+            schedule ());
+        effc =
+          (fun (type a) (eff : a Effect.t) ->
+            match eff with
+            | Yield ->
+                Some
+                  (fun (k : (a, _) Effect.Deep.continuation) ->
+                    Queue.push (tid, name, Resume k) t.queue;
+                    schedule ())
+            | _ -> None);
+      }
+    in
+    schedule ()
+end
+
+(* A thread as data, so one program runs under both schedulers. *)
+type action =
+  | Yield
+  | Spawn of action list  (** a new thread, spawned mid-run *)
+  | Raise
+
+let rec pp_actions acts =
+  "["
+  ^ String.concat ";"
+      (List.map
+         (function Yield -> "y" | Raise -> "!" | Spawn b -> "spawn" ^ pp_actions b)
+         acts)
+  ^ "]"
+
+(* Every turn a thread gets appends [self ()]: the schedule, as the
+   sequence of tids run. *)
+let interpret ~yield ~self ~spawn log actions =
+  let rec thread actions () =
+    log := self () :: !log;
+    List.iter
+      (function
+        | Yield ->
+            yield ();
+            log := self () :: !log
+        | Spawn body -> log := -spawn (thread body) :: !log
+        | Raise -> failwith "thread raised")
+      actions
+  in
+  thread actions
+
+let ring_matches_queue_scheduler =
+  let gen =
+    let open QCheck2.Gen in
+    let rec actions depth =
+      list_size (int_range 0 6)
+        (if depth = 0 then frequency [ (6, pure Yield); (1, pure Raise) ]
+         else
+           frequency
+             [ (6, pure Yield); (1, pure Raise); (1, map (fun b -> Spawn b) (actions (depth - 1))) ])
+    in
+    pair (opt int) (list_size (int_range 1 40) (actions 2))
+  in
+  let print (seed, threads) =
+    Printf.sprintf "seed %s, threads %s"
+      (match seed with Some s -> string_of_int s | None -> "none (round-robin)")
+      (String.concat " " (List.map pp_actions threads))
+  in
+  QCheck2.Test.make ~name:"ring runs what the Queue scheduler runs" ~count:300 ~print gen
+    (fun (seed, threads) ->
+      let ring =
+        let sched = Ksim.Kthread.create ?seed () and log = ref [] in
+        let spawn f = Ksim.Kthread.spawn sched ~name:"t" f in
+        List.iter
+          (fun acts ->
+            ignore
+              (spawn (interpret ~yield:Ksim.Kthread.yield ~self:Ksim.Kthread.self ~spawn log acts)))
+          threads;
+        Ksim.Kthread.run sched;
+        (!log, List.map (fun f -> f.Ksim.Kthread.failed_tid) (Ksim.Kthread.failures sched))
+      in
+      let queue =
+        let sched = Queue_sched.create ?seed () and log = ref [] in
+        let spawn f = Queue_sched.spawn sched ~name:"t" f in
+        List.iter
+          (fun acts ->
+            ignore (spawn (interpret ~yield:Queue_sched.yield ~self:Queue_sched.self ~spawn log acts)))
+          threads;
+        Queue_sched.run sched;
+        (!log, List.rev sched.Queue_sched.failures)
+      in
+      ring = queue)
+
+(* A yield allocates its continuation and the [Resume] holding it and
+   keeps nothing else: with two threads each turn's allocation is dead
+   by the next minor collection, so nothing is promoted. *)
+let test_yields_promote_nothing () =
+  let sched = Ksim.Kthread.create () in
+  for i = 1 to 2 do
+    ignore
+      (Ksim.Kthread.spawn sched ~name:(string_of_int i) (fun () ->
+           for _ = 1 to 100_000 do
+             Ksim.Kthread.yield ()
+           done))
+  done;
+  (* Start from an empty minor heap: count only what the run promotes. *)
+  Gc.minor ();
+  let before = (Gc.quick_stat ()).Gc.promoted_words in
+  Ksim.Kthread.run sched;
+  let promoted = (Gc.quick_stat ()).Gc.promoted_words -. before in
+  check Alcotest.bool
+    (Printf.sprintf "2 x 100k yields promoted %.0f words" promoted)
+    true (promoted < 1000.)
 
 let test_lost_update_race () =
   (* The classic unsynchronized increment: with yields between read and
@@ -1402,7 +1579,9 @@ let () =
           Alcotest.test_case "lock handoff" `Quick test_scheduler_lock_handoff;
           Alcotest.test_case "livelock detected" `Quick test_scheduler_livelock_detected;
           Alcotest.test_case "lost update race" `Quick test_lost_update_race;
-        ] );
+          Alcotest.test_case "yields promote nothing" `Quick test_yields_promote_nothing;
+        ]
+        @ qcheck [ ring_matches_queue_scheduler ] );
       ("ktrace", [ Alcotest.test_case "ring and counts" `Quick test_trace_basic ]);
       ( "rng",
         Alcotest.test_case "deterministic" `Quick test_rng_deterministic
