@@ -326,7 +326,7 @@ let load tenants ops storm_name seed spec_dsl json out =
    images.  The coverage file this writes is what klint's
    --refine-coverage ratchet consumes, so "verified" stays an executable
    claim. *)
-let refine harnesses all_h trace_path seed images ops crash_every json out coverage_out =
+let refine harnesses all_h seed images ops crash_every json out coverage_out =
   let entries =
     if all_h || harnesses = [] then Kharness.all ()
     else
@@ -340,20 +340,10 @@ let refine harnesses all_h trace_path seed images ops crash_every json out cover
               exit 2)
         harnesses
   in
-  let trace =
-    match trace_path with
-    | Some path -> (
-        match Kload.Trace.load ~path with
-        | Ok t -> t
-        | Error msg ->
-            Fmt.epr "safeos refine: bad trace %s: %s@." path msg;
-            exit 2)
-    | None -> Kharness.recorded_trace ~target_ops:ops ~seed ()
-  in
-  Fmt.pr "refine: %d ops (%s), seed %d, %d crash images per point, crash every %d op(s)@."
-    (List.length trace)
-    (match trace_path with Some p -> p | None -> "kload-recorded")
-    seed images crash_every;
+  let trace = Kharness.recorded_trace ~target_ops:ops ~seed () in
+  Fmt.pr
+    "refine: %d ops (kload-recorded), seed %d, %d crash images per point, crash every %d op(s)@."
+    (List.length trace) seed images crash_every;
   let config =
     {
       Kspec.Krefine.default_config with
@@ -788,11 +778,6 @@ let refine_cmd =
     Arg.(value & flag
          & info [ "all" ] ~doc:"Run every registered harness (the default)")
   in
-  let trace =
-    Arg.(value & opt (some string) None
-         & info [ "trace" ] ~docv:"FILE"
-             ~doc:"Replay a saved kload trace instead of recording one")
-  in
   let seed =
     Arg.(value & opt int 11
          & info [ "seed" ] ~docv:"N"
@@ -805,7 +790,7 @@ let refine_cmd =
   let ops =
     Arg.(value & opt int 10_000
          & info [ "ops" ] ~docv:"N"
-             ~doc:"Target length of the recorded trace (ignored with --trace)")
+             ~doc:"Target length of the recorded trace")
   in
   let crash_every =
     Arg.(value & opt int 1
@@ -826,7 +811,7 @@ let refine_cmd =
   Cmd.v
     (Cmd.info "refine"
        ~doc:"Check the registered krefine harnesses against Fs_spec over a recorded trace")
-    Term.(const refine $ harnesses $ all_h $ trace $ seed $ images $ ops $ crash_every
+    Term.(const refine $ harnesses $ all_h $ seed $ images $ ops $ crash_every
           $ json $ out $ coverage_out)
 
 let explain_cmd =

@@ -13,7 +13,6 @@ val literature : row list
     guarantees), Singularity/Biscuit (type safety), Theseus/RedLeaf
     (ownership safety), seL4/Hyperkernel (functional verification). *)
 
-val kernel_rows : Registry.t -> row list
 val figure1 : Registry.t -> row list
 val loc_band : int -> string
 val render_figure1 : Format.formatter -> row list -> unit

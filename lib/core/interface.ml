@@ -23,8 +23,6 @@ let op ?(doc = "") ?sharing op_name = { op_name; doc; sharing }
 
 let v ~name ~version ~supports ops = { iface_name = name; version; supports; ops }
 
-let op_names iface = List.map (fun o -> o.op_name) iface.ops
-
 let find_op iface name = List.find_opt (fun o -> String.equal o.op_name name) iface.ops
 
 (* An implementation written against [required] can be hosted by an
@@ -45,17 +43,6 @@ let admits iface level =
   | Level.Ownership_safe | Level.Verified ->
       (* Ownership contracts must be explicit on every operation. *)
       List.for_all (fun o -> o.sharing <> None) iface.ops
-
-let pp_op ppf o =
-  match o.sharing with
-  | None -> Fmt.pf ppf "%s" o.op_name
-  | Some sharing -> Fmt.pf ppf "%a" Ownership.Contract.pp_op sharing
-
-let pp ppf iface =
-  Fmt.pf ppf "@[<v2>interface %s v%d (supports %a):@ %a@]" iface.iface_name iface.version
-    Level.pp iface.supports
-    (Fmt.list ~sep:Fmt.cut pp_op)
-    iface.ops
 
 (* The file-system interface every mounted FS in this kernel implements,
    with its explicit sharing contract: paths and data move into the

@@ -20,7 +20,6 @@ type t = {
 
 val op : ?doc:string -> ?sharing:Ownership.Contract.op -> string -> op_descr
 val v : name:string -> version:int -> supports:Level.t -> op_descr list -> t
-val op_names : t -> string list
 val find_op : t -> string -> op_descr option
 
 val compatible : provided:t -> required:t -> bool
@@ -30,9 +29,6 @@ val admits : t -> Level.t -> bool
 (** Can a module behind this interface reach [level]?  Ownership-safe and
     verified modules additionally require explicit sharing contracts on
     every operation. *)
-
-val pp_op : Format.formatter -> op_descr -> unit
-val pp : Format.formatter -> t -> unit
 
 val fs_interface : t
 (** The file-system interface every mounted FS implements, with its

@@ -40,8 +40,6 @@ let pp ppf level = Fmt.string ppf (to_string level)
 let compare a b = Stdlib.compare (rank a) (rank b)
 let ( >= ) a b = rank a >= rank b
 
-let of_string s = List.find_opt (fun level -> to_string level = s) all
-
 (* Bug classes, following the paper's CWE buckets. *)
 type bug_class =
   | Type_confusion
@@ -82,14 +80,7 @@ let prevented_at = function
   | Semantic | Crash_inconsistency -> Some Verified
   | Numeric | Design -> None
 
-let bug_class_of_string s =
-  List.find_opt (fun bug -> bug_class_to_string bug = s) all_bug_classes
-
 let prevents level bug =
   match prevented_at bug with
   | Some required -> Stdlib.( >= ) (rank level) (rank required)
   | None -> false
-
-(* Every class a rung rules out — what a static checker must enforce
-   against a module claiming that rung. *)
-let prevented_classes level = List.filter (prevents level) all_bug_classes

@@ -22,9 +22,6 @@ val compare : t -> t -> int
 val ( >= ) : t -> t -> bool
 (** Level dominance: [a >= b] when [a] offers at least [b]'s guarantees. *)
 
-val of_string : string -> t option
-(** Inverse of {!to_string}, for report/baseline round-trips. *)
-
 type bug_class =
   | Type_confusion
   | Null_dereference
@@ -46,10 +43,3 @@ val prevented_at : bug_class -> t option
     roadmap's scope (the remaining 23%). *)
 
 val prevents : t -> bug_class -> bool
-
-val bug_class_of_string : string -> bug_class option
-(** Inverse of {!bug_class_to_string}. *)
-
-val prevented_classes : t -> bug_class list
-(** Every class the rung rules out — the set a static checker must
-    enforce against a module claiming that level. *)

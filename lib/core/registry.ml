@@ -29,7 +29,6 @@ type entry = {
   loc : int; (* implementation size, for the Figure-1 audit *)
   description : string;
   instance : Kvfs.Iface.instance option; (* live state for mountable components *)
-  supervisor : Ksim.Supervisor.t option; (* oops firewall, when supervised *)
 }
 
 type t = {
@@ -47,9 +46,6 @@ and change =
   | Registered of Level.t
   | Replaced of { from_level : Level.t; to_level : Level.t }
   | Rejected of string
-  | Oopsed
-  | Restarted of int (* the new epoch *)
-  | Escalated
 
 let create () = { entries = Hashtbl.create 16; history = [] }
 
@@ -60,28 +56,14 @@ let history t = List.rev t.history
 
 exception Incompatible of string
 
-(* The supervisor's lifecycle becomes registry history: every oops,
-   successful microreboot, and escalation to Failed is logged against
-   the component, so the audit trail shows not just what was replaced
-   but what crashed and came back. *)
-let observe_supervisor t name sup =
-  Ksim.Supervisor.set_observer sup (fun _from to_ ->
-      match to_ with
-      | Ksim.Supervisor.Oopsed -> log t name Oopsed
-      | Ksim.Supervisor.Healthy -> log t name (Restarted (Ksim.Supervisor.epoch sup))
-      | Ksim.Supervisor.Failed -> log t name Escalated
-      | Ksim.Supervisor.Restarting -> ())
-
-let register t ~name ~kind ~level ~iface ?(loc = 0) ?(description = "") ?instance ?supervisor
-    () =
+let register t ~name ~kind ~level ~iface ?(loc = 0) ?(description = "") ?instance () =
   if Hashtbl.mem t.entries name then raise (Incompatible (name ^ ": already registered"));
   if not (Interface.admits iface level) then
     raise (Incompatible (Fmt.str "%s: interface %s cannot host level %a" name
                            iface.Interface.iface_name Level.pp level));
-  let entry = { name; kind; level; iface; loc; description; instance; supervisor } in
+  let entry = { name; kind; level; iface; loc; description; instance } in
   Hashtbl.replace t.entries name entry;
   log t name (Registered level);
-  Option.iter (observe_supervisor t name) supervisor;
   entry
 
 let find t name = Hashtbl.find_opt t.entries name
@@ -100,7 +82,7 @@ let by_kind t kind = List.filter (fun e -> e.kind = kind) (all t)
 (* Replace a component's implementation.  The replacement must speak a
    compatible interface and must not lower the safety level — the
    incremental ratchet. *)
-let replace t ~name ~level ~iface ?loc ?description ?instance ?supervisor () =
+let replace t ~name ~level ~iface ?loc ?description ?instance () =
   let current = find_exn t name in
   if not (Interface.compatible ~provided:iface ~required:current.iface) then begin
     log t name (Rejected "incompatible interface");
@@ -123,19 +105,12 @@ let replace t ~name ~level ~iface ?loc ?description ?instance ?supervisor () =
         loc = Option.value loc ~default:current.loc;
         description = Option.value description ~default:current.description;
         instance = (match instance with Some _ -> instance | None -> current.instance);
-        supervisor = (match supervisor with Some _ -> supervisor | None -> current.supervisor);
       }
     in
     Hashtbl.replace t.entries name entry;
     log t name (Replaced { from_level = current.level; to_level = level });
-    (match supervisor with Some sup -> observe_supervisor t name sup | None -> ());
     Ok entry
   end
-
-let health t name =
-  match find t name with
-  | Some { supervisor = Some sup; _ } -> Some (Ksim.Supervisor.state sup)
-  | Some { supervisor = None; _ } | None -> None
 
 let level_counts t =
   List.fold_left

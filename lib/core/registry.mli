@@ -13,8 +13,6 @@ type kind =
   | Scheduler
   | Other of string
 
-val kind_to_string : kind -> string
-
 type entry = {
   name : string;
   kind : kind;
@@ -23,7 +21,6 @@ type entry = {
   loc : int;  (** implementation size, for the Figure-1 audit *)
   description : string;
   instance : Kvfs.Iface.instance option;
-  supervisor : Ksim.Supervisor.t option;  (** oops firewall, when supervised *)
 }
 
 type t
@@ -38,9 +35,6 @@ and change =
   | Registered of Level.t
   | Replaced of { from_level : Level.t; to_level : Level.t }
   | Rejected of string
-  | Oopsed  (** the component's supervisor contained a panic *)
-  | Restarted of int  (** microreboot succeeded; carries the new epoch *)
-  | Escalated  (** restart budget exhausted; component degraded *)
 
 exception Incompatible of string
 
@@ -55,14 +49,10 @@ val register :
   ?loc:int ->
   ?description:string ->
   ?instance:Kvfs.Iface.instance ->
-  ?supervisor:Ksim.Supervisor.t ->
   unit ->
   entry
 (** @raise Incompatible on duplicate names or an interface that cannot
-    host the claimed level.  When [supervisor] is given, its lifecycle is
-    mirrored into the registry history: oopses, successful microreboots
-    (with the new epoch), and escalations appear as {!Oopsed} /
-    {!Restarted} / {!Escalated} events against the component. *)
+    host the claimed level. *)
 
 val replace :
   t ->
@@ -72,7 +62,6 @@ val replace :
   ?loc:int ->
   ?description:string ->
   ?instance:Kvfs.Iface.instance ->
-  ?supervisor:Ksim.Supervisor.t ->
   unit ->
   ( entry,
     [ `Incompatible_interface of string * string
@@ -84,18 +73,12 @@ val replace :
     safety level. *)
 
 val find : t -> string -> entry option
-val find_exn : t -> string -> entry
 val all : t -> entry list
 val by_kind : t -> kind -> entry list
 val history : t -> event list
-
-val health : t -> string -> Ksim.Supervisor.state option
-(** The component's supervisor state ([None]: unknown component or
-    unsupervised). *)
 
 val level_counts : t -> (Level.t * int) list
 val total_loc : t -> int
 val loc_at_or_above : t -> Level.t -> int
 
-val pp_entry : Format.formatter -> entry -> unit
 val pp : Format.formatter -> t -> unit

@@ -22,8 +22,8 @@ let pp_divergence ppf (d : Kspec.Krefine.divergence) =
    generated trace: Krefine's lockstep check — result equality on every
    op, state equality through the interpretation function after every
    op — stopping at the first divergence. *)
-let validate ?(seed = 7) ?(ops = 400) candidate =
-  let trace = Kfs.Workload.generate ~seed Kfs.Workload.Mixed ~ops in
+let validate ?(ops = 400) candidate =
+  let trace = Kfs.Workload.generate ~seed:7 Kfs.Workload.Mixed ~ops in
   let module M = struct
     type vars = Kvfs.Iface.instance
 

@@ -12,11 +12,8 @@ type validation = {
   divergence : Kspec.Krefine.divergence option;
 }
 
-val pp_divergence : Format.formatter -> Kspec.Krefine.divergence -> unit
-
-val validate :
-  ?seed:int -> ?ops:int -> (unit -> Kvfs.Iface.instance) -> validation
-(** Run a fresh candidate against the spec on a deterministic trace:
+val validate : ?ops:int -> (unit -> Kvfs.Iface.instance) -> validation
+(** Run a fresh candidate against the spec on a deterministic trace (seed 7):
     {!Kspec.Krefine.run} in lockstep, no crash points, stopping at the
     first divergence. *)
 
@@ -40,7 +37,6 @@ type outcome = {
   result : (Registry.entry * validation, failure) Stdlib.result;
 }
 
-val pp_failure : Format.formatter -> failure -> unit
 val pp_outcome : Format.formatter -> outcome -> unit
 
 val run_step : ?validation_ops:int -> Registry.t -> step -> outcome

@@ -66,7 +66,6 @@ let create ~nblocks ~block_size =
   let zero = String.make block_size '\000' in
   of_image ~block_size (init_image nblocks (fun _ -> zero))
 
-let nblocks dev = dev.nblocks
 let block_size dev = dev.block_size
 let reads dev = dev.reads
 let writes dev = dev.writes

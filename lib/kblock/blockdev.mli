@@ -23,7 +23,6 @@ type t
 val create : nblocks:int -> block_size:int -> t
 (** A zeroed device; every block starts out as one shared zero block. *)
 
-val nblocks : t -> int
 val block_size : t -> int
 
 val read : t -> int -> string Ksim.Errno.r

@@ -29,24 +29,6 @@ let all_flags =
   [ Uptodate; Dirty; Lock; Req; Mapped; New; Async_read; Async_write; Delay; Boundary;
     Write_io_error; Unwritten; Quiet; Meta; Prio; Defer_completion ]
 
-let flag_to_string = function
-  | Uptodate -> "uptodate"
-  | Dirty -> "dirty"
-  | Lock -> "lock"
-  | Req -> "req"
-  | Mapped -> "mapped"
-  | New -> "new"
-  | Async_read -> "async_read"
-  | Async_write -> "async_write"
-  | Delay -> "delay"
-  | Boundary -> "boundary"
-  | Write_io_error -> "write_io_error"
-  | Unwritten -> "unwritten"
-  | Quiet -> "quiet"
-  | Meta -> "meta"
-  | Prio -> "prio"
-  | Defer_completion -> "defer_completion"
-
 let flag_bit = function
   | Uptodate -> 0
   | Dirty -> 1
@@ -74,10 +56,6 @@ module Flags = struct
   let remove flag flags = flags land lnot (1 lsl flag_bit flag)
   let of_list = List.fold_left (fun acc f -> add f acc) empty
   let to_list flags = List.filter (fun f -> mem f flags) all_flags
-
-  let pp ppf flags =
-    Fmt.pf ppf "{%a}" (Fmt.list ~sep:(Fmt.any ",") Fmt.string)
-      (List.map flag_to_string (to_list flags))
 end
 
 (* The validity rules.  Each is a named implication over the flag set. *)
@@ -231,7 +209,6 @@ let dirty_count cache =
 
 let cached_count cache = Hashtbl.length cache.table
 let state_checks cache = cache.state_checks
-let state_violations cache = cache.state_violations
 
 let drop cache =
   (* Forget clean buffers; model memory pressure. *)

@@ -27,8 +27,6 @@ type flag =
 val all_flags : flag list
 (** All 16, in bit order. *)
 
-val flag_to_string : flag -> string
-
 module Flags : sig
   type t
   (** A set of flags (bitmask). *)
@@ -39,7 +37,6 @@ module Flags : sig
   val remove : flag -> t -> t
   val of_list : flag list -> t
   val to_list : t -> flag list
-  val pp : Format.formatter -> t -> unit
 end
 
 val validate : Flags.t -> string list
@@ -90,4 +87,3 @@ val drop : t -> int
 val dirty_count : t -> int
 val cached_count : t -> int
 val state_checks : t -> int
-val state_violations : t -> int

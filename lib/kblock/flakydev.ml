@@ -133,7 +133,6 @@ let io t : Io.t =
   }
 
 let read_errors t = t.read_errors
-let write_errors t = t.write_errors
 let torn_writes t = t.torn_writes
 let torn_skipped t = t.torn_skipped
 let down_rejections t = t.down_rejections

@@ -25,13 +25,9 @@ val create : ?name:string -> fp:Ksim.Failpoint.t -> Io.t -> t
 val set_availability : t -> up:int -> down:int -> unit
 (** [down = 0] (the initial state) means always up. *)
 
-val is_down : t -> bool
-(** Whether the {e next} operation falls in a down window. *)
-
 val io : t -> Io.t
 
 val read_errors : t -> int
-val write_errors : t -> int
 
 val torn_writes : t -> int
 (** Torn prefixes that actually landed on the base device. *)

@@ -352,4 +352,3 @@ let recover ?(barriers = true) (io : Io.t) ~jblocks =
 
 let tx_size tx = List.length tx.writes
 let pending_txs j = List.length j.pending
-let checkpointed_seq j = j.checkpointed

@@ -105,5 +105,4 @@ val tx_capacity : block_size:int -> jblocks:int -> int
 (** {!max_tx_writes} of a journal with this geometry, before it exists. *)
 
 val pending_txs : t -> int
-val checkpointed_seq : t -> int
 val stats : t -> stats

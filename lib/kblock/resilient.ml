@@ -98,9 +98,3 @@ let retries t = t.retries
 let recovered_ops t = t.recovered_ops
 let permanent_failures t = t.permanent_failures
 let simulated_ns t = t.clock
-
-let publish t stats prefix =
-  Ksim.Kstats.incr ~by:t.ops stats (prefix ^ ".ops");
-  Ksim.Kstats.incr ~by:t.retries stats (prefix ^ ".retries");
-  Ksim.Kstats.incr ~by:t.recovered_ops stats (prefix ^ ".recovered");
-  Ksim.Kstats.incr ~by:t.permanent_failures stats (prefix ^ ".permanent")

@@ -29,8 +29,6 @@ val create :
 
 val io : t -> Io.t
 
-val read : t -> int -> bytes Ksim.Errno.r
-
 val write : t -> int -> bytes -> unit Ksim.Errno.r
 (** Retried write.  Retrying does not strengthen the durability contract:
     a successful write is still cache-volatile until the caller flushes —
@@ -64,7 +62,3 @@ val permanent_failures : t -> int
 
 val simulated_ns : t -> int
 (** Total simulated backoff time: deterministic for a given schedule. *)
-
-val publish : t -> Ksim.Kstats.t -> string -> unit
-(** Add retry accounting into a {!Ksim.Kstats} under [prefix ^ ".ops"],
-    [".retries"], [".recovered"], [".permanent"]. *)

@@ -10,17 +10,10 @@
 
 type t
 
-val create :
-  ?policy:Ksim.Supervisor.policy ->
-  ?stats:Ksim.Kstats.t ->
-  name:string ->
-  remake:(unit -> Io.t) ->
-  unit ->
-  t
+val create : name:string -> remake:(unit -> Io.t) -> unit -> t
 (** [remake] builds the initial stack and rebuilds it on every
     microreboot. *)
 
-val supervisor : t -> Ksim.Supervisor.t
 val epoch : t -> int
 
 val io : t -> Io.t

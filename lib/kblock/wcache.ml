@@ -146,7 +146,6 @@ let create ?(name = "wcache") ?(capacity = 32) ?fp ?(seed = 0) base =
     fua_writes = 0;
   }
 
-let name t = t.name
 let dirty_blocks t = List.length t.dirty
 let unflushed_writes t = List.length t.epoch
 
@@ -477,14 +476,11 @@ let crash_devices d ~limit =
 
 let audit t = List.rev t.violations
 let ordering_violations t = t.nviolations
-let writes t = t.writes
-let reads t = t.reads
 let cache_hits t = t.cache_hits
 let flushes t = t.flushes
 let flush_drops t = t.flush_drops
 let writebacks t = t.writebacks
 let reordered_writebacks t = t.reordered_writebacks
-let writeback_errors t = t.writeback_errors
 let fua_writes t = t.fua_writes
 
 let publish t stats prefix =

@@ -53,8 +53,6 @@ val io : t -> Io.t
 (** The cache as an [Io.t] layer ([write_fua] is native: write-through
     plus base FUA). *)
 
-val name : t -> string
-
 val read : t -> int -> bytes Ksim.Errno.r
 val write : t -> int -> bytes -> unit Ksim.Errno.r
 val write_fua : t -> int -> bytes -> unit Ksim.Errno.r
@@ -150,14 +148,11 @@ val dirty_blocks : t -> int
 val unflushed_writes : t -> int
 (** Writes in the open barrier epoch (volatile right now). *)
 
-val writes : t -> int
-val reads : t -> int
 val cache_hits : t -> int
 val flushes : t -> int
 val flush_drops : t -> int
 val writebacks : t -> int
 val reordered_writebacks : t -> int
-val writeback_errors : t -> int
 val fua_writes : t -> int
 
 val publish : t -> Ksim.Kstats.t -> string -> unit

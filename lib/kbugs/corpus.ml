@@ -64,11 +64,3 @@ let by_component () =
       (r.component, n + 1) :: List.remove_assoc r.component acc)
     [] (records ())
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let by_year () =
-  List.fold_left
-    (fun acc r ->
-      let n = try List.assoc r.year acc with Not_found -> 0 in
-      (r.year, n + 1) :: List.remove_assoc r.year acc)
-    [] (records ())
-  |> List.sort compare

@@ -23,4 +23,3 @@ val records : unit -> record list
 (** All 1475 records (deterministic; memoized). *)
 
 val by_component : unit -> (string * int) list
-val by_year : unit -> (int * int) list

@@ -69,8 +69,3 @@ let prevention cwe =
   | Some Safeos_core.Level.Unsafe | Some Safeos_core.Level.Modular | None -> Other_cause
 
 let by_prevention p = List.filter (fun c -> prevention c = p) catalog
-
-let pp ppf c =
-  Fmt.pf ppf "CWE-%d (%s) -> %s, %s" c.cwe_id c.cwe_name
-    (Safeos_core.Level.bug_class_to_string c.bug_class)
-    (prevention_to_string (prevention c))

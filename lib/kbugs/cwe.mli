@@ -20,4 +20,3 @@ type prevention =
 val prevention_to_string : prevention -> string
 val prevention : t -> prevention
 val by_prevention : prevention -> t list
-val pp : Format.formatter -> t -> unit

@@ -36,10 +36,6 @@ val detection_to_string : detection -> string
 val is_stopped : detection -> bool
 (** [Prevented] or [Detected]. *)
 
-val trigger_unsafe : fault -> detection
-(** Inject into {!Kfs.Memfs_unsafe} and run the trigger trace
-    ([F_transient_io] instead runs the unprotected flaky-device trace). *)
-
 val trigger_transient_io : protected:bool -> unit -> detection
 (** Run a workload on {!Kfs.Journalfs} over a {!Kblock.Flakydev} with a
     deterministic schedule of transient write EIOs.  With
@@ -47,20 +43,7 @@ val trigger_transient_io : protected:bool -> unit -> detection
     faults are absorbed ([Detected]); without it the first EIO fails the
     op and remounts the FS read-only ([Exhibited]). *)
 
-val trigger_module_panic : supervised:bool -> unit -> detection
-(** Fire failpoint site ["module.panic"] through a {!Kvfs.Iface.panicky}
-    file system under the VFS.  Unsupervised the panic escapes the
-    dispatch and oopses the kernel ([Exhibited]); on a supervised mount
-    it is contained, the fs microreboots, and the workload completes
-    ([Detected]). *)
-
 val trigger_race : unit -> detection
-val trigger_verified_semantic : unit -> detection
-val trigger_unverified_semantic : unit -> detection
-val trigger_owned_violation : unit -> detection
-
-val stages : Safeos_core.Level.t list
-(** Unsafe, Type_safe, Ownership_safe, Verified. *)
 
 val at_stage : Safeos_core.Level.t -> fault -> detection
 val matrix : unit -> (fault * (Safeos_core.Level.t * detection) list) list

@@ -17,10 +17,6 @@ val all_linux_cves : unit -> cve list
 
 val ext4_release_year : int
 
-val ext4_report_lags : int list
-(** Years between ext4's release and each CVE report; median is 7
-    ("50% of CVEs in ext4 were found after 7 years or more of use"). *)
-
 val all_ext4_cves : unit -> cve list
 
 type fs_year = {
@@ -30,9 +26,6 @@ type fs_year = {
   bug_patches : int;
   loc : int;
 }
-
-val fs_bug_history : fs_year list
-(** Per-age bug patches and code size for overlayfs, ext4, btrfs. *)
 
 val fs_names : string list
 val history_of : string -> fs_year list

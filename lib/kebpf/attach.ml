@@ -90,9 +90,9 @@ type tracer = {
   mutable ttraps : int;
 }
 
-let attach_tracer ?(buckets = 16) prog =
+let attach_tracer prog =
   Result.map
-    (fun loaded -> { tprog = loaded; buckets = Array.make buckets 0; ttraps = 0 })
+    (fun loaded -> { tprog = loaded; buckets = Array.make 16 0; ttraps = 0 })
     (Vm.load prog)
 
 let trace_op tracer op =
@@ -134,7 +134,6 @@ let probe_event probe ctx =
   | exception Vm.Trap _ -> probe.ptraps <- probe.ptraps + 1
 
 let probe_counts probe = Array.copy probe.pbuckets
-let probe_traps probe = probe.ptraps
 
 (* Load-event context layout (all single bytes):
      ctx[0]  tenant id, low byte

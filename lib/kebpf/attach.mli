@@ -20,13 +20,8 @@ val filter_stats : filter -> int * int * int
 
 type tracer
 
-val attach_tracer : ?buckets:int -> Insn.program -> (tracer, Verifier.rejection) result
-
-val encode_op : Kspec.Fs_spec.op -> string
-(** The fixed context layout: opcode, path depth, clamped size, first
-    path component. *)
-
-val opcode_of : Kspec.Fs_spec.op -> int
+val attach_tracer : Insn.program -> (tracer, Verifier.rejection) result
+(** A tracer with 16 buckets. *)
 
 val trace_op : tracer -> Kspec.Fs_spec.op -> unit
 (** Run the program on the encoded op; r0 selects the bucket to count. *)
@@ -49,7 +44,6 @@ val probe_event : probe -> string -> unit
     (wrapped modulo the bucket array).  Traps are counted, not raised. *)
 
 val probe_counts : probe -> int array
-val probe_traps : probe -> int
 
 val encode_load_event : tenant:int -> class_id:int -> kind:int -> size:int -> string
 (** The load-event context layout: tenant id (two bytes, little-endian),

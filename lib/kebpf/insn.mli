@@ -49,5 +49,4 @@ type t =
 
 type program = t array
 
-val pp : Format.formatter -> t -> unit
 val pp_program : Format.formatter -> program -> unit

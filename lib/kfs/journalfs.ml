@@ -74,7 +74,6 @@ let bitmap_block geo = geo.jblocks + 1 + geo.ninodes
 let data_start geo = bitmap_block geo + 1
 let data_blocks geo = geo.nblocks - data_start geo
 
-let mode t = t.mode
 let device t = t.dev
 let journal_stats t = Option.map Kblock.Journal.stats t.journal
 let is_corrupt t = t.corrupt

@@ -71,7 +71,6 @@ val apply : t -> Kspec.Fs_spec.op -> Kspec.Fs_spec.result
     once read-only, mutations fail [EROFS] and [Fsync] is a no-op. *)
 
 val interpret : t -> Kspec.Fs_spec.state
-val mode : t -> mode
 val device : t -> Kblock.Blockdev.t
 val journal_stats : t -> Kblock.Journal.stats option
 val is_corrupt : t -> bool

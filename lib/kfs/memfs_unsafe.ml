@@ -92,7 +92,6 @@ let mkfs_with_faults faults =
 let mkfs () = mkfs_with_faults (no_faults ())
 
 let heap fs = fs.heap
-let faults fs = fs.faults
 
 let node fs ino = Hashtbl.find_opt fs.inodes ino
 

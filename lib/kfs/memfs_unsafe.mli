@@ -25,7 +25,6 @@ val no_faults : unit -> faults
 
 type fs
 
-val fs_name : string
 val mkfs : unit -> fs
 val mkfs_with_faults : faults -> fs
 
@@ -36,13 +35,9 @@ val races : fs -> int
 (** Unlocked [i_size] accesses recorded so far, summed over the live
     files (the [skip_i_lock] fault's races). *)
 
-val faults : fs -> faults
-
 (** The step-0 calling convention (error pointers, void*, int returns). *)
 module Legacy : Kvfs.Iface.FS_OPS_LEGACY with type fs = fs
 
 (** Step 1 applied to this module: the same code behind the modular
     interface. *)
 module Modular : Kvfs.Iface.FS_OPS with type fs = fs
-
-val interpret : fs -> Kspec.Fs_spec.state

@@ -37,7 +37,6 @@ let mkfs () =
     lower = Kvfs.Iface.make (module Memfs_typed) ();
   }
 
-let upper fs = fs.upper
 let lower fs = fs.lower
 
 let stat_layer layer path : [ `File of int | `Dir ] option =

@@ -10,8 +10,6 @@ val make : upper:Kvfs.Iface.instance -> lower:Kvfs.Iface.instance -> fs
 (** Union of two already-populated layers.  [mkfs] is [make] over two
     fresh {!Memfs_typed} instances. *)
 
-val upper : fs -> Kvfs.Iface.instance
 val lower : fs -> Kvfs.Iface.instance
 
 val is_whiteout_name : string -> bool
-val merged_children : fs -> Kspec.Fs_spec.path -> string list

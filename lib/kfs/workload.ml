@@ -109,9 +109,9 @@ let payload_of_profile = function
   | Mixed -> 128
   | Read_mostly -> 256
 
-let generate ?(seed = 42) ?(payload = -1) profile ~ops =
+let generate ?(seed = 42) profile ~ops =
   let rng = Ksim.Rng.of_int seed in
-  let payload = if payload > 0 then payload else payload_of_profile profile in
+  let payload = payload_of_profile profile in
   let weights = weights_of_profile profile in
   let rec go state n acc =
     if n = 0 then List.rev acc

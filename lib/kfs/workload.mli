@@ -14,10 +14,8 @@ type profile =
 val profile_to_string : profile -> string
 val all_profiles : profile list
 
-val generate :
-  ?seed:int -> ?payload:int -> profile -> ops:int -> Kspec.Fs_spec.op list
-(** [generate profile ~ops] is a deterministic trace of [ops] operations.
-    [payload] overrides the profile's write size. *)
+val generate : ?seed:int -> profile -> ops:int -> Kspec.Fs_spec.op list
+(** [generate profile ~ops] is a deterministic trace of [ops] operations. *)
 
 val smoke : Kspec.Fs_spec.op list
 (** A small fixed trace used by the quickstart example and smoke tests. *)

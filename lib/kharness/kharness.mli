@@ -31,11 +31,6 @@ type entry = {
   machine : packed;
 }
 
-val harness : name:string -> subsystem:string -> packed -> entry
-(** Register (and return) a harness.  klint's R15 pass recognises
-    exactly this call shape — [harness ~name:"..." ~subsystem:"..."]
-    with literal strings — so a registration is statically visible. *)
-
 val all : unit -> entry list
 (** Every registered harness, registration order. *)
 

@@ -250,18 +250,3 @@ let unknown_markers text =
            then Some word
            else None)
   |> dedup
-
-let pp ppf a =
-  let field name = function
-    | [] -> ()
-    | ls -> Fmt.pf ppf "@%s: %s " name (String.concat ", " ls)
-  in
-  field "must_hold" a.must_hold;
-  field "acquires" a.acquires;
-  field "releases" a.releases;
-  field "consumes" a.consumes;
-  field "borrows" a.borrows;
-  if a.returns_owned then Fmt.pf ppf "@returns_owned ";
-  field "flushes" a.flushes;
-  field "orders_after" a.orders_after;
-  if a.durable then Fmt.pf ppf "@durable "

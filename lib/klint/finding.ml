@@ -126,8 +126,6 @@ let cwe_id = function
   | R17_ack_before_durable -> 392 (* missing report of error condition: Ok acked while volatile *)
   | R18_barrier_elision -> 573 (* improper following of specification: wrapper drops the flush contract *)
 
-let cwe rule = Kbugs.Cwe.find (cwe_id rule)
-
 type t = {
   rule : rule;
   file : string; (* path relative to the tree root, '/'-separated *)

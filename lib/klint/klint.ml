@@ -29,9 +29,6 @@ module Baseline = Baseline
 module Engine = Engine
 module Report = Report
 
-(* Effective-line counting shared with the Figure-1 audit. *)
-let loc_of_dir = Loc.loc_of_dir
-
 (* Per-subsystem implementation size, derived from the same source map
    the linter attributes findings with — pass as [Boot.registry ~loc_of]
    so the audit numbers cannot drift from the tree. *)
@@ -46,12 +43,12 @@ let registry_loc ~root name =
           | _, None | None, _ -> None)
         (Some 0) sources
 
-(* Walk up from [start] (default: cwd) to the dune-project root. *)
-let find_root ?start () =
+(* Walk up from the cwd to the dune-project root. *)
+let find_root () =
   let rec up dir =
     if Sys.file_exists (Filename.concat dir "dune-project") then Some dir
     else
       let parent = Filename.dirname dir in
       if String.equal parent dir then None else up parent
   in
-  up (match start with Some d -> d | None -> Sys.getcwd ())
+  up (Sys.getcwd ())

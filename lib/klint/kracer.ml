@@ -278,14 +278,18 @@ let analyze ~root parsed = of_callgraph (Callgraph.build ~root parsed)
 (* Reconciliation ---------------------------------------------------------- *)
 
 (* Runtime edges arrive as instance names ([i_lock:3]); collapse to
-   classes and subtract the static graph.  Anything left is a lock
-   ordering the tests exercised that the static analysis missed —
-   unsoundness, not a style nit, hence CI-fatal. *)
-let missing_runtime_edges ~static runtime =
+   classes, the edges the static graph is compared against.  How many
+   instances a run creates follows its inputs; the class edges do not. *)
+let runtime_class_edges runtime =
   runtime
   |> List.map (fun (a, b) -> (Annot.lock_class a, Annot.lock_class b))
   |> List.sort_uniq compare
-  |> List.filter (fun e -> not (List.mem e static))
+
+(* Subtract the static graph.  Anything left is a lock ordering the
+   tests exercised that the static analysis missed — unsoundness, not a
+   style nit, hence CI-fatal. *)
+let missing_runtime_edges ~static runtime =
+  List.filter (fun e -> not (List.mem e static)) (runtime_class_edges runtime)
 
 (* The runtime export's lock-order edges: held, acquired. *)
 let lockdep_edge =

@@ -53,13 +53,6 @@ type own_state =
   | Moved
   | Revoked
 
-let state_to_string = function
-  | Owned _ -> "owned"
-  | Borrowed -> "borrowed"
-  | Freed -> "freed"
-  | Moved -> "moved (consumed)"
-  | Revoked -> "revoked"
-
 (* The per-function contract kown propagates over the call graph. *)
 type summary = {
   consumes : SS.t;  (** parameter names freed/moved by a call *)

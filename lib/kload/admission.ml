@@ -138,7 +138,6 @@ let offer t ~now ~tenant ~read_only =
 
 let mode t = t.mode
 let backlog t = t.backlog
-let admitted t = t.admitted
 let shed t = t.shed
 let shed_of_tenant t i = t.shed_by_tenant.(i mod Array.length t.shed_by_tenant)
 let transitions t = List.rev t.transitions

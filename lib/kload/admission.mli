@@ -27,7 +27,6 @@ type config = {
   low_water : int;  (** backlog threshold returning to [Accepting] *)
 }
 
-val default_config : config
 val config_for : tenants:int -> config
 (** A config scaled so a population of [tenants] sheds under bursts but
     drains between them. *)
@@ -46,7 +45,6 @@ val offer : t -> now:int -> tenant:int -> read_only:bool -> decision
 
 val mode : t -> mode
 val backlog : t -> int
-val admitted : t -> int
 val shed : t -> int
 val shed_of_tenant : t -> int -> int
 

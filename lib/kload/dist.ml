@@ -33,9 +33,9 @@ module Zipf = struct
     cdf : float array; (* cdf.(k) = P(rank <= k), cdf.(n-1) = 1.0 *)
   }
 
-  let create ?(s = 1.01) ~n () =
-    if n <= 0 || s < 0.0 then invalid_arg "Dist.Zipf.create";
-    let w = Array.init n (fun k -> 1.0 /. (float_of_int (k + 1) ** s)) in
+  let create ~n () =
+    if n <= 0 then invalid_arg "Dist.Zipf.create";
+    let w = Array.init n (fun k -> 1.0 /. (float_of_int (k + 1) ** 1.01)) in
     let total = Array.fold_left ( +. ) 0.0 w in
     let acc = ref 0.0 in
     let cdf =
@@ -47,8 +47,6 @@ module Zipf = struct
     in
     cdf.(n - 1) <- 1.0;
     { n; cdf }
-
-  let n t = t.n
 
   let draw t rng =
     let u = Ksim.Rng.float rng in

@@ -27,13 +27,10 @@ end
 module Zipf : sig
   type t
 
-  val create : ?s:float -> n:int -> unit -> t
-  (** Ranks [0 .. n-1] with P(k) proportional to [1/(k+1)^s].  Default
-      [s = 1.01], the classic skew where the top rank takes a few
-      percent of all traffic.  @raise Invalid_argument on [n <= 0] or
-      negative [s]. *)
-
-  val n : t -> int
+  val create : n:int -> unit -> t
+  (** Ranks [0 .. n-1] with P(k) proportional to [1/(k+1)^1.01], the
+      classic skew where the top rank takes a few percent of all
+      traffic.  @raise Invalid_argument on [n <= 0]. *)
 
   val draw : t -> Ksim.Rng.t -> int
   (** One rank, by binary search over the cumulative table: O(log n),

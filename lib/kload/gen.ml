@@ -68,7 +68,6 @@ let plan spec ~seed =
       Dist.Bounded_pareto.create ~alpha:1.2 ~xmin:Spec.min_payload ~xmax:spec.Spec.payload;
   }
 
-let spec t = t.spec
 let tenants t = t.tenants
 
 (* Fixed draw count per op — kind, key, size, think — so a tenant's

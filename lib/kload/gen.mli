@@ -29,7 +29,6 @@ val plan : Spec.t -> seed:int -> t
 (** Build the tenant population: class assignment is each tenant's first
     private draw, weighted by the class weights. *)
 
-val spec : t -> Spec.t
 val tenants : t -> tenant array
 
 val next_op : t -> tenant -> op

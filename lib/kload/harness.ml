@@ -177,7 +177,7 @@ let run ?(spec = Spec.default) ?(storm = Mixed) ?admission ?sink ~seed () =
   let io = Kblock.Resilient.io resilient in
   let fs0 = Kfs.Journalfs.mkfs_on ~geometry ~io Kfs.Journalfs.Journaled dev in
 
-  let kernel = Kproc.Kernel.boot ~max_steps:(1_000_000 + (100 * total)) ~stats () in
+  let kernel = Kproc.Kernel.boot ~max_steps:(1_000_000 + (100 * total)) () in
   let vfs = Kproc.Kernel.vfs kernel in
   let dur_path = [ "dur" ] in
   let wrap_dur fs =

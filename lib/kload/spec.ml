@@ -160,5 +160,3 @@ let to_string t =
   Printf.sprintf "tenants=%d;ops=%d;keyspace=%d;payload=%d;classes=%s" t.tenants
     t.ops_per_tenant t.keyspace t.payload
     (String.concat "|" (List.map class_str t.classes))
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -70,5 +70,3 @@ val of_string : string -> (t, string) result
 
 val to_string : t -> string
 (** Canonical DSL text; [of_string (to_string t) = Ok t]. *)
-
-val pp : Format.formatter -> t -> unit

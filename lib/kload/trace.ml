@@ -59,129 +59,12 @@ let rebase prefix (op : Fs.op) =
   | Fs.Stat p -> Option.map (fun p -> Fs.Stat p) (strip p)
   | Fs.Fsync -> Some Fs.Fsync
 
-let record ?spec ?(under = "/dur") ?(target_ops = 10_000) ~seed () =
-  let spec = match spec with Some s -> s | None -> spec_for ~target_ops in
-  let prefix = Fs.path_of_string under in
+let record ?(target_ops = 10_000) ~seed () =
+  let spec = spec_for ~target_ops in
+  let prefix = Fs.path_of_string "/dur" in
   let acc = ref [] in
   let sink op = acc := op :: !acc in
   let (_ : Harness.result) =
     Harness.run ~spec ~storm:Harness.No_storm ~admission:(open_admission spec) ~sink ~seed ()
   in
   List.rev !acc |> List.filter_map (rebase prefix)
-
-(* On-disk form: one op per line, percent-encoded path segments and
-   data so the grammar stays whitespace-delimited. *)
-
-let hex = "0123456789abcdef"
-
-let enc s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      let code = Char.code c in
-      if code > 0x20 && code < 0x7f && c <> '%' then Buffer.add_char buf c
-      else begin
-        Buffer.add_char buf '%';
-        Buffer.add_char buf hex.[code lsr 4];
-        Buffer.add_char buf hex.[code land 0xf]
-      end)
-    s;
-  if Buffer.length buf = 0 then "%" else Buffer.contents buf
-
-let dec s =
-  if s = "%" then Ok ""
-  else
-    let buf = Buffer.create (String.length s) in
-    let n = String.length s in
-    let rec go i =
-      if i >= n then Ok (Buffer.contents buf)
-      else if s.[i] = '%' then
-        if i + 3 > n then Error (Fmt.str "truncated escape in %S" s)
-        else
-          match int_of_string_opt ("0x" ^ String.sub s (i + 1) 2) with
-          | Some code ->
-              Buffer.add_char buf (Char.chr (code land 0xff));
-              go (i + 3)
-          | None -> Error (Fmt.str "bad escape in %S" s)
-      else begin
-        Buffer.add_char buf s.[i];
-        go (i + 1)
-      end
-    in
-    go 0
-
-let enc_path p = enc (Fs.path_to_string p)
-
-let dec_path s = Result.map Fs.path_of_string (dec s)
-
-let to_line (op : Fs.op) =
-  match op with
-  | Fs.Create p -> "create " ^ enc_path p
-  | Fs.Mkdir p -> "mkdir " ^ enc_path p
-  | Fs.Write { file; off; data } -> Fmt.str "write %s %d %s" (enc_path file) off (enc data)
-  | Fs.Read { file; off; len } -> Fmt.str "read %s %d %d" (enc_path file) off len
-  | Fs.Truncate (p, n) -> Fmt.str "truncate %s %d" (enc_path p) n
-  | Fs.Unlink p -> "unlink " ^ enc_path p
-  | Fs.Rmdir p -> "rmdir " ^ enc_path p
-  | Fs.Rename (a, b) -> Fmt.str "rename %s %s" (enc_path a) (enc_path b)
-  | Fs.Readdir p -> "readdir " ^ enc_path p
-  | Fs.Stat p -> "stat " ^ enc_path p
-  | Fs.Fsync -> "fsync"
-
-let of_line line =
-  let ( let* ) = Result.bind in
-  match String.split_on_char ' ' (String.trim line) with
-  | [ "create"; p ] -> Result.map (fun p -> Fs.Create p) (dec_path p)
-  | [ "mkdir"; p ] -> Result.map (fun p -> Fs.Mkdir p) (dec_path p)
-  | [ "write"; p; off; data ] -> (
-      match int_of_string_opt off with
-      | None -> Error (Fmt.str "bad offset %S" off)
-      | Some off ->
-          let* file = dec_path p in
-          let* data = dec data in
-          Ok (Fs.Write { file; off; data }))
-  | [ "read"; p; off; len ] -> (
-      match (int_of_string_opt off, int_of_string_opt len) with
-      | Some off, Some len -> Result.map (fun file -> Fs.Read { file; off; len }) (dec_path p)
-      | _ -> Error (Fmt.str "bad read %S" line))
-  | [ "truncate"; p; n ] -> (
-      match int_of_string_opt n with
-      | Some n -> Result.map (fun p -> Fs.Truncate (p, n)) (dec_path p)
-      | None -> Error (Fmt.str "bad truncate %S" line))
-  | [ "unlink"; p ] -> Result.map (fun p -> Fs.Unlink p) (dec_path p)
-  | [ "rmdir"; p ] -> Result.map (fun p -> Fs.Rmdir p) (dec_path p)
-  | [ "rename"; a; b ] ->
-      let* a = dec_path a in
-      let* b = dec_path b in
-      Ok (Fs.Rename (a, b))
-  | [ "readdir"; p ] -> Result.map (fun p -> Fs.Readdir p) (dec_path p)
-  | [ "stat"; p ] -> Result.map (fun p -> Fs.Stat p) (dec_path p)
-  | [ "fsync" ] -> Ok Fs.Fsync
-  | _ -> Error (Fmt.str "unparseable trace line %S" line)
-
-let save ~path ops =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      List.iter
-        (fun op ->
-          output_string oc (to_line op);
-          output_char oc '\n')
-        ops)
-
-let load ~path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let rec go acc lineno =
-        match input_line ic with
-        | exception End_of_file -> Ok (List.rev acc)
-        | "" -> go acc (lineno + 1)
-        | line -> (
-            match of_line line with
-            | Ok op -> go (op :: acc) (lineno + 1)
-            | Error e -> Error (Fmt.str "line %d: %s" lineno e))
-      in
-      go [] 1)

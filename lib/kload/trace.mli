@@ -1,26 +1,12 @@
 (** Refinement traces recorded from the load harness.
 
     {!record} runs a real (deterministic) {!Harness} population with the
-    op sink attached and keeps the operations under one mount, rebased to
+    op sink attached and keeps the operations under [/dur], rebased to
     its root — the "real traffic" input the krefine enumerator checks
-    journalfs/cowfs/microreboot machines against.  {!save}/{!load} give
-    traces a line-based on-disk form for [safeos refine --trace]. *)
+    journalfs/cowfs/microreboot machines against. *)
 
-val spec_for : target_ops:int -> Spec.t
-(** A data-heavy workload spec sized so the recorded [/dur] trace
-    reaches at least [target_ops] operations. *)
-
-val record :
-  ?spec:Spec.t -> ?under:string -> ?target_ops:int -> seed:int -> unit -> Kspec.Fs_spec.op list
+val record : ?target_ops:int -> seed:int -> unit -> Kspec.Fs_spec.op list
 (** Record one harness run (storm-free, generous admission so nothing is
-    shed) and return the ops under [under] (default ["/dur"]) rebased to
-    the mount root.  Deterministic in [(spec, seed)].  [target_ops]
-    (default 10_000) sizes the default spec; an explicit [spec] wins. *)
-
-val save : path:string -> Kspec.Fs_spec.op list -> unit
-
-val load : path:string -> (Kspec.Fs_spec.op list, string) Stdlib.result
-(** Parse a saved trace; [Error] names the first bad line. *)
-
-val to_line : Kspec.Fs_spec.op -> string
-val of_line : string -> (Kspec.Fs_spec.op, string) Stdlib.result
+    shed) and return the ops under ["/dur"] rebased to the mount root.
+    Deterministic in [seed].  [target_ops] (default 10_000) sizes a
+    data-heavy spec so the trace reaches at least that many ops. *)

@@ -63,7 +63,6 @@ let create phys =
 
 let page_size t = Phys.page_size t.phys
 let stats t = t.stats
-let vmas t = t.vmas
 let resident_pages t = Hashtbl.length t.pages
 
 let find_vma t addr =

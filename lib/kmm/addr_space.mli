@@ -64,6 +64,5 @@ val fork : t -> t
 val destroy : t -> unit
 (** Release every resident frame (process exit). *)
 
-val vmas : t -> vma list
 val resident_pages : t -> int
 val stats : t -> stats

@@ -30,9 +30,7 @@ let create ~nframes ~page_size =
   }
 
 let page_size t = t.page_size
-let nframes t = t.nframes
 let free_frames t = List.length t.free_list
-let total_allocs t = t.total_allocs
 
 let alloc t =
   match t.free_list with

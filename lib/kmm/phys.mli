@@ -7,9 +7,7 @@ type t
 
 val create : nframes:int -> page_size:int -> t
 val page_size : t -> int
-val nframes : t -> int
 val free_frames : t -> int
-val total_allocs : t -> int
 
 val alloc : t -> frame option
 (** A zeroed frame with refcount 1, or [None] when memory is exhausted. *)

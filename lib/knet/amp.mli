@@ -25,8 +25,6 @@ val encode_data : channel:int -> data_payload -> string
 val claimed_kind : string -> channel_kind
 (** What the packet header claims. @raise Malformed on garbage. *)
 
-val channel_of : string -> int
-
 module Unsafe : sig
   type t
 

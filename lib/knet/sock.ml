@@ -237,7 +237,6 @@ module Supervised = struct
     { sup; panic = Option.map (fun fp -> (fp, Ksim.Failpoint.register fp panic_site)) fp }
 
   let supervisor t = t.sup
-  let epoch t = Ksim.Supervisor.epoch t.sup
 
   let maybe_panic t =
     match t.panic with
@@ -252,26 +251,12 @@ module Supervised = struct
         | Ok pair -> Ok { pair; minted = Ksim.Supervisor.epoch t.sup }
         | Error e -> Error e)
 
-  (* The epoch check runs inside the containment thunk: the supervisor
-     may microreboot at the top of [call], and a handle minted before
-     the oops must not reach the new generation — not even on the call
-     that triggers the reboot. *)
   let guarded t h f =
-    Ksim.Supervisor.call t.sup (fun () ->
-        let ( let* ) = Ksim.Errno.( let* ) in
-        let* () = Ksim.Supervisor.validate t.sup h.minted in
+    Ksim.Supervisor.call_minted t.sup ~minted:h.minted (fun () ->
         maybe_panic t;
         f h.pair)
 
   let connect t h = guarded t h Typed.connect
-  let send t h data = guarded t h (fun pair -> Typed.send pair data)
-
-  let deliver t h =
-    guarded t h (fun pair ->
-        Typed.deliver pair;
-        Ok ())
-
-  let received_at_peer t h = guarded t h (fun pair -> Ok (Typed.received_at_peer pair))
 
   (* One request/response round trip as a single supervised operation:
      the shape a load-generating tenant drives in a tight loop.  Running
@@ -284,6 +269,4 @@ module Supervised = struct
         let* _sent = Typed.send pair data in
         Typed.deliver pair;
         Ok (Typed.received_at_peer pair))
-
-  let is_connected t h = guarded t h (fun pair -> Ok (Typed.is_connected pair))
 end

@@ -30,7 +30,6 @@ module Dgram_proto : PROTO with type conn = string Queue.t
 module Typed : sig
   type pair
 
-  val register : (module PROTO) -> unit
   val protocols : unit -> string list
 
   val socket_pair : string -> pair Ksim.Errno.r
@@ -87,15 +86,11 @@ module Supervised : sig
     t
 
   val supervisor : t -> Ksim.Supervisor.t
-  val epoch : t -> int
 
   val socket_pair : t -> string -> handle Ksim.Errno.r
   (** A fresh endpoint pair stamped with the current epoch. *)
 
   val connect : t -> handle -> unit Ksim.Errno.r
-  val send : t -> handle -> string -> int Ksim.Errno.r
-  val deliver : t -> handle -> unit Ksim.Errno.r
-  val received_at_peer : t -> handle -> string Ksim.Errno.r
 
   val rpc : t -> handle -> string -> string Ksim.Errno.r
   (** One request/response round trip (send, deliver, read back the
@@ -103,6 +98,4 @@ module Supervised : sig
       request/response primitive the load harness drives.  [ESTALE] on a
       dead-generation handle, [EIO]/[EINTR] under containment like every
       other operation. *)
-
-  val is_connected : t -> handle -> bool Ksim.Errno.r
 end

@@ -198,27 +198,9 @@ and spawn_proc t ?space ~name main =
   Hashtbl.replace t.procs pid { space; fds; exit_code = None };
   pid
 
-(* Boot the kernel.  [root_fp] wraps the root file system in a panicky
-   shell consulting failpoint site "module.panic" — without supervision
-   the panic escapes through the syscall and the calling process
-   segfaults (exit 139), the monolithic baseline.  [supervise_root]
-   mounts the root behind a [Ksim.Supervisor] firewall instead: the same
-   panic is contained to an errno, the fs microreboots (a root memfs
-   comes back empty — it is RAM), and fds minted before the reboot
-   answer [ESTALE]. *)
-let boot ?(frames = 1024) ?(page_size = 256) ?max_steps ?root_fp ?root_policy ?stats
-    ?(supervise_root = false) () =
+let boot ?(frames = 1024) ?(page_size = 256) ?max_steps () =
   let vfs = Kvfs.Vfs.create () in
-  let make_root () =
-    let fs = Kvfs.Iface.make (module Kfs.Memfs_typed) () in
-    match root_fp with Some fp -> Kvfs.Iface.panicky ~fp fs | None -> fs
-  in
-  let mounted =
-    if supervise_root then
-      Kvfs.Vfs.mount vfs ~at:[] ~remake:make_root ?policy:root_policy ?stats (make_root ())
-    else Kvfs.Vfs.mount vfs ~at:[] (make_root ())
-  in
-  (match mounted with
+  (match Kvfs.Vfs.mount vfs ~at:[] (Kvfs.Iface.make (module Kfs.Memfs_typed) ()) with
   | Ok () -> ()
   | Error e -> failwith ("Kernel.boot: " ^ Ksim.Errno.to_string e));
   let phys = Kmm.Phys.create ~nframes:frames ~page_size in

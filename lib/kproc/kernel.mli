@@ -48,28 +48,10 @@ type sys = {
   exit : int -> unit;  (** terminate with a code (raises {!Exited}) *)
 }
 
-val boot :
-  ?frames:int ->
-  ?page_size:int ->
-  ?max_steps:int ->
-  ?root_fp:Ksim.Failpoint.t ->
-  ?root_policy:Ksim.Supervisor.policy ->
-  ?stats:Ksim.Kstats.t ->
-  ?supervise_root:bool ->
-  unit ->
-  t
+val boot : ?frames:int -> ?page_size:int -> ?max_steps:int -> unit -> t
 (** A kernel with a root memfs and [frames] physical frames.
     [max_steps] raises the scheduler's livelock bound for very large
-    process populations (the load harness runs tens of thousands).
-
-    [root_fp] wraps the root fs in {!Kvfs.Iface.panicky} (failpoint site
-    ["module.panic"]); without supervision such a panic escapes the
-    syscall and the calling process segfaults (exit 139) — the
-    monolithic baseline.  [supervise_root] (default [false]) mounts the
-    root behind a {!Ksim.Supervisor} oops firewall instead: the panic is
-    contained to an errno, the fs microreboots (a root memfs comes back
-    empty — it is RAM), and fds minted before the reboot answer
-    [ESTALE] until reopened. *)
+    process populations (the load harness runs tens of thousands). *)
 
 val spawn : t -> name:string -> (sys -> int) -> int
 (** Register a user program; returns its pid.  Its address space is

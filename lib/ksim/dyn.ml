@@ -22,26 +22,19 @@ module Key = struct
     type a
     type 'a witness += W : a witness
     val name : string
-    val uid : int
   end
 
   type 'a t = (module S with type a = 'a)
 
-  let next_uid = ref 0
-
   let create (type v) ~name : v t =
-    incr next_uid;
-    let uid = !next_uid in
     let module M = struct
       type a = v
       type 'a witness += W : a witness
       let name = name
-      let uid = uid
     end in
     (module M)
 
   let name (type v) ((module M) : v t) = M.name
-  let uid (type v) ((module M) : v t) = M.uid
 end
 
 type t =

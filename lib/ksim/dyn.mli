@@ -24,9 +24,6 @@ module Key : sig
   val create : name:string -> 'a t
   (** [create ~name] mints a fresh key.  Two keys never compare equal, even
       with the same [name]. *)
-
-  val name : 'a t -> string
-  val uid : 'a t -> int
 end
 
 type t
@@ -45,9 +42,6 @@ val cast_exn : 'a Key.t -> t -> 'a
 (** Unchecked "C-style" downcast.
     @raise Type_confusion on tag mismatch.
     @raise Null_dereference on {!null}. *)
-
-val tag_name : t -> string
-(** Name of the key the value was injected under (["NULL"] for null). *)
 
 (** Kernel error-pointer convention ([ERR_PTR]/[PTR_ERR]/[IS_ERR]): a
     function returns either a pointer or an error encoded in pointer space,

@@ -109,13 +109,6 @@ let sites t =
 
 let total_injected t = List.fold_left (fun acc s -> acc + s.injected) 0 (sites t)
 
-let reset_counters t =
-  Hashtbl.iter
-    (fun _ s ->
-      s.hits <- 0;
-      s.injected <- 0)
-    t.sites
-
 let publish t stats =
   List.iter
     (fun s ->
@@ -127,8 +120,3 @@ let publish t stats =
    order, read from the registry's ring.  Two runs from the same seed
    that execute the same I/O sequence produce the identical schedule. *)
 let schedule t = match t.trace with Some trace -> Ktrace.events trace | None -> []
-
-let pp_site ppf s =
-  Fmt.pf ppf "%-28s %s p=%.2f interval=%d times=%d hits=%d injected=%d" s.name
-    (if s.enabled then "on " else "off")
-    s.probability s.interval s.times s.hits s.injected

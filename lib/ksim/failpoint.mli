@@ -72,8 +72,6 @@ val total_injected : t -> int
 val sites : t -> site list
 (** All registered sites, sorted by name. *)
 
-val reset_counters : t -> unit
-
 val publish : t -> Kstats.t -> unit
 (** Add every site's [hits]/[injected] counters into a {!Kstats} table as
     ["<site>.hits"] / ["<site>.injected"]. *)
@@ -82,5 +80,3 @@ val schedule : t -> injection list
 (** The observed fault schedule: the injections retained in the
     registry's ring, in order ([[]] without a ring).  Same seed + same
     I/O sequence = identical schedule (replayability). *)
-
-val pp_site : Format.formatter -> site -> unit

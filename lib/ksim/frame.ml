@@ -15,21 +15,12 @@ module Priv = struct
   let wrap = Dyn.inject
   let unwrap = Dyn.project
   let none = Dyn.null
-  let is_none = Dyn.is_null
-  let tag = Dyn.tag_name
 end
 
 module Handle = struct
   type t = Dyn.Errptr.t
 
-  let ok p = Dyn.Errptr.of_ptr p
-  let fail e = Dyn.Errptr.of_err e
   let result = Dyn.Errptr.to_result
-
-  let get slot h =
-    match Dyn.Errptr.to_result h with
-    | Error _ as e -> e
-    | Ok p -> ( match Priv.unwrap slot p with Some v -> Ok v | None -> Error Errno.EPROTO)
 end
 
 module Buf = struct

@@ -29,12 +29,6 @@ module Priv : sig
 
   val none : t
   (** The null payload, for fields not yet populated. *)
-
-  val is_none : t -> bool
-
-  val tag : t -> string
-  (** The slot name the value was wrapped under (["NULL"] for [none]) —
-      diagnostics only, never a dispatch key. *)
 end
 
 (** Checked decoding of the kernel err-ptr convention.  [result] is the
@@ -44,13 +38,7 @@ end
 module Handle : sig
   type t = Dyn.Errptr.t
 
-  val ok : Priv.t -> t
-  val fail : Errno.t -> t
   val result : t -> Priv.t Errno.r
-
-  val get : 'a Priv.slot -> t -> 'a Errno.r
-  (** [result] composed with {!Priv.unwrap}: a slot mismatch is
-      [EPROTO], the driver-returned-garbage errno. *)
 end
 
 (** Zero-copy buffer hand-off across the frame boundary. *)

@@ -14,21 +14,17 @@ exception Data_race of { cell : string; lock : string }
 type t = {
   name : string;
   mutable holder : int option;
-  mutable acquisitions : int;
   mutable contentions : int;
   lockdep : Lockdep.t option;
 }
 
-let create ?lockdep ~name () = { name; holder = None; acquisitions = 0; contentions = 0; lockdep }
-
-let name lock = lock.name
+let create ?lockdep ~name () = { name; holder = None; contentions = 0; lockdep }
 
 let try_acquire lock =
   let tid = Kthread.self () in
   match lock.holder with
   | None ->
       lock.holder <- Some tid;
-      lock.acquisitions <- lock.acquisitions + 1;
       (match lock.lockdep with
       | Some dep -> Lockdep.lock_acquired dep ~name:lock.name
       | None -> ());
@@ -63,7 +59,6 @@ let held_by_self lock =
   match lock.holder with Some holder -> holder = Kthread.self () | None -> false
 
 let held lock = Option.is_some lock.holder
-let acquisitions lock = lock.acquisitions
 let contentions lock = lock.contentions
 
 let with_lock lock f =
@@ -102,12 +97,9 @@ module Guarded = struct
     check cell;
     cell.value <- value
 
-  (* The "C" accessors: no discipline check at all.  Used by unsafe modules
+  (* The "C" accessor: no discipline check at all.  Used by unsafe modules
      to model code paths that simply forget the lock. *)
   let unsafe_get cell = cell.value
-  let unsafe_set cell value = cell.value <- value
 
   let races cell = cell.races
-  let name cell = cell.cell_name
-  let guard cell = cell.lock
 end

@@ -22,8 +22,6 @@ val create : ?lockdep:Lockdep.t -> name:string -> unit -> t
 (** With [lockdep], every acquisition/release is reported to the
     lock-order validator. *)
 
-val name : t -> string
-
 val acquire : t -> unit
 (** Block (by yielding) until the lock is free, then take it.
     @raise Self_deadlock on re-acquisition by the holder. *)
@@ -39,7 +37,6 @@ val with_lock : t -> (unit -> 'a) -> 'a
 
 val held : t -> bool
 val held_by_self : t -> bool
-val acquisitions : t -> int
 val contentions : t -> int
 (** Number of acquisitions that had to wait at least once. *)
 
@@ -59,16 +56,6 @@ module Guarded : sig
   (** The "C" accessor: reads without any discipline check, modelling code
       paths that simply forget the lock.  Never counted as a race. *)
 
-  val unsafe_set : 'a cell -> 'a -> unit
-
   val races : 'a cell -> int
   (** Unlocked accesses observed through {!get}/{!set}. *)
-
-  val name : 'a cell -> string
-
-  val guard : 'a cell -> t
-  (** The protecting lock the cell was created with.  By convention cell
-      and lock names are ["class:instance"] (e.g. ["i_size:7"] guarded
-      by ["i_lock:7"]) so runtime instances collapse onto the static
-      lock classes kracer reasons about. *)
 end

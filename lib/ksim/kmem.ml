@@ -146,14 +146,3 @@ let leaks heap =
   heap.events.reported_leaks <- site_counts l;
   if l <> [] then export_events heap.events;
   l
-
-let leak_sites heap =
-  ignore (leaks heap : leak list);
-  heap.events.reported_leaks
-
-let uaf_sites heap = sorted_sites heap.events.uaf_sites
-let double_free_sites heap = sorted_sites heap.events.double_free_sites
-
-let pp_report ppf heap =
-  Fmt.pf ppf "heap %s: allocated=%d freed=%d live=%d uaf=%d double_free=%d" heap.events.name
-    heap.allocated heap.freed (live_count heap) heap.uaf_events heap.double_free_events

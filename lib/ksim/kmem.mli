@@ -50,15 +50,3 @@ type leak = { leak_id : int; leak_site : string }
 
 val leaks : t -> leak list
 (** Objects still live, i.e. leaked if the owning module claims quiescence. *)
-
-val leak_sites : t -> (string * int) list
-(** [leaks], aggregated per allocation site — the granularity the
-    static/runtime reconciliation keys on. *)
-
-val uaf_sites : t -> (string * int) list
-(** Use-after-free events, aggregated per allocation site. *)
-
-val double_free_sites : t -> (string * int) list
-(** Double-free events, aggregated per allocation site. *)
-
-val pp_report : Format.formatter -> t -> unit

@@ -115,6 +115,3 @@ let reset t =
   Hashtbl.reset t.counters;
   Hashtbl.reset t.hists;
   t.generation <- t.generation + 1
-
-let pp ppf t =
-  List.iter (fun (name, v) -> Fmt.pf ppf "%-32s %d@." name v) (to_list t)

@@ -52,4 +52,3 @@ val delta : before:snapshot -> after:snapshot -> string -> int
 (** Growth of one named counter between two snapshots (0 if absent). *)
 
 val reset : t -> unit
-val pp : Format.formatter -> t -> unit

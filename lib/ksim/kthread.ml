@@ -126,7 +126,6 @@ let run t =
   Fun.protect ~finally:(fun () -> current := outer) schedule
 
 let failures t = List.rev t.failures
-let steps t = t.steps
 
 (* Systematic interleaving exploration: run the same concurrent program
    under many seeds and collect the distinct outcomes.  A program is

@@ -43,9 +43,6 @@ val self : unit -> int
 val failures : t -> failure list
 (** Threads that terminated with an exception, in spawn-completion order. *)
 
-val steps : t -> int
-(** Scheduling steps consumed by the last {!run}. *)
-
 val explore :
   ?seeds:int ->
   spawn_all:(t -> unit) ->

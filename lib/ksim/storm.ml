@@ -48,8 +48,6 @@ let add t schedule =
       (t.bursts @ schedule);
   forget_range t
 
-let bursts t = t.bursts
-
 let sites t =
   List.sort_uniq String.compare (List.map (fun b -> b.site) t.bursts)
 

@@ -42,9 +42,6 @@ val add : t -> burst list -> unit
     @raise Invalid_argument on an empty window or probability outside
     [0,1]. *)
 
-val bursts : t -> burst list
-(** Every burst added so far, in stable (site, start, stop) order. *)
-
 val tick : t -> int -> unit
 (** Advance storm time to [now]: reconfigure every managed site whose
     set of covering bursts changed since the last applied window.

@@ -113,14 +113,12 @@ let create ?(policy = default_policy) ?stats ?restart ~name () =
 let set_restart t f = t.restart_fn <- Some f
 let set_observer t f = t.observer <- Some f
 
-let name t = t.name
 let state t = t.state
 let epoch t = t.epoch
 let oopses t = t.oopses
 let restarts t = t.restarts
 let escalations t = t.escalations
 let stale_rejected t = t.stale_rejected
-let eintr_aborted t = t.eintr_aborted
 let clock t = t.clock
 let last_recovery_ns t = t.last_recovery_ns
 let total_recovery_ns t = t.total_recovery_ns
@@ -182,14 +180,31 @@ let try_restart t =
           transition t Oopsed
         end
 
-let run t f =
-  match f () with
+let validate t handle_epoch =
+  if handle_epoch = t.epoch then Ok ()
+  else begin
+    t.stale_rejected <- t.stale_rejected + 1;
+    bump t (fun l -> l.l_stale);
+    Error Errno.ESTALE
+  end
+
+(* [minted] is the epoch of the handle the call came through, or
+   [no_handle].  It is validated inside the containment, after any
+   deferred microreboot, so a stale handle misses even the call that
+   performs the reboot. *)
+let no_handle = -1
+
+let run t minted f =
+  match
+    if minted = no_handle then f ()
+    else match validate t minted with Ok () -> f () | Error e -> Error e
+  with
   | result -> result
   | exception _ ->
       oops t;
       Error Errno.EIO
 
-let call t f =
+let enter t minted f =
   t.clock <- t.clock + t.policy.op_cost;
   match t.state with
   | Failed ->
@@ -209,7 +224,7 @@ let call t f =
   | Oopsed -> (
       try_restart t;
       match t.state with
-      | Healthy -> run t f
+      | Healthy -> run t minted f
       | Failed ->
           t.degraded_calls <- t.degraded_calls + 1;
           bump t (fun l -> l.l_degraded);
@@ -218,15 +233,10 @@ let call t f =
           t.eintr_aborted <- t.eintr_aborted + 1;
           bump t (fun l -> l.l_eintr);
           Error Errno.EINTR)
-  | Healthy -> run t f
+  | Healthy -> run t minted f
 
-let validate t handle_epoch =
-  if handle_epoch = t.epoch then Ok ()
-  else begin
-    t.stale_rejected <- t.stale_rejected + 1;
-    bump t (fun l -> l.l_stale);
-    Error Errno.ESTALE
-  end
+let call t f = enter t no_handle f
+let call_minted t ~minted f = enter t minted f
 
 let publish t stats =
   let p suffix v = Kstats.incr ~by:v stats ("supervisor." ^ t.name ^ "." ^ suffix) in

@@ -71,10 +71,8 @@ val set_restart : t -> (unit -> unit) -> unit
     wrapper can only be built after the supervisor exists). *)
 
 val set_observer : t -> (state -> state -> unit) -> unit
-(** Observe lifecycle transitions (old state, new state) — e.g. the
-    Registry logging them into its history. *)
+(** Observe lifecycle transitions (old state, new state). *)
 
-val name : t -> string
 val state : t -> state
 val epoch : t -> int
 (** Generation of the live instance; bumped by every successful
@@ -90,6 +88,14 @@ val call : t -> (unit -> 'a Errno.r) -> 'a Errno.r
     - [Healthy]: run [f]; an escaping exception is contained to [EIO],
       counted as an oops, and trips the state machine to [Oopsed]. *)
 
+val call_minted : t -> minted:int -> (unit -> 'a Errno.r) -> 'a Errno.r
+(** [call] for an operation that arrives through a handle minted at
+    epoch [minted]: the one place a supervised layer checks its
+    handles.  The epoch is validated inside the containment, after any
+    deferred microreboot [call] performs first, so a handle minted
+    before an oops answers [ESTALE] (counted) and never reaches the
+    rebuilt instance, not even on the call that performs the reboot. *)
+
 val validate : t -> int -> unit Errno.r
 (** [validate t handle_epoch] is [Ok ()] iff the handle was minted by
     the live generation; [ESTALE] (counted) otherwise.  Degraded-mode
@@ -104,7 +110,6 @@ val restarts : t -> int
 
 val escalations : t -> int
 val stale_rejected : t -> int
-val eintr_aborted : t -> int
 val clock : t -> int
 (** Simulated ns elapsed across all supervised calls and backoffs. *)
 

@@ -24,8 +24,6 @@ type axiom_violation = {
   reason : string;
 }
 
-let pp_violation ppf v = Fmt.pf ppf "axiom violated in %s: %s" v.call v.reason
-
 exception Axiom_violation of axiom_violation
 
 type shim = {

@@ -23,8 +23,6 @@ type axiom_violation = {
   reason : string;
 }
 
-val pp_violation : Format.formatter -> axiom_violation -> unit
-
 exception Axiom_violation of axiom_violation
 
 type shim

@@ -15,7 +15,6 @@ val path_of_string : string -> path
     ["."]/[".."] resolution and no symlinks in this model. *)
 
 val path_to_string : path -> string
-val pp_path : Format.formatter -> path -> unit
 
 val is_prefix : path -> path -> bool
 val strip_prefix : path -> path -> path option
@@ -41,8 +40,6 @@ val wf : state -> bool
 
 val lookup : state -> path -> node option
 val is_dir : state -> path -> bool
-val children : state -> path -> string list
-(** Immediate child names, sorted. *)
 
 val pp : Format.formatter -> state -> unit
 
@@ -69,10 +66,8 @@ type value =
 
 type result = (value, Ksim.Errno.t) Stdlib.result
 
-val equal_value : value -> value -> bool
 val equal_result : result -> result -> bool
 val pp_op : Format.formatter -> op -> unit
-val pp_value : Format.formatter -> value -> unit
 val pp_result : Format.formatter -> result -> unit
 
 val step : state -> op -> state * result

@@ -182,15 +182,6 @@ val run :
 (** Drive a fresh machine through the trace, checking invariant +
     refinement at every step and enumerating crash images per config. *)
 
-val shrink :
-  config:config ->
-  (module MACHINE with type vars = 'a) ->
-  Fs_spec.op list ->
-  divergence ->
-  Fs_spec.op list
-(** Greedy delta-debugging: the smallest sub-trace of the failing prefix
-    that still produces a divergence of the same kind. *)
-
 (** {1 Interleavings} *)
 
 val merge : seed:int -> Fs_spec.op list list -> Fs_spec.op list

@@ -21,14 +21,17 @@ type open_file = {
          every subsequent use answers ESTALE *)
 }
 
+module Fdmap = Map.Make (Int)
+
+(* A map, not a hashtable: a process that never opens a file pays for
+   no table. *)
 type t = {
   vfs : Vfs.t;
-  fds : (int, open_file) Hashtbl.t;
+  mutable fds : open_file Fdmap.t;
   mutable next_fd : int;
 }
 
-let create vfs = { vfs; fds = Hashtbl.create 16; next_fd = 3 (* 0-2 taken, as ever *) }
-let vfs t = t.vfs
+let create vfs = { vfs; fds = Fdmap.empty; next_fd = 3 (* 0-2 taken, as ever *) }
 
 let ( let* ) = Ksim.Errno.( let* )
 
@@ -59,19 +62,14 @@ let openf t ?(flags = [ O_RDONLY ]) path_str =
   in
   let fd = t.next_fd in
   t.next_fd <- t.next_fd + 1;
-  Hashtbl.replace t.fds fd
-    {
-      path;
-      pos = 0;
-      writable;
-      readable;
-      append = has O_APPEND;
-      epoch = Vfs.epoch_at t.vfs path;
-    };
+  let f =
+    { path; pos = 0; writable; readable; append = has O_APPEND; epoch = Vfs.epoch_at t.vfs path }
+  in
+  t.fds <- Fdmap.add fd f t.fds;
   Ok fd
 
 let lookup_fd t fd =
-  match Hashtbl.find_opt t.fds fd with Some f -> Ok f | None -> Error Ksim.Errno.EBADF
+  match Fdmap.find_opt fd t.fds with Some f -> Ok f | None -> Error Ksim.Errno.EBADF
 
 (* The stale-handle gate: an fd minted before its mount's last
    microreboot must not touch the rebuilt state. *)
@@ -82,7 +80,7 @@ let live_fd t fd =
 
 let close t fd =
   let* _ = lookup_fd t fd in
-  Hashtbl.remove t.fds fd;
+  t.fds <- Fdmap.remove fd t.fds;
   Ok ()
 
 let write t fd data =
@@ -153,7 +151,7 @@ let stat t path =
   | Error e -> Error e
 
 let fsync t = wrap_unit t Fsync
-let open_fds t = Hashtbl.length t.fds
+let open_fds t = Fdmap.cardinal t.fds
 
 let fd_epoch t fd =
-  match Hashtbl.find_opt t.fds fd with Some f -> Some f.epoch | None -> None
+  match Fdmap.find_opt fd t.fds with Some f -> Some f.epoch | None -> None

@@ -17,7 +17,6 @@ type whence =
 type t
 
 val create : Vfs.t -> t
-val vfs : t -> Vfs.t
 
 val openf : t -> ?flags:flag list -> string -> int Ksim.Errno.r
 (** Open (default read-only); [O_CREAT] creates, [O_TRUNC] truncates.

@@ -96,28 +96,23 @@ let is_read_only_op : Kspec.Fs_spec.op -> bool = function
    belt-and-braces containment of its own, and refuses mutations.
 
    [handle_epoch] is the generation stamped on the handle the operation
-   came through (an fd in [File_ops]).  The check runs *inside* the
-   containment thunk: the supervisor may perform its deferred
-   microreboot at the top of [call], and a stale handle must not reach
-   the rebuilt instance — not even on the very call that triggered the
-   reboot. *)
+   came through (an fd in [File_ops]); [Ksim.Supervisor.call_minted]
+   checks it. *)
 let dispatch_mount ?handle_epoch m (op : Kspec.Fs_spec.op) : Kspec.Fs_spec.result =
   match m.sup with
   | None -> Iface.instance_apply m.fs op
-  | Some sup ->
+  | Some sup -> (
       let ( let* ) = Ksim.Errno.( let* ) in
-      let validate_handle () =
-        match handle_epoch with
-        | Some epoch -> Ksim.Supervisor.validate sup epoch
-        | None -> Ok ()
-      in
       if Ksim.Supervisor.state sup = Ksim.Supervisor.Failed && is_read_only_op op then
-        let* () = validate_handle () in
+        let* () =
+          match handle_epoch with Some epoch -> Ksim.Supervisor.validate sup epoch | None -> Ok ()
+        in
         (try Iface.instance_apply m.fs op with _ -> Error Ksim.Errno.EIO)
       else
-        Ksim.Supervisor.call sup (fun () ->
-            let* () = validate_handle () in
-            Iface.instance_apply m.fs op)
+        match handle_epoch with
+        | Some minted ->
+            Ksim.Supervisor.call_minted sup ~minted (fun () -> Iface.instance_apply m.fs op)
+        | None -> Ksim.Supervisor.call sup (fun () -> Iface.instance_apply m.fs op))
 
 (* Rebase an operation into the target file system's namespace.  Rename
    across mounts is refused with EXDEV, like the real syscall. *)

@@ -10,8 +10,6 @@ type file_kind =
   | Regular
   | Directory
 
-let file_kind_to_string = function Regular -> "regular" | Directory -> "directory"
-
 type inode = {
   ino : int;
   mutable kind : file_kind;
@@ -24,14 +22,9 @@ type inode = {
 
 let next_ino = ref 1
 
-let make_inode ?(ino = -1) kind =
-  let ino =
-    if ino >= 0 then ino
-    else begin
-      incr next_ino;
-      !next_ino
-    end
-  in
+let make_inode kind =
+  incr next_ino;
+  let ino = !next_ino in
   let i_lock =
     (* wired to the global lock-order validator so every i_lock nesting
        the tests exercise lands in the runtime graph kracer reconciles
@@ -49,26 +42,13 @@ let make_inode ?(ino = -1) kind =
     i_private = Ksim.Frame.Priv.none;
   }
 
-(* The annotated i_size accessors — the checked counterpart of the
+(* The annotated i_size writer — the checked counterpart of the
    "only maybe protected" comment the paper quotes.  The @must_hold
-   contracts are what kracer propagates interprocedurally: a caller any
+   contract is what kracer propagates interprocedurally: a caller any
    number of hops up must provably hold [i_lock] or R6 fires. *)
-
-(** Read the cached size.  @must_hold: i_lock *)
-let size_locked i = Ksim.Klock.Guarded.get i.i_size
 
 (** Update the cached size.  @must_hold: i_lock *)
 let set_size_locked i size = Ksim.Klock.Guarded.set i.i_size size
-
-(** Locked read of the size for callers holding nothing: takes and
-    releases [i_lock] internally, so it must not be called with the
-    lock already held. *)
-let read_size i = Ksim.Klock.with_lock i.i_lock (fun () -> size_locked i)
-
-let pp_inode ppf i =
-  Fmt.pf ppf "inode %d (%s, size %d, nlink %d)" i.ino (file_kind_to_string i.kind)
-    (Ksim.Frame.Cell.peek i.i_size)
-    i.i_nlink
 
 type dentry = {
   d_name : string;
@@ -80,5 +60,3 @@ type file = {
   mutable f_pos : int;
   f_writable : bool;
 }
-
-let open_file ?(writable = true) inode = { f_inode = inode; f_pos = 0; f_writable = writable }

@@ -9,8 +9,6 @@ type file_kind =
   | Regular
   | Directory
 
-val file_kind_to_string : file_kind -> string
-
 type inode = {
   ino : int;
   mutable kind : file_kind;
@@ -21,22 +19,13 @@ type inode = {
   mutable i_private : Ksim.Frame.Priv.t;  (** fs-private data, void*-style *)
 }
 
-val make_inode : ?ino:int -> file_kind -> inode
-(** Fresh inode (auto-numbered unless [ino] is given) with its own
+val make_inode : file_kind -> inode
+(** Fresh auto-numbered inode with its own
     [i_lock] (reported to {!Ksim.Lockdep.global}) and a guarded
     [i_size] cell. *)
 
-val size_locked : inode -> int
-(** Read the cached size.  @must_hold: i_lock *)
-
 val set_size_locked : inode -> int -> unit
 (** Update the cached size.  @must_hold: i_lock *)
-
-val read_size : inode -> int
-(** Locked read for callers holding nothing: takes and releases
-    [i_lock] internally. *)
-
-val pp_inode : Format.formatter -> inode -> unit
 
 type dentry = {
   d_name : string;
@@ -48,5 +37,3 @@ type file = {
   mutable f_pos : int;
   f_writable : bool;
 }
-
-val open_file : ?writable:bool -> inode -> file

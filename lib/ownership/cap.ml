@@ -33,11 +33,6 @@ let revoke cap = cap.revoked <- true
 let restore cap = cap.revoked <- false
 let is_valid cap = not cap.revoked
 
-let can_write cap =
-  is_valid cap && (match cap.mode with Owner | Exclusive_borrow -> true | Shared_borrow -> false)
-
-let can_free cap = is_valid cap && cap.mode = Owner
-
 let pp ppf cap =
   Fmt.pf ppf "cap#%d(%s of r%d held by %s%s)" cap.cap_id (mode_to_string cap.mode)
     cap.region_id cap.holder

@@ -10,8 +10,6 @@ type mode =
   | Exclusive_borrow  (** read + write until the call returns (model 2) *)
   | Shared_borrow  (** read only until the call returns (model 3) *)
 
-val mode_to_string : mode -> string
-
 type t = private {
   cap_id : int;
   region_id : int;
@@ -28,6 +26,4 @@ val revoke : t -> unit
 
 val restore : t -> unit
 val is_valid : t -> bool
-val can_write : t -> bool
-val can_free : t -> bool
 val pp : Format.formatter -> t -> unit

@@ -11,9 +11,6 @@ type param_mode =
   | Borrow_exclusive  (** model 2: read/write for the call's duration *)
   | Borrow_shared  (** model 3: read-only for the call's duration *)
 
-val param_mode_to_string : param_mode -> string
-(** Rust-flavoured rendering: ["move"], ["&mut"], ["&"]. *)
-
 type param = private {
   param_name : string;
   mode : param_mode;
@@ -31,7 +28,6 @@ type t = private {
 
 val v : interface:string -> op list -> t
 val op : name:string -> (string * param_mode) list -> op
-val find_op : t -> string -> op option
 
 exception Unknown_op of { interface : string; op : string }
 exception Arity_mismatch of { op : string; expected : int; got : int }
@@ -49,5 +45,4 @@ val apply :
     capabilities (in parameter order).  Borrows end when [f] returns.
     @raise Unknown_op / Arity_mismatch on contract misuse. *)
 
-val pp_op : Format.formatter -> op -> unit
 val pp : Format.formatter -> t -> unit

@@ -41,6 +41,4 @@ let call ch payload ~f =
       reply_copy
 
 let pending ch = Queue.length ch.queue
-let sent ch = ch.sent
-let received ch = ch.received
 let bytes_copied ch = ch.bytes_copied

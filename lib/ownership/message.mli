@@ -18,8 +18,6 @@ val call : t -> bytes -> f:(bytes -> bytes) -> bytes
     reply back.  Two payload copies — the cost the sharing models avoid. *)
 
 val pending : t -> int
-val sent : t -> int
-val received : t -> int
 
 val bytes_copied : t -> int
 (** Total payload bytes copied so far (both directions). *)

@@ -279,7 +279,14 @@ let test_kracer_runtime_reconciliation () =
     Alcotest.(list (pair string string))
     "an unseen ordering surfaces" [ ("i_lock", "j_lock") ]
     (Klint.Kracer.missing_runtime_edges ~static
-       [ ("s_lock", "i_lock:3"); ("i_lock:3", "j_lock:1") ])
+       [ ("s_lock", "i_lock:3"); ("i_lock:3", "j_lock:1") ]);
+  (* The count klint prints: one class edge however many inodes a run
+     created. *)
+  check
+    Alcotest.(list (pair string string))
+    "class edges of a run" [ ("s_lock", "i_lock") ]
+    (Klint.Kracer.runtime_class_edges
+       [ ("s_lock", "i_lock:3"); ("s_lock", "i_lock:7"); ("s_lock", "i_lock:9") ])
 
 let test_kracer_mli_annotation () =
   (* Contracts may live on the .mli val instead of the .ml binding. *)

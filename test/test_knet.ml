@@ -162,6 +162,33 @@ let test_dyn_socket_checked_query_survives_mismatch () =
   check Alcotest.bool "checked query degrades gracefully" false
     (Knet.Sock.Dyn_style.is_connected bad)
 
+(* Supervised sockets: a handle minted before an oops answers ESTALE,
+   including on the rpc that performs the deferred microreboot. *)
+let test_supervised_rpc_stale_handle () =
+  let module S = Knet.Sock.Supervised in
+  let fp = Ksim.Failpoint.create ~seed:1 () in
+  let sock = S.create ~fp ~name:"sock" () in
+  let sup = S.supervisor sock in
+  let pair () =
+    let h = ok_or_fail (S.socket_pair sock "dgram") in
+    ok_or_fail (S.connect sock h);
+    h
+  in
+  let old = pair () in
+  check Alcotest.bool "rpc before the oops" true (Result.is_ok (S.rpc sock old "ping"));
+  Ksim.Failpoint.configure fp S.panic_site ~enabled:true ~times:1 ();
+  check Alcotest.bool "panic contained" true (S.rpc sock old "boom" = Error Ksim.Errno.EIO);
+  let rec past_backoff n =
+    match S.rpc sock old "again" with
+    | Error Ksim.Errno.EINTR when n > 0 -> past_backoff (n - 1)
+    | r -> r
+  in
+  check Alcotest.bool "pre-oops handle is stale" true
+    (past_backoff 1_000 = Error Ksim.Errno.ESTALE);
+  check Alcotest.int "that rpc rebooted the layer" 1 (Ksim.Supervisor.epoch sup);
+  check Alcotest.int "one stale rejection" 1 (Ksim.Supervisor.stale_rejected sup);
+  check Alcotest.bool "fresh handle works" true (Result.is_ok (S.rpc sock (pair ()) "pong"))
+
 (* AMP: the CVE-2020-12351 shape ----------------------------------------------------- *)
 
 let test_amp_unsafe_honest_traffic () =
@@ -246,6 +273,8 @@ let () =
           Alcotest.test_case "typed dgram" `Quick test_typed_socket_dgram;
           Alcotest.test_case "unknown proto" `Quick test_typed_socket_unknown_proto;
           Alcotest.test_case "protocols listed" `Quick test_typed_protocols_listed;
+          Alcotest.test_case "supervised rpc on a stale handle" `Quick
+            test_supervised_rpc_stale_handle;
           Alcotest.test_case "dyn-style consistent" `Quick test_dyn_socket_works_when_consistent;
           Alcotest.test_case "dyn-style mismatch is EPROTO" `Quick
             test_dyn_socket_mismatch_is_eproto;

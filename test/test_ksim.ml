@@ -1090,6 +1090,39 @@ let test_supervisor_stale_epochs () =
     (Ksim.Supervisor.validate sup (Ksim.Supervisor.epoch sup) = Ok ());
   check Alcotest.int "stale rejections counted" 1 (Ksim.Supervisor.stale_rejected sup)
 
+(* A handle minted before an oops misses the deferred microreboot's own
+   call: [call_minted] reboots first, then validates, and never runs the
+   operation on the rebuilt instance.  Checking costs the call nothing
+   beyond its thunk. *)
+let test_supervisor_call_minted () =
+  let ran = ref 0 in
+  let f () =
+    incr ran;
+    Ok "ok"
+  in
+  let sup = Ksim.Supervisor.create ~restart:Fun.id ~name:"mod" () in
+  let old = Ksim.Supervisor.epoch sup in
+  let call minted = Ksim.Supervisor.call_minted sup ~minted f in
+  check Alcotest.bool "current handle runs" true (call old = Ok "ok");
+  check Alcotest.bool "oops" true
+    (Ksim.Supervisor.call sup (fun () -> raise Exit) = Error Ksim.Errno.EIO);
+  check Alcotest.bool "quiesce" true (call old = Error Ksim.Errno.EINTR);
+  let before = !ran in
+  check Alcotest.bool "stale handle misses the rebooting call" true
+    (call old = Error Ksim.Errno.ESTALE);
+  check Alcotest.int "that call rebooted" 1 (Ksim.Supervisor.epoch sup);
+  check Alcotest.int "operation not run" before !ran;
+  check Alcotest.int "rejection counted" 1 (Ksim.Supervisor.stale_rejected sup);
+  check Alcotest.bool "fresh handle reaches the new instance" true
+    (call (Ksim.Supervisor.epoch sup) = Ok "ok");
+  let n = 10_000 and epoch = Ksim.Supervisor.epoch sup in
+  let words = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Ksim.Supervisor.call_minted sup ~minted:epoch f : string Ksim.Errno.r)
+  done;
+  let per_call = (Gc.minor_words () -. words) /. float_of_int n in
+  check Alcotest.bool (Printf.sprintf "%.2f minor words per call" per_call) true (per_call < 1.)
+
 let test_supervisor_escalates_to_failed () =
   let policy =
     { Ksim.Supervisor.restart_budget = 2; backoff_base = 100; backoff_cap = 100; op_cost = 100 }
@@ -1622,6 +1655,8 @@ let () =
           Alcotest.test_case "contains and microreboots" `Quick
             test_supervisor_contains_and_reboots;
           Alcotest.test_case "stale epochs -> ESTALE" `Quick test_supervisor_stale_epochs;
+          Alcotest.test_case "call_minted: stale handle misses the reboot" `Quick
+            test_supervisor_call_minted;
           Alcotest.test_case "escalates to failed" `Quick test_supervisor_escalates_to_failed;
           Alcotest.test_case "failed restart burns budget" `Quick
             test_supervisor_failed_restart_burns_budget;

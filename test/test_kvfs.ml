@@ -204,6 +204,29 @@ let test_fd_dir_ops () =
   check (errno_r Alcotest.unit) "fsync" (Ok ()) (Kvfs.File_ops.fsync t);
   check Alcotest.int "no fds leaked" 0 (Kvfs.File_ops.open_fds t)
 
+(* A process's fd table costs nothing until it opens a file: kload
+   spawns thousands of tenants that hold at most one fd at a time.  Fd
+   numbers and EBADF behave as ever. *)
+let test_fd_table_empty_until_open () =
+  let vfs = mounted_vfs () in
+  let n = 1_000 in
+  let words = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (Kvfs.File_ops.create vfs) : Kvfs.File_ops.t)
+  done;
+  let per_create = (Gc.minor_words () -. words) /. float_of_int n in
+  check Alcotest.bool (Printf.sprintf "%.1f minor words per create" per_create) true
+    (per_create <= 8.);
+  let t = Kvfs.File_ops.create vfs in
+  let open_ path = Kvfs.File_ops.openf t ~flags:Kvfs.File_ops.[ O_CREAT; O_RDWR ] path in
+  check (errno_r Alcotest.int) "first fd" (Ok 3) (open_ "/a");
+  check (errno_r Alcotest.int) "second fd" (Ok 4) (open_ "/b");
+  check (errno_r Alcotest.unit) "close" (Ok ()) (Kvfs.File_ops.close t 3);
+  check (errno_r Alcotest.int) "fds are not reused" (Ok 5) (open_ "/c");
+  check (errno_r Alcotest.unit) "closed fd is EBADF" (Error Ksim.Errno.EBADF)
+    (Kvfs.File_ops.close t 3);
+  check Alcotest.int "two open" 2 (Kvfs.File_ops.open_fds t)
+
 (* Property: VFS routing is exactly rebase-then-dispatch ------------------------- *)
 
 let gen_name = QCheck2.Gen.oneofl [ "a"; "b"; "c" ]
@@ -545,6 +568,7 @@ let () =
           Alcotest.test_case "trunc/append" `Quick test_fd_trunc_append;
           Alcotest.test_case "lseek" `Quick test_fd_lseek;
           Alcotest.test_case "dir ops" `Quick test_fd_dir_ops;
+          Alcotest.test_case "fd table empty until open" `Quick test_fd_table_empty_until_open;
         ] );
       ( "supervision",
         [
