@@ -586,7 +586,7 @@ let rule_explanation : Klint.Finding.rule -> string = function
        — Dyn.*, Kmem alloc/free, Bytes.unsafe_*, or bare Klock.acquire/release — \
        outside the declared lib/ksim frame: unsafe-TCB bloat (CWE-1120).  \
        Services reach the substrate only through the audited Ksim.Frame wrappers \
-       (Priv slots, Handle decoding, Buf.freeze, Cell.peek); migrate the call \
+       (Priv slots, Handle decoding, Buf.freeze); migrate the call \
        site or, for an intentional specimen, grandfather it in tcb.baseline."
   | Klint.Finding.R13_frame_bypass ->
       "A call resolves, over the whole-tree call graph, to a frame symbol that \

@@ -8,7 +8,6 @@
 
 type op_descr = {
   op_name : string;
-  doc : string;
   sharing : Ownership.Contract.op option; (* required from Ownership_safe up *)
 }
 
@@ -19,7 +18,7 @@ type t = {
   ops : op_descr list;
 }
 
-let op ?(doc = "") ?sharing op_name = { op_name; doc; sharing }
+let op ?sharing op_name = { op_name; sharing }
 
 let v ~name ~version ~supports ops = { iface_name = name; version; supports; ops }
 
@@ -54,19 +53,15 @@ let fs_interface =
   let sharing name params = Ownership.Contract.op ~name params in
   v ~name:"fs_ops" ~version:1 ~supports:Level.Verified
     [
-      op "create" ~doc:"create an empty regular file"
-        ~sharing:(sharing "create" [ borrow "path" ]);
-      op "mkdir" ~doc:"create an empty directory" ~sharing:(sharing "mkdir" [ borrow "path" ]);
-      op "write" ~doc:"write bytes at an offset"
-        ~sharing:(sharing "write" [ borrow "path"; borrow "data" ]);
-      op "read" ~doc:"read bytes at an offset"
-        ~sharing:(sharing "read" [ borrow "path"; borrow_mut "out" ]);
-      op "truncate" ~doc:"set file size" ~sharing:(sharing "truncate" [ borrow "path" ]);
-      op "unlink" ~doc:"remove a file" ~sharing:(sharing "unlink" [ borrow "path" ]);
-      op "rmdir" ~doc:"remove an empty directory" ~sharing:(sharing "rmdir" [ borrow "path" ]);
-      op "rename" ~doc:"move a file or directory subtree"
-        ~sharing:(sharing "rename" [ borrow "src"; borrow "dst" ]);
-      op "readdir" ~doc:"list a directory" ~sharing:(sharing "readdir" [ borrow "path" ]);
-      op "stat" ~doc:"query kind and size" ~sharing:(sharing "stat" [ borrow "path" ]);
-      op "fsync" ~doc:"make preceding operations durable" ~sharing:(sharing "fsync" []);
+      op "create" ~sharing:(sharing "create" [ borrow "path" ]);
+      op "mkdir" ~sharing:(sharing "mkdir" [ borrow "path" ]);
+      op "write" ~sharing:(sharing "write" [ borrow "path"; borrow "data" ]);
+      op "read" ~sharing:(sharing "read" [ borrow "path"; borrow_mut "out" ]);
+      op "truncate" ~sharing:(sharing "truncate" [ borrow "path" ]);
+      op "unlink" ~sharing:(sharing "unlink" [ borrow "path" ]);
+      op "rmdir" ~sharing:(sharing "rmdir" [ borrow "path" ]);
+      op "rename" ~sharing:(sharing "rename" [ borrow "src"; borrow "dst" ]);
+      op "readdir" ~sharing:(sharing "readdir" [ borrow "path" ]);
+      op "stat" ~sharing:(sharing "stat" [ borrow "path" ]);
+      op "fsync" ~sharing:(sharing "fsync" []);
     ]

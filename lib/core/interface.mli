@@ -6,7 +6,6 @@
 
 type op_descr = {
   op_name : string;
-  doc : string;
   sharing : Ownership.Contract.op option;
       (** explicit sharing contract; required from [Ownership_safe] up *)
 }
@@ -18,7 +17,7 @@ type t = {
   ops : op_descr list;
 }
 
-val op : ?doc:string -> ?sharing:Ownership.Contract.op -> string -> op_descr
+val op : ?sharing:Ownership.Contract.op -> string -> op_descr
 val v : name:string -> version:int -> supports:Level.t -> op_descr list -> t
 val find_op : t -> string -> op_descr option
 

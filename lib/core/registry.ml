@@ -33,24 +33,16 @@ type entry = {
 
 type t = {
   entries : (string, entry) Hashtbl.t;
-  mutable history : event list; (* newest first *)
-}
-
-and event = {
-  at : int; (* logical time: events since boot *)
-  subject : string;
-  change : change;
+  mutable history : change list; (* newest first *)
 }
 
 and change =
   | Registered of Level.t
-  | Replaced of { from_level : Level.t; to_level : Level.t }
+  | Replaced
   | Rejected of string
 
 let create () = { entries = Hashtbl.create 16; history = [] }
-
-let log t subject change =
-  t.history <- { at = List.length t.history; subject; change } :: t.history
+let log t change = t.history <- change :: t.history
 
 let history t = List.rev t.history
 
@@ -63,7 +55,7 @@ let register t ~name ~kind ~level ~iface ?(loc = 0) ?(description = "") ?instanc
                            iface.Interface.iface_name Level.pp level));
   let entry = { name; kind; level; iface; loc; description; instance } in
   Hashtbl.replace t.entries name entry;
-  log t name (Registered level);
+  log t (Registered level);
   entry
 
 let find t name = Hashtbl.find_opt t.entries name
@@ -85,15 +77,15 @@ let by_kind t kind = List.filter (fun e -> e.kind = kind) (all t)
 let replace t ~name ~level ~iface ?loc ?description ?instance () =
   let current = find_exn t name in
   if not (Interface.compatible ~provided:iface ~required:current.iface) then begin
-    log t name (Rejected "incompatible interface");
+    log t (Rejected "incompatible interface");
     Error (`Incompatible_interface (current.iface.Interface.iface_name, iface.Interface.iface_name))
   end
   else if Level.rank level < Level.rank current.level then begin
-    log t name (Rejected "would lower safety level");
+    log t (Rejected "would lower safety level");
     Error (`Would_lower_level (current.level, level))
   end
   else if not (Interface.admits iface level) then begin
-    log t name (Rejected "interface cannot host level");
+    log t (Rejected "interface cannot host level");
     Error (`Interface_cannot_host level)
   end
   else begin
@@ -108,7 +100,7 @@ let replace t ~name ~level ~iface ?loc ?description ?instance () =
       }
     in
     Hashtbl.replace t.entries name entry;
-    log t name (Replaced { from_level = current.level; to_level = level });
+    log t Replaced;
     Ok entry
   end
 

@@ -25,15 +25,9 @@ type entry = {
 
 type t
 
-type event = {
-  at : int;
-  subject : string;
-  change : change;
-}
-
-and change =
+type change =
   | Registered of Level.t
-  | Replaced of { from_level : Level.t; to_level : Level.t }
+  | Replaced
   | Rejected of string
 
 exception Incompatible of string
@@ -75,7 +69,8 @@ val replace :
 val find : t -> string -> entry option
 val all : t -> entry list
 val by_kind : t -> kind -> entry list
-val history : t -> event list
+val history : t -> change list
+(** Every register, replace and refused replace, oldest first. *)
 
 val level_counts : t -> (Level.t * int) list
 val total_loc : t -> int

@@ -9,7 +9,6 @@
    kernel runs with one more component at a higher rung. *)
 
 type validation = {
-  trace_ops : int;
   checked : int;
   divergence : Kspec.Krefine.divergence option;
 }
@@ -39,8 +38,8 @@ let validate ?(ops = 400) candidate =
   in
   let cov = Kspec.Krefine.run ~config (module M) trace in
   match cov.divergences with
-  | [] -> { trace_ops = ops; checked = cov.ops; divergence = None }
-  | d :: _ -> { trace_ops = ops; checked = d.step_index; divergence = Some d }
+  | [] -> { checked = cov.ops; divergence = None }
+  | d :: _ -> { checked = d.step_index; divergence = Some d }
 
 type step = {
   component : string;
@@ -139,18 +138,13 @@ type patch = {
   replacement : unit -> Kvfs.Iface.instance;
 }
 
-type patch_outcome = {
-  patch : patch;
-  patch_result : (validation, failure) Stdlib.result;
-}
-
 let apply_patch ?(validation_ops = 200) registry patch =
   match Registry.find registry patch.patch_component with
-  | None -> { patch; patch_result = Error Unknown_component }
+  | None -> Error Unknown_component
   | Some current -> (
       let validation = validate ~ops:validation_ops patch.replacement in
       match validation.divergence with
-      | Some d -> { patch; patch_result = Error (Validation_failed d) }
+      | Some d -> Error (Validation_failed d)
       | None -> (
           match
             Registry.replace registry ~name:patch.patch_component
@@ -158,23 +152,13 @@ let apply_patch ?(validation_ops = 200) registry patch =
               ~description:patch.patch_description
               ~instance:(patch.replacement ()) ()
           with
-          | Ok _ -> { patch; patch_result = Ok validation }
+          | Ok _ -> Ok validation
           | Error (`Incompatible_interface (a, b)) ->
-              { patch; patch_result = Error (Interface_rejected (Fmt.str "%s vs %s" a b)) }
+              Error (Interface_rejected (Fmt.str "%s vs %s" a b))
           | Error (`Would_lower_level (current_level, proposed)) ->
-              {
-                patch;
-                patch_result =
-                  Error (Not_an_upgrade { current = current_level; proposed });
-              }
+              Error (Not_an_upgrade { current = current_level; proposed })
           | Error (`Interface_cannot_host level) ->
-              {
-                patch;
-                patch_result =
-                  Error (Interface_rejected (Fmt.str "cannot host %a" Level.pp level));
-              }))
-
-let patch_succeeded outcome = Result.is_ok outcome.patch_result
+              Error (Interface_rejected (Fmt.str "cannot host %a" Level.pp level))))
 
 (* The canonical migration: memfs from unsafe all the way to verified. *)
 let memfs_ladder () : step list =

@@ -7,7 +7,6 @@
     implementations. *)
 
 type validation = {
-  trace_ops : int;
   checked : int;  (** ops before the divergence, or all of them *)
   divergence : Kspec.Krefine.divergence option;
 }
@@ -55,13 +54,8 @@ type patch = {
   replacement : unit -> Kvfs.Iface.instance;
 }
 
-type patch_outcome = {
-  patch : patch;
-  patch_result : (validation, failure) Stdlib.result;
-}
-
-val apply_patch : ?validation_ops:int -> Registry.t -> patch -> patch_outcome
-val patch_succeeded : patch_outcome -> bool
+val apply_patch :
+  ?validation_ops:int -> Registry.t -> patch -> (validation, failure) Stdlib.result
 
 val memfs_ladder : unit -> step list
 (** The canonical three-step migration of "memfs": type-safe →

@@ -117,20 +117,17 @@ type t = {
   dev : Blockdev.t;
   table : (int, bh) Hashtbl.t;
   mutable state_checks : int;
-  mutable state_violations : int;
   check_states : bool;
 }
 
 let create ?(check_states = true) dev =
-  { dev; table = Hashtbl.create 64; state_checks = 0; state_violations = 0; check_states }
+  { dev; table = Hashtbl.create 64; state_checks = 0; check_states }
 
 let check cache bh =
   if cache.check_states then begin
     cache.state_checks <- cache.state_checks + 1;
-    if not (is_valid bh.flags) then begin
-      cache.state_violations <- cache.state_violations + 1;
+    if not (is_valid bh.flags) then
       raise (Invalid_state { blkno = bh.blkno; broken = validate bh.flags })
-    end
   end
 
 let getblk cache blkno =

@@ -33,10 +33,8 @@ let magic = 0x4a4c3231 (* "JL21" *)
 type record_kind = Descriptor | Commit
 
 type stats = {
-  mutable commits : int;
   mutable aborted_commits : int;
   mutable checkpoints : int;
-  mutable recoveries : int;
   mutable replayed_txs : int;
   mutable journal_block_writes : int;
 }
@@ -68,10 +66,8 @@ let nblocks j = j.io.Io.nblocks
 
 let fresh_stats () =
   {
-    commits = 0;
     aborted_commits = 0;
     checkpoints = 0;
-    recoveries = 0;
     replayed_txs = 0;
     journal_block_writes = 0;
   }
@@ -268,7 +264,6 @@ let commit j tx =
         tx.seq <- seq;
         tx.committed <- true;
         j.pending <- j.pending @ [ tx ];
-        j.stats.commits <- j.stats.commits + 1;
         Ok ()
     | Error e ->
         (* Abort: roll the head back over the partial records.  With no
@@ -334,7 +329,6 @@ let recover ?(barriers = true) (io : Io.t) ~jblocks =
       stats = fresh_stats ();
     }
   in
-  j.stats.recoveries <- 1;
   let fatal = function
     | Ok () -> ()
     | Error e -> failwith ("journal replay: " ^ Ksim.Errno.to_string e)

@@ -20,10 +20,8 @@ type tx
     atomically. *)
 
 type stats = {
-  mutable commits : int;
   mutable aborted_commits : int;
   mutable checkpoints : int;
-  mutable recoveries : int;
   mutable replayed_txs : int;
   mutable journal_block_writes : int;
 }

@@ -85,14 +85,11 @@ type t = {
   tainted : (int, int) Hashtbl.t; (* blkno -> wseq read back unflushed *)
   mutable nviolations : int;
   mutable violations : violation list; (* newest first, bounded *)
-  mutable writes : int;
-  mutable reads : int;
   mutable cache_hits : int;
   mutable flushes : int;
   mutable flush_drops : int;
   mutable writebacks : int;
   mutable reordered_writebacks : int;
-  mutable writeback_errors : int;
   mutable fua_writes : int;
 }
 
@@ -135,14 +132,11 @@ let create ?(name = "wcache") ?(capacity = 32) ?fp ?(seed = 0) base =
     tainted = Hashtbl.create 16;
     nviolations = 0;
     violations = [];
-    writes = 0;
-    reads = 0;
     cache_hits = 0;
     flushes = 0;
     flush_drops = 0;
     writebacks = 0;
     reordered_writebacks = 0;
-    writeback_errors = 0;
     fua_writes = 0;
   }
 
@@ -177,7 +171,7 @@ let evict_one t =
       | Error _ ->
           (* Leave the victim dirty (temporarily over capacity); a later
              write or the next flush retries. *)
-          t.writeback_errors <- t.writeback_errors + 1)
+          ())
 
 let record_violation t ~v_blkno ~v_read_seq ~v_write_blkno ~v_write_seq =
   t.nviolations <- t.nviolations + 1;
@@ -210,7 +204,6 @@ let write t blkno data =
   if not (in_range t blkno) then Error Ksim.Errno.EIO
   else if Bytes.length data <> t.base.Io.block_size then Error Ksim.Errno.EINVAL
   else begin
-    t.writes <- t.writes + 1;
     let e = { wseq = t.next_seq; blkno; data = Bytes.to_string data; fua = false } in
     t.next_seq <- t.next_seq + 1;
     check_ordering t blkno e.wseq;
@@ -227,7 +220,6 @@ let write_fua t blkno data =
     match Io.fua t.base blkno data with
     | Error _ as e -> e
     | Ok () ->
-        t.writes <- t.writes + 1;
         t.fua_writes <- t.fua_writes + 1;
         let e = { wseq = t.next_seq; blkno; data = Bytes.to_string data; fua = true } in
         t.next_seq <- t.next_seq + 1;
@@ -249,7 +241,6 @@ let taint t blkno =
 let read t blkno =
   if not (in_range t blkno) then Error Ksim.Errno.EIO
   else begin
-    t.reads <- t.reads + 1;
     (* [dirty] holds at most one entry per block: no need to search it
        newest first. *)
     match List.find_opt (fun e -> e.blkno = blkno) t.dirty with
@@ -482,14 +473,6 @@ let flush_drops t = t.flush_drops
 let writebacks t = t.writebacks
 let reordered_writebacks t = t.reordered_writebacks
 let fua_writes t = t.fua_writes
-
-let publish t stats prefix =
-  Ksim.Kstats.incr ~by:t.writes stats (prefix ^ ".writes");
-  Ksim.Kstats.incr ~by:t.writebacks stats (prefix ^ ".writebacks");
-  Ksim.Kstats.incr ~by:t.reordered_writebacks stats (prefix ^ ".reordered");
-  Ksim.Kstats.incr ~by:t.flushes stats (prefix ^ ".flushes");
-  Ksim.Kstats.incr ~by:t.flush_drops stats (prefix ^ ".flush-drops");
-  Ksim.Kstats.incr ~by:t.nviolations stats (prefix ^ ".ordering-violations")
 
 let io t : Io.t =
   {

@@ -154,8 +154,3 @@ val flush_drops : t -> int
 val writebacks : t -> int
 val reordered_writebacks : t -> int
 val fua_writes : t -> int
-
-val publish : t -> Ksim.Kstats.t -> string -> unit
-(** Add cache accounting into a {!Ksim.Kstats} under [prefix ^ ".writes"],
-    [".writebacks"], [".reordered"], [".flushes"], [".flush-drops"],
-    [".ordering-violations"]. *)

@@ -17,11 +17,7 @@
    hard-coded, so the figures regenerate the paper's shapes the same way
    the authors' scripts regenerated them from the real corpus. *)
 
-type cve = {
-  cve_id : string;
-  year : int;
-  component : string;
-}
+type cve = { year : int }
 
 (* NVD-shaped per-year counts for "linux kernel" CVEs. *)
 let linux_cves_per_year =
@@ -32,19 +28,10 @@ let linux_cves_per_year =
     (2019, 287); (2020, 126);
   ]
 
-let components = [| "fs"; "net"; "drivers"; "mm"; "core"; "sound"; "crypto" |]
-
 let linux_cves =
   lazy
-    (let rng = Ksim.Rng.of_int 1991 in
-     List.concat_map
-       (fun (year, count) ->
-         List.init count (fun i ->
-             {
-               cve_id = Printf.sprintf "CVE-%d-%04d" year (1000 + i);
-               year;
-               component = components.(Ksim.Rng.int rng (Array.length components));
-             }))
+    (List.concat_map
+       (fun (year, count) -> List.init count (fun _ -> { year }))
        linux_cves_per_year)
 
 let all_linux_cves () = Lazy.force linux_cves
@@ -58,15 +45,7 @@ let ext4_report_lags =
   [ 0; 1; 1; 2; 2; 3; 3; 4; 4; 5; 5; 6; 6; 7; 7; 7; 8; 8; 9; 9; 10; 10; 11; 11; 12; 12; 12; 13 ]
 
 let ext4_cves =
-  lazy
-    (List.mapi
-       (fun i lag ->
-         {
-           cve_id = Printf.sprintf "CVE-%d-%04d" (ext4_release_year + lag) (4000 + i);
-           year = ext4_release_year + lag;
-           component = "fs/ext4";
-         })
-       ext4_report_lags)
+  lazy (List.map (fun lag -> { year = ext4_release_year + lag }) ext4_report_lags)
 
 let all_ext4_cves () = Lazy.force ext4_cves
 
@@ -76,26 +55,25 @@ let all_ext4_cves () = Lazy.force ext4_cves
    and stays there. *)
 type fs_year = {
   fs : string;
-  release_year : int;
   age : int; (* years since initial release *)
   bug_patches : int;
   loc : int;
 }
 
 let fs_bug_history =
-  let series fs release_year rows =
-    List.mapi (fun age (bug_patches, loc) -> { fs; release_year; age; bug_patches; loc }) rows
+  let series fs rows =
+    List.mapi (fun age (bug_patches, loc) -> { fs; age; bug_patches; loc }) rows
   in
   (* (bug patches, LoC) per year of age. *)
-  series "ext4" 2008
+  series "ext4"
     [ (620, 25_000); (410, 27_000); (350, 29_000); (300, 31_000); (260, 33_000);
       (240, 35_000); (230, 37_000); (220, 39_000); (215, 41_000); (210, 43_000);
       (225, 45_000); (235, 47_000) ]
-  @ series "btrfs" 2009
+  @ series "btrfs"
       [ (2_600, 65_000); (1_900, 75_000); (1_500, 85_000); (1_200, 95_000);
         (1_000, 105_000); (900, 115_000); (800, 125_000); (720, 130_000); (680, 135_000);
         (700, 140_000); (705, 142_000) ]
-  @ series "overlayfs" 2014
+  @ series "overlayfs"
       [ (150, 6_000); (120, 7_500); (90, 8_500); (70, 9_000); (60, 9_500); (55, 10_000);
         (50, 10_500) ]
 

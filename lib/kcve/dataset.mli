@@ -3,11 +3,7 @@
     argument).  All statistics are computed from these records by
     {!Stats}, never hard-coded. *)
 
-type cve = {
-  cve_id : string;
-  year : int;
-  component : string;
-}
+type cve = { year : int }
 
 val linux_cves_per_year : (int * int) list
 (** NVD-shaped per-year totals used to generate the records. *)
@@ -21,7 +17,6 @@ val all_ext4_cves : unit -> cve list
 
 type fs_year = {
   fs : string;
-  release_year : int;
   age : int;  (** years since the file system's initial release *)
   bug_patches : int;
   loc : int;

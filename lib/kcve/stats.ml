@@ -37,7 +37,6 @@ let median_lag ~release_year records =
 
 (* Fig 2c: bugs per line of code per year, as a percentage. *)
 type rate_point = {
-  fs : string;
   age : int;
   bugs_per_loc_pct : float;
 }
@@ -46,7 +45,6 @@ let bug_rate_series fs =
   List.map
     (fun (r : Dataset.fs_year) ->
       {
-        fs = r.fs;
         age = r.age;
         bugs_per_loc_pct = 100.0 *. float_of_int r.bug_patches /. float_of_int r.loc;
       })

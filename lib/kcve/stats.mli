@@ -14,7 +14,6 @@ val report_lag_cdf : release_year:int -> Dataset.cve list -> cdf_point list
 val median_lag : release_year:int -> Dataset.cve list -> float
 
 type rate_point = {
-  fs : string;
   age : int;
   bugs_per_loc_pct : float;
 }

@@ -117,12 +117,11 @@ let tracer_traps tracer = tracer.ttraps
 type probe = {
   pprog : Vm.loaded;
   pbuckets : int array;
-  mutable ptraps : int;
 }
 
 let attach_probe ?(buckets = 16) prog =
   Result.map
-    (fun loaded -> { pprog = loaded; pbuckets = Array.make buckets 0; ptraps = 0 })
+    (fun loaded -> { pprog = loaded; pbuckets = Array.make buckets 0 })
     (Vm.load prog)
 
 let probe_event probe ctx =
@@ -131,7 +130,7 @@ let probe_event probe ctx =
       let n = Array.length probe.pbuckets in
       let b = ((bucket mod n) + n) mod n in
       probe.pbuckets.(b) <- probe.pbuckets.(b) + 1
-  | exception Vm.Trap _ -> probe.ptraps <- probe.ptraps + 1
+  | exception Vm.Trap _ -> () (* a trapping probe drops the event *)
 
 let probe_counts probe = Array.copy probe.pbuckets
 

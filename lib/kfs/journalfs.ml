@@ -56,7 +56,6 @@ type t = {
   journal : Kblock.Journal.t option; (* None in Direct mode *)
   mode : mode;
   group_commit : bool; (* accumulate ops into one tx until fsync *)
-  barriers : bool; (* false = missing-barrier mutant journal (convict me) *)
   mutable open_tx : Kblock.Journal.tx option;
   nodes : mnode option array; (* the mirror; index = ino *)
   bitmap : Bytes.t; (* one byte per data block: 0 free, 1 used *)
@@ -337,7 +336,6 @@ let mkfs_on ?(geometry = default_geometry) ?(group_commit = false) ?(barriers = 
       journal;
       mode;
       group_commit;
-      barriers;
       open_tx = None;
       nodes = Array.make geometry.ninodes None;
       bitmap = Bytes.make (data_blocks geometry) '\000';
@@ -388,7 +386,6 @@ let mount ?(geometry = default_geometry) ?(group_commit = false) ?(barriers = tr
       journal;
       mode;
       group_commit;
-      barriers;
       open_tx = None;
       nodes = Array.make geometry.ninodes None;
       bitmap = Bytes.make (data_blocks geometry) '\000';

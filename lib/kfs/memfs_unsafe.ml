@@ -163,7 +163,7 @@ let create fs path_str ~kind =
         let n =
           match kind with
           | Kvfs.Vtypes.Regular ->
-              let vnode = Kvfs.Vtypes.make_inode Kvfs.Vtypes.Regular in
+              let vnode = Kvfs.Vtypes.make_inode () in
               File { content = Ksim.Kmem.alloc fs.heap ~site:path_str ""; vnode }
           | Kvfs.Vtypes.Directory -> Dir { entries = Hashtbl.create 8 }
         in

@@ -76,12 +76,13 @@ let crash_disks d ~limit =
 
 let settle_before_fsync d = function Fs.Fsync -> Kblock.Wcache.settle d.crash | _ -> ()
 
-(* Journalfs as an IOSystem ---------------------------------------------- *)
+(* Journalfs over the hostile disk ---------------------------------------- *)
 
+(* The machine is the FS and its disk (betrfs's IOSystem): a crash image
+   is a post-crash disk brought up by a journal-replay mount. *)
 let journalfs_machine ?(group_commit = false) ?(barriers = true) mode =
-  let module P = struct
-    type program = Kfs.Journalfs.t
-    type nonrec disk = disk
+  let module M = struct
+    type vars = Kfs.Journalfs.t * disk
 
     let name =
       (match mode with Kfs.Journalfs.Journaled -> "journalfs" | Direct -> "directfs")
@@ -95,26 +96,27 @@ let journalfs_machine ?(group_commit = false) ?(barriers = true) mode =
       let fs = Kfs.Journalfs.mkfs_on ~geometry ~group_commit ~barriers ~io mode dev in
       (fs, disk_of dev wc)
 
-    let step fs d op =
+    let step ((fs, d) as v) op =
       settle_before_fsync d op;
-      Kfs.Journalfs.apply fs op
+      (v, Kfs.Journalfs.apply fs op)
 
-    let interp fs _d = Kfs.Journalfs.interpret fs
+    let interp (fs, _) = Kfs.Journalfs.interpret fs
 
-    let inv fs d =
+    let inv (fs, d) =
       (not (Kfs.Journalfs.is_corrupt fs))
       && (not (Kfs.Journalfs.is_readonly fs))
       (* barrier discipline is part of the invariant: the FS must never
          derive new writes from data it has not flushed *)
       && Kblock.Wcache.ordering_violations d.wc = 0
 
-    let crash_disks = crash_disks
-
-    let recover d =
-      let io = Kblock.Wcache.io d.wc in
-      (Kfs.Journalfs.mount ~geometry ~group_commit ~barriers ~io mode d.dev, d)
+    let crash_images (_, d) ~limit =
+      List.map
+        (fun d ->
+          let io = Kblock.Wcache.io d.wc in
+          (Kfs.Journalfs.mount ~geometry ~group_commit ~barriers ~io mode d.dev, d))
+        (crash_disks d ~limit)
   end in
-  Packed (module Krefine.Io_system (P))
+  Packed (module M)
 
 let crash_check ~images (Packed (module M)) trace =
   let config =
@@ -168,18 +170,16 @@ module Microreboot_base = struct
     panic_every : int;
     mutable handle_epoch : int;  (* the epoch our "open handle" was minted at *)
     mutable ops_done : int;
-    mutable panics_injected : int;
-    mutable estale_remints : int;
   }
 
   let name = "journalfs.microreboot"
 
-  let make ~sabotage ~panic_every () =
-    let dev = fresh_dev () in
-    let wc = wcache_over dev in
-    let io = Kblock.Wcache.io wc in
-    let fs0 = Kfs.Journalfs.mkfs_on ~geometry ~io Kfs.Journalfs.Journaled dev in
-    let disk = disk_of dev wc in
+  (* The supervised root mount over [disk] that a boot and a crash reboot
+     both build: module panics injected at "dur.panic", and a restart
+     that remounts with journal replay.  The first instance is [fs], or
+     such a remount when there is none. *)
+  let mount ~sabotage ~panic_every disk fs =
+    let io = Kblock.Wcache.io disk.wc in
     let fp = Ksim.Failpoint.create ~seed:1 () in
     let vfs = Kvfs.Vfs.create () in
     let wrap fs =
@@ -195,7 +195,7 @@ module Microreboot_base = struct
            state regress across the microreboot. *)
         let zero = Bytes.make geometry.Kfs.Journalfs.block_size '\000' in
         for b = 1 to geometry.Kfs.Journalfs.jblocks - 1 do
-          let (_ : unit Ksim.Errno.r) = Kblock.Blockdev.write dev b zero in
+          let (_ : unit Ksim.Errno.r) = Kblock.Blockdev.write disk.dev b zero in
           ()
         done;
         let (_ : unit Ksim.Errno.r) = io.Kblock.Io.flush () in
@@ -205,21 +205,19 @@ module Microreboot_base = struct
          survives.  Mount parses via direct device reads, so drain the
          cache first — equivalent to reading through it. *)
       let (_ : unit Ksim.Errno.r) = io.Kblock.Io.flush () in
-      wrap (Kfs.Journalfs.mount ~geometry ~io Kfs.Journalfs.Journaled dev)
+      wrap (Kfs.Journalfs.mount ~geometry ~io Kfs.Journalfs.Journaled disk.dev)
     in
-    (match Kvfs.Vfs.mount vfs ~at:[] ~remake ~policy:sup_policy (wrap fs0) with
+    let first = match fs with Some fs -> wrap fs | None -> remake () in
+    (match Kvfs.Vfs.mount vfs ~at:[] ~remake ~policy:sup_policy first with
     | Ok () -> ()
     | Error _ -> invalid_arg "Kharness.Microreboot: root mount failed");
-    {
-      vfs;
-      disk;
-      fp;
-      panic_every;
-      handle_epoch = Kvfs.Vfs.epoch_at vfs [];
-      ops_done = 0;
-      panics_injected = 0;
-      estale_remints = 0;
-    }
+    { vfs; disk; fp; panic_every; handle_epoch = Kvfs.Vfs.epoch_at vfs []; ops_done = 0 }
+
+  let make ~sabotage ~panic_every () =
+    let dev = fresh_dev () in
+    let wc = wcache_over dev in
+    let fs = Kfs.Journalfs.mkfs_on ~geometry ~io:(Kblock.Wcache.io wc) Kfs.Journalfs.Journaled dev in
+    mount ~sabotage ~panic_every (disk_of dev wc) (Some fs)
 
   (* The tenant retry discipline from the load harness: EIO is a
      contained oops (there is no other EIO source here — the device is
@@ -238,15 +236,12 @@ module Microreboot_base = struct
   let step v op =
     settle_before_fsync v.disk op;
     v.ops_done <- v.ops_done + 1;
-    if v.ops_done mod v.panic_every = 0 then begin
-      v.panics_injected <- v.panics_injected + 1;
+    if v.ops_done mod v.panic_every = 0 then
       Ksim.Failpoint.configure v.fp "dur.panic" ~enabled:true ~probability:1.0 ~interval:1
-        ~times:1 ()
-    end;
+        ~times:1 ();
     let rec go tries =
       match Kvfs.Vfs.apply_stamped v.vfs ~epoch:v.handle_epoch op with
       | Error Ksim.Errno.ESTALE when tries > 0 ->
-          v.estale_remints <- v.estale_remints + 1;
           v.handle_epoch <- Kvfs.Vfs.epoch_at v.vfs [];
           go (tries - 1)
       | Error (Ksim.Errno.EINTR | Ksim.Errno.EIO) when tries > 0 -> go (tries - 1)
@@ -261,33 +256,10 @@ module Microreboot_base = struct
      of the hostile disk, then bring each image up the way a reboot
      would — a fresh supervised mount (over a cold cache) whose first act
      is journal replay. *)
-  let remount_over disk =
-    let io = Kblock.Wcache.io disk.wc in
-    let fp = Ksim.Failpoint.create ~seed:1 () in
-    let vfs = Kvfs.Vfs.create () in
-    let wrap fs =
-      Kvfs.Iface.panicky ~site:"dur.panic" ~fp
-        (Kvfs.Iface.instance (module Kfs.Journalfs.Journaled_fs) fs)
-    in
-    let remake () =
-      let (_ : unit Ksim.Errno.r) = io.Kblock.Io.flush () in
-      wrap (Kfs.Journalfs.mount ~geometry ~io Kfs.Journalfs.Journaled disk.dev)
-    in
-    (match Kvfs.Vfs.mount vfs ~at:[] ~remake ~policy:sup_policy (remake ()) with
-    | Ok () -> ()
-    | Error _ -> invalid_arg "Kharness.Microreboot: crash remount failed");
-    {
-      vfs;
-      disk;
-      fp;
-      panic_every = max_int;
-      handle_epoch = Kvfs.Vfs.epoch_at vfs [];
-      ops_done = 0;
-      panics_injected = 0;
-      estale_remints = 0;
-    }
-
-  let crash_images v ~limit = List.map remount_over (crash_disks v.disk ~limit)
+  let crash_images v ~limit =
+    List.map
+      (fun d -> mount ~sabotage:false ~panic_every:max_int d None)
+      (crash_disks v.disk ~limit)
 end
 
 module Microreboot_machine = struct

@@ -5,8 +5,8 @@
     so "verified" can never silently mean "we stopped running the
     checker".
 
-    The machines themselves are the real stacks: journalfs as a
-    {!Kspec.Krefine.Io_system} over a {e hostile} disk — a
+    The machines themselves are the real stacks: journalfs and its disk
+    as one machine (betrfs's IOSystem) over a {e hostile} disk — a
     {!Kblock.Wcache} volatile write-back cache on the raw block device,
     so crash images are cache-loss residues (subsets {e and reorderings}
     of the unflushed writes, seeded sampling under the image limit) and
@@ -44,7 +44,7 @@ val run :
 (** {1 The registered harnesses} *)
 
 val journalfs : entry
-(** The journaled block FS as an IOSystem ([journalfs_machine Journaled]):
+(** The journaled block FS and its disk ([journalfs_machine Journaled]):
     program = mounted FS, disk = {!Kblock.Blockdev} behind a
     {!Kblock.Wcache}, crash = cache-loss residues (unflushed-subset
     states, reorderings included) patched over the settled media image
@@ -69,7 +69,7 @@ val wcache_capacity : int
 
 val journalfs_machine :
   ?group_commit:bool -> ?barriers:bool -> Kfs.Journalfs.mode -> packed
-(** Journalfs as an IOSystem over the hostile disk, built and remounted
+(** Journalfs and the hostile disk as one machine, built and remounted
     with {!Kfs.Journalfs.mkfs_on}'s [mode], [group_commit] (default
     [false]) and [barriers] (default [true]).  The name follows them:
     ["journalfs"] (the registered {!journalfs}), ["journalfs+group-commit"],

@@ -100,6 +100,21 @@ let classify f args =
 let root_of k =
   match String.index_opt k '.' with Some i -> String.sub k 0 i | None -> k
 
+(* Does a call with [args] apply every parameter of [callee] that has no
+   default?  An optional argument left out is filled in, so such a call
+   runs the body; one that leaves out a required argument is a closure. *)
+let full_call callee args =
+  let params = Ownset.params_of callee in
+  let optional =
+    List.filter_map (function Asttypes.Optional l, _ -> Some l | _ -> None) params
+  in
+  let fills = function
+    | Asttypes.Nolabel, _ -> true
+    | Asttypes.Labelled l, _ -> not (List.mem l optional)
+    | Asttypes.Optional _, _ -> false
+  in
+  List.length (List.filter fills args) >= List.length params - List.length optional
+
 (* Payload keys of a write: every key its arguments mention, except those
    rooted at the write's own handle. *)
 let payload_keys ?handle args =
@@ -226,8 +241,7 @@ let summarize ~(emit : Finding.t -> unit) (cg : Callgraph.t)
             let st = walk ~lam st f in
             let st = args_walk ~lam st args in
             match resolve f with
-            | Some g when List.length args >= List.length (Ownset.params_of g.Callgraph.body)
-              ->
+            | Some g when full_call g.Callgraph.body args ->
                 let tr = callee_transfer g in
                 let pay =
                   if tr.writes then begin

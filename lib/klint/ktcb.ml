@@ -71,7 +71,6 @@ type result = {
   surface_vals : int;  (** vals exported by {!Frame.surface_mli} *)
   total_loc : int;
   unsafe_loc : int;
-  funcs : int;  (** functions the callgraph pass analyzed *)
   lock_creators : (string * string) list;
       (** lock class -> creating file, from literal [Klock.create ~name]
           sites — the attribution the lockdep reconciliation uses *)
@@ -309,7 +308,6 @@ let of_callgraph ~root parsed ~summaries cg =
     surface_vals = surface_vals ~root;
     total_loc = !total_loc;
     unsafe_loc = !total_unsafe;
-    funcs = List.length cg.Callgraph.funcs;
     lock_creators = lock_class_creators parsed;
     fixpoint = [ stats ];
   }

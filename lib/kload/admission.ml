@@ -58,8 +58,7 @@ type t = {
   mutable window_admitted : int;  (* this window *)
   mutable backlog : int;
   mutable mode : mode;
-  mutable admitted : int;  (* totals *)
-  mutable shed : int;
+  mutable shed : int;  (* total *)
   per_tenant : int array;  (* admits this window *)
   shed_by_tenant : int array;
   mutable transitions : (int * mode) list;  (* newest first *)
@@ -73,7 +72,6 @@ let create ?(config = default_config) ~tenants () =
     window_admitted = 0;
     backlog = 0;
     mode = Accepting;
-    admitted = 0;
     shed = 0;
     per_tenant = Array.make (max 1 tenants) 0;
     shed_by_tenant = Array.make (max 1 tenants) 0;
@@ -132,7 +130,6 @@ let offer t ~now ~tenant ~read_only =
   else begin
     t.window_admitted <- t.window_admitted + 1;
     t.per_tenant.(tix) <- t.per_tenant.(tix) + 1;
-    t.admitted <- t.admitted + 1;
     Admit
   end
 

@@ -8,7 +8,6 @@ type op = {
 type tenant = {
   id : int;
   class_ix : int;
-  cls : Spec.tenant_class;
   rng : Ksim.Rng.t;
 }
 
@@ -52,12 +51,11 @@ let tenant_rng ~seed id =
     Int64.(add (mul (of_int seed) 0x9E3779B97F4A7C15L) (of_int (id + 1)))
 
 let plan spec ~seed =
-  let classes = weighted (List.mapi (fun i c -> ((i, c), c.Spec.weight)) spec.Spec.classes) in
+  let classes = weighted (List.mapi (fun i c -> (i, c.Spec.weight)) spec.Spec.classes) in
   let tenants =
     Array.init spec.Spec.tenants (fun id ->
         let rng = tenant_rng ~seed id in
-        let class_ix, cls = pick rng classes in
-        { id; class_ix; cls; rng })
+        { id; class_ix = pick rng classes; rng })
   in
   {
     spec;

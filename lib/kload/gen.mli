@@ -19,7 +19,6 @@ type op = {
 type tenant = {
   id : int;
   class_ix : int;  (** index into the spec's class list *)
-  cls : Spec.tenant_class;
   rng : Ksim.Rng.t;  (** the tenant's private stream; consumed by {!next_op} *)
 }
 

@@ -503,13 +503,8 @@ let run ?(spec = Spec.default) ?(storm = Mixed) ?admission ?sink ~seed () =
   in
   let recovery_hist = Ksim.Hist.create () in
   let sum f = List.fold_left (fun acc s -> acc + f s) 0 sups in
-  List.iter
-    (fun s ->
-      Ksim.Hist.merge_into ~dst:recovery_hist (Ksim.Supervisor.recovery_hist s);
-      Ksim.Supervisor.publish s stats)
-    sups;
+  List.iter (fun s -> Ksim.Hist.merge_into ~dst:recovery_hist (Ksim.Supervisor.recovery_hist s)) sups;
   Ksim.Failpoint.publish fp stats;
-  Kblock.Wcache.publish wc stats "kload.wcache";
 
   (* Audit durability against a {e fresh} journal-replay remount of the
      healed device — the durability claim itself: every acked version

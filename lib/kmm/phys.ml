@@ -15,7 +15,6 @@ type t = {
   frames : bytes array;
   refcount : int array;
   mutable free_list : frame list;
-  mutable total_allocs : int;
 }
 
 let create ~nframes ~page_size =
@@ -26,7 +25,6 @@ let create ~nframes ~page_size =
     frames = Array.init nframes (fun _ -> Bytes.make page_size '\000');
     refcount = Array.make nframes 0;
     free_list = List.init nframes (fun i -> i);
-    total_allocs = 0;
   }
 
 let page_size t = t.page_size
@@ -38,7 +36,6 @@ let alloc t =
   | frame :: rest ->
       t.free_list <- rest;
       t.refcount.(frame) <- 1;
-      t.total_allocs <- t.total_allocs + 1;
       Some frame
 
 let check t frame =

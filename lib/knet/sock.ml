@@ -108,7 +108,6 @@ module Dyn_style = struct
   }
 
   type socket = {
-    proto_name : string;
     ops : ops;
     private_data : Ksim.Frame.Priv.t;
   }
@@ -164,28 +163,16 @@ module Dyn_style = struct
     match proto_name with
     | "tcp" ->
         Ok
-          {
-            proto_name;
-            ops = tcp_ops;
-            private_data = Ksim.Frame.Priv.wrap tcp_slot (Tcp.create ());
-          }
+          { ops = tcp_ops; private_data = Ksim.Frame.Priv.wrap tcp_slot (Tcp.create ()) }
     | "dgram" ->
         Ok
-          {
-            proto_name;
-            ops = dgram_ops;
-            private_data = Ksim.Frame.Priv.wrap dgram_slot (Queue.create ());
-          }
+          { ops = dgram_ops; private_data = Ksim.Frame.Priv.wrap dgram_slot (Queue.create ()) }
     | _ -> Error Ksim.Errno.EINVAL
 
   (* The bug generator: build a socket whose ops and private data
      disagree, as happens when generic code copies fields around. *)
   let mismatched_socket () =
-    {
-      proto_name = "tcp";
-      ops = tcp_ops;
-      private_data = Ksim.Frame.Priv.wrap dgram_slot (Queue.create ());
-    }
+    { ops = tcp_ops; private_data = Ksim.Frame.Priv.wrap dgram_slot (Queue.create ()) }
 
   let send sock data = sock.ops.o_send sock.private_data data
   let received sock = sock.ops.o_received sock.private_data

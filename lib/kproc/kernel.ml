@@ -49,14 +49,12 @@ and sys = {
   read : int -> len:int -> string Ksim.Errno.r;
   write : int -> string -> int Ksim.Errno.r;
   close : int -> unit Ksim.Errno.r;
-  lseek : int -> int -> Kvfs.File_ops.whence -> int Ksim.Errno.r;
   mkdir : string -> unit Ksim.Errno.r;
   unlink : string -> unit Ksim.Errno.r;
   readdir : string -> string list Ksim.Errno.r;
   fsync : unit -> unit Ksim.Errno.r;
   (* memory *)
   mmap : len:int -> prot:Kmm.Addr_space.prot -> int Ksim.Errno.r;
-  munmap : addr:int -> unit Ksim.Errno.r;
   mread : addr:int -> len:int -> string Ksim.Errno.r;
   mwrite : addr:int -> string -> unit Ksim.Errno.r;
   (* processes *)
@@ -101,13 +99,11 @@ let rec make_sys t : sys =
     read = (fun fd ~len -> Kvfs.File_ops.read (fds ()) fd ~len);
     write = (fun fd data -> Kvfs.File_ops.write (fds ()) fd data);
     close = (fun fd -> Kvfs.File_ops.close (fds ()) fd);
-    lseek = (fun fd off whence -> Kvfs.File_ops.lseek (fds ()) fd off whence);
     mkdir = (fun path -> Kvfs.File_ops.mkdir (fds ()) path);
     unlink = (fun path -> Kvfs.File_ops.unlink (fds ()) path);
     readdir = (fun path -> Kvfs.File_ops.readdir (fds ()) path);
     fsync = (fun () -> Kvfs.File_ops.fsync (fds ()));
     mmap = (fun ~len ~prot -> Kmm.Addr_space.mmap (mem ()) ~len ~prot Kmm.Addr_space.Anon);
-    munmap = (fun ~addr -> Kmm.Addr_space.munmap (mem ()) ~addr);
     mread = (fun ~addr ~len -> Kmm.Addr_space.read (mem ()) ~addr ~len);
     mwrite = (fun ~addr data -> Kmm.Addr_space.write (mem ()) ~addr data);
     spawn_child =

@@ -24,13 +24,11 @@ type sys = {
   read : int -> len:int -> string Ksim.Errno.r;
   write : int -> string -> int Ksim.Errno.r;
   close : int -> unit Ksim.Errno.r;
-  lseek : int -> int -> Kvfs.File_ops.whence -> int Ksim.Errno.r;
   mkdir : string -> unit Ksim.Errno.r;
   unlink : string -> unit Ksim.Errno.r;
   readdir : string -> string list Ksim.Errno.r;
   fsync : unit -> unit Ksim.Errno.r;
   mmap : len:int -> prot:Kmm.Addr_space.prot -> int Ksim.Errno.r;
-  munmap : addr:int -> unit Ksim.Errno.r;
   mread : addr:int -> len:int -> string Ksim.Errno.r;
   mwrite : addr:int -> string -> unit Ksim.Errno.r;
   spawn_child : name:string -> (sys -> int) -> int;

@@ -14,7 +14,6 @@ module Priv = struct
   let slot ~name = Dyn.Key.create ~name
   let wrap = Dyn.inject
   let unwrap = Dyn.project
-  let none = Dyn.null
 end
 
 module Handle = struct
@@ -27,8 +26,4 @@ module Buf = struct
   (* The @consumes contract lives on the .mli val; kown merges it in and
      flags any caller that touches the buffer after freezing it. *)
   let freeze b = Bytes.unsafe_to_string b
-end
-
-module Cell = struct
-  let peek cell = Klock.Guarded.unsafe_get cell
 end

@@ -26,9 +26,6 @@ module Priv : sig
 
   val wrap : 'a slot -> 'a -> t
   val unwrap : 'a slot -> t -> 'a option
-
-  val none : t
-  (** The null payload, for fields not yet populated. *)
 end
 
 (** Checked decoding of the kernel err-ptr convention.  [result] is the
@@ -48,13 +45,4 @@ module Buf : sig
       @consumes: b — ownership of [b] transfers here; mutating it
       afterwards would alias the returned string, which is exactly the
       bug the ownership rung exists to rule out. *)
-end
-
-(** Unsynchronized diagnostic reads of {!Klock.Guarded} cells. *)
-module Cell : sig
-  val peek : 'a Klock.Guarded.cell -> 'a
-  (** Lock-free snapshot for printers and stats counters.  The value may
-      be mid-update; it must inform a human, never a branch that guards
-      memory.  Anything load-bearing takes the lock and uses
-      [Guarded.get]. *)
 end

@@ -31,7 +31,6 @@ type thread = {
 type failure = {
   failed_tid : int;
   failed_name : string;
-  exn : exn;
 }
 
 (* The runnable threads, FIFO from [head]: a ring of [len] entries whose
@@ -113,8 +112,8 @@ let run t =
     {
       Effect.Deep.retc = schedule;
       exnc =
-        (fun exn ->
-          t.failures <- { failed_tid = th.tid; failed_name = th.name; exn } :: t.failures;
+        (fun _ ->
+          t.failures <- { failed_tid = th.tid; failed_name = th.name } :: t.failures;
           schedule ());
       effc =
         (fun (type a) (eff : a Effect.t) ->

@@ -11,7 +11,6 @@ type t
 type failure = {
   failed_tid : int;
   failed_name : string;
-  exn : exn;
 }
 
 exception Livelock of { steps : int }

@@ -8,7 +8,6 @@
    any interleaving, not only the unlucky one that actually deadlocks. *)
 
 type warning = {
-  tid : int;
   acquiring : string;
   cycle : string list; (* acquiring :: path back to acquiring *)
 }
@@ -69,7 +68,7 @@ let lock_acquired t ~name =
            held: if so this acquisition inverts an established order. *)
         (match find_path t ~src:name ~dst:held_name with
         | Some path ->
-            t.warnings <- { tid; acquiring = name; cycle = path @ [ name ] } :: t.warnings
+            t.warnings <- { acquiring = name; cycle = path @ [ name ] } :: t.warnings
         | None -> ());
         add_edge t held_name name
       end)

@@ -6,7 +6,6 @@
     one that actually deadlocks. *)
 
 type warning = {
-  tid : int;
   acquiring : string;
   cycle : string list;  (** the inverted order, ending back at [acquiring] *)
 }

@@ -75,7 +75,6 @@ type t = {
   mutable escalations : int;
   mutable stale_rejected : int;
   mutable eintr_aborted : int;
-  mutable degraded_calls : int;
   mutable clock : int; (* simulated ns *)
   mutable restart_at : int; (* deadline while Oopsed *)
   mutable oops_time : int; (* clock at the last oops *)
@@ -101,7 +100,6 @@ let create ?(policy = default_policy) ?stats ?restart ~name () =
     escalations = 0;
     stale_rejected = 0;
     eintr_aborted = 0;
-    degraded_calls = 0;
     clock = 0;
     restart_at = 0;
     oops_time = 0;
@@ -208,7 +206,6 @@ let enter t minted f =
   t.clock <- t.clock + t.policy.op_cost;
   match t.state with
   | Failed ->
-      t.degraded_calls <- t.degraded_calls + 1;
       bump t (fun l -> l.l_degraded);
       Error Errno.EIO
   | Restarting ->
@@ -226,7 +223,6 @@ let enter t minted f =
       match t.state with
       | Healthy -> run t minted f
       | Failed ->
-          t.degraded_calls <- t.degraded_calls + 1;
           bump t (fun l -> l.l_degraded);
           Error Errno.EIO
       | Oopsed | Restarting ->
@@ -237,16 +233,6 @@ let enter t minted f =
 
 let call t f = enter t no_handle f
 let call_minted t ~minted f = enter t minted f
-
-let publish t stats =
-  let p suffix v = Kstats.incr ~by:v stats ("supervisor." ^ t.name ^ "." ^ suffix) in
-  p "oopses" t.oopses;
-  p "restarts" t.restarts;
-  p "escalations" t.escalations;
-  p "stale_handles" t.stale_rejected;
-  p "eintr_aborted" t.eintr_aborted;
-  p "degraded_calls" t.degraded_calls;
-  Hist.merge_into ~dst:(Kstats.hist stats ("supervisor." ^ t.name ^ ".recovery_ns")) t.recovery
 
 let pp ppf t =
   Fmt.pf ppf "%s: %s epoch=%d oopses=%d restarts=%d/%d stale=%d eintr=%d clock=%dns" t.name

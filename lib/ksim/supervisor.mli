@@ -129,9 +129,4 @@ val recovery : t -> Hist.summary
 val recovery_hist : t -> Hist.t
 (** The underlying histogram (e.g. to merge across supervisors). *)
 
-val publish : t -> Kstats.t -> unit
-(** Add lifecycle counters into a {!Kstats} table under
-    ["supervisor.<name>."] prefixed names, and merge the recovery-latency
-    histogram in as ["supervisor.<name>.recovery_ns"]. *)
-
 val pp : Format.formatter -> t -> unit

@@ -19,10 +19,7 @@ type block_ops = {
   flush : unit -> unit;
 }
 
-type axiom_violation = {
-  call : string;
-  reason : string;
-}
+type axiom_violation = { call : string }
 
 exception Axiom_violation of axiom_violation
 
@@ -39,35 +36,25 @@ let shim ?(strict = true) (underlying : block_ops) =
      unverified side cannot mutate the model's history behind our back). *)
   let model : (int, string) Hashtbl.t = Hashtbl.create 64 in
   let violations = ref [] in
-  let report ~call reason =
-    let v = { call; reason } in
+  let report ~call =
+    let v = { call } in
     violations := v :: !violations;
     if strict then raise (Axiom_violation v)
   in
-  let check_blkno ~call blkno =
-    if blkno < 0 || blkno >= underlying.nblocks then
-      report ~call (Printf.sprintf "block %d out of device range [0, %d)" blkno underlying.nblocks)
-  in
+  let check_blkno ~call blkno = if blkno < 0 || blkno >= underlying.nblocks then report ~call in
   let read blkno =
     check_blkno ~call:"read" blkno;
     let data = underlying.read blkno in
-    if Bytes.length data <> underlying.block_size then
-      report ~call:"read"
-        (Printf.sprintf "returned %d bytes, axiom requires block_size=%d" (Bytes.length data)
-           underlying.block_size);
+    (* a read returns whole blocks, holding the most recently written bytes *)
+    if Bytes.length data <> underlying.block_size then report ~call:"read";
     (match Hashtbl.find_opt model blkno with
-    | Some expected when not (String.equal expected (Bytes.to_string data)) ->
-        report ~call:"read"
-          (Printf.sprintf "block %d does not contain the most recently written bytes" blkno)
+    | Some expected when not (String.equal expected (Bytes.to_string data)) -> report ~call:"read"
     | Some _ | None -> ());
     data
   in
   let write blkno data =
     check_blkno ~call:"write" blkno;
-    if Bytes.length data <> underlying.block_size then
-      report ~call:"write"
-        (Printf.sprintf "wrote %d bytes, axiom requires block_size=%d" (Bytes.length data)
-           underlying.block_size);
+    if Bytes.length data <> underlying.block_size then report ~call:"write";
     underlying.write blkno data;
     Hashtbl.replace model blkno (Bytes.to_string data)
   in

@@ -18,10 +18,7 @@ type block_ops = {
 (** The byte-level interface the axioms talk about.  Concrete devices
     ([Kblock.Blockdev]) expose themselves as a [block_ops]. *)
 
-type axiom_violation = {
-  call : string;  (** which operation broke an assumption *)
-  reason : string;
-}
+type axiom_violation = { call : string  (** which operation broke an assumption *) }
 
 exception Axiom_violation of axiom_violation
 

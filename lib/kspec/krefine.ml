@@ -54,36 +54,6 @@ module Spec_machine = struct
   let crash_images _ ~limit:_ = []
 end
 
-module type DISK_PROGRAM = sig
-  type program
-  type disk
-
-  val name : string
-  val init : unit -> program * disk
-  val step : program -> disk -> Fs_spec.op -> Fs_spec.result
-  val interp : program -> disk -> Fs_spec.state
-  val inv : program -> disk -> bool
-  val crash_disks : disk -> limit:int -> disk list
-  val recover : disk -> program * disk
-end
-
-module Io_system (M : DISK_PROGRAM) = struct
-  type vars = M.program * M.disk
-
-  let name = M.name
-  let init () = M.init ()
-
-  let step (p, d) op =
-    let r = M.step p d op in
-    ((p, d), r)
-
-  let interp (p, d) = M.interp p d
-  let inv (p, d) = M.inv p d
-
-  let crash_images (_, d) ~limit =
-    M.crash_disks d ~limit |> List.map M.recover
-end
-
 type mismatch =
   | Result_mismatch of { expected : Fs_spec.result; got : Fs_spec.result }
   | State_mismatch of { expected : Fs_spec.state; got : Fs_spec.state }

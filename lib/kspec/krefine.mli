@@ -27,10 +27,6 @@
     {!Monitor} checks the same invariant and commuting square live, one
     call at a time, and classifies a divergence as {!run} does.
 
-    {!Io_system} composes a program with its disk into one machine whose
-    crash step is [crash_disks] followed by [recover] — the betrfs
-    IOSystem, kept abstract so this library never depends on [kblock].
-
     Everything is deterministic in the config seed: replaying the same
     seed yields a byte-identical {!coverage_fingerprint}. *)
 
@@ -65,30 +61,6 @@ end
 module Spec_machine : MACHINE with type vars = Fs_spec.state
 (** The high machine: {!Fs_spec} itself (interp = identity, inv = true;
     the checker's well-formedness check is the spec's own invariant). *)
-
-(** A program over an abstract disk, with explicit crash steps.  The
-    concrete disk type lives with the implementation (e.g. a
-    [Kblock.Blockdev.t]); [kspec] never names it. *)
-module type DISK_PROGRAM = sig
-  type program
-  type disk
-
-  val name : string
-  val init : unit -> program * disk
-  val step : program -> disk -> Fs_spec.op -> Fs_spec.result
-  val interp : program -> disk -> Fs_spec.state
-  val inv : program -> disk -> bool
-
-  val crash_disks : disk -> limit:int -> disk list
-  (** Post-crash disk images (surviving-write subsets), un-recovered. *)
-
-  val recover : disk -> program * disk
-  (** Reboot: rebuild the program from a (possibly crashed) disk — e.g.
-      journal-replay remount. *)
-end
-
-module Io_system (M : DISK_PROGRAM) : MACHINE with type vars = M.program * M.disk
-(** The betrfs IOSystem: program × disk, crash = crash_disks ∘ recover. *)
 
 (** {1 Divergences} *)
 

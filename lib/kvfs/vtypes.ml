@@ -3,8 +3,7 @@
    The inode reproduces the sharing hazards the paper calls out in §4.3:
    [i_size] is a [Klock.Guarded] cell nominally protected by [i_lock] but
    "only maybe protected, according to the relevant comment" — unsafe file
-   systems poke it through the unchecked accessors; [i_private] is the
-   void-pointer payload file systems stash custom data in. *)
+   systems poke it through the unchecked accessors. *)
 
 type file_kind =
   | Regular
@@ -12,17 +11,13 @@ type file_kind =
 
 type inode = {
   ino : int;
-  mutable kind : file_kind;
   i_lock : Ksim.Klock.t;
   i_size : int Ksim.Klock.Guarded.cell;
-  mutable i_nlink : int;
-  mutable i_version : int;
-  mutable i_private : Ksim.Frame.Priv.t;
 }
 
 let next_ino = ref 1
 
-let make_inode kind =
+let make_inode () =
   incr next_ino;
   let ino = !next_ino in
   let i_lock =
@@ -34,12 +29,8 @@ let make_inode kind =
   in
   {
     ino;
-    kind;
     i_lock;
     i_size = Ksim.Klock.Guarded.create ~lock:i_lock ~name:(Printf.sprintf "i_size:%d" ino) 0;
-    i_nlink = 1;
-    i_version = 0;
-    i_private = Ksim.Frame.Priv.none;
   }
 
 (* The annotated i_size writer — the checked counterpart of the
@@ -49,14 +40,3 @@ let make_inode kind =
 
 (** Update the cached size.  @must_hold: i_lock *)
 let set_size_locked i size = Ksim.Klock.Guarded.set i.i_size size
-
-type dentry = {
-  d_name : string;
-  d_inode : inode;
-}
-
-type file = {
-  f_inode : inode;
-  mutable f_pos : int;
-  f_writable : bool;
-}

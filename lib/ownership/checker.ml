@@ -55,7 +55,7 @@ let pp_violation ppf v =
 
 type rstate =
   | Owned of Cap.t
-  | Lent_exclusive of { owner : Cap.t; borrower : Cap.t }
+  | Lent_exclusive of Cap.t (* the borrower; the owner's cap is revoked *)
   | Lent_shared of { owner : Cap.t; readers : Cap.t list }
   | Freed
 
@@ -105,7 +105,7 @@ let cap_may_read r (cap : Cap.t) =
   match r.state with
   | Freed -> false
   | Owned owner -> Cap.is_valid cap && cap.cap_id = owner.cap_id
-  | Lent_exclusive { borrower; _ } -> Cap.is_valid cap && cap.cap_id = borrower.cap_id
+  | Lent_exclusive borrower -> Cap.is_valid cap && cap.cap_id = borrower.cap_id
   | Lent_shared { owner; readers } ->
       Cap.is_valid cap
       && (cap.cap_id = owner.cap_id
@@ -115,7 +115,7 @@ let cap_may_write r (cap : Cap.t) =
   match r.state with
   | Freed -> false
   | Owned owner -> Cap.is_valid cap && cap.cap_id = owner.cap_id
-  | Lent_exclusive { borrower; _ } -> Cap.is_valid cap && cap.cap_id = borrower.cap_id
+  | Lent_exclusive borrower -> Cap.is_valid cap && cap.cap_id = borrower.cap_id
   | Lent_shared _ -> false
 
 let check_bounds ck r ~culprit ~off ~len =
@@ -184,7 +184,7 @@ let lend_exclusive ck (cap : Cap.t) ~to_ ~f =
   let borrower = Cap.make ~region_id:r.rid ~mode:Cap.Exclusive_borrow ~holder:to_ in
   let saved = r.state in
   Cap.revoke cap;
-  r.state <- Lent_exclusive { owner = cap; borrower };
+  r.state <- Lent_exclusive borrower;
   let restore () =
     Cap.revoke borrower;
     Cap.restore cap;

@@ -8,27 +8,19 @@
 
 type t = {
   queue : bytes Queue.t;
-  mutable sent : int;
-  mutable received : int;
   mutable bytes_copied : int;
 }
 
-let create () = { queue = Queue.create (); sent = 0; received = 0; bytes_copied = 0 }
+let create () = { queue = Queue.create (); bytes_copied = 0 }
 
 let send ch payload =
   (* The copy is the point: the sender retains its buffer, the receiver
      gets an isolated one. *)
   let copy = Bytes.copy payload in
   Queue.push copy ch.queue;
-  ch.sent <- ch.sent + 1;
   ch.bytes_copied <- ch.bytes_copied + Bytes.length payload
 
-let recv ch =
-  match Queue.take_opt ch.queue with
-  | None -> None
-  | Some payload ->
-      ch.received <- ch.received + 1;
-      Some payload
+let recv ch = Queue.take_opt ch.queue
 
 let call ch payload ~f =
   send ch payload;

@@ -1,9 +1,9 @@
 #!/bin/sh
-# Tier-1 gate: build, static lint with its count ratchets, full test
-# suite with runtime lock-order/heap/barrier capture, the seeded
-# fault-injection torture suite again under extra seeds, the refine
-# sweep, and finally one klint run that takes every ratchet and
-# static/runtime reconciliation input. The torture suite drives the
+# Tier-1 gate: build, full test suite with runtime lock-order/heap/barrier
+# capture, the seeded fault-injection torture suite again under extra
+# seeds, the refine sweep, and finally the one klint run, which takes the
+# ladder reconciliation, every ratchet and the static/runtime
+# reconciliation input. The torture suite drives the
 # journalfs stack through Flakydev faults under fixed seeds and checks
 # that every crash/recovery lands in a spec-allowed state — it must stay
 # green before any merge.
@@ -12,14 +12,6 @@ cd "$(dirname "$0")/.."
 
 echo "== ci: dune build =="
 dune build
-
-echo "== ci: klint (static safety-ladder lint, tcb and dur ratchets) =="
-# The early fast fail: the ladder reconciliation against klint.baseline,
-# plus the tcb.baseline (R12-R14) and dur.baseline (R16-R18) count
-# ratchets, which run on every klint call.  Those counts may only shrink;
-# a genuine new exhibit means regenerating the file with
-# `dune exec bin/klint/main.exe -- --update-baseline`.
-dune build @lint
 
 # Every process from here on appends the runtime records it observed to
 # this one file at exit: lock-order edges, heap events (use-after-free,
@@ -163,7 +155,11 @@ if [ $((heap_crash * 2)) -gt $((heap_plain * 3)) ]; then
 fi
 
 echo "== ci: klint ratchets and reconciliation (static vs runtime) =="
-# One klint run over one lint of the tree takes every remaining input:
+# CI's one klint run, over one lint of the tree, takes every input:
+# - the ladder reconciliation against klint.baseline, and the
+#   tcb.baseline (R12-R14) and dur.baseline (R16-R18) count ratchets,
+#   which may only shrink (a genuine new exhibit means regenerating the
+#   file with `dune exec bin/klint/main.exe -- --update-baseline`);
 # - klint.baseline may only shrink against its HEAD copy, per (rule,
 #   file) count, so pure renumbering is never growth (deliberate growth:
 #   ALLOW_BASELINE_GROWTH=1);

@@ -153,10 +153,8 @@ let test_registry_history () =
   ignore
     (Safeos_core.Registry.replace r ~name:"memfs" ~level:Safeos_core.Level.Modular
        ~iface:Safeos_core.Interface.fs_interface ());
-  let events = Safeos_core.Registry.history r in
-  check Alcotest.int "three events" 3 (List.length events);
-  match List.map (fun e -> e.Safeos_core.Registry.change) events with
-  | [ Safeos_core.Registry.Registered _; Replaced _; Rejected _ ] -> ()
+  match Safeos_core.Registry.history r with
+  | [ Safeos_core.Registry.Registered _; Replaced; Rejected _ ] -> ()
   | _ -> fail "unexpected history shape"
 
 let test_registry_loc_accounting () =
@@ -277,7 +275,7 @@ let test_patch_same_level_lands () =
         replacement = (fun () -> Kvfs.Iface.make (module Kfs.Memfs_unsafe.Modular) ());
       }
   in
-  check Alcotest.bool "patch landed" true (Safeos_core.Roadmap.patch_succeeded outcome);
+  check Alcotest.bool "patch landed" true (Result.is_ok outcome);
   match Safeos_core.Registry.find r "memfs" with
   | Some e ->
       check level_t "level unchanged" Safeos_core.Level.Modular e.Safeos_core.Registry.level;
@@ -295,7 +293,7 @@ let test_patch_divergent_rejected () =
         replacement = (fun () -> Kvfs.Iface.make (module Lying_fs) ());
       }
   in
-  (match outcome.Safeos_core.Roadmap.patch_result with
+  (match outcome with
   | Error (Safeos_core.Roadmap.Validation_failed _) -> ()
   | _ -> fail "regression landed");
   match Safeos_core.Registry.find r "memfs" with
@@ -318,8 +316,7 @@ let test_patch_stream_keeps_level () =
           replacement = (fun () -> Kvfs.Iface.make (module Kfs.Memfs_verified) ());
         }
     in
-    check Alcotest.bool (Printf.sprintf "patch %d ok" i) true
-      (Safeos_core.Roadmap.patch_succeeded outcome)
+    check Alcotest.bool (Printf.sprintf "patch %d ok" i) true (Result.is_ok outcome)
   done;
   match Safeos_core.Registry.find r "memfs" with
   | Some e -> check level_t "still verified" Safeos_core.Level.Verified e.Safeos_core.Registry.level
@@ -335,7 +332,7 @@ let test_patch_unknown_component () =
         replacement = (fun () -> Kvfs.Iface.make (module Kfs.Memfs_typed) ());
       }
   in
-  match outcome.Safeos_core.Roadmap.patch_result with
+  match outcome with
   | Error Safeos_core.Roadmap.Unknown_component -> ()
   | _ -> fail "expected Unknown_component"
 

@@ -855,6 +855,26 @@ let test_kdur_r17_durable_ack () =
   check ids "without the contract a volatile return is legal" []
     (kdur_ids plain.E.kdur)
 
+let test_kdur_r17_omitted_optional () =
+  (* A call that leaves an optional argument out is a full call, not a
+     closure: the callee's write is still volatile at the @durable ack. *)
+  let dev_ml = "let put ?(blkno = 0) io b = io.Kblock.Io.write blkno b\n" in
+  let jnl_ml ~flushed =
+    "let ( let* ) = Result.bind\n\
+     (** @durable *)\n\
+     let commit io b =\n\
+    \  let* () = Dev.put io b in\n"
+    ^ (if flushed then "  let* () = io.Kblock.Io.flush () in\n" else "")
+    ^ "  Ok ()\n"
+  in
+  let tree ~flushed =
+    snd
+      (lint_tree_fixture
+         [ ("lib/fixture/dev.ml", dev_ml); ("lib/fixture/jnl.ml", jnl_ml ~flushed) ])
+  in
+  check ids "the omitted optional still writes: R17" [ "R17" ] (kdur_ids (tree ~flushed:false).E.kdur);
+  check ids "a barrier before the ack discharges it" [] (kdur_ids (tree ~flushed:true).E.kdur)
+
 let test_kdur_r18_obligation_dropped () =
   (* Interprocedural: a callee re-exports its flush obligation
      (@orders_after); a wrapper that forwards it while stating no
@@ -1797,6 +1817,8 @@ let () =
           Alcotest.test_case "r16 match-bound read-back" `Quick test_kdur_r16_match_bind;
           Alcotest.test_case "r16 derived taint" `Quick test_kdur_r16_derived_taint;
           Alcotest.test_case "r17 ack before durable" `Quick test_kdur_r17_durable_ack;
+          Alcotest.test_case "r17 through a call that omits an optional" `Quick
+            test_kdur_r17_omitted_optional;
           Alcotest.test_case "r18 obligation dropped at a wrapper" `Quick
             test_kdur_r18_obligation_dropped;
           Alcotest.test_case "dur count ratchet round-trip" `Quick

@@ -1184,8 +1184,8 @@ let test_supervisor_replayable () =
   check Alcotest.bool "bit-identical replay" true (a = b)
 
 (* A restart that fails once and then succeeds is two attempts: the live
-   counter, [restarts] and the published counter agree, and the one
-   completed microreboot is the recovery histogram's count. *)
+   counter and [restarts] agree, and the one completed microreboot is the
+   recovery histogram's count. *)
 let test_supervisor_restarts_counted_one_way () =
   let stats = Ksim.Kstats.create () in
   let refusals = ref 1 in
@@ -1205,8 +1205,6 @@ let test_supervisor_restarts_counted_one_way () =
   drain 0;
   check Alcotest.int "two attempts" 2 (Ksim.Supervisor.restarts sup);
   check Alcotest.int "live counter agrees" 2 (Ksim.Kstats.get stats "supervisor.restarts");
-  Ksim.Supervisor.publish sup stats;
-  check Alcotest.int "published counter agrees" 2 (Ksim.Kstats.get stats "supervisor.fs.restarts");
   check Alcotest.int "one completed microreboot" 1
     (List.assoc "supervisor.recovery_ns#count" (Ksim.Kstats.to_list stats))
 
@@ -1235,14 +1233,18 @@ let test_untraced_paths_allocate_nothing () =
     (Printf.sprintf "stale validate: %.1f words per call" validate)
     true (validate < 1.0)
 
-let test_supervisor_publish () =
+(* Each counter lands once, under [supervisor.*]: no per-name copy that
+   a sum over the table would count twice. *)
+let test_supervisor_live_counters () =
   let stats = Ksim.Kstats.create () in
   let sup = Ksim.Supervisor.create ~stats ~restart:Fun.id ~name:"fs" () in
   check Alcotest.bool "oops" true
     (Ksim.Supervisor.call sup (fun () -> raise Exit) = Error Ksim.Errno.EIO);
   check Alcotest.int "live counter" 1 (Ksim.Kstats.get stats "supervisor.oopses");
-  Ksim.Supervisor.publish sup stats;
-  check Alcotest.int "named counter" 1 (Ksim.Kstats.get stats "supervisor.fs.oopses")
+  check Alcotest.(list string) "no per-name copy" []
+    (List.filter_map
+       (fun (k, _) -> if String.starts_with ~prefix:"supervisor.fs." k then Some k else None)
+       (Ksim.Kstats.to_list stats))
 
 (* Hist: the HdrHistogram-lite percentile sketch ------------------------- *)
 
@@ -1343,12 +1345,9 @@ let test_supervisor_recovery_aggregation () =
    && s.Ksim.Hist.p99 <= s.Ksim.Hist.max);
   check Alcotest.bool "max saw the longest backoff" true
     (s.Ksim.Hist.max > s.Ksim.Hist.min);
-  (* Live observation into the stats table, and publish under the name. *)
+  (* Live observation into the stats table. *)
   check Alcotest.int "live hist entry" 3
-    (List.assoc "supervisor.recovery_ns#count" (Ksim.Kstats.to_list stats));
-  Ksim.Supervisor.publish sup stats;
-  check Alcotest.int "published hist entry" 3
-    (List.assoc "supervisor.mod.recovery_ns#count" (Ksim.Kstats.to_list stats))
+    (List.assoc "supervisor.recovery_ns#count" (Ksim.Kstats.to_list stats))
 
 (* Storm composition (satellite: composed failpoint schedules) ------------ *)
 
@@ -1661,7 +1660,7 @@ let () =
           Alcotest.test_case "failed restart burns budget" `Quick
             test_supervisor_failed_restart_burns_budget;
           Alcotest.test_case "replayable" `Quick test_supervisor_replayable;
-          Alcotest.test_case "publish counters" `Quick test_supervisor_publish;
+          Alcotest.test_case "live counters" `Quick test_supervisor_live_counters;
           Alcotest.test_case "restarts counted one way" `Quick
             test_supervisor_restarts_counted_one_way;
           Alcotest.test_case "recovery aggregation over all reboots" `Quick

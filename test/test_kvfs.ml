@@ -527,13 +527,13 @@ let test_degraded_reads_only () =
 (* Vtypes ----------------------------------------------------------------------- *)
 
 let test_inode_identity () =
-  let a = Kvfs.Vtypes.make_inode Kvfs.Vtypes.Regular in
-  let b = Kvfs.Vtypes.make_inode Kvfs.Vtypes.Directory in
+  let a = Kvfs.Vtypes.make_inode () in
+  let b = Kvfs.Vtypes.make_inode () in
   check Alcotest.bool "distinct inos" true (a.Kvfs.Vtypes.ino <> b.Kvfs.Vtypes.ino);
   check Alcotest.bool "own locks" true (a.Kvfs.Vtypes.i_lock != b.Kvfs.Vtypes.i_lock)
 
 let test_inode_i_size_discipline () =
-  let i = Kvfs.Vtypes.make_inode Kvfs.Vtypes.Regular in
+  let i = Kvfs.Vtypes.make_inode () in
   (* The "maybe protected" pattern: unlocked update is recorded. *)
   Ksim.Klock.Guarded.set i.Kvfs.Vtypes.i_size 10;
   check Alcotest.int "race recorded" 1 (Ksim.Klock.Guarded.races i.Kvfs.Vtypes.i_size);
