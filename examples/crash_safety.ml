@@ -59,6 +59,6 @@ let () =
         (match node with
         | Fs_spec.File content -> Printf.sprintf "file %S" content
         | Fs_spec.Dir -> "dir"))
-    (Kfs.Journalfs.interpret recovered);
+    (Fs_spec.of_bindings (Kfs.Journalfs.interpret recovered));
   Fmt.pr "@.allowed recoveries under the crash-safe spec: %d distinct states@."
     (List.length (Fs_spec.Crash_safe.allowed_recoveries trace))

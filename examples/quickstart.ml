@@ -38,7 +38,7 @@ let () =
   Fmt.pr "@.read back: %S@." (or_die result);
 
   (* 3. The namespace as one abstract state (the spec's view). *)
-  let st = Kvfs.Vfs.interpret vfs in
+  let st = Kspec.Fs_spec.of_bindings (Kvfs.Vfs.interpret vfs) in
   Fmt.pr "@.namespace (%d entries):@." (Kspec.Fs_spec.Pathmap.cardinal st);
   Kspec.Fs_spec.Pathmap.iter
     (fun path node ->

@@ -45,7 +45,7 @@ let () =
   let fs = Kfs.Memfs_typed.mkfs () in
   let trace = Kfs.Workload.generate ~seed:13 Kfs.Workload.Mixed ~ops:400 in
   List.iter (fun op -> ignore (Kfs.Memfs_typed.apply fs op)) trace;
-  let snapshot = Kfs.Memfs_typed.interpret fs in
+  let snapshot = Kspec.Fs_spec.of_bindings (Kfs.Memfs_typed.interpret fs) in
   Fmt.pr "snapshot: files=%d dirs=%d bytes=%d max-depth=%d — fixed under any schedule@."
     (Kspec.Krefine.count_files snapshot)
     (Kspec.Krefine.count_dirs snapshot)

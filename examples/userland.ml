@@ -77,4 +77,4 @@ let () =
       Fmt.pr "  %-12s %s@."
         (Kspec.Fs_spec.path_to_string path)
         (match node with Kspec.Fs_spec.File _ -> "file" | Kspec.Fs_spec.Dir -> "dir"))
-    (Kvfs.Vfs.interpret (Kproc.Kernel.vfs k))
+    (Kspec.Fs_spec.of_bindings (Kvfs.Vfs.interpret (Kproc.Kernel.vfs k)))

@@ -37,9 +37,9 @@ type t = {
 }
 
 and change =
-  | Registered of Level.t
+  | Registered
   | Replaced
-  | Rejected of string
+  | Rejected
 
 let create () = { entries = Hashtbl.create 16; history = [] }
 let log t change = t.history <- change :: t.history
@@ -55,7 +55,7 @@ let register t ~name ~kind ~level ~iface ?(loc = 0) ?(description = "") ?instanc
                            iface.Interface.iface_name Level.pp level));
   let entry = { name; kind; level; iface; loc; description; instance } in
   Hashtbl.replace t.entries name entry;
-  log t (Registered level);
+  log t Registered;
   entry
 
 let find t name = Hashtbl.find_opt t.entries name
@@ -77,15 +77,15 @@ let by_kind t kind = List.filter (fun e -> e.kind = kind) (all t)
 let replace t ~name ~level ~iface ?loc ?description ?instance () =
   let current = find_exn t name in
   if not (Interface.compatible ~provided:iface ~required:current.iface) then begin
-    log t (Rejected "incompatible interface");
+    log t Rejected;
     Error (`Incompatible_interface (current.iface.Interface.iface_name, iface.Interface.iface_name))
   end
   else if Level.rank level < Level.rank current.level then begin
-    log t (Rejected "would lower safety level");
+    log t Rejected;
     Error (`Would_lower_level (current.level, level))
   end
   else if not (Interface.admits iface level) then begin
-    log t (Rejected "interface cannot host level");
+    log t Rejected;
     Error (`Interface_cannot_host level)
   end
   else begin

@@ -26,9 +26,9 @@ type entry = {
 type t
 
 type change =
-  | Registered of Level.t
+  | Registered
   | Replaced
-  | Rejected of string
+  | Rejected
 
 exception Incompatible of string
 

@@ -163,15 +163,16 @@ let apply fs (op : Fs_spec.op) : Fs_spec.result =
       | None -> Error Ksim.Errno.ENOENT)
   | Fsync -> Ok Fs_spec.Unit
 
-let interpret_tree tree : Fs_spec.state =
+(* Depth first, [Smap] folding each directory in name order: path order. *)
+let interpret_tree tree : Fs_spec.bindings =
   let rec go tree rel acc =
     match tree with
-    | CFile content -> Fs_spec.Pathmap.add rel (Fs_spec.File content) acc
+    | CFile content -> (rel, Fs_spec.File content) :: acc
     | CDir entries ->
-        let acc = if rel = [] then acc else Fs_spec.Pathmap.add rel Fs_spec.Dir acc in
+        let acc = if rel = [] then acc else (rel, Fs_spec.Dir) :: acc in
         Smap.fold (fun name child acc -> go child (rel @ [ name ]) acc) entries acc
   in
-  go tree [] Fs_spec.empty
+  List.rev (go tree [] [])
 
 let interpret fs = interpret_tree fs.current
 
@@ -209,7 +210,8 @@ let diff fs ~since =
   match List.assoc_opt since fs.snaps with
   | None -> Error Ksim.Errno.ENOENT
   | Some old_tree ->
-      let old_state = interpret_tree old_tree and new_state = interpret fs in
+      let old_state = Fs_spec.of_bindings (interpret_tree old_tree)
+      and new_state = Fs_spec.of_bindings (interpret fs) in
       let changes =
         Fs_spec.Pathmap.fold
           (fun path node acc ->

@@ -715,16 +715,17 @@ let apply t (op : Fs_spec.op) : Fs_spec.result =
               in
               match absorb t r with Ok () -> Ok Fs_spec.Unit | Error e -> Error e))
 
-let interpret t : Fs_spec.state =
+(* Depth first over directories kept sorted by name: path order. *)
+let interpret t : Fs_spec.bindings =
   let rec go ino rel acc =
     match node t ino with
     | Some (MDir entries) ->
-        let acc = if rel = [] then acc else Fs_spec.Pathmap.add rel Fs_spec.Dir acc in
+        let acc = if rel = [] then acc else (rel, Fs_spec.Dir) :: acc in
         List.fold_left (fun acc (name, child) -> go child (rel @ [ name ]) acc) acc entries
-    | Some (MFile content) -> Fs_spec.Pathmap.add rel (Fs_spec.File content) acc
+    | Some (MFile content) -> (rel, Fs_spec.File content) :: acc
     | None -> acc
   in
-  go root_ino [] Fs_spec.empty
+  List.rev (go root_ino [] [])
 
 (* Mountable adapters ---------------------------------------------------------- *)
 

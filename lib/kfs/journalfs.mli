@@ -70,7 +70,7 @@ val apply : t -> Kspec.Fs_spec.op -> Kspec.Fs_spec.result
     run out.  [EIO] aborts the op and remounts read-only (see above);
     once read-only, mutations fail [EROFS] and [Fsync] is a no-op. *)
 
-val interpret : t -> Kspec.Fs_spec.state
+val interpret : t -> Kspec.Fs_spec.bindings
 val device : t -> Kblock.Blockdev.t
 val journal_stats : t -> Kblock.Journal.stats option
 val is_corrupt : t -> bool

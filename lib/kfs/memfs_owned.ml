@@ -236,16 +236,19 @@ let apply fs (op : Fs_spec.op) : Fs_spec.result =
       | None -> Error Ksim.Errno.ENOENT)
   | Fsync -> Ok Fs_spec.Unit
 
-let interpret fs : Fs_spec.state =
+(* Depth first, each directory's children in name order: path order. *)
+let interpret fs : Fs_spec.bindings =
   let rec go ino rel acc =
     match node fs ino with
     | Some (Dir entries) ->
-        let acc = if rel = [] then acc else Fs_spec.Pathmap.add rel Fs_spec.Dir acc in
-        Hashtbl.fold (fun name child acc -> go child (rel @ [ name ]) acc) entries acc
-    | Some (File f) -> Fs_spec.Pathmap.add rel (Fs_spec.File (content fs f)) acc
+        let acc = if rel = [] then acc else (rel, Fs_spec.Dir) :: acc in
+        Hashtbl.fold (fun name child acc -> (name, child) :: acc) entries []
+        |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+        |> List.fold_left (fun acc (name, child) -> go child (rel @ [ name ]) acc) acc
+    | Some (File f) -> (rel, Fs_spec.File (content fs f)) :: acc
     | None -> acc
   in
-  go root_ino [] Fs_spec.empty
+  List.rev (go root_ino [] [])
 
 (* Unmount: release every region; a correct run leaves no leaks. *)
 let destroy fs =

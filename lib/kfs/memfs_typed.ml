@@ -8,11 +8,14 @@
 
 open Kspec
 
+module Names = Map.Make (String)
+
 type file_data = { mutable content : string }
+type dir_data = { mutable entries : int Names.t (* name -> ino *) }
 
 type node =
   | File of file_data
-  | Dir of (string, int) Hashtbl.t
+  | Dir of dir_data
 
 type fs = {
   inodes : (int, node) Hashtbl.t;
@@ -26,7 +29,7 @@ let root_ino = 0
 
 let mkfs () =
   let inodes = Hashtbl.create 64 in
-  Hashtbl.replace inodes root_ino (Dir (Hashtbl.create 8));
+  Hashtbl.replace inodes root_ino (Dir { entries = Names.empty });
   { inodes; next_ino = 1 }
 
 let node fs ino = Hashtbl.find_opt fs.inodes ino
@@ -41,8 +44,8 @@ let rec walk fs ino = function
   | [] -> Some ino
   | comp :: rest -> (
       match node fs ino with
-      | Some (Dir entries) -> (
-          match Hashtbl.find_opt entries comp with
+      | Some (Dir d) -> (
+          match Names.find_opt comp d.entries with
           | Some child -> walk fs child rest
           | None -> None)
       | Some (File _) | None -> None)
@@ -62,7 +65,7 @@ let parent_entries fs path =
   | None -> Error Ksim.Errno.EINVAL
   | Some par -> (
       match lookup_node fs par with
-      | Some (Dir entries) -> Ok entries
+      | Some (Dir d) -> Ok d
       | Some (File _) | None -> Error Ksim.Errno.ENOENT)
 
 let basename_exn path =
@@ -71,12 +74,12 @@ let basename_exn path =
 let add_node fs path make_node =
   match parent_entries fs path with
   | Error e -> Error e
-  | Ok entries ->
-      if Hashtbl.mem entries (basename_exn path) then Error Ksim.Errno.EEXIST
+  | Ok d ->
+      if Names.mem (basename_exn path) d.entries then Error Ksim.Errno.EEXIST
       else begin
         let ino = fresh_ino fs in
         Hashtbl.replace fs.inodes ino (make_node ());
-        Hashtbl.replace entries (basename_exn path) ino;
+        d.entries <- Names.add (basename_exn path) ino d.entries;
         Ok Fs_spec.Unit
       end
 
@@ -86,22 +89,16 @@ let with_file fs path f =
   | Some (Dir _) -> Error Ksim.Errno.EISDIR
   | None -> if is_dir fs path || path = [] then Error Ksim.Errno.EISDIR else Error Ksim.Errno.ENOENT
 
-(* Collect the subtree rooted at [ino] as (relative path, ino) pairs. *)
-let rec subtree fs ino rel acc =
-  match node fs ino with
-  | Some (Dir entries) ->
-      Hashtbl.fold (fun name child acc -> subtree fs child (rel @ [ name ]) acc) entries
-        ((rel, ino) :: acc)
-  | Some (File _) -> (rel, ino) :: acc
-  | None -> acc
-
-let remove_subtree fs ino =
-  List.iter (fun (_, i) -> Hashtbl.remove fs.inodes i) (subtree fs ino [] [])
+let rec remove_subtree fs ino =
+  (match node fs ino with
+  | Some (Dir d) -> Names.iter (fun _ child -> remove_subtree fs child) d.entries
+  | Some (File _) | None -> ());
+  Hashtbl.remove fs.inodes ino
 
 let apply fs (op : Fs_spec.op) : Fs_spec.result =
   match op with
   | Create path -> add_node fs path (fun () -> File { content = "" })
-  | Mkdir path -> add_node fs path (fun () -> Dir (Hashtbl.create 8))
+  | Mkdir path -> add_node fs path (fun () -> Dir { entries = Names.empty })
   | Write { file; off; data } ->
       if off < 0 then Error Ksim.Errno.EINVAL
       else
@@ -125,27 +122,27 @@ let apply fs (op : Fs_spec.op) : Fs_spec.result =
       | Some (File _) -> (
           match parent_entries fs path with
           | Error e -> Error e
-          | Ok entries ->
-              (match Hashtbl.find_opt entries (basename_exn path) with
+          | Ok d ->
+              (match Names.find_opt (basename_exn path) d.entries with
               | Some ino -> Hashtbl.remove fs.inodes ino
               | None -> ());
-              Hashtbl.remove entries (basename_exn path);
+              d.entries <- Names.remove (basename_exn path) d.entries;
               Ok Fs_spec.Unit)
       | Some (Dir _) -> Error Ksim.Errno.EISDIR
       | None -> if path = [] then Error Ksim.Errno.EISDIR else Error Ksim.Errno.ENOENT)
   | Rmdir path when path = [] -> Error Ksim.Errno.EBUSY
   | Rmdir path -> (
       match lookup_node fs path with
-      | Some (Dir entries) ->
-          if Hashtbl.length entries > 0 then Error Ksim.Errno.ENOTEMPTY
+      | Some (Dir d) ->
+          if not (Names.is_empty d.entries) then Error Ksim.Errno.ENOTEMPTY
           else (
             match parent_entries fs path with
             | Error e -> Error e
             | Ok parent ->
-                (match Hashtbl.find_opt parent (basename_exn path) with
+                (match Names.find_opt (basename_exn path) parent.entries with
                 | Some ino -> Hashtbl.remove fs.inodes ino
                 | None -> ());
-                Hashtbl.remove parent (basename_exn path);
+                parent.entries <- Names.remove (basename_exn path) parent.entries;
                 Ok Fs_spec.Unit)
       | Some (File _) -> Error Ksim.Errno.ENOTDIR
       | None -> if path = [] then Error Ksim.Errno.EBUSY else Error Ksim.Errno.ENOENT)
@@ -159,7 +156,7 @@ let apply fs (op : Fs_spec.op) : Fs_spec.result =
           else
             match parent_entries fs dst with
             | Error e -> Error e
-            | Ok dst_entries -> (
+            | Ok dst_dir -> (
                 let src_node = node fs src_ino in
                 let dst_node = lookup_node fs dst in
                 let clash =
@@ -169,7 +166,7 @@ let apply fs (op : Fs_spec.op) : Fs_spec.result =
                   | Some (File _), Some (Dir _) -> Error Ksim.Errno.EISDIR
                   | Some (Dir _), Some (File _) -> Error Ksim.Errno.ENOTDIR
                   | Some (Dir _), Some (Dir d) ->
-                      if Hashtbl.length d = 0 then Ok () else Error Ksim.Errno.ENOTEMPTY
+                      if Names.is_empty d.entries then Ok () else Error Ksim.Errno.ENOTEMPTY
                   | None, _ -> Error Ksim.Errno.ENOENT
                 in
                 match clash with
@@ -185,18 +182,16 @@ let apply fs (op : Fs_spec.op) : Fs_spec.result =
                       | Some old_ino when old_ino <> src_ino -> remove_subtree fs old_ino
                       | Some _ | None -> ());
                       (match parent_entries fs src with
-                      | Ok src_entries -> Hashtbl.remove src_entries (basename_exn src)
+                      | Ok src_dir ->
+                          src_dir.entries <- Names.remove (basename_exn src) src_dir.entries
                       | Error _ -> ());
-                      Hashtbl.replace dst_entries (basename_exn dst) src_ino;
+                      dst_dir.entries <- Names.add (basename_exn dst) src_ino dst_dir.entries;
                       Ok Fs_spec.Unit
                     end)))
   | Readdir path -> (
       match lookup_node fs path with
-      | Some (Dir entries) ->
-          Ok
-            (Fs_spec.Names
-               (Hashtbl.fold (fun name _ acc -> name :: acc) entries []
-               |> List.sort String.compare))
+      | Some (Dir d) ->
+          Ok (Fs_spec.Names (List.rev (Names.fold (fun name _ acc -> name :: acc) d.entries [])))
       | Some (File _) -> Error Ksim.Errno.ENOTDIR
       | None -> Error Ksim.Errno.ENOENT)
   | Stat path -> (
@@ -206,13 +201,14 @@ let apply fs (op : Fs_spec.op) : Fs_spec.result =
       | None -> Error Ksim.Errno.ENOENT)
   | Fsync -> Ok Fs_spec.Unit
 
-let interpret fs : Fs_spec.state =
+(* Depth first, [Names] folding each directory in name order: path order. *)
+let interpret fs : Fs_spec.bindings =
   let rec go ino rel acc =
     match node fs ino with
-    | Some (Dir entries) ->
-        let acc = if rel = [] then acc else Fs_spec.Pathmap.add rel Fs_spec.Dir acc in
-        Hashtbl.fold (fun name child acc -> go child (rel @ [ name ]) acc) entries acc
-    | Some (File f) -> Fs_spec.Pathmap.add rel (Fs_spec.File f.content) acc
+    | Some (Dir d) ->
+        let acc = if rel = [] then acc else (rel, Fs_spec.Dir) :: acc in
+        Names.fold (fun name child acc -> go child (rel @ [ name ]) acc) d.entries acc
+    | Some (File f) -> (rel, Fs_spec.File f.content) :: acc
     | None -> acc
   in
-  go root_ino [] Fs_spec.empty
+  List.rev (go root_ino [] [])

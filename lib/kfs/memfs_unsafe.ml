@@ -376,21 +376,23 @@ let stat fs path_str =
 
 let fsync (_ : fs) = 0
 
-let interpret fs : Fs_spec.state =
+(* Depth first, each directory's children in name order: path order. *)
+let interpret fs : Fs_spec.bindings =
   let rec go ino rel acc =
     match node fs ino with
     | Some (Dir d) ->
-        let acc = if rel = [] then acc else Fs_spec.Pathmap.add rel Fs_spec.Dir acc in
-        Hashtbl.fold (fun name child acc -> go child (rel @ [ name ]) acc) d.entries acc
+        let acc = if rel = [] then acc else (rel, Fs_spec.Dir) :: acc in
+        Hashtbl.fold (fun name child acc -> (name, child) :: acc) d.entries []
+        |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+        |> List.fold_left (fun acc (name, child) -> go child (rel @ [ name ]) acc) acc
     | Some (File f) ->
         (* Interpreting freed content would itself be a UAF; report what a
            crashed kernel would: treat it as absent. *)
-        if Ksim.Kmem.is_live f.content then
-          Fs_spec.Pathmap.add rel (Fs_spec.File (Ksim.Kmem.read f.content)) acc
+        if Ksim.Kmem.is_live f.content then (rel, Fs_spec.File (Ksim.Kmem.read f.content)) :: acc
         else acc
     | None -> acc
   in
-  go root_ino [] Fs_spec.empty
+  List.rev (go root_ino [] [])
 
 (* The modular view (roadmap step 1 applied to this module). *)
 module Legacy = struct

@@ -175,15 +175,16 @@ module Impl = struct
 
   let step t op = (t, apply t op)
 
-  let interp t : Fs_spec.state =
+  (* Depth first over entries kept in name order: path order. *)
+  let interp t : Fs_spec.bindings =
     let rec go tree rel acc =
       match tree with
-      | TFile content -> Fs_spec.Pathmap.add rel (Fs_spec.File content) acc
+      | TFile content -> (rel, Fs_spec.File content) :: acc
       | TDir entries ->
-          let acc = if rel = [] then acc else Fs_spec.Pathmap.add rel Fs_spec.Dir acc in
+          let acc = if rel = [] then acc else (rel, Fs_spec.Dir) :: acc in
           List.fold_left (fun acc (name, child) -> go child (rel @ [ name ]) acc) acc entries
     in
-    go t.root [] Fs_spec.empty
+    List.rev (go t.root [] [])
 
   let inv _ = true
   let crash_images _ ~limit:_ = []

@@ -302,9 +302,9 @@ let apply fs (op : Fs_spec.op) : Fs_spec.result =
       | Ok _, Ok _ -> Ok Fs_spec.Unit
       | Error e, _ | _, Error e -> Error e)
 
-let interpret fs : Fs_spec.state =
-  let upper_state = Kvfs.Iface.instance_interpret fs.upper in
-  let lower_state = Kvfs.Iface.instance_interpret fs.lower in
+let interpret fs : Fs_spec.bindings =
+  let upper_state = Fs_spec.of_bindings (Kvfs.Iface.instance_interpret fs.upper) in
+  let lower_state = Fs_spec.of_bindings (Kvfs.Iface.instance_interpret fs.lower) in
   let is_wh path = match Fs_spec.basename path with Some b -> is_whiteout_name b | None -> false in
   let hidden_by_whiteout path =
     (* the exact path or any ancestor has a whiteout in upper *)
@@ -338,3 +338,4 @@ let interpret fs : Fs_spec.state =
   Fs_spec.Pathmap.fold
     (fun path node acc -> if is_wh path then acc else Fs_spec.Pathmap.add path node acc)
     upper_state merged
+  |> Fs_spec.Pathmap.bindings

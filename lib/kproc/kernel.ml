@@ -31,7 +31,7 @@ type t = {
   vfs : Kvfs.Vfs.t;
   phys : Kmm.Phys.t;
   sched : Ksim.Kthread.t;
-  procs : (int, proc) Hashtbl.t; (* by pid, which is the process's scheduler tid *)
+  mutable procs : proc option array; (* by pid, the process's (dense) scheduler tid *)
   pipe_fds : (int, pipe_end) Hashtbl.t; (* pipe descriptors, shared kernel-wide *)
   mutable next_pipe_fd : int;
   sys : sys Lazy.t;
@@ -69,11 +69,13 @@ and sys = {
   exit : int -> unit; (* raises Exited *)
 }
 
+let find t pid = if pid >= 0 && pid < Array.length t.procs then t.procs.(pid) else None
+
 (* The calling process: the one whose thread the scheduler is running. *)
 let current t =
-  match Hashtbl.find t.procs (Ksim.Kthread.self ()) with
-  | p -> p
-  | exception Not_found -> raise Ksim.Kthread.Not_in_scheduler
+  match find t (Ksim.Kthread.self ()) with
+  | Some p -> p
+  | None -> raise Ksim.Kthread.Not_in_scheduler
 
 let space t p =
   match p.space with
@@ -111,7 +113,7 @@ let rec make_sys t : sys =
         spawn_proc t ~space:(Kmm.Addr_space.fork (space t (current t))) ~name main);
     wait =
       (fun pid ->
-        match Hashtbl.find_opt t.procs pid with
+        match find t pid with
         | None -> Error Ksim.Errno.EINVAL
         | Some child ->
             let rec block () =
@@ -191,7 +193,9 @@ and spawn_proc t ?space ~name main =
         Option.iter Kmm.Addr_space.destroy proc.space)
   in
   let fds = Kvfs.File_ops.create t.vfs (* fresh table; the VFS is shared *) in
-  Hashtbl.replace t.procs pid { space; fds; exit_code = None };
+  let n = Array.length t.procs in
+  if pid >= n then t.procs <- Array.append t.procs (Array.make (max (pid + 1 - n) n) None);
+  t.procs.(pid) <- Some { space; fds; exit_code = None };
   pid
 
 let boot ?(frames = 1024) ?(page_size = 256) ?max_steps () =
@@ -201,21 +205,19 @@ let boot ?(frames = 1024) ?(page_size = 256) ?max_steps () =
   | Error e -> failwith ("Kernel.boot: " ^ Ksim.Errno.to_string e));
   let phys = Kmm.Phys.create ~nframes:frames ~page_size in
   let sched = Ksim.Kthread.create ?max_steps () in
-  let procs = Hashtbl.create 8 and pipe_fds = Hashtbl.create 8 in
+  let pipe_fds = Hashtbl.create 8 in
   let rec t =
-    { vfs; phys; sched; procs; pipe_fds; next_pipe_fd = 10_000; sys = lazy (make_sys t) }
+    { vfs; phys; sched; procs = [||]; pipe_fds; next_pipe_fd = 10_000; sys = lazy (make_sys t) }
   in
   t
 
 let vfs t = t.vfs
 
-let find t pid = Hashtbl.find_opt t.procs pid
-
 let exit_code t pid =
   match find t pid with Some p -> p.exit_code | None -> None
 
 let running t =
-  Hashtbl.fold (fun _ p acc -> if p.exit_code = None then acc + 1 else acc) t.procs 0
+  Array.fold_left (fun n p -> match p with Some { exit_code = None; _ } -> n + 1 | _ -> n) 0 t.procs
 
 let spawn t ~name main = spawn_proc t ~name main
 
@@ -225,7 +227,7 @@ let run t =
      the simulated segfault. *)
   List.iter
     (fun (f : Ksim.Kthread.failure) ->
-      match Hashtbl.find_opt t.procs f.Ksim.Kthread.failed_tid with
+      match find t f.Ksim.Kthread.failed_tid with
       | Some p when p.exit_code = None ->
           p.exit_code <- Some 139;
           Option.iter Kmm.Addr_space.destroy p.space
@@ -233,5 +235,6 @@ let run t =
     (Ksim.Kthread.failures t.sched)
 
 let crashed t =
-  Hashtbl.fold (fun pid p acc -> if p.exit_code = Some 139 then pid :: acc else acc) t.procs []
-  |> List.sort compare
+  List.filter
+    (fun pid -> match t.procs.(pid) with Some p -> p.exit_code = Some 139 | None -> false)
+    (List.init (Array.length t.procs) Fun.id)

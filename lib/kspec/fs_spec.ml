@@ -35,11 +35,13 @@ let parent path =
 
 let basename path = match List.rev path with [] -> None | last :: _ -> Some last
 
+(* The same order as polymorphic [compare], without its generic walk. *)
+let compare_path = List.compare String.compare
+
 module Pathmap = Map.Make (struct
   type t = path
 
-  (* The same order as polymorphic [compare], without its generic walk. *)
-  let compare = List.compare String.compare
+  let compare = compare_path
 end)
 
 type node =
@@ -59,6 +61,32 @@ let equal_node a b =
   | File _, Dir | Dir, File _ -> false
 
 let equal (a : state) b = Pathmap.equal equal_node a b
+
+type bindings = (path * node) list
+
+let of_bindings (b : bindings) : state =
+  List.fold_left (fun acc (path, node) -> Pathmap.add path node acc) empty b
+
+let rec increasing = function
+  | (p, _) :: ((q, _) :: _ as rest) -> compare_path p q < 0 && increasing rest
+  | _ -> true
+
+exception Differ
+
+(* Zip [b] against [s] in key order with early exit.  A strictly
+   increasing [b] that differs lists another state, so only a [b] out of
+   order or repeating a path is built. *)
+let equal_bindings (s : state) b =
+  (match
+     Pathmap.fold
+       (fun p n -> function
+         | (q, m) :: rest when compare_path p q = 0 && equal_node n m -> rest
+         | _ -> raise_notrace Differ)
+       s b
+   with
+  | [] -> true
+  | _ :: _ | (exception Differ) -> false)
+  || ((not (increasing b)) && equal s (of_bindings b))
 
 let pp_node ppf = function
   | File content -> Fmt.pf ppf "file[%d bytes]" (String.length content)

@@ -35,6 +35,21 @@ type state = node Pathmap.t
 
 val empty : state
 val equal : state -> state -> bool
+
+type bindings = (path * node) list
+(** A state listed binding by binding: what an abstraction function
+    returns.  Its producers walk depth first with each directory's
+    children in name order, so the list comes in {!Pathmap} key order;
+    any order still denotes a state, a later entry for a path winning. *)
+
+val of_bindings : bindings -> state
+(** The state a listing denotes; a later entry for a path wins. *)
+
+val equal_bindings : state -> bindings -> bool
+(** [equal_bindings s b = equal s (of_bindings b)], decided by zipping
+    [b] against [s] in key order with early exit.  The map is built only
+    when [b] is out of order or repeats a path. *)
+
 val wf : state -> bool
 (** Well-formedness: every bound path has a bound (or root) Dir parent. *)
 

@@ -38,7 +38,7 @@ module type MACHINE = sig
   val name : string
   val init : unit -> vars
   val step : vars -> Fs_spec.op -> vars * Fs_spec.result
-  val interp : vars -> Fs_spec.state
+  val interp : vars -> Fs_spec.bindings
   val inv : vars -> bool
   val crash_images : vars -> limit:int -> vars list
 end
@@ -49,7 +49,7 @@ module Spec_machine = struct
   let name = "fs_spec"
   let init () = Fs_spec.empty
   let step st op = Fs_spec.step st op
-  let interp st = st
+  let interp = Fs_spec.Pathmap.bindings
   let inv _ = true
   let crash_images _ ~limit:_ = []
 end
@@ -146,22 +146,26 @@ let coverage_fingerprint c =
     c.divergences;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-(* The per-state check: interpret [v] once, then [Inv v] on that
-   interpretation (header comment). *)
-let interp_inv (type a) (module M : MACHINE with type vars = a) v =
-  let s = M.interp v in
-  (s, M.inv v && Fs_spec.wf s)
+(* The per-state check (header comment): interpret [v] once, then [Inv v]
+   and the match against [allowed] on that listing, well-formedness on
+   the spec state it matched.  Only a listing that matches none is built,
+   to classify it: a broken [Inv], or [differs] of its well-formed state. *)
+let judge (type a) (module M : MACHINE with type vars = a) v allowed ~differs =
+  let b = M.interp v in
+  if not (M.inv v) then Some Invariant_violation
+  else
+    match List.find_opt (fun s -> Fs_spec.equal_bindings s b) allowed with
+    | Some s when Fs_spec.wf s -> None
+    | Some _ -> Some Invariant_violation
+    | None ->
+        let s = Fs_spec.of_bindings b in
+        Some (if Fs_spec.wf s then differs s else Invariant_violation)
 
 (* One lockstep step, in the order [run] and [Monitor] share: results,
    then the invariant, then the commuting square. *)
 let step_mismatch (type a) (module M : MACHINE with type vars = a) ~expected ~got spec' v' =
   if not (Fs_spec.equal_result expected got) then Some (Result_mismatch { expected; got })
-  else
-    let istate, inv_ok = interp_inv (module M) v' in
-    if not inv_ok then Some Invariant_violation
-    else if not (Fs_spec.equal spec' istate) then
-      Some (State_mismatch { expected = spec'; got = istate })
-    else None
+  else judge (module M) v' [ spec' ] ~differs:(fun got -> State_mismatch { expected = spec'; got })
 
 (* The enumerator core.  [frontier] carries the crash-safe spec's
    allowed recovery states incrementally; see the header comment. *)
@@ -184,8 +188,8 @@ let run_raw (type a) ~config (module M : MACHINE with type vars = a) ops =
   let overflowed = ref false in
   let stop = ref false in
   (* init ⊢ Inv, and the interpretation of init must be the empty map. *)
-  let s0, inv_ok = interp_inv (module M) !v in
-  if not (inv_ok && Fs_spec.equal s0 Fs_spec.empty) then begin
+  if Option.is_some (judge (module M) !v [ Fs_spec.empty ] ~differs:(fun _ -> Invariant_violation))
+  then begin
     (match ops with
     | [] -> ()
     | op :: _ ->
@@ -225,40 +229,29 @@ let run_raw (type a) ~config (module M : MACHINE with type vars = a) ops =
         incr crash_points;
         let images = M.crash_images v' ~limit:config.images_per_op in
         let at_fsync = match op with Fs_spec.Fsync -> true | _ -> false in
+        (* The Fsync window (header comment): at an [Fsync] the frontier
+           just before it, [before], allows too, unless it overflowed. *)
+        let allowed =
+          if at_fsync && not before_overflowed then !frontier @ before else !frontier
+        in
         if !overflowed then skipped := !skipped + List.length images
         else
           List.iteri
             (fun image_index image ->
-              if !n_div < config.max_divergences then begin
-                let recovered, inv_ok = interp_inv (module M) image in
-                let allowed = inv_ok && List.exists (Fs_spec.equal recovered) !frontier in
-                (* The Fsync window (header comment): at an [Fsync] the
-                   frontier just before it, [before], allows too. *)
-                if inv_ok && (not allowed) && at_fsync && before_overflowed then incr skipped
-                else begin
-                  incr images_checked;
-                  incr states;
-                  if not inv_ok then
-                    record
-                      { step_index = !i; op; mismatch = Invariant_violation; counterexample = [] }
-                  else if
-                    not (allowed || (at_fsync && List.exists (Fs_spec.equal recovered) before))
-                  then
-                    record
-                      {
-                        step_index = !i;
-                        op;
-                        mismatch =
-                          Crash_divergence
-                            {
-                              image_index;
-                              recovered;
-                              frontier = (if at_fsync then before else !frontier);
-                            };
-                        counterexample = [];
-                      }
-                end
-              end)
+              if !n_div < config.max_divergences then
+                let differs recovered =
+                  Crash_divergence
+                    { image_index; recovered; frontier = (if at_fsync then before else !frontier) }
+                in
+                match judge (module M) image allowed ~differs with
+                | Some (Crash_divergence _) when at_fsync && before_overflowed -> incr skipped
+                | mismatch ->
+                    incr images_checked;
+                    incr states;
+                    Option.iter
+                      (fun mismatch ->
+                        record { step_index = !i; op; mismatch; counterexample = [] })
+                      mismatch)
             images
       end;
       spec := spec';

@@ -3,13 +3,17 @@
 
     The spec is a {e UIStateMachine} over the abstract map {!Fs_spec}
     ({!Spec_machine}); an implementation is a low machine ({!MACHINE})
-    carrying an interpretation function [interp : vars -> Fs_spec.state]
+    carrying an interpretation function [interp : vars -> Fs_spec.bindings]
     and its own invariant [inv].  The inductive invariant the checker
     discharges is [Inv v = inv v ∧ Fs_spec.wf (interp v)]: [inv] is
     about the implementation's state, well-formedness about the spec
-    state, and each state is interpreted once with both checked on
-    that interpretation.  {!run} checks, at every step of a trace, the
-    verified-betrfs proof obligations executably:
+    state.  Each state is interpreted once, as a listing of its
+    bindings, and the checker never builds that state: it zips the
+    listing against the spec state it must equal
+    ({!Fs_spec.equal_bindings}) and checks well-formedness on the spec
+    state it matched.  Only a state that matches none is built, to
+    classify and report the divergence.  {!run} checks, at every step
+    of a trace, the verified-betrfs proof obligations executably:
 
     - [init ⊢ Inv] and [interp (init ()) = Fs_spec.empty];
     - [Inv ∧ step ⊢ Inv'] and the commuting square
@@ -42,8 +46,13 @@ module type MACHINE = sig
   val step : vars -> Fs_spec.op -> vars * Fs_spec.result
   (** Mutable implementations return the same [vars]. *)
 
-  val interp : vars -> Fs_spec.state
-  (** The interpretation (abstraction) function [I : L.Vars -> H.Vars]. *)
+  val interp : vars -> Fs_spec.bindings
+  (** The interpretation (abstraction) function [I : L.Vars -> H.Vars],
+      as the state's bindings.  Listed in {!Fs_spec.Pathmap} key order
+      (one depth-first walk, each directory's children in name order),
+      they are checked by a zip; any other order, or a repeated path
+      (the later entry wins), is checked by building the map, with the
+      same verdict. *)
 
   val inv : vars -> bool
   (** The implementation's own invariant (e.g. not corrupt, no barrier
@@ -59,8 +68,9 @@ module type MACHINE = sig
 end
 
 module Spec_machine : MACHINE with type vars = Fs_spec.state
-(** The high machine: {!Fs_spec} itself (interp = identity, inv = true;
-    the checker's well-formedness check is the spec's own invariant). *)
+(** The high machine: {!Fs_spec} itself (interp lists the map's
+    bindings, inv = true; the checker's well-formedness check is the
+    spec's own invariant). *)
 
 (** {1 Divergences} *)
 
@@ -103,7 +113,7 @@ module Monitor (M : MACHINE) : sig
       @raise Refinement_failure the moment the machine diverges; its
       [counterexample] is empty. *)
 
-  val interpret : t -> Fs_spec.state
+  val interpret : t -> Fs_spec.bindings
   val checked_ops : t -> int
 end
 

@@ -9,13 +9,6 @@
    through an interpretation function, must be a valid transition of the
    model (see [Krefine]). *)
 
-module type STATE = sig
-  type t
-
-  val equal : t -> t -> bool
-  val pp : Format.formatter -> t -> unit
-end
-
 (* Deterministic specification: a pure step function. *)
 type ('st, 'op, 'res) step = 'st -> 'op -> 'st * 'res
 
@@ -40,13 +33,3 @@ let run_trace (step : _ step) init ops =
       ([ init ], [], init) ops
   in
   (List.rev states, List.rev results, last)
-
-(* An interpretation ("abstraction function") maps implementation state to
-   model state; refinement checks commute the square:
-
-        impl --op--> impl'
-         |            |
-      interpret    interpret
-         v            v
-        model --op--> model'           *)
-type ('impl, 'st) interpretation = 'impl -> 'st

@@ -6,13 +6,6 @@
     each concrete operation, viewed through an interpretation function,
     must be a valid transition of the model ({!Krefine}). *)
 
-module type STATE = sig
-  type t
-
-  val equal : t -> t -> bool
-  val pp : Format.formatter -> t -> unit
-end
-
 type ('st, 'op, 'res) step = 'st -> 'op -> 'st * 'res
 (** Deterministic specification: a pure step function. *)
 
@@ -30,6 +23,3 @@ val run_trace :
   ('st, 'op, 'res) step -> 'st -> 'op list -> 'st list * 'res list * 'st
 (** [run_trace step init ops] is [(states, results, final)] where [states]
     includes [init] and every intermediate state (length [ops]+1). *)
-
-type ('impl, 'st) interpretation = 'impl -> 'st
-(** Abstraction function from implementation state to model state. *)

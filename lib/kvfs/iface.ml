@@ -22,7 +22,7 @@ module type FS_OPS = sig
 
   val mkfs : unit -> fs
   val apply : fs -> Kspec.Fs_spec.op -> Kspec.Fs_spec.result
-  val interpret : fs -> Kspec.Fs_spec.state
+  val interpret : fs -> Kspec.Fs_spec.bindings
 end
 
 type instance = Instance : (module FS_OPS with type fs = 'f) * 'f -> instance
@@ -91,7 +91,7 @@ module type FS_OPS_LEGACY = sig
   val stat : fs -> string -> (Vtypes.file_kind * int, int) Stdlib.result
   val truncate : fs -> string -> int -> int
   val fsync : fs -> int
-  val interpret : fs -> Kspec.Fs_spec.state
+  val interpret : fs -> Kspec.Fs_spec.bindings
 end
 
 let errno_of_neg code =

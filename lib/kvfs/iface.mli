@@ -20,7 +20,7 @@ module type FS_OPS = sig
 
   val mkfs : unit -> fs
   val apply : fs -> Kspec.Fs_spec.op -> Kspec.Fs_spec.result
-  val interpret : fs -> Kspec.Fs_spec.state
+  val interpret : fs -> Kspec.Fs_spec.bindings
 end
 
 type instance = Instance : (module FS_OPS with type fs = 'f) * 'f -> instance
@@ -39,7 +39,7 @@ val panicky : ?site:string -> fp:Ksim.Failpoint.t -> instance -> instance
 val instance_name : instance -> string
 val instance_stage : instance -> int
 val instance_apply : instance -> Kspec.Fs_spec.op -> Kspec.Fs_spec.result
-val instance_interpret : instance -> Kspec.Fs_spec.state
+val instance_interpret : instance -> Kspec.Fs_spec.bindings
 
 module type FS_OPS_LEGACY = sig
   type fs
@@ -59,7 +59,7 @@ module type FS_OPS_LEGACY = sig
   val stat : fs -> string -> (Vtypes.file_kind * int, int) Stdlib.result
   val truncate : fs -> string -> int -> int
   val fsync : fs -> int
-  val interpret : fs -> Kspec.Fs_spec.state
+  val interpret : fs -> Kspec.Fs_spec.bindings
 end
 
 val errno_of_neg : int -> Ksim.Errno.t

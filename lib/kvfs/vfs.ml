@@ -151,20 +151,19 @@ let apply_gen ?handle_epoch t (op : Kspec.Fs_spec.op) : Kspec.Fs_spec.result =
 let apply t op = apply_gen t op
 let apply_stamped t ~epoch op = apply_gen ~handle_epoch:epoch t op
 
-(* Merge the mounted file systems' abstract states under their mount
-   points — the whole kernel's file namespace as one spec state.  The
-   root mount comes last and its entries win at a clash; its map needs
-   no rebasing, so it merges whole (a lone root mount is returned as is). *)
+(* List the mounted file systems' bindings under their mount points —
+   the whole kernel's file namespace as one listing.  A lone root mount
+   lists its instance's bindings as they are.  Otherwise each sub-mount
+   lists its mount point as a directory, then its bindings rebased; the
+   root mount comes last, so its entries win at a clash. *)
 let interpret t =
-  List.fold_left
-    (fun acc m ->
-      let sub = Iface.instance_interpret m.fs in
-      match m.mount_point with
-      | [] -> Kspec.Fs_spec.Pathmap.union (fun _ _ n -> Some n) acc sub
-      | at ->
-          (* The mount point itself must exist as a directory. *)
-          Kspec.Fs_spec.Pathmap.fold
-            (fun path node acc -> Kspec.Fs_spec.Pathmap.add (at @ path) node acc)
-            sub
-            (Kspec.Fs_spec.Pathmap.add at Kspec.Fs_spec.Dir acc))
-    Kspec.Fs_spec.empty t.mounts
+  match t.mounts with
+  | [ { mount_point = []; fs; _ } ] -> Iface.instance_interpret fs
+  | mounts ->
+      List.concat_map
+        (fun m ->
+          let sub = Iface.instance_interpret m.fs in
+          match m.mount_point with
+          | [] -> sub
+          | at -> (at, Kspec.Fs_spec.Dir) :: List.map (fun (path, node) -> (at @ path, node)) sub)
+        mounts

@@ -62,6 +62,8 @@ val apply_stamped : t -> epoch:int -> Kspec.Fs_spec.op -> Kspec.Fs_spec.result
     answers [ESTALE] and never reaches the rebuilt instance — including
     on the call that performs the deferred microreboot itself. *)
 
-val interpret : t -> Kspec.Fs_spec.state
-(** The whole namespace as one abstract state: each mounted file system's
-    state re-rooted under its mount point. *)
+val interpret : t -> Kspec.Fs_spec.bindings
+(** The whole namespace as one listing: each mounted file system's
+    bindings re-rooted under its mount point, the root mount's last (it
+    wins at a clash).  A lone root mount's listing is its file
+    system's. *)

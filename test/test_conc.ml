@@ -106,13 +106,13 @@ let test_interpret_snapshot_is_immutable () =
      outsourced readers and the writer cannot race by construction. *)
   let fs = Kfs.Memfs_typed.mkfs () in
   ignore (Kfs.Memfs_typed.apply fs (Fs_spec.Create (p "/f")));
-  let snapshot = Kfs.Memfs_typed.interpret fs in
+  let snapshot = Fs_spec.of_bindings (Kfs.Memfs_typed.interpret fs) in
   ignore (Kfs.Memfs_typed.apply fs (Fs_spec.Write { file = p "/f"; off = 0; data = "mutated" }));
   ignore (Kfs.Memfs_typed.apply fs (Fs_spec.Create (p "/g")));
   check Alcotest.int "sees one file" 1 (Krefine.count_files snapshot);
   check Alcotest.int "sees zero bytes" 0 (Krefine.total_bytes snapshot);
   check Alcotest.int "live fs moved on" 2
-    (Krefine.count_files (Kfs.Memfs_typed.interpret fs))
+    (Krefine.count_files (Fs_spec.of_bindings (Kfs.Memfs_typed.interpret fs)))
 
 let test_explore_lost_update_vs_locked () =
   (* Kthread.explore distinguishes the racy counter from the locked one. *)

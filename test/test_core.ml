@@ -154,7 +154,7 @@ let test_registry_history () =
     (Safeos_core.Registry.replace r ~name:"memfs" ~level:Safeos_core.Level.Modular
        ~iface:Safeos_core.Interface.fs_interface ());
   match Safeos_core.Registry.history r with
-  | [ Safeos_core.Registry.Registered _; Replaced; Rejected _ ] -> ()
+  | [ Safeos_core.Registry.Registered; Replaced; Rejected ] -> ()
   | _ -> fail "unexpected history shape"
 
 let test_registry_loc_accounting () =

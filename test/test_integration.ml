@@ -42,7 +42,7 @@ let test_boot_and_cross_mount_traffic () =
       check result_t (file ^ " read") (Ok (Fs_spec.Data ("probe:" ^ dir)))
         (Kvfs.Vfs.apply vfs (Read { file = p file; off = 0; len = 64 })))
     [ ""; "/mnt/journal"; "/mnt/snap"; "/mnt/overlay" ];
-  let st = Kvfs.Vfs.interpret vfs in
+  let st = Fs_spec.of_bindings (Kvfs.Vfs.interpret vfs) in
   check Alcotest.bool "namespace wf" true (Fs_spec.wf st);
   check Alcotest.bool "journal file visible in namespace" true
     (Fs_spec.Pathmap.mem (p "/mnt/journal/probe") st)
@@ -97,7 +97,8 @@ let test_workload_storm_across_mounts () =
         (trace seed);
       check Alcotest.int (prefix ^ " storm completes") 150 !executed)
     [ ("", 21); ("/mnt/journal", 22); ("/mnt/snap", 23) ];
-  check Alcotest.bool "namespace still wf" true (Fs_spec.wf (Kvfs.Vfs.interpret vfs))
+  check Alcotest.bool "namespace still wf" true
+    (Fs_spec.wf (Fs_spec.of_bindings (Kvfs.Vfs.interpret vfs)))
 
 let test_migration_under_mounted_kernel () =
   (* Boot a registry-backed kernel, migrate memfs up the ladder, and keep

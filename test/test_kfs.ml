@@ -49,7 +49,7 @@ let agrees_with_spec (type f) (module F : Kvfs.Iface.FS_OPS with type fs = f) op
         let got = F.apply fs op in
         let spec_state', expected = Fs_spec.step spec_state op in
         Fs_spec.equal_result expected got
-        && Fs_spec.equal spec_state' (F.interpret fs)
+        && Fs_spec.equal_bindings spec_state' (F.interpret fs)
         && go spec_state' rest
   in
   go Fs_spec.empty ops
@@ -113,7 +113,7 @@ let union_differential =
             let got = Kfs.Unionfs.apply fs op in
             let spec', expected = Fs_spec.step spec op in
             Fs_spec.equal_result expected got
-            && Fs_spec.equal spec' (Kfs.Unionfs.interpret fs)
+            && Fs_spec.equal_bindings spec' (Kfs.Unionfs.interpret fs)
             && go spec' rest
       in
       go spec0 ops)
@@ -495,7 +495,9 @@ let remount_equals_mirror ~group_commit =
              &&
              let disk = remount () in
              (not (Kfs.Journalfs.is_corrupt disk))
-             && Fs_spec.equal (Kfs.Journalfs.interpret fs) (Kfs.Journalfs.interpret disk))
+             && Fs_spec.equal_bindings
+                  (Fs_spec.of_bindings (Kfs.Journalfs.interpret fs))
+                  (Kfs.Journalfs.interpret disk))
            ops)
 
 let journalfs_differential =
@@ -585,7 +587,7 @@ let test_union_interpret_merges () =
   let fs = union_with_lower [ Fs_spec.Create (p "/low"); Fs_spec.Mkdir (p "/d") ] in
   ignore (Kfs.Unionfs.apply fs (Fs_spec.Create (p "/d/up")));
   ignore (Kfs.Unionfs.apply fs (Fs_spec.Unlink (p "/low")));
-  let st = Kfs.Unionfs.interpret fs in
+  let st = Fs_spec.of_bindings (Kfs.Unionfs.interpret fs) in
   check Alcotest.bool "whiteout hidden from view" false (Fs_spec.Pathmap.mem (p "/low") st);
   check Alcotest.bool "upper file present" true (Fs_spec.Pathmap.mem (p "/d/up") st);
   check Alcotest.bool "no .wh. leaks into the view" true

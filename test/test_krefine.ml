@@ -156,22 +156,25 @@ let test_lost_rename_minimal_counterexample () =
       let replay = Krefine.run (module Lost_rename) d.Krefine.counterexample in
       check Alcotest.bool "counterexample reproduces" false (Krefine.is_clean replay)
 
+(* Committed-but-unfsynced ops + a microreboot whose remount skips
+   journal replay. *)
+let replay_skip_trace =
+  [
+    Fs_spec.Create (p "/a");
+    Fs_spec.Write { file = p "/a"; off = 0; data = "committed" };
+    Fs_spec.Create (p "/b");
+    Fs_spec.Write { file = p "/b"; off = 0; data = "unfsynced" };
+    Fs_spec.Stat (p "/a");
+    Fs_spec.Readdir (p "/");
+  ]
+
+let replay_skip_config = { Krefine.default_config with Krefine.crash_every = 0 }
+
 let test_replay_skip_fault_caught () =
-  (* committed-but-unfsynced ops + a microreboot whose remount skips
-     journal replay: the lockstep check must see the state regress.  The
-     same trace on the honest machine is clean — replay is exactly what
-     makes the microreboot invisible. *)
-  let t =
-    [
-      Fs_spec.Create (p "/a");
-      Fs_spec.Write { file = p "/a"; off = 0; data = "committed" };
-      Fs_spec.Create (p "/b");
-      Fs_spec.Write { file = p "/b"; off = 0; data = "unfsynced" };
-      Fs_spec.Stat (p "/a");
-      Fs_spec.Readdir (p "/");
-    ]
-  in
-  let config = { Krefine.default_config with Krefine.crash_every = 0 } in
+  (* The lockstep check must see the state regress.  The same trace on
+     the honest machine is clean — replay is exactly what makes the
+     microreboot invisible. *)
+  let t = replay_skip_trace and config = replay_skip_config in
   let (Kharness.Packed (module Sabotaged)) = Kharness.microreboot_sabotaged ~panic_every:4 () in
   let cov = Krefine.run ~config (module Sabotaged) t in
   if Krefine.is_clean cov then Alcotest.fail "replay-skip fault escaped the lockstep check";
@@ -180,6 +183,19 @@ let test_replay_skip_fault_caught () =
   let honest = Kharness.run ~config Kharness.microreboot t in
   if not (Krefine.is_clean honest) then
     Alcotest.failf "honest microreboot diverged: %a" Krefine.pp_coverage honest
+
+let missing_barrier_trace =
+  List.concat_map
+    (fun i ->
+      [
+        Fs_spec.Create (p (Printf.sprintf "/f%d" i));
+        Fs_spec.Write
+          { file = p (Printf.sprintf "/f%d" i); off = 0; data = Printf.sprintf "payload-%d" i };
+      ])
+    [ 0; 1; 2; 3; 4; 5 ]
+  @ [ Fs_spec.Fsync; Fs_spec.Stat (p "/f0"); Fs_spec.Readdir (p "/") ]
+
+let missing_barrier_config = { Krefine.default_config with Krefine.images_per_op = 32 }
 
 let test_missing_barrier_convicted () =
   (* The seeded missing-barrier mutant: journal commit records flush with
@@ -190,18 +206,7 @@ let test_missing_barrier_convicted () =
      — a torn state no honest barrier discipline can reach.  The crash
      enumerator must convict it, with a shrunk counterexample; the honest
      stack stays clean on the same trace. *)
-  let t =
-    List.concat_map
-      (fun i ->
-        [
-          Fs_spec.Create (p (Printf.sprintf "/f%d" i));
-          Fs_spec.Write
-            { file = p (Printf.sprintf "/f%d" i); off = 0; data = Printf.sprintf "payload-%d" i };
-        ])
-      [ 0; 1; 2; 3; 4; 5 ]
-    @ [ Fs_spec.Fsync; Fs_spec.Stat (p "/f0"); Fs_spec.Readdir (p "/") ]
-  in
-  let config = { Krefine.default_config with Krefine.images_per_op = 32 } in
+  let t = missing_barrier_trace and config = missing_barrier_config in
   let mutant () = Kharness.journalfs_machine ~barriers:false Kfs.Journalfs.Journaled in
   let (Kharness.Packed (module Mutant)) = mutant () in
   let cov = Krefine.run ~config (module Mutant) t in
@@ -253,7 +258,7 @@ struct
     | _ -> v.before_fsync <- None);
     (v, r)
 
-  let interp v = v.st
+  let interp v = Fs_spec.Pathmap.bindings v.st
   let inv _ = true
 
   let crash_images v ~limit:_ =
@@ -302,7 +307,7 @@ module Orphaning = struct
     | Fs_spec.Rmdir dir, (_, (Error Ksim.Errno.ENOTEMPTY as r)) -> (Fs_spec.Pathmap.remove dir st, r)
     | _, stepped -> stepped
 
-  let interp st = st
+  let interp = Fs_spec.Pathmap.bindings
   let inv _ = true
   let crash_images st ~limit:_ = [ Fs_spec.Pathmap.filter (fun _ n -> n <> Fs_spec.Dir) st ]
 end
@@ -381,6 +386,108 @@ let test_crash_mount_in_place () =
     (trace ~target_ops:800 ~seed:11);
   check Alcotest.bool "mounted crash images" true (!mounts > 50)
 
+(* Listings: the zip and its fallback ------------------------------------- *)
+
+(* A twin whose listing is reversed and then repeats its first binding,
+   node and all: the same state, but every non-empty listing is out of
+   order, so the checker must build it to compare. *)
+module Scrambled (M : Krefine.MACHINE) = struct
+  include M
+
+  let interp v = match M.interp v with [] -> [] | first :: _ as b -> List.rev_append b [ first ]
+end
+
+let same_mismatch (a : Krefine.mismatch) (b : Krefine.mismatch) =
+  match (a, b) with
+  | Result_mismatch x, Result_mismatch y -> x.expected = y.expected && x.got = y.got
+  | State_mismatch x, State_mismatch y ->
+      Fs_spec.equal x.expected y.expected && Fs_spec.equal x.got y.got
+  | Invariant_violation, Invariant_violation -> true
+  | Crash_divergence x, Crash_divergence y ->
+      x.image_index = y.image_index
+      && Fs_spec.equal x.recovered y.recovered
+      && List.equal Fs_spec.equal x.frontier y.frontier
+  | (Result_mismatch _ | State_mismatch _ | Invariant_violation | Crash_divergence _), _ -> false
+
+(* The machine and its scrambled twin give the same coverage record,
+   field by field (states compared as maps), and the same fingerprint. *)
+let check_twin what ~config (Kharness.Packed (module M)) trace =
+  let module T = Scrambled (M) in
+  let plain = Krefine.run ~config (module M) trace in
+  let twin = Krefine.run ~config (module T) trace in
+  check Alcotest.string (what ^ ": fingerprint") (Krefine.coverage_fingerprint plain)
+    (Krefine.coverage_fingerprint twin);
+  check Alcotest.bool (what ^ ": coverage record") true
+    ({ plain with divergences = [] } = { twin with divergences = [] }
+    && List.equal
+         (fun (x : Krefine.divergence) (y : Krefine.divergence) ->
+           x.step_index = y.step_index && x.op = y.op && x.counterexample = y.counterexample
+           && same_mismatch x.mismatch y.mismatch)
+         plain.divergences twin.divergences);
+  plain
+
+let test_fallback_same_verdicts () =
+  let t = trace ~target_ops:150 ~seed:11 in
+  let config =
+    { Krefine.default_config with Krefine.seed = 11; images_per_op = 4; crash_every = 3 }
+  in
+  List.iter
+    (fun (e : Kharness.entry) ->
+      let cov = check_twin e.Kharness.hname ~config e.Kharness.machine t in
+      check Alcotest.bool (e.Kharness.hname ^ " clean") true (Krefine.is_clean cov))
+    (Kharness.all ());
+  let replay_skip =
+    check_twin "replay-skip" ~config:replay_skip_config
+      (Kharness.microreboot_sabotaged ~panic_every:4 ())
+      replay_skip_trace
+  in
+  check Alcotest.bool "replay-skip convicted" false (Krefine.is_clean replay_skip);
+  let missing_barrier =
+    check_twin "missing-barrier" ~config:missing_barrier_config
+      (Kharness.journalfs_machine ~barriers:false Kfs.Journalfs.Journaled)
+      missing_barrier_trace
+  in
+  check Alcotest.bool "missing-barrier convicted" false (Krefine.is_clean missing_barrier)
+
+let rec increasing = function
+  | (p, _) :: ((q, _) :: _ as rest) -> List.compare String.compare p q < 0 && increasing rest
+  | [ _ ] | [] -> true
+
+(* The producers list in path order, so the checker zips: a listing that
+   silently fell out of order would still give every verdict, only
+   slower, and fails here instead. *)
+let test_listings_in_path_order () =
+  let t = trace ~target_ops:800 ~seed:11 in
+  let in_order b what i =
+    if not (increasing b) then Alcotest.failf "%s, step %d: listing out of path order" what i
+  in
+  List.iter
+    (fun (e : Kharness.entry) ->
+      let (Kharness.Packed (module M)) = e.Kharness.machine in
+      let image_of = e.Kharness.hname ^ " crash image" in
+      let v = ref (M.init ()) in
+      List.iteri
+        (fun i op ->
+          v := fst (M.step !v op);
+          in_order (M.interp !v) e.Kharness.hname i;
+          if i mod 8 = 0 then
+            List.iter (fun image -> in_order (M.interp image) image_of i) (M.crash_images !v ~limit:2))
+        t)
+    (Kharness.all ());
+  (* memfs_typed over the recorded trace and over nested directories *)
+  List.iter
+    (fun (what, ops) ->
+      let fs = Kfs.Memfs_typed.mkfs () in
+      List.iteri
+        (fun i op ->
+          ignore (Kfs.Memfs_typed.apply fs op);
+          in_order (Kfs.Memfs_typed.interpret fs) what i)
+        ops)
+    [
+      ("memfs_typed, recorded", t);
+      ("memfs_typed, mixed", Kfs.Workload.generate ~seed:7 Kfs.Workload.Mixed ~ops:400);
+    ]
+
 let test_registry () =
   let names = List.map (fun e -> e.Kharness.hname) (Kharness.all ()) in
   List.iter
@@ -425,5 +532,11 @@ let () =
             test_orphan_in_crash_image;
           Alcotest.test_case "orphan: invariant violation from the monitor" `Quick
             test_orphan_in_monitor;
+        ] );
+      ( "listings",
+        [
+          Alcotest.test_case "out-of-order twin: same coverage and fingerprint" `Quick
+            test_fallback_same_verdicts;
+          Alcotest.test_case "producers list in path order" `Quick test_listings_in_path_order;
         ] );
     ]

@@ -211,6 +211,45 @@ let prop_pathmap_order_is_compare =
       && List.map fst Fs_spec.Pathmap.(bindings (add a () (singleton b ())))
          = List.sort_uniq compare [ a; b ])
 
+(* [equal_bindings] decides exactly [equal s (of_bindings b)], by the zip
+   or by its fallback, over listings made from a random state's bindings:
+   exact, reversed, shuffled, one binding dropped, added or changed, a
+   path repeated before or after with another node.  Each listing is
+   compared with its own state and with an unrelated one. *)
+let gen_node =
+  QCheck2.Gen.(
+    oneof
+      [
+        return Fs_spec.Dir;
+        map (fun c -> Fs_spec.File c) (string_size ~gen:printable (int_range 0 3));
+      ])
+
+let edit_listing kind (i, path, node, seed) b =
+  let i = if b = [] then 0 else i mod List.length b in
+  let at_i f = List.concat (List.mapi (fun j x -> if j = i then f x else [ x ]) b) in
+  match kind with
+  | 0 -> b
+  | 1 -> List.rev b
+  | 2 ->
+      let rng = Random.State.make [| seed |] in
+      List.map snd (List.sort compare (List.map (fun x -> (Random.State.bits rng, x)) b))
+  | 3 -> at_i (fun _ -> [])
+  | 4 -> if b = [] then [ (path, node) ] else at_i (fun x -> [ (path, node); x ])
+  | 5 -> at_i (fun (p, _) -> [ (p, node) ])
+  | 6 -> at_i (fun (p, n) -> [ (p, node); (p, n) ])
+  | _ -> at_i (fun (p, n) -> [ (p, n); (p, node) ])
+
+let prop_equal_bindings_exact =
+  QCheck2.Test.make ~name:"equal_bindings s b = equal s (of_bindings b)" ~count:1000
+    QCheck2.Gen.(
+      triple (pair gen_trace gen_trace) (int_range 0 7) (quad nat gen_path gen_node int))
+    (fun ((ops, other), kind, edit) ->
+      let s = run ops in
+      let b = edit_listing kind edit (Fs_spec.Pathmap.bindings s) in
+      List.for_all
+        (fun s -> Fs_spec.equal_bindings s b = Fs_spec.equal s (Fs_spec.of_bindings b))
+        [ s; run other ])
+
 let prop_failed_ops_preserve_state =
   QCheck2.Test.make ~name:"failed ops leave state unchanged" ~count:300 gen_trace (fun ops ->
       List.for_all
@@ -292,7 +331,7 @@ module Spec_impl : Krefine.MACHINE = struct
     t.st <- st';
     (t, r)
 
-  let interp t = t.st
+  let interp t = Fs_spec.Pathmap.bindings t.st
   let inv _ = true
   let crash_images _ ~limit:_ = []
 end
@@ -313,7 +352,7 @@ module Buggy_unlink : Krefine.MACHINE = struct
         t.st <- st';
         (t, r)
 
-  let interp t = t.st
+  let interp t = Fs_spec.Pathmap.bindings t.st
   let inv _ = true
   let crash_images _ ~limit:_ = []
 end
@@ -507,6 +546,7 @@ let () =
             prop_read_after_write;
             prop_rename_is_prefix_substitution;
             prop_pathmap_order_is_compare;
+            prop_equal_bindings_exact;
           ] );
       ( "model",
         [

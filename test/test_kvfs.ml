@@ -99,7 +99,7 @@ let test_namespace_interpretation () =
   ignore (Kvfs.Vfs.mount vfs ~at:(p "/mnt") (Kvfs.Iface.make (module Kfs.Memfs_typed) ()));
   ignore (Kvfs.Vfs.apply vfs (Create (p "/top")));
   ignore (Kvfs.Vfs.apply vfs (Create (p "/mnt/inner")));
-  let st = Kvfs.Vfs.interpret vfs in
+  let st = Fs_spec.of_bindings (Kvfs.Vfs.interpret vfs) in
   check Alcotest.bool "top visible" true (Fs_spec.Pathmap.mem (p "/top") st);
   check Alcotest.bool "mount point is dir" true (Fs_spec.is_dir st (p "/mnt"));
   check Alcotest.bool "inner re-rooted" true (Fs_spec.Pathmap.mem (p "/mnt/inner") st);
@@ -294,9 +294,9 @@ let interpret_by_add mounts =
   List.fold_left
     (fun acc (at, inst) ->
       let acc = if at = [] then acc else Fs_spec.Pathmap.add at Fs_spec.Dir acc in
-      Fs_spec.Pathmap.fold
-        (fun path node acc -> Fs_spec.Pathmap.add (at @ path) node acc)
-        (Kvfs.Iface.instance_interpret inst) acc)
+      List.fold_left
+        (fun acc (path, node) -> Fs_spec.Pathmap.add (at @ path) node acc)
+        acc (Kvfs.Iface.instance_interpret inst))
     Fs_spec.empty mounts
 
 let mount_exn vfs ~at inst =
@@ -310,7 +310,7 @@ let prop_interpret_lone_root =
       let root = Kvfs.Iface.make (module Kfs.Memfs_typed) () in
       mount_exn vfs ~at:[] root;
       List.iter (fun op -> ignore (Kvfs.Vfs.apply vfs op)) ops;
-      Fs_spec.equal (Kvfs.Vfs.interpret vfs) (interpret_by_add [ ([], root) ]))
+      Fs_spec.equal_bindings (interpret_by_add [ ([], root) ]) (Kvfs.Vfs.interpret vfs))
 
 let prop_interpret_root_and_sub =
   (* Ops under /sub before the mount land in the root file system and
@@ -330,7 +330,9 @@ let prop_interpret_root_and_sub =
         (fun (under_sub, op) ->
           ignore (Kvfs.Vfs.apply vfs (if under_sub then rebase_op (p "/sub") op else op)))
         after;
-      Fs_spec.equal (Kvfs.Vfs.interpret vfs) (interpret_by_add [ (p "/sub", sub); ([], root) ]))
+      Fs_spec.equal_bindings
+        (interpret_by_add [ (p "/sub", sub); ([], root) ])
+        (Kvfs.Vfs.interpret vfs))
 
 (* Property: the fd layer against an independent model --------------------------- *)
 

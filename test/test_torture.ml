@@ -98,7 +98,7 @@ let run_torture ~seed =
   {
     schedule = Ksim.Failpoint.schedule fp;
     injected = Kblock.Flakydev.injected flaky;
-    recovered_state = Kfs.Journalfs.interpret healed;
+    recovered_state = Fs_spec.of_bindings (Kfs.Journalfs.interpret healed);
     executed;
   }
 
@@ -168,7 +168,7 @@ let test_post_recovery_crash_spec_recheck () =
         Kfs.Journalfs.mount ~geometry ~io:(Kblock.Wcache.io wc) Kfs.Journalfs.Journaled dev
       in
       let disk = Kblock.Wcache.disk dev wc in
-      let start = Kfs.Journalfs.interpret healed in
+      let start = Fs_spec.of_bindings (Kfs.Journalfs.interpret healed) in
       (* The spec continues from the recovered state: durable = volatile =
          what recovery produced. *)
       let cstate = ref { Fs_spec.Crash_safe.durable = start; volatile = start } in
@@ -193,7 +193,7 @@ let test_post_recovery_crash_spec_recheck () =
               incr images;
               let image = Kfs.Journalfs.mount ~geometry Kfs.Journalfs.Journaled dev' in
               let recovered = Kfs.Journalfs.interpret image in
-              if not (List.exists (fun s -> Fs_spec.equal s recovered) !allowed) then
+              if not (List.exists (fun s -> Fs_spec.equal_bindings s recovered) !allowed) then
                 fail
                   (Printf.sprintf "seed %d: illegal recovery after post-op %d, image %d" seed i
                      image_index))
@@ -250,7 +250,8 @@ let test_permanent_failure_remounts_readonly () =
     ]
   in
   check Alcotest.bool "recovery allowed by crash-safe spec" true
-    (Fs_spec.Crash_safe.is_allowed_recovery executed (Kfs.Journalfs.interpret healed))
+    (Fs_spec.Crash_safe.is_allowed_recovery executed
+       (Fs_spec.of_bindings (Kfs.Journalfs.interpret healed)))
 
 (* 5. The journal's abort accounting is visible: a failed commit bumps
    aborted_commits and leaves pending alone. *)
@@ -357,7 +358,7 @@ let run_supervised_torture ~seed =
     {
       s_schedule = Ksim.Failpoint.schedule fp;
       s_executed = exec1 @ exec_handle @ exec2;
-      s_recovered = Kvfs.Vfs.interpret vfs;
+      s_recovered = Fs_spec.of_bindings (Kvfs.Vfs.interpret vfs);
       s_epoch = Ksim.Supervisor.epoch sup;
       s_oopses = Ksim.Supervisor.oopses sup;
       s_clock = Ksim.Supervisor.clock sup;
@@ -412,7 +413,8 @@ let test_supervised_panic_recovers () =
       check Alcotest.bool
         (Printf.sprintf "seed %d: post-crash recovery allowed by crash-safe spec" seed)
         true
-        (Fs_spec.Crash_safe.is_allowed_recovery o.s_executed (Kfs.Journalfs.interpret healed)))
+        (Fs_spec.Crash_safe.is_allowed_recovery o.s_executed
+           (Fs_spec.of_bindings (Kfs.Journalfs.interpret healed))))
     seeds
 
 (* 7. The whole supervised run — schedule, executed history, recovered
